@@ -42,13 +42,14 @@ class BoundQuery:
     kappa_hat: float
 
     def __post_init__(self):
-        if self.V0 < 0:
+        # each guard is written so that NaN fails it
+        if not self.V0 >= 0:
             raise DomainError(f"V0 must be nonnegative: {self.V0}")
-        if self.alpha_coef <= 0:
+        if not self.alpha_coef > 0:
             raise DomainError(f"alpha_coef must be positive: {self.alpha_coef}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise DomainError(f"epsilon must be positive: {self.epsilon}")
-        if self.psi_hat < 0:
+        if not self.psi_hat >= 0:
             raise DomainError(f"psi_hat must be nonnegative: {self.psi_hat}")
         if not 0.0 < self.kappa_hat < 1.0:
             raise DomainError(f"kappa_hat out of (0,1): {self.kappa_hat}")

@@ -11,49 +11,12 @@ Commands
 
 Exit codes: 0 success, 1 analytic or soundness failure, 2 input/schema error.
 
-Project file schema (JSON)
---------------------------
-All matrices are nested row-major arrays of numbers (vectors are ``n x 1``).
-Subsystem ids double as list positions.  Fields marked * are optional.
-
-    {
-      "schema_version": 1,
-      "subsystems": [
-        {"id": 0,
-         "A": [[...]], "B": [[...]], "D": [[...]], "F": [[...]],
-         "C_ext": [[...]],
-         "C_int": {"<peer index>": [[...]], ...}*   // absent peer => zero block
-        }, ...
-      ],
-      "topology": {
-        "edges": [[from, to], ...]   // internal output of `from` feeds `to`;
-                                     // slices are assigned in ascending source
-                                     // order, leftover rows read as zero
-      },
-      "candidates": [                // * reduced models, one per subsystem
-        {"subsystem": 0, "P": [[...]],
-         "Ahat": [[...]], "Bhat": [[...]], "Dhat": [[...]],
-         "Fhat": [[...]]*,           // default: noiseless (zero columns)
-         "Chat_ext": [[...]]*,       // default: C_ext P
-         "Chat_int": {"j": [[...]]}* // default: C_int[j] P
-        }, ...
-      ],
-      "certificates": [              // * witnesses, one per subsystem
-        {"subsystem": 0,
-         "M": [[...]], "K": [[...]], "P": [[...]],
-         "Q": [[...]], "S": [[...]], "Rtilde": [[...]],
-         "pi": 0.99, "kappa_hat": 0.98,
-         "note": "..."*
-        }, ...
-      ],
-      "run": {"horizon": 10, "trials": 1000, "seed": 0, "epsilon": 1.0}*
-    }
-
-Floats are written with full precision, so save/load round-trips bit-exactly.
+The project file format is documented in :mod:`simcert.project`.
 """
 
 import argparse
 import csv as _csv
+import dataclasses
 import json
 import sys
 import time
@@ -62,8 +25,8 @@ import numpy as np
 
 from . import bounds, montecarlo, reference, smallgain, spsf
 from .errors import DomainError, Infeasible, SchemaError, SimcertError
-from .model import Topology, assemble_interconnection
-from .project import ProjectFile, load_project, save_project
+from .model import Topology
+from .project import ProjectFile, RunDefaults, load_project, save_project
 from .spsf import RHO_EXT_VARIANTS
 
 __all__ = [
@@ -83,6 +46,10 @@ def _print_matrix(name: str, m) -> None:
     print(f"{name} =\n{body}")
 
 
+# The project-to-guarantee pipeline, shared by every command that prints a
+# guarantee: constants -> gain test -> mu and composition -> bound.
+
+
 def _all_constants(project: ProjectFile, rho_ext_variant: str) -> list[spsf.SpsfConstants]:
     out = []
     for s in project.subsystems:
@@ -92,15 +59,46 @@ def _all_constants(project: ProjectFile, rho_ext_variant: str) -> list[spsf.Spsf
     return out
 
 
-def _composition(project: ProjectFile, mode: str, rho_ext_variant: str):
-    """Full small-gain pipeline: (constants, gains, radius, mu, composed)."""
-    constants = _all_constants(project, rho_ext_variant)
-    gains = smallgain.build_gains(constants, project.topology, mode)
-    radius = smallgain.spectral_radius_test(gains)
+def _gain_test(constants, topology: Topology, mode: str):
+    """Gain matrices and the spectral radius of ``Lambda^-1 Delta``."""
+    gains = smallgain.build_gains(constants, topology, mode)
+    return gains, smallgain.spectral_radius_test(gains)
+
+
+def _compose(project: ProjectFile, constants, gains):
+    """Small-gain vector ``mu`` and the composed certificate."""
     mu = smallgain.find_mu(gains)
     certs = [project.certificate_for(s.id) for s in project.subsystems]
-    composed = smallgain.compose(certs, constants, gains, mu)
-    return constants, gains, radius, mu, composed
+    return mu, smallgain.compose(certs, constants, gains, mu)
+
+
+def _bound(composed, epsilon: float, horizon: int, nuhat_sup: float = 0.0):
+    """Offset ``psi_hat`` and the finite-horizon bound from zero initial states."""
+    offset = bounds.psi_hat(composed.rho_ext_coef, nuhat_sup, composed.psi)
+    query = bounds.BoundQuery(
+        V0=0.0,
+        alpha_coef=composed.alpha_coef,
+        epsilon=epsilon,
+        T=horizon,
+        psi_hat=offset,
+        kappa_hat=composed.kappa_hat,
+    )
+    return offset, bounds.finite_horizon_bound(query)
+
+
+def _guarantee(
+    project: ProjectFile,
+    mode: str,
+    rho_ext_variant: str,
+    epsilon: float,
+    horizon: int,
+    nuhat_sup: float = 0.0,
+):
+    """The whole pipeline on a project's own certificates: ``(psi_hat, bound)``."""
+    constants = _all_constants(project, rho_ext_variant)
+    gains, _ = _gain_test(constants, project.topology, mode)
+    _, composed = _compose(project, constants, gains)
+    return _bound(composed, epsilon, horizon, nuhat_sup)
 
 
 def cmd_check(project: ProjectFile, tol: float) -> int:
@@ -162,17 +160,7 @@ def cmd_abstract(
         M=M, K=K, P=cand.P, Q=sol.Q, S=sol.S, Rtilde=Rtilde, pi=pi, kappa_hat=kappa_hat
     )
     report = spsf.check_conditions(s, cand, cert, tol)
-    cert = spsf.AbstractionCertificate(
-        M=M,
-        K=K,
-        P=cand.P,
-        Q=sol.Q,
-        S=sol.S,
-        Rtilde=Rtilde,
-        pi=pi,
-        kappa_hat=kappa_hat,
-        residuals=report.values(),
-    )
+    cert = dataclasses.replace(cert, residuals=report.values())
     constants = spsf.derive_constants(s, cand, cert, rho_ext_variant=rho_ext_variant)
 
     print(f"subsystem {sub_id}: structural residuals "
@@ -187,17 +175,7 @@ def cmd_abstract(
         print("certificate does NOT pass; not written", file=sys.stderr)
         return 1
 
-    new_certs = dict(project.certificates)
-    new_certs[sub_id] = cert
-    updated = ProjectFile(
-        schema_version=project.schema_version,
-        subsystems=project.subsystems,
-        topology=project.topology,
-        candidates=project.candidates,
-        certificates=new_certs,
-        notes=project.notes,
-        run=project.run,
-    )
+    updated = dataclasses.replace(project, certificates={**project.certificates, sub_id: cert})
     save_project(updated, output)
     print(f"certificate written to {output}")
     return 0
@@ -208,17 +186,14 @@ def cmd_compose(
 ) -> int:
     """Run the gain test and print the composed certificate constants."""
     constants = _all_constants(project, rho_ext_variant)
-    gains = smallgain.build_gains(constants, project.topology, mode)
-    radius = smallgain.spectral_radius_test(gains)
+    gains, radius = _gain_test(constants, project.topology, mode)
     _print_matrix("Lambda", gains.Lambda)
     _print_matrix("Delta", gains.Delta)
     print(f"spectral radius of Lambda^-1 Delta: {radius:.6f} (mode {mode})")
     if radius >= 1.0:
         print("composition INFEASIBLE: spectral radius >= 1")
         return 1
-    mu = smallgain.find_mu(gains)
-    certs = [project.certificate_for(s.id) for s in project.subsystems]
-    composed = smallgain.compose(certs, constants, gains, mu)
+    mu, composed = _compose(project, constants, gains)
     print("mu =", np.array2string(mu, precision=6))
     print(
         f"composed: alpha_coef={composed.alpha_coef:.6g} "
@@ -262,17 +237,7 @@ def cmd_bound(
     rho_ext_variant: str = "printed",
 ) -> int:
     """Evaluate the deviation bound for zero initial states."""
-    *_, composed = _composition(project, mode, rho_ext_variant)
-    offset = bounds.psi_hat(composed.rho_ext_coef, nuhat_sup, composed.psi)
-    query = bounds.BoundQuery(
-        V0=0.0,
-        alpha_coef=composed.alpha_coef,
-        epsilon=epsilon,
-        T=horizon,
-        psi_hat=offset,
-        kappa_hat=composed.kappa_hat,
-    )
-    result = bounds.finite_horizon_bound(query)
+    offset, result = _guarantee(project, mode, rho_ext_variant, epsilon, horizon, nuhat_sup)
     print(f"psi_hat = {offset:.6g}  branch = {result.branch}  clamped = {result.clamped}")
     print(
         f"P(sup deviation >= {epsilon:g} within T={horizon}) <= {result.probability:.4f}"
@@ -315,10 +280,9 @@ def cmd_simulate(
             precheck_ok = False
             print(f"WARNING: certificate of subsystem {s.id} fails its pre-check; "
                   "the analytic bound is not guaranteed")
-    abs_subs, abs_topo = _abstract_network(project)
-    assemble_interconnection(project.subsystems, project.topology)
-    assemble_interconnection(abs_subs, abs_topo)
+    _, analytic = _guarantee(project, mode, rho_ext_variant, epsilon, horizon)
 
+    abs_subs, abs_topo = _abstract_network(project)
     cfg = montecarlo.RunConfig(
         horizon=horizon, trials=trials, seed=seed, record_trajectories=csv_path is not None
     )
@@ -326,19 +290,6 @@ def cmd_simulate(
         project.subsystems, project.topology, abs_subs, abs_topo, certs, cfg, workers=workers
     )
     est = montecarlo.violation_probability(samples, epsilon)
-
-    *_, composed = _composition(project, mode, rho_ext_variant)
-    offset = bounds.psi_hat(composed.rho_ext_coef, 0.0, composed.psi)
-    analytic = bounds.finite_horizon_bound(
-        bounds.BoundQuery(
-            V0=0.0,
-            alpha_coef=composed.alpha_coef,
-            epsilon=epsilon,
-            T=horizon,
-            psi_hat=offset,
-            kappa_hat=composed.kappa_hat,
-        )
-    )
 
     if csv_path is not None:
         _write_csv(csv_path, samples)
@@ -451,8 +402,7 @@ def cmd_paper_example(
 
     print("\n== composition (published gain coefficients) ==")
     published = [reference.published_constants()] * reference.N_SUBSYSTEMS
-    gains = smallgain.build_gains(published, project.topology, mode)
-    radius = smallgain.spectral_radius_test(gains)
+    gains, radius = _gain_test(published, project.topology, mode)
     _print_matrix("Lambda", gains.Lambda)
     _print_matrix("Delta", gains.Delta)
     print(f"  spectral radius: {radius:.6f}")
@@ -463,30 +413,18 @@ def cmd_paper_example(
             return 1
         failures.append("expected infeasibility under paper_N_minus_1")
     _check_value("spectral_radius", radius, *exp["spectral_radius"], failures)
-    mu = smallgain.find_mu(gains)
-    certs = [project.certificate_for(s.id) for s in project.subsystems]
     # per-subsystem psi/rho_ext enter the composition at their derived values
     merged = [
         spsf.SpsfConstants(1.0, p.kappa_hat, p.rho_int_coef, d.rho_ext_coef, d.psi)
         for p, d in zip(published, constants)
     ]
-    composed = smallgain.compose(certs, merged, gains, mu)
+    mu, composed = _compose(project, merged, gains)
     print("  mu =", np.array2string(mu, precision=6))
     _check_value("composed kappa_hat", composed.kappa_hat, *exp["composed_kappa_hat"], failures)
     _check_value("composed psi", composed.psi, *exp["composed_psi"], failures)
 
     print("\n== bound ==")
-    offset = bounds.psi_hat(composed.rho_ext_coef, 0.0, composed.psi)
-    result = bounds.finite_horizon_bound(
-        bounds.BoundQuery(
-            V0=0.0,
-            alpha_coef=composed.alpha_coef,
-            epsilon=project.run.epsilon,
-            T=project.run.horizon,
-            psi_hat=offset,
-            kappa_hat=composed.kappa_hat,
-        )
-    )
+    _, result = _bound(composed, project.run.epsilon, project.run.horizon)
     _check_value("bound", result.probability, *exp["bound"], failures)
     print(f"  closeness >= {1 - result.probability:.4f} over T={project.run.horizon}")
 
@@ -580,6 +518,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_settings(args, run: RunDefaults | None) -> RunDefaults:
+    """Simulation settings: flags override the project's ``run`` defaults."""
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunDefaults)
+        if getattr(args, f.name) is not None
+    }
+    merged = dataclasses.replace(run or RunDefaults(), **flags)
+    if merged.trials < 1 or merged.horizon < 0:
+        raise SchemaError(
+            f"run needs trials >= 1 and horizon >= 0, "
+            f"got trials={merged.trials} horizon={merged.horizon}"
+        )
+    return merged
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -611,17 +565,13 @@ def main(argv=None) -> int:
             )
         if args.command == "simulate":
             project = load_project(args.project)
-            run = project.run
-            trials = args.trials if args.trials is not None else (run.trials if run else 1000)
-            seed = args.seed if args.seed is not None else (run.seed if run else 0)
-            horizon = args.horizon if args.horizon is not None else (run.horizon if run else 10)
-            epsilon = args.epsilon if args.epsilon is not None else (run.epsilon if run else 1.0)
+            run = _run_settings(args, project.run)
             return cmd_simulate(
                 project,
-                trials=trials,
-                seed=seed,
-                horizon=horizon,
-                epsilon=epsilon,
+                trials=run.trials,
+                seed=run.seed,
+                horizon=run.horizon,
+                epsilon=run.epsilon,
                 workers=args.workers,
                 csv_path=args.csv,
                 mode=args.degree_mode,

@@ -13,6 +13,7 @@ indices.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -199,19 +200,29 @@ class Topology:
         return sum(1 for e in self.edges if e.target == target)
 
 
+def _offsets(sizes) -> tuple[int, ...]:
+    """Start index of each block when blocks of ``sizes`` are stacked."""
+    return (0, *accumulate(sizes))[:-1]
+
+
 @dataclass(frozen=True, eq=False)
 class InterconnectedSystem:
-    """Closed monolithic system over the stacked state of its subsystems."""
+    """Closed monolithic system over the stacked state of its subsystems.
+
+    ``R_int`` is the routing matrix: it maps the stacked state to the stacked
+    internal inputs, so ``A_cl = blockdiag(A) + blockdiag(D) @ R_int``.
+    """
 
     A_cl: np.ndarray
     B_cl: np.ndarray
     F_cl: np.ndarray
     C_cl: np.ndarray
+    R_int: np.ndarray
     subsystems: tuple[LinearSubsystem, ...]
     topology: Topology
 
     def __post_init__(self):
-        for name in ("A_cl", "B_cl", "F_cl", "C_cl"):
+        for name in ("A_cl", "B_cl", "F_cl", "C_cl", "R_int"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -220,11 +231,7 @@ class InterconnectedSystem:
 
     @property
     def state_offsets(self) -> tuple[int, ...]:
-        offs, total = [], 0
-        for s in self.subsystems:
-            offs.append(total)
-            total += s.n
-        return tuple(offs)
+        return _offsets(s.n for s in self.subsystems)
 
     def step(self, x: np.ndarray, nu: np.ndarray, noise: np.ndarray) -> np.ndarray:
         return self.A_cl @ x + self.B_cl @ nu + self.F_cl @ noise
@@ -253,6 +260,8 @@ def assemble_interconnection(
     Substituting each internal input by the peer output that feeds it turns
     the coupled recursions into a single linear system over the stacked state;
     stepping the result reproduces stepping the subsystems signal-for-signal.
+    This is the only place a topology is turned into matrices: the routing
+    matrix ``R_int`` is recorded edge by edge alongside ``A_cl``.
 
     Raises
     ------
@@ -275,13 +284,10 @@ def assemble_interconnection(
     if problems:
         raise DimensionMismatch("; ".join(problems))
 
-    offsets = []
-    total = 0
-    for s in subsystems:
-        offsets.append(total)
-        total += s.n
-
+    n_off = _offsets(s.n for s in subsystems)
+    p_off = _offsets(s.p for s in subsystems)
     A_cl = _block_diag([s.A for s in subsystems])
+    R_int = np.zeros((sum(s.p for s in subsystems), A_cl.shape[1]))
     coverage: dict[int, dict[int, Edge]] = {i: {} for i in range(len(subsystems))}
     for e in topology.edges:
         src, tgt = subsystems[e.source], subsystems[e.target]
@@ -306,8 +312,10 @@ def assemble_interconnection(
                     f"omega row {row} of subsystem {e.target} covered by multiple edges"
                 )
             coverage[e.target][row] = e
-        ri, rj = offsets[e.target], offsets[e.source]
+        ri, rj = n_off[e.target], n_off[e.source]
         A_cl[ri : ri + tgt.n, rj : rj + src.n] += tgt.D[:, e.start : e.stop] @ block
+        rp = p_off[e.target]
+        R_int[rp + e.start : rp + e.stop, rj : rj + src.n] = block
 
     for i, s in enumerate(subsystems):
         declared = set(topology.unconnected.get(i, ()))
@@ -326,6 +334,7 @@ def assemble_interconnection(
         B_cl=_block_diag([s.B for s in subsystems]),
         F_cl=_block_diag([s.F for s in subsystems]),
         C_cl=_block_diag([s.C_ext for s in subsystems]),
+        R_int=R_int,
         subsystems=subsystems,
         topology=topology,
     )

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import beta as _beta
 
+from . import model
 from .errors import DimensionMismatch, PolicyDimension
 from .model import LinearSubsystem, Topology, _block_diag
 from .spsf import (
@@ -97,30 +98,6 @@ def step(s: LinearSubsystem, x, nu, omega, noise) -> np.ndarray:
     )
 
 
-def _routing_matrix(subsystems: Sequence[LinearSubsystem], topo: Topology) -> np.ndarray:
-    """Map stacked states to stacked internal inputs per the topology."""
-    p_tot = sum(s.p for s in subsystems)
-    n_tot = sum(s.n for s in subsystems)
-    p_off, n_off = [], []
-    acc = 0
-    for s in subsystems:
-        p_off.append(acc)
-        acc += s.p
-    acc = 0
-    for s in subsystems:
-        n_off.append(acc)
-        acc += s.n
-    R = np.zeros((p_tot, n_tot))
-    for e in topo.edges:
-        block = subsystems[e.source].C_int.get(e.target)
-        if block is None or block.shape[0] != e.width:
-            raise DimensionMismatch(f"edge ({e.source}->{e.target}) inconsistent with outputs")
-        rows = slice(p_off[e.target] + e.start, p_off[e.target] + e.stop)
-        cols = slice(n_off[e.source], n_off[e.source] + subsystems[e.source].n)
-        R[rows, cols] = block
-    return R
-
-
 class _PairSimulator:
     """Precomputed closed-loop matrices of the coupled concrete/abstract pair.
 
@@ -130,12 +107,12 @@ class _PairSimulator:
         x+    = Mxx x + Mxh xhat + Mxv nuhat + Fc noise_c
         xhat+ = Mhh xhat + Mhv nuhat + Fa noise_a
 
-    which is what the per-trial loop iterates.
+    which is what the per-trial loop iterates.  Both networks are closed by
+    :func:`model.assemble_interconnection`; the concrete input refined from
+    the abstract internal inputs is routed through the abstract ``R_int``.
     """
 
     def __init__(self, subsystems, topo, abstract_subsystems, abstract_topo, certs):
-        subsystems = tuple(subsystems)
-        abstract_subsystems = tuple(abstract_subsystems)
         certs = tuple(certs)
         if not (len(subsystems) == len(abstract_subsystems) == len(certs)):
             raise DimensionMismatch("subsystem, abstraction and certificate counts differ")
@@ -143,39 +120,31 @@ class _PairSimulator:
             (e.source, e.target, e.start, e.stop) for e in abstract_topo.edges
         }:
             raise DimensionMismatch("abstract topology must mirror the concrete one")
-        self.subsystems = subsystems
-        self.abstract_subsystems = abstract_subsystems
-        self.certs = certs
+        net = model.assemble_interconnection(subsystems, topo)
+        abs_net = model.assemble_interconnection(abstract_subsystems, abstract_topo)
 
-        Rc = _routing_matrix(subsystems, topo)
-        Ra = _routing_matrix(abstract_subsystems, abstract_topo)
-        A = _block_diag([s.A for s in subsystems])
-        B = _block_diag([s.B for s in subsystems])
-        D = _block_diag([s.D for s in subsystems])
         K = _block_diag([c.K for c in certs])
         P = _block_diag([c.P for c in certs])
         Q = _block_diag([c.Q for c in certs])
         S = _block_diag([c.S for c in certs])
         Rt = _block_diag([c.Rtilde for c in certs])
-        Ah = _block_diag([a.A for a in abstract_subsystems])
-        Bh = _block_diag([a.B for a in abstract_subsystems])
-        Dh = _block_diag([a.D for a in abstract_subsystems])
+        B = net.B_cl
 
-        self.Mxx = A + B @ K + D @ Rc
-        self.Mxh = B @ (Q - K @ P) + B @ S @ Ra
+        self.Mxx = net.A_cl + B @ K
+        self.Mxh = B @ (Q - K @ P) + B @ S @ abs_net.R_int
         self.Mxv = B @ Rt
-        self.Fc = _block_diag([s.F for s in subsystems])
-        self.Mhh = Ah + Dh @ Ra
-        self.Mhv = Bh
-        self.Fa = _block_diag([a.F for a in abstract_subsystems])
-        self.Cy = _block_diag([s.C_ext for s in subsystems])
-        self.Cyh = _block_diag([a.C_ext for a in abstract_subsystems])
+        self.Fc = net.F_cl
+        self.Mhh = abs_net.A_cl
+        self.Mhv = abs_net.B_cl
+        self.Fa = abs_net.F_cl
+        self.Cy = net.C_cl
+        self.Cyh = abs_net.C_cl
         self.n_tot = self.Mxx.shape[0]
         self.nhat_tot = self.Mhh.shape[0]
         self.mhat_tot = self.Mhv.shape[1]
-        self.q_dims = [s.q for s in subsystems]
-        self.qhat_dims = [a.q for a in abstract_subsystems]
-        self.ids = [s.id for s in subsystems]
+        self.q_dims = [s.q for s in net.subsystems]
+        self.qhat_dims = [a.q for a in abs_net.subsystems]
+        self.ids = [s.id for s in net.subsystems]
 
     def run_trial(self, trial: int, cfg: RunConfig) -> DeviationSample:
         T = cfg.horizon

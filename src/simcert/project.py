@@ -1,8 +1,44 @@
 """Project files: systems, topology, candidates and certificates on disk.
 
-The on-disk format is JSON; the exact schema is documented in
-:mod:`simcert.cli`.  Matrices are nested row-major arrays of numbers and
-round-trip bit-exactly (floats are written with full precision).
+Project file schema (JSON)
+--------------------------
+All matrices are nested row-major arrays of numbers (vectors are ``n x 1``).
+Subsystem ids double as list positions.  Fields marked * are optional.
+
+    {
+      "schema_version": 1,
+      "subsystems": [
+        {"id": 0,
+         "A": [[...]], "B": [[...]], "D": [[...]], "F": [[...]],
+         "C_ext": [[...]],
+         "C_int": {"<peer index>": [[...]], ...}*   // absent peer => zero block
+        }, ...
+      ],
+      "topology": {
+        "edges": [[from, to], ...]   // internal output of `from` feeds `to`;
+                                     // slices are assigned in ascending source
+                                     // order, leftover rows read as zero
+      },
+      "candidates": [                // * reduced models, one per subsystem
+        {"subsystem": 0, "P": [[...]],
+         "Ahat": [[...]], "Bhat": [[...]], "Dhat": [[...]],
+         "Fhat": [[...]]*,           // default: noiseless (zero columns)
+         "Chat_ext": [[...]]*,       // default: C_ext P
+         "Chat_int": {"j": [[...]]}* // default: C_int[j] P
+        }, ...
+      ],
+      "certificates": [              // * witnesses, one per subsystem
+        {"subsystem": 0,
+         "M": [[...]], "K": [[...]], "P": [[...]],
+         "Q": [[...]], "S": [[...]], "Rtilde": [[...]],
+         "pi": 0.99, "kappa_hat": 0.98,
+         "note": "..."*
+        }, ...
+      ],
+      "run": {"horizon": 10, "trials": 1000, "seed": 0, "epsilon": 1.0}*
+    }
+
+Floats are written with full precision, so save/load round-trips bit-exactly.
 """
 
 import json

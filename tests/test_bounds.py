@@ -183,3 +183,11 @@ def test_safety_transfer():
     assert safety_transfer(0.95, 0.2) == 1.0
     with pytest.raises(DomainError):
         safety_transfer(1.2, 0.0)
+
+
+@pytest.mark.parametrize("field", ["V0", "alpha_coef", "epsilon", "psi_hat", "kappa_hat"])
+def test_nan_inputs_rejected(field):
+    args = dict(V0=0.0, alpha_coef=1.0, epsilon=1.0, T=1, psi_hat=0.0, kappa_hat=0.5)
+    args[field] = float("nan")
+    with pytest.raises(DomainError):
+        BoundQuery(**args)

@@ -207,3 +207,24 @@ def test_paper_example_emit_project(tmp_path, capsys):
 def test_paper_example_N_minus_1_documented_failure(capsys):
     assert main(["paper-example", "--degree-mode", "paper_N_minus_1"]) == 1
     assert "INFEASIBLE" in capsys.readouterr().out
+
+
+def test_bound_nan_epsilon_exits_1(project_path, capsys):
+    code = main(["bound", "--project", str(project_path),
+                 "--epsilon", "nan", "--horizon", "10"])
+    assert code == 1
+    assert "probability" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--horizon", "-1"]])
+def test_simulate_bad_run_flags_exit_2(project_path, capsys, flags):
+    assert main(["simulate", "--project", str(project_path), *flags]) == 2
+    assert "trials >= 1 and horizon >= 0" in capsys.readouterr().err
+
+
+def test_simulate_bad_project_run_exits_2(project_path, capsys):
+    doc = json.loads(project_path.read_text())
+    doc["run"]["trials"] = 0
+    project_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--project", str(project_path)]) == 2
+    assert "trials >= 1 and horizon >= 0" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import random_network
+from scipy.linalg import block_diag
 
 from simcert.errors import DanglingInput, DimensionMismatch
 from simcert.model import (
@@ -156,6 +157,8 @@ def test_monolith_equivalence(seed):
     subs, pairs = random_network(rng)
     topo = Topology.from_pairs(subs, pairs)
     mono = assemble_interconnection(subs, topo)
+    routed = block_diag(*[s.A for s in subs]) + block_diag(*[s.D for s in subs]) @ mono.R_int
+    assert np.allclose(mono.A_cl, routed, rtol=0, atol=1e-14)
     steps = 6
     nus = [rng.standard_normal((steps, s.m)) for s in subs]
     noises = [rng.standard_normal((steps, s.q)) for s in subs]

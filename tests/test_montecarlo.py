@@ -4,8 +4,8 @@ from helpers import certified_network, random_certified_instance
 
 from simcert.bounds import BoundQuery, finite_horizon_bound
 
-from simcert.errors import PolicyDimension
-from simcert.model import LinearSubsystem, Topology
+from simcert.errors import DimensionMismatch, PolicyDimension
+from simcert.model import Edge, LinearSubsystem, Topology
 from simcert.montecarlo import (
     RunConfig,
     empirical_supermartingale_check,
@@ -242,3 +242,48 @@ def test_empirical_supermartingale_noiseless_exact():
     )
     assert result.max_gap_se == 0.0  # degenerate draws equal the exact expectation
     assert result.worst_slack <= 1e-9
+
+
+def test_simulate_pair_rejects_bad_wiring(ref_parts):
+    subs, topo, cands, certs = ref_parts
+    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    certs = [certs[i] for i in range(4)]
+    cfg = RunConfig(horizon=2, trials=1, seed=0)
+    first, *rest = topo.edges
+    unmirrored = Topology(4, tuple(rest), unconnected={first.target: (0,)})
+    with pytest.raises(DimensionMismatch, match="mirror"):
+        simulate_pair(subs, topo, abs_subs, unmirrored, certs, cfg)
+    # the first edge claims two omega rows; its source block has one
+    widened = Topology(4, (Edge(first.source, first.target, 0, 2), *rest))
+    with pytest.raises(DimensionMismatch, match="slice width"):
+        simulate_pair(subs, widened, abs_subs, widened, certs, cfg)
+
+
+def test_abstract_internal_inputs_enter_concrete_step():
+    # a nonzero abstract state routes omegahat into the refined concrete input,
+    # which the zero-start oracle comparisons above never exercise
+    subs, topo, cands, certs, _ = certified_network(2101)
+    quiet = [
+        LinearSubsystem(id=s.id, A=s.A, B=s.B, D=s.D, F=np.zeros((s.n, 1)), C_ext=s.C_ext,
+                        C_int=dict(s.C_int))
+        for s in subs
+    ]
+    abs_subs = [cands[i].as_subsystem(i) for i in range(len(subs))]
+    rng = np.random.default_rng(5)
+    xs = [rng.standard_normal(s.n) for s in subs]
+    xhs = [rng.standard_normal(a.n) for a in abs_subs]
+    cfg = RunConfig(horizon=1, trials=1, seed=0, initial_concrete=np.concatenate(xs),
+                    initial_abstract=np.concatenate(xhs), record_trajectories=True)
+    (sample,) = simulate_pair(quiet, topo, abs_subs, topo, certs, cfg)
+
+    omegas = [np.zeros(s.p) for s in subs]
+    omegahats = [np.zeros(a.p) for a in abs_subs]
+    for e in topo.edges:
+        omegas[e.target][e.start : e.stop] = subs[e.source].C_int[e.target] @ xs[e.source]
+        omegahats[e.target][e.start : e.stop] = abs_subs[e.source].C_int[e.target] @ xhs[e.source]
+    expected = []
+    for i, s in enumerate(quiet):
+        nuhat = np.zeros(abs_subs[i].m)
+        nu = interface(xs[i], xhs[i], nuhat, omegahats[i], certs[i])
+        expected.append(s.C_ext @ step(s, xs[i], nu, omegas[i], [0.0]))
+    assert np.allclose(sample.outputs[1], np.concatenate(expected), rtol=1e-12, atol=1e-14)
