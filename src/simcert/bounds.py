@@ -42,15 +42,15 @@ class BoundQuery:
     kappa_hat: float
 
     def __post_init__(self):
-        # each guard is written so that NaN fails it
-        if not self.V0 >= 0:
-            raise DomainError(f"V0 must be nonnegative: {self.V0}")
-        if not self.alpha_coef > 0:
-            raise DomainError(f"alpha_coef must be positive: {self.alpha_coef}")
-        if not self.epsilon > 0:
-            raise DomainError(f"epsilon must be positive: {self.epsilon}")
-        if not self.psi_hat >= 0:
-            raise DomainError(f"psi_hat must be nonnegative: {self.psi_hat}")
+        # each guard is written so that NaN fails it; infinite values fail too
+        if not 0 <= self.V0 < np.inf:
+            raise DomainError(f"V0 must be finite and nonnegative: {self.V0}")
+        if not 0 < self.alpha_coef < np.inf:
+            raise DomainError(f"alpha_coef must be finite and positive: {self.alpha_coef}")
+        if not 0 < self.epsilon < np.inf:
+            raise DomainError(f"epsilon must be finite and positive: {self.epsilon}")
+        if not 0 <= self.psi_hat < np.inf:
+            raise DomainError(f"psi_hat must be finite and nonnegative: {self.psi_hat}")
         if not 0.0 < self.kappa_hat < 1.0:
             raise DomainError(f"kappa_hat out of (0,1): {self.kappa_hat}")
         if int(self.T) != self.T or self.T < 0:

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import bounds, montecarlo, reference, smallgain, spsf
-from .errors import DomainError, Infeasible, SchemaError, SimcertError
+from .errors import DomainError, SchemaError, SimcertError
 from .model import Topology
 from .project import ProjectFile, RunDefaults, load_project, save_project
 from .spsf import RHO_EXT_VARIANTS
@@ -50,13 +50,19 @@ def _print_matrix(name: str, m) -> None:
 # guarantee: constants -> gain test -> mu and composition -> bound.
 
 
+def _constants(s, cand, cert, rho_ext_variant: str) -> spsf.SpsfConstants:
+    # derive_constants evaluates the symmetric form at any pi; the bound it
+    # feeds only holds for pi >= 2, so no command may print a guarantee from it
+    if rho_ext_variant == "symmetric" and not cert.pi >= 2:
+        raise DomainError(f"rho_ext variant 'symmetric' needs pi >= 2, got pi = {cert.pi:g}")
+    return spsf.derive_constants(s, cand, cert, rho_ext_variant=rho_ext_variant)
+
+
 def _all_constants(project: ProjectFile, rho_ext_variant: str) -> list[spsf.SpsfConstants]:
-    out = []
-    for s in project.subsystems:
-        cand = project.candidate_for(s.id)
-        cert = project.certificate_for(s.id)
-        out.append(spsf.derive_constants(s, cand, cert, rho_ext_variant=rho_ext_variant))
-    return out
+    return [
+        _constants(s, project.candidate_for(s.id), project.certificate_for(s.id), rho_ext_variant)
+        for s in project.subsystems
+    ]
 
 
 def _gain_test(constants, topology: Topology, mode: str):
@@ -161,7 +167,7 @@ def cmd_abstract(
     )
     report = spsf.check_conditions(s, cand, cert, tol)
     cert = dataclasses.replace(cert, residuals=report.values())
-    constants = spsf.derive_constants(s, cand, cert, rho_ext_variant=rho_ext_variant)
+    constants = _constants(s, cand, cert, rho_ext_variant)
 
     print(f"subsystem {sub_id}: structural residuals "
           f"drift={sol.drift_residual:.3e} internal={sol.internal_residual:.3e}")
@@ -261,7 +267,6 @@ def cmd_simulate(
     seed: int,
     horizon: int,
     epsilon: float,
-    workers: int = 1,
     csv_path=None,
     mode: str = "in_degree",
     rho_ext_variant: str = "printed",
@@ -287,7 +292,7 @@ def cmd_simulate(
         horizon=horizon, trials=trials, seed=seed, record_trajectories=csv_path is not None
     )
     samples = montecarlo.simulate_pair(
-        project.subsystems, project.topology, abs_subs, abs_topo, certs, cfg, workers=workers
+        project.subsystems, project.topology, abs_subs, abs_topo, certs, cfg
     )
     est = montecarlo.violation_probability(samples, epsilon)
 
@@ -344,7 +349,6 @@ def cmd_paper_example(
     seed: int = 42,
     mode: str = "in_degree",
     rho_ext_variant: str = "printed",
-    workers: int = 1,
     emit_project=None,
     tol: float = 1e-9,
 ) -> int:
@@ -435,7 +439,6 @@ def cmd_paper_example(
         seed=seed,
         horizon=project.run.horizon,
         epsilon=project.run.epsilon,
-        workers=workers,
         mode=mode,
         rho_ext_variant=rho_ext_variant,
         tol=tol,
@@ -505,14 +508,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="has no effect")
     p.add_argument("--csv", default=None, help="write per-step trajectories to CSV")
 
     p = sub.add_parser("paper-example", help="regression on the bundled reference network")
     add_common(p, project=False)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="has no effect")
     p.add_argument("--emit-project", default=None,
                    help="also write the bundled network as a project file")
     return parser
@@ -523,7 +526,7 @@ def _run_settings(args, run: RunDefaults | None) -> RunDefaults:
     flags = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(RunDefaults)
-        if getattr(args, f.name) is not None
+        if getattr(args, f.name, None) is not None
     }
     merged = dataclasses.replace(run or RunDefaults(), **flags)
     if merged.trials < 1 or merged.horizon < 0:
@@ -572,19 +575,18 @@ def main(argv=None) -> int:
                 seed=run.seed,
                 horizon=run.horizon,
                 epsilon=run.epsilon,
-                workers=args.workers,
                 csv_path=args.csv,
                 mode=args.degree_mode,
                 rho_ext_variant=args.rho_ext_variant,
                 tol=args.tol,
             )
         if args.command == "paper-example":
+            run = _run_settings(args, None)  # checks --trials; the horizon is the reference one
             return cmd_paper_example(
-                trials=args.trials,
-                seed=args.seed,
+                trials=run.trials,
+                seed=run.seed,
                 mode=args.degree_mode,
                 rho_ext_variant=args.rho_ext_variant,
-                workers=args.workers,
                 emit_project=args.emit_project,
                 tol=args.tol,
             )
@@ -592,9 +594,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, Infeasible) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SimcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

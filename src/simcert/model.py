@@ -18,6 +18,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import DanglingInput, DimensionMismatch
 
@@ -240,18 +241,6 @@ class InterconnectedSystem:
         return self.C_cl @ x
 
 
-def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
 def assemble_interconnection(
     subsystems: Sequence[LinearSubsystem], topology: Topology
 ) -> InterconnectedSystem:
@@ -286,7 +275,7 @@ def assemble_interconnection(
 
     n_off = _offsets(s.n for s in subsystems)
     p_off = _offsets(s.p for s in subsystems)
-    A_cl = _block_diag([s.A for s in subsystems])
+    A_cl = block_diag(*(s.A for s in subsystems))
     R_int = np.zeros((sum(s.p for s in subsystems), A_cl.shape[1]))
     coverage: dict[int, dict[int, Edge]] = {i: {} for i in range(len(subsystems))}
     for e in topology.edges:
@@ -331,9 +320,9 @@ def assemble_interconnection(
 
     return InterconnectedSystem(
         A_cl=A_cl,
-        B_cl=_block_diag([s.B for s in subsystems]),
-        F_cl=_block_diag([s.F for s in subsystems]),
-        C_cl=_block_diag([s.C_ext for s in subsystems]),
+        B_cl=block_diag(*(s.B for s in subsystems)),
+        F_cl=block_diag(*(s.F for s in subsystems)),
+        C_cl=block_diag(*(s.C_ext for s in subsystems)),
         R_int=R_int,
         subsystems=subsystems,
         topology=topology,

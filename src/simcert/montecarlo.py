@@ -9,16 +9,16 @@ noise is drawn from counter-based substreams keyed by
 reproducible and independent of how trials are scheduled.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.stats import beta as _beta
 
 from . import model
 from .errors import DimensionMismatch, PolicyDimension
-from .model import LinearSubsystem, Topology, _block_diag
+from .model import LinearSubsystem, Topology, _offsets
 from .spsf import (
     AbstractionCandidate,
     AbstractionCertificate,
@@ -107,7 +107,8 @@ class _PairSimulator:
         x+    = Mxx x + Mxh xhat + Mxv nuhat + Fc noise_c
         xhat+ = Mhh xhat + Mhv nuhat + Fa noise_a
 
-    which is what the per-trial loop iterates.  Both networks are closed by
+    which :meth:`run_block` iterates for a block of trials at once, one
+    trial per row.  Both networks are closed by
     :func:`model.assemble_interconnection`; the concrete input refined from
     the abstract internal inputs is routed through the abstract ``R_int``.
     """
@@ -123,11 +124,11 @@ class _PairSimulator:
         net = model.assemble_interconnection(subsystems, topo)
         abs_net = model.assemble_interconnection(abstract_subsystems, abstract_topo)
 
-        K = _block_diag([c.K for c in certs])
-        P = _block_diag([c.P for c in certs])
-        Q = _block_diag([c.Q for c in certs])
-        S = _block_diag([c.S for c in certs])
-        Rt = _block_diag([c.Rtilde for c in certs])
+        K = block_diag(*(c.K for c in certs))
+        P = block_diag(*(c.P for c in certs))
+        Q = block_diag(*(c.Q for c in certs))
+        S = block_diag(*(c.S for c in certs))
+        Rt = block_diag(*(c.Rtilde for c in certs))
         B = net.B_cl
 
         self.Mxx = net.A_cl + B @ K
@@ -145,61 +146,69 @@ class _PairSimulator:
         self.q_dims = [s.q for s in net.subsystems]
         self.qhat_dims = [a.q for a in abs_net.subsystems]
         self.ids = [s.id for s in net.subsystems]
+        # trials per block: about 256 KB of concrete state makes each step a
+        # matrix-matrix product while peak memory stays flat
+        self.block = max(1, 256 * 1024 // (8 * self.n_tot))
 
-    def run_trial(self, trial: int, cfg: RunConfig) -> DeviationSample:
-        T = cfg.horizon
-        x = (
-            np.zeros(self.n_tot)
-            if cfg.initial_concrete is None
-            else np.array(cfg.initial_concrete, dtype=float)
-        )
-        xh = (
-            np.zeros(self.nhat_tot)
-            if cfg.initial_abstract is None
-            else np.array(cfg.initial_abstract, dtype=float)
-        )
-        if x.shape != (self.n_tot,) or xh.shape != (self.nhat_tot,):
-            raise DimensionMismatch("initial state dimensions do not match the network")
-        noise_c = np.hstack(
-            [
-                noise_stream(cfg.seed, trial, sid, abstract=False).standard_normal((T, q))
-                for sid, q in zip(self.ids, self.q_dims)
-            ]
-        ) if self.q_dims else np.zeros((T, 0))
-        noise_a = np.hstack(
-            [
-                noise_stream(cfg.seed, trial, sid, abstract=True).standard_normal((T, q))
-                for sid, q in zip(self.ids, self.qhat_dims)
-            ]
-        ) if self.qhat_dims else np.zeros((T, 0))
+    def _noise(self, cfg: RunConfig, trials: range, abstract: bool) -> np.ndarray:
+        """Draws of one side for a block of trials, shaped ``(trials, T, q_tot)``.
 
-        zero_nuhat = np.zeros(self.mhat_tot)
+        Every trial draws from its own substreams, whatever block it runs in;
+        a side with ``q == 0`` draws nothing and builds no stream.
+        """
+        dims = self.qhat_dims if abstract else self.q_dims
+        out = np.empty((len(trials), cfg.horizon, sum(dims)))
+        for sid, start, q in zip(self.ids, _offsets(dims), dims):
+            if q:
+                for row, trial in enumerate(trials):
+                    stream = noise_stream(cfg.seed, trial, sid, abstract)
+                    out[row, :, start : start + q] = stream.standard_normal((cfg.horizon, q))
+        return out
+
+    def _policy_inputs(self, policy: Policy, k: int, xh: np.ndarray) -> np.ndarray:
+        """Stacked abstract inputs, one policy call per trial row of ``xh``."""
+        nuhat = np.empty((len(xh), self.mhat_tot))
+        for row, xh_row in enumerate(xh):
+            u = np.asarray(policy(k, xh_row), dtype=float).reshape(-1)
+            if u.shape != (self.mhat_tot,):
+                raise PolicyDimension(
+                    f"policy returned dim {u.shape}, expected ({self.mhat_tot},)"
+                )
+            nuhat[row] = u
+        return nuhat
+
+    def run_block(
+        self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray
+    ) -> list[DeviationSample]:
+        """Step ``trials`` together from the stacked initial states, one per row."""
+        T, rows = cfg.horizon, len(trials)
+        noise_c = self._noise(cfg, trials, abstract=False)
+        noise_a = self._noise(cfg, trials, abstract=True)
+        x, xh = np.tile(x0, (rows, 1)), np.tile(xh0, (rows, 1))
+        nuhat = np.zeros((rows, self.mhat_tot))
+        ys = np.empty((rows, T + 1, self.Cy.shape[0]))
+        yhs = np.empty((rows, T + 1, self.Cyh.shape[0]))
+        for k in range(T + 1):
+            if k:
+                if cfg.abstract_policy is not None:
+                    nuhat = self._policy_inputs(cfg.abstract_policy, k - 1, xh)
+                x, xh = (
+                    x @ self.Mxx.T + xh @ self.Mxh.T + nuhat @ self.Mxv.T
+                    + noise_c[:, k - 1] @ self.Fc.T,
+                    xh @ self.Mhh.T + nuhat @ self.Mhv.T + noise_a[:, k - 1] @ self.Fa.T,
+                )
+            ys[:, k], yhs[:, k] = x @ self.Cy.T, xh @ self.Cyh.T
+        sup = np.linalg.norm(ys - yhs, axis=2).max(axis=1)
         record = cfg.record_trajectories
-        ys = np.empty((T + 1, self.Cy.shape[0])) if record else None
-        yhs = np.empty((T + 1, self.Cyh.shape[0])) if record else None
-
-        y = self.Cy @ x
-        yh = self.Cyh @ xh
-        if record:
-            ys[0], yhs[0] = y, yh
-        sup = float(np.linalg.norm(y - yh))
-        for k in range(T):
-            if cfg.abstract_policy is None:
-                nuhat = zero_nuhat
-            else:
-                nuhat = np.asarray(cfg.abstract_policy(k, xh), dtype=float).reshape(-1)
-                if nuhat.shape != (self.mhat_tot,):
-                    raise PolicyDimension(
-                        f"policy returned dim {nuhat.shape}, expected ({self.mhat_tot},)"
-                    )
-            x = self.Mxx @ x + self.Mxh @ xh + self.Mxv @ nuhat + self.Fc @ noise_c[k]
-            xh = self.Mhh @ xh + self.Mhv @ nuhat + self.Fa @ noise_a[k]
-            y = self.Cy @ x
-            yh = self.Cyh @ xh
-            if record:
-                ys[k + 1], yhs[k + 1] = y, yh
-            sup = max(sup, float(np.linalg.norm(y - yh)))
-        return DeviationSample(trial=trial, sup_deviation=sup, outputs=ys, abstract_outputs=yhs)
+        return [
+            DeviationSample(
+                trial=trial,
+                sup_deviation=float(sup[row]),
+                outputs=ys[row] if record else None,
+                abstract_outputs=yhs[row] if record else None,
+            )
+            for row, trial in enumerate(trials)
+        ]
 
 
 def simulate_pair(
@@ -209,22 +218,24 @@ def simulate_pair(
     abstract_topo: Topology,
     certs: Sequence[AbstractionCertificate],
     cfg: RunConfig,
-    *,
-    workers: int = 1,
 ) -> list[DeviationSample]:
     """Run all trials of the coupled pair and collect deviation samples.
 
     Concrete and abstract noises are fully independent.  Results are
     bitwise-reproducible for a fixed config: every trial consumes only its
-    own substreams, and ``workers`` (thread-based trial parallelism) does not
-    affect values or ordering.
+    own substreams, and trials are stepped in blocks whose size depends only
+    on the network's state dimension.
     """
     sim = _PairSimulator(subsystems, topo, abstract_subsystems, abstract_topo, certs)
-    trials = range(cfg.trials)
-    if workers <= 1:
-        return [sim.run_trial(t, cfg) for t in trials]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: sim.run_trial(t, cfg), trials))
+    x0 = np.zeros(sim.n_tot) if cfg.initial_concrete is None else cfg.initial_concrete
+    xh0 = np.zeros(sim.nhat_tot) if cfg.initial_abstract is None else cfg.initial_abstract
+    x0, xh0 = np.asarray(x0, dtype=float), np.asarray(xh0, dtype=float)
+    if x0.shape != (sim.n_tot,) or xh0.shape != (sim.nhat_tot,):
+        raise DimensionMismatch("initial state dimensions do not match the network")
+    samples: list[DeviationSample] = []
+    for start in range(0, cfg.trials, sim.block):
+        samples += sim.run_block(range(cfg.trials)[start : start + sim.block], cfg, x0, xh0)
+    return samples
 
 
 @dataclass(frozen=True)

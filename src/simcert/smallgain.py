@@ -45,7 +45,6 @@ class GainDecomposition:
     Lambda: np.ndarray
     Delta: np.ndarray
     degree_mode: str = "in_degree"
-    gamma_form: str = "identity"
 
     def __post_init__(self):
         object.__setattr__(self, "Lambda", _matrix(self.Lambda, "Lambda"))

@@ -188,6 +188,6 @@ def test_safety_transfer():
 @pytest.mark.parametrize("field", ["V0", "alpha_coef", "epsilon", "psi_hat", "kappa_hat"])
 def test_nan_inputs_rejected(field):
     args = dict(V0=0.0, alpha_coef=1.0, epsilon=1.0, T=1, psi_hat=0.0, kappa_hat=0.5)
-    args[field] = float("nan")
-    with pytest.raises(DomainError):
-        BoundQuery(**args)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            BoundQuery(**{**args, field: bad})

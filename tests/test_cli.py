@@ -228,3 +228,21 @@ def test_simulate_bad_project_run_exits_2(project_path, capsys):
     project_path.write_text(json.dumps(doc))
     assert main(["simulate", "--project", str(project_path)]) == 2
     assert "trials >= 1 and horizon >= 0" in capsys.readouterr().err
+
+
+def test_paper_example_zero_trials_exits_2(capsys):
+    assert main(["paper-example", "--trials", "0"]) == 2
+    assert "trials >= 1 and horizon >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["bound", "--epsilon", "1.0", "--horizon", "10"], ["abstract", "--subsystem", "0"]]
+)
+def test_symmetric_variant_below_pi_2_exits_1(project_path, capsys, command):
+    # the reference certificates have pi = 0.99; the symmetric form needs pi >= 2
+    before = project_path.read_text()
+    code = main([command[0], "--project", str(project_path), *command[1:],
+                 "--rho-ext-variant", "symmetric"])
+    assert code == 1
+    assert "pi >= 2" in capsys.readouterr().err
+    assert project_path.read_text() == before

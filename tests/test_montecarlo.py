@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import certified_network, random_certified_instance
@@ -8,6 +10,7 @@ from simcert.errors import DimensionMismatch, PolicyDimension
 from simcert.model import Edge, LinearSubsystem, Topology
 from simcert.montecarlo import (
     RunConfig,
+    _PairSimulator,
     empirical_supermartingale_check,
     noise_stream,
     simulate_pair,
@@ -83,18 +86,6 @@ def test_determinism_same_seed(ref_parts):
         assert np.array_equal(x.outputs, y.outputs)
 
 
-def test_determinism_across_workers(ref_parts):
-    subs, topo, cands, certs = ref_parts
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
-    cfg = RunConfig(horizon=5, trials=30, seed=5)
-    certs_list = [certs[i] for i in range(4)]
-    serial = simulate_pair(subs, topo, abs_subs, topo, certs_list, cfg, workers=1)
-    threaded = simulate_pair(subs, topo, abs_subs, topo, certs_list, cfg, workers=4)
-    assert [s.trial for s in threaded] == list(range(30))
-    for x, y in zip(serial, threaded):
-        assert x.sup_deviation == y.sup_deviation
-
-
 def test_noise_moments():
     n = 1_000_000
     draws = noise_stream(20240809, 0, 0, abstract=False).standard_normal(n)
@@ -128,8 +119,14 @@ def test_violation_probability_examples():
 
 def _naive_pair_trial(subs, topo, abs_subs, certs, cfg, trial):
     """Independent oracle: explicit per-subsystem routing and stepping."""
-    xs = [np.zeros(s.n) for s in subs]
-    xhs = [np.zeros(a.n) for a in abs_subs]
+
+    def per_subsystem(stacked, parts):
+        if stacked is None:
+            return [np.zeros(s.n) for s in parts]
+        return np.split(np.asarray(stacked, dtype=float), np.cumsum([s.n for s in parts])[:-1])
+
+    xs = per_subsystem(cfg.initial_concrete, subs)
+    xhs = per_subsystem(cfg.initial_abstract, abs_subs)
     noises = [
         noise_stream(cfg.seed, trial, s.id, abstract=False).standard_normal((cfg.horizon, s.q))
         for s in subs
@@ -183,6 +180,40 @@ def test_simulate_matches_naive_oracle_heterogeneous(seed):
     for t in range(3):
         naive = _naive_pair_trial(subs, topo, abs_subs, certs, cfg, t)
         assert fast[t].sup_deviation == pytest.approx(naive, rel=1e-12, abs=1e-14)
+
+
+def test_blocked_simulation_matches_oracle_across_block_boundary():
+    # nonzero initial states, abstract noise on some subsystems and q = 0 on
+    # the others (concrete q = 0 on the last), and trials on both sides of the
+    # first block boundary; the second block holds only two rows
+    subs, topo, cands, certs, _ = certified_network(2104)
+    rng = np.random.default_rng(17)
+    subs[-1] = dataclasses.replace(subs[-1], F=np.zeros((subs[-1].n, 0)))
+    abs_subs = [cands[i].as_subsystem(i) for i in range(len(subs))]
+    for i in range(0, len(subs), 2):
+        noisy = 0.2 * rng.standard_normal((abs_subs[i].n, 2))
+        abs_subs[i] = dataclasses.replace(abs_subs[i], F=noisy)
+    assert {a.q for a in abs_subs} == {0, 2}
+    block = _PairSimulator(subs, topo, abs_subs, topo, certs).block
+    cfg = RunConfig(
+        horizon=6, trials=block + 2, seed=31,
+        initial_concrete=0.1 * rng.standard_normal(sum(s.n for s in subs)),
+        initial_abstract=0.1 * rng.standard_normal(sum(a.n for a in abs_subs)),
+        record_trajectories=True,
+    )
+    first = simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+    assert [s.trial for s in first] == list(range(block + 2))
+    for t in (0, block - 2, block - 1, block, block + 1):
+        naive = _naive_pair_trial(subs, topo, abs_subs, certs, cfg, t)
+        assert first[t].sup_deviation == pytest.approx(naive, rel=1e-12, abs=1e-14)
+        # the supremum is reached after stepping, so noise and coupling enter it
+        start_gap = np.linalg.norm(first[t].outputs[0] - first[t].abstract_outputs[0])
+        assert first[t].sup_deviation > start_gap
+    again = simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+    for x, y in zip(first, again):
+        assert x.sup_deviation == y.sup_deviation
+        assert np.array_equal(x.outputs, y.outputs)
+        assert np.array_equal(x.abstract_outputs, y.abstract_outputs)
 
 
 def test_policy_dimension_error(ref_parts):
