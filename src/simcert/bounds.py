@@ -7,6 +7,7 @@ over a finite horizon exceeds ``epsilon`` with probability at most the
 two-case expression evaluated by :func:`finite_horizon_bound`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ def psi_hat(rho_ext_coef: float, nuhat_sup: float, psi: float) -> float:
     """Tight admissible offset ``rho_ext_coef * nuhat_sup**2 + psi``."""
     if nuhat_sup < 0:
         raise DomainError(f"nuhat_sup must be nonnegative: {nuhat_sup}")
-    return rho_ext_coef * nuhat_sup**2 + psi
+    return rho_ext_coef * (nuhat_sup * nuhat_sup) + psi
 
 
 def finite_horizon_bound(q: BoundQuery) -> BoundResult:
@@ -91,14 +92,16 @@ def finite_horizon_bound(q: BoundQuery) -> BoundResult:
     The branches agree exactly at the threshold.  The raw value can exceed 1
     when ``V0 > a``; the reported probability is clamped.
     """
-    a = q.alpha_coef * q.epsilon**2
+    a = q.alpha_coef * (q.epsilon * q.epsilon)  # where a float ** raises, * gives inf
     if a >= q.psi_hat / q.kappa_hat:
         branch = "high_threshold"
         raw = 1.0 - (1.0 - q.V0 / a) * (1.0 - q.psi_hat / a) ** q.T
     else:
         branch = "low_threshold"
         decay = (1.0 - q.kappa_hat) ** q.T
-        raw = (q.V0 / a) * decay + (q.psi_hat / (q.kappa_hat * a)) * (1.0 - decay)
+        # 1 - decay, which cancels to 0 once kappa_hat is below the rounding unit
+        growth = -math.expm1(q.T * math.log1p(-q.kappa_hat))
+        raw = (q.V0 / a) * decay + (q.psi_hat / (q.kappa_hat * a)) * growth
     prob = min(max(raw, 0.0), 1.0)
     return BoundResult(probability=prob, raw=float(raw), branch=branch, clamped=prob != raw)
 
@@ -129,7 +132,7 @@ def infinite_horizon_bound(
         raise DomainError(f"V0 must be nonnegative: {V0}")
     if alpha_coef <= 0 or epsilon <= 0:
         raise DomainError("alpha_coef and epsilon must be positive")
-    return min(V0 / (alpha_coef * epsilon**2), 1.0)
+    return min(V0 / (alpha_coef * (epsilon * epsilon)), 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,16 +18,16 @@ import argparse
 import csv as _csv
 import dataclasses
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import bounds, montecarlo, reference, smallgain, spsf
-from .errors import DomainError, SchemaError, SimcertError
+from .errors import PreconditionViolated, SchemaError, SimcertError
 from .model import Topology
 from .project import ProjectFile, RunDefaults, load_project, save_project
-from .spsf import RHO_EXT_VARIANTS
 
 __all__ = [
     "main",
@@ -47,22 +47,27 @@ def _print_matrix(name: str, m) -> None:
 
 
 # The project-to-guarantee pipeline, shared by every command that prints a
-# guarantee: constants -> gain test -> mu and composition -> bound.
+# guarantee: checked constants -> gain test -> mu and composition -> bound.
 
 
-def _constants(s, cand, cert, rho_ext_variant: str) -> spsf.SpsfConstants:
-    # derive_constants evaluates the symmetric form at any pi; the bound it
-    # feeds only holds for pi >= 2, so no command may print a guarantee from it
-    if rho_ext_variant == "symmetric" and not cert.pi >= 2:
-        raise DomainError(f"rho_ext variant 'symmetric' needs pi >= 2, got pi = {cert.pi:g}")
-    return spsf.derive_constants(s, cand, cert, rho_ext_variant=rho_ext_variant)
+def _all_constants(project: ProjectFile, tol: float) -> list[spsf.SpsfConstants]:
+    """Constants of every certificate, derived only once all pass their check.
 
-
-def _all_constants(project: ProjectFile, rho_ext_variant: str) -> list[spsf.SpsfConstants]:
-    return [
-        _constants(s, project.candidate_for(s.id), project.certificate_for(s.id), rho_ext_variant)
+    The bound holds only for certificates that satisfy their conditions, so a
+    failing certificate stops the pipeline before any guarantee is formed.
+    """
+    parts = [
+        (s, project.candidate_for(s.id), project.certificate_for(s.id))
         for s in project.subsystems
     ]
+    reports = [spsf.check_conditions(s, cand, cert, tol) for s, cand, cert in parts]
+    for s, report in zip(project.subsystems, reports):
+        if not report.passed:
+            reasons = [c.name for c in report.checks if not c.passed] + list(report.violations)
+            print(f"certificate of subsystem {s.id} fails its pre-check: {'; '.join(reasons)}")
+    if not all(r.passed for r in reports):
+        raise PreconditionViolated("a certificate fails its conditions; no guarantee printed")
+    return [spsf.derive_constants(s, cand, cert) for s, cand, cert in parts]
 
 
 def _gain_test(constants, topology: Topology, mode: str):
@@ -93,15 +98,11 @@ def _bound(composed, epsilon: float, horizon: int, nuhat_sup: float = 0.0):
 
 
 def _guarantee(
-    project: ProjectFile,
-    mode: str,
-    rho_ext_variant: str,
-    epsilon: float,
-    horizon: int,
+    project: ProjectFile, mode: str, tol: float, epsilon: float, horizon: int,
     nuhat_sup: float = 0.0,
 ):
     """The whole pipeline on a project's own certificates: ``(psi_hat, bound)``."""
-    constants = _all_constants(project, rho_ext_variant)
+    constants = _all_constants(project, tol)
     gains, _ = _gain_test(constants, project.topology, mode)
     _, composed = _compose(project, constants, gains)
     return _bound(composed, epsilon, horizon, nuhat_sup)
@@ -135,7 +136,6 @@ def cmd_abstract(
     kappa_hat: float | None,
     output,
     tol: float = 1e-9,
-    rho_ext_variant: str = "printed",
 ) -> int:
     """Complete and store the certificate for one subsystem.
 
@@ -166,20 +166,19 @@ def cmd_abstract(
         M=M, K=K, P=cand.P, Q=sol.Q, S=sol.S, Rtilde=Rtilde, pi=pi, kappa_hat=kappa_hat
     )
     report = spsf.check_conditions(s, cand, cert, tol)
-    cert = dataclasses.replace(cert, residuals=report.values())
-    constants = _constants(s, cand, cert, rho_ext_variant)
 
     print(f"subsystem {sub_id}: structural residuals "
           f"drift={sol.drift_residual:.3e} internal={sol.internal_residual:.3e}")
     print(report.render())
+    if not report.passed:
+        print("certificate does NOT pass; not written", file=sys.stderr)
+        return 1
+    constants = spsf.derive_constants(s, cand, cert)
     print(
         f"constants: kappa_hat={constants.kappa_hat:.6g} "
         f"rho_int={constants.rho_int_coef:.6g} rho_ext={constants.rho_ext_coef:.6g} "
         f"psi={constants.psi:.6g}"
     )
-    if not report.passed:
-        print("certificate does NOT pass; not written", file=sys.stderr)
-        return 1
 
     updated = dataclasses.replace(project, certificates={**project.certificates, sub_id: cert})
     save_project(updated, output)
@@ -187,11 +186,9 @@ def cmd_abstract(
     return 0
 
 
-def cmd_compose(
-    project: ProjectFile, mode: str, rho_ext_variant: str = "printed", output=None
-) -> int:
+def cmd_compose(project: ProjectFile, mode: str, output=None, tol: float = 1e-9) -> int:
     """Run the gain test and print the composed certificate constants."""
-    constants = _all_constants(project, rho_ext_variant)
+    constants = _all_constants(project, tol)
     gains, radius = _gain_test(constants, project.topology, mode)
     _print_matrix("Lambda", gains.Lambda)
     _print_matrix("Delta", gains.Delta)
@@ -216,15 +213,7 @@ def cmd_compose(
             "degree_mode": mode,
             "spectral_radius": radius,
             "constituents": [
-                {
-                    "subsystem": i,
-                    "alpha_coef": c.alpha_coef,
-                    "kappa_hat": c.kappa_hat,
-                    "rho_int_coef": c.rho_int_coef,
-                    "rho_ext_coef": c.rho_ext_coef,
-                    "psi": c.psi,
-                }
-                for i, c in enumerate(constants)
+                {"subsystem": i, **dataclasses.asdict(c)} for i, c in enumerate(constants)
             ],
         }
         with open(output, "w") as fh:
@@ -240,10 +229,10 @@ def cmd_bound(
     horizon: int,
     nuhat_sup: float = 0.0,
     mode: str = "in_degree",
-    rho_ext_variant: str = "printed",
+    tol: float = 1e-9,
 ) -> int:
     """Evaluate the deviation bound for zero initial states."""
-    offset, result = _guarantee(project, mode, rho_ext_variant, epsilon, horizon, nuhat_sup)
+    offset, result = _guarantee(project, mode, tol, epsilon, horizon, nuhat_sup)
     print(f"psi_hat = {offset:.6g}  branch = {result.branch}  clamped = {result.clamped}")
     print(
         f"P(sup deviation >= {epsilon:g} within T={horizon}) <= {result.probability:.4f}"
@@ -269,24 +258,17 @@ def cmd_simulate(
     epsilon: float,
     csv_path=None,
     mode: str = "in_degree",
-    rho_ext_variant: str = "printed",
     tol: float = 1e-9,
 ) -> int:
     """Monte Carlo soundness check of the analytic bound.
 
     Fails (exit 1) when the one-sided 95% upper confidence bound of the
-    empirical violation frequency exceeds the analytic bound.
+    empirical violation frequency exceeds the analytic bound, unless no
+    violation was seen: then too few trials were run to test the bound.
     """
-    certs = [project.certificate_for(s.id) for s in project.subsystems]
-    precheck_ok = True
-    for s in project.subsystems:
-        report = spsf.check_conditions(s, project.candidate_for(s.id), certs[s.id], tol)
-        if not report.passed:
-            precheck_ok = False
-            print(f"WARNING: certificate of subsystem {s.id} fails its pre-check; "
-                  "the analytic bound is not guaranteed")
-    _, analytic = _guarantee(project, mode, rho_ext_variant, epsilon, horizon)
+    _, analytic = _guarantee(project, mode, tol, epsilon, horizon)
 
+    certs = [project.certificate_for(s.id) for s in project.subsystems]
     abs_subs, abs_topo = _abstract_network(project)
     cfg = montecarlo.RunConfig(
         horizon=horizon, trials=trials, seed=seed, record_trajectories=csv_path is not None
@@ -300,18 +282,30 @@ def cmd_simulate(
         _write_csv(csv_path, samples)
         print(f"trajectories written to {csv_path}")
 
-    sound = est.upper95 <= analytic.probability
+    p = analytic.probability
     print(f"trials={trials} seed={seed} horizon={horizon} epsilon={epsilon:g}")
     print(f"empirical violation estimate: {est.estimate:.4f} "
           f"({est.violations}/{est.trials}), 95% upper bound {est.upper95:.4f}")
-    print(f"analytic bound: {analytic.probability:.4f} (branch {analytic.branch})")
-    if not precheck_ok:
-        print("pre-check: FAILED (see warnings above)")
-    print("soundness: " + ("PASS (empirical <= analytic)" if sound else "FAIL (alarm)"))
-    return 0 if sound else 1
+    print(f"analytic bound: {p:.4f} (branch {analytic.branch})")
+    if est.upper95 <= p:
+        print("soundness: PASS (empirical <= analytic)")
+        return 0
+    if est.violations == 0:
+        # with no violation the upper bound is 1 - 0.05**(1/n), which falls
+        # below p only from n >= ln(0.05) / ln(1 - p) trials
+        need = (
+            f"at least {math.ceil(math.log(0.05) / math.log1p(-p))} trials are needed"
+            if p > 0 else "no number of trials can confirm a bound of 0"
+        )
+        print(f"soundness: INCONCLUSIVE (underpowered: "
+              f"0 violations in {est.trials} trials; {need})")
+        return 0
+    print("soundness: FAIL (alarm)")
+    return 1
 
 
 def _write_csv(path, samples) -> None:
+    """One row per trial and step; the deviation is computed as ``sup_deviation`` is."""
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         r = samples[0].outputs.shape[1]
@@ -324,16 +318,10 @@ def _write_csv(path, samples) -> None:
         )
         writer.writerow(header)
         for s in samples:
-            for k in range(s.outputs.shape[0]):
-                y = s.outputs[k]
-                yh = s.abstract_outputs[k]
-                dev = float(np.linalg.norm(y - yh))
-                writer.writerow(
-                    [s.trial, k]
-                    + [repr(float(v)) for v in y]
-                    + [repr(float(v)) for v in yh]
-                    + [repr(dev)]
-                )
+            deviation = np.linalg.norm(s.outputs - s.abstract_outputs, axis=1)
+            rows = np.column_stack([s.outputs, s.abstract_outputs, deviation]).tolist()
+            for k, row in enumerate(rows):
+                writer.writerow([s.trial, k, *map(repr, row)])
 
 
 def _check_value(label: str, got: float, expected: float, tol: float, failures: list) -> None:
@@ -348,7 +336,6 @@ def cmd_paper_example(
     trials: int = 2000,
     seed: int = 42,
     mode: str = "in_degree",
-    rho_ext_variant: str = "printed",
     emit_project=None,
     tol: float = 1e-9,
 ) -> int:
@@ -394,7 +381,7 @@ def cmd_paper_example(
                   f"published {reference.S_PUBLISHED_COEF})")
             print(f"  note: {reference.S_NOTE}")
 
-    constants = _all_constants(project, rho_ext_variant)
+    constants = _all_constants(project, tol)
     c0 = constants[0]
     exp = reference.EXPECTED
     _check_value("rho_int_coef", c0.rho_int_coef, *exp["rho_int_coef"], failures)
@@ -440,7 +427,6 @@ def cmd_paper_example(
         horizon=project.run.horizon,
         epsilon=project.run.epsilon,
         mode=mode,
-        rho_ext_variant=rho_ext_variant,
         tol=tol,
     )
     if rc != 0:
@@ -467,12 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if project:
             p.add_argument("--project", required=True, help="project JSON file")
         p.add_argument("--tol", type=float, default=1e-9, help="condition tolerance")
-        p.add_argument(
-            "--rho-ext-variant",
-            choices=list(RHO_EXT_VARIANTS),
-            default="printed",
-            help="external gain coefficient form (symmetric is only valid for pi >= 2)",
-        )
         p.add_argument(
             "--degree-mode",
             choices=list(smallgain.DEGREE_MODES),
@@ -529,10 +509,10 @@ def _run_settings(args, run: RunDefaults | None) -> RunDefaults:
         if getattr(args, f.name, None) is not None
     }
     merged = dataclasses.replace(run or RunDefaults(), **flags)
-    if merged.trials < 1 or merged.horizon < 0:
+    if merged.trials < 1 or merged.horizon < 0 or merged.seed < 0:
         raise SchemaError(
-            f"run needs trials >= 1 and horizon >= 0, "
-            f"got trials={merged.trials} horizon={merged.horizon}"
+            f"run needs seed >= 0, trials >= 1 and horizon >= 0, got "
+            f"trials={merged.trials} horizon={merged.horizon} seed={merged.seed}"
         )
     return merged
 
@@ -550,12 +530,10 @@ def main(argv=None) -> int:
                 args.kappa_hat,
                 output=args.output or args.project,
                 tol=args.tol,
-                rho_ext_variant=args.rho_ext_variant,
             )
         if args.command == "compose":
             return cmd_compose(
-                load_project(args.project), args.degree_mode, args.rho_ext_variant,
-                output=args.output,
+                load_project(args.project), args.degree_mode, output=args.output, tol=args.tol
             )
         if args.command == "bound":
             return cmd_bound(
@@ -564,7 +542,7 @@ def main(argv=None) -> int:
                 horizon=args.horizon,
                 nuhat_sup=args.nuhat_sup,
                 mode=args.degree_mode,
-                rho_ext_variant=args.rho_ext_variant,
+                tol=args.tol,
             )
         if args.command == "simulate":
             project = load_project(args.project)
@@ -577,7 +555,6 @@ def main(argv=None) -> int:
                 epsilon=run.epsilon,
                 csv_path=args.csv,
                 mode=args.degree_mode,
-                rho_ext_variant=args.rho_ext_variant,
                 tol=args.tol,
             )
         if args.command == "paper-example":
@@ -586,7 +563,6 @@ def main(argv=None) -> int:
                 trials=run.trials,
                 seed=run.seed,
                 mode=args.degree_mode,
-                rho_ext_variant=args.rho_ext_variant,
                 emit_project=args.emit_project,
                 tol=args.tol,
             )

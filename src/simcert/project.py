@@ -42,14 +42,15 @@ Floats are written with full precision, so save/load round-trips bit-exactly.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
-from .model import LinearSubsystem, Topology
+from .model import LinearSubsystem, Topology, validate_subsystem
 from .spsf import AbstractionCandidate, AbstractionCertificate
 
 __all__ = ["SCHEMA_VERSION", "RunDefaults", "ProjectFile", "load_project", "save_project"]
@@ -93,11 +94,26 @@ class ProjectFile:
 def _as_matrix(obj, where: str) -> np.ndarray:
     try:
         arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: not a numeric matrix ({exc})") from exc
     if arr.ndim != 2:
         raise SchemaError(f"{where}: expected a nested (2-D) array, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{where}: entries must be finite")
     return arr
+
+
+def _number(value, where: str, kind: type):
+    """A finite JSON number as ``kind``; an ``int`` field must hold an integral value."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        out = kind(value)
+        if not math.isfinite(out) or out != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{where}: expected a finite {kind.__name__}, got {value!r}") from None
+    return out
 
 
 def _int_keyed(obj, where: str) -> dict[int, np.ndarray]:
@@ -113,12 +129,56 @@ def _int_keyed(obj, where: str) -> dict[int, np.ndarray]:
     return out
 
 
-def _require(obj: dict, key: str, where: str):
+def _require(obj, key: str, where: str, default=None):
+    """``obj[key]`` of a JSON object; ``default`` (when not None) stands in for an absent key."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    if key not in obj:
+    if key in obj:
+        return obj[key]
+    if default is None:
         raise SchemaError(f"{where}: missing required field {key!r}")
-    return obj[key]
+    return default
+
+
+def _list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{where} must be a list")
+    return obj
+
+
+def _matrices(entry: dict, names, where: str) -> dict[str, np.ndarray]:
+    return {name: _as_matrix(_require(entry, name, where), f"{where}.{name}") for name in names}
+
+
+_SUBSYSTEM_MATRICES = ("A", "B", "D", "F", "C_ext")
+_CANDIDATE_MATRICES = ("P", "Ahat", "Bhat", "Dhat", "Fhat", "Chat_ext")
+_CERTIFICATE_MATRICES = ("M", "K", "P", "Q", "S", "Rtilde")
+
+# Rows and columns of every candidate and certificate matrix, named by the
+# dimensions of its subsystem (n, m, p, r) and of its candidate (nhat, mhat, qhat).
+_SHAPES = {
+    "P": ("n", "nhat"),
+    "Ahat": ("nhat", "nhat"),
+    "Bhat": ("nhat", "mhat"),
+    "Dhat": ("nhat", "p"),
+    "Fhat": ("nhat", "qhat"),
+    "Chat_ext": ("r", "nhat"),
+    "M": ("n", "n"),
+    "K": ("m", "n"),
+    "Q": ("m", "nhat"),
+    "S": ("m", "p"),
+    "Rtilde": ("m", "mhat"),
+}
+
+
+def _check_shapes(where: str, mats: dict[str, np.ndarray], dims: dict[str, int]) -> None:
+    for name, arr in mats.items():
+        want = tuple(dims[d] for d in _SHAPES[name])
+        if arr.shape != want:
+            raise SchemaError(
+                f"{where}.{name} is {arr.shape[0]}x{arr.shape[1]}, expected "
+                f"{want[0]}x{want[1]} ({' x '.join(_SHAPES[name])})"
+            )
 
 
 def project_from_dict(doc: dict) -> ProjectFile:
@@ -134,92 +194,92 @@ def project_from_dict(doc: dict) -> ProjectFile:
     subsystems = []
     for pos, entry in enumerate(raw_subs):
         where = f"subsystems[{pos}]"
-        sid = _require(entry, "id", where)
+        sid = _number(_require(entry, "id", where), f"{where}.id", int)
         if sid != pos:
             raise SchemaError(f"{where}: id must equal list position ({sid} != {pos})")
-        try:
-            subsystems.append(
-                LinearSubsystem(
-                    id=sid,
-                    A=_as_matrix(_require(entry, "A", where), f"{where}.A"),
-                    B=_as_matrix(_require(entry, "B", where), f"{where}.B"),
-                    D=_as_matrix(_require(entry, "D", where), f"{where}.D"),
-                    F=_as_matrix(_require(entry, "F", where), f"{where}.F"),
-                    C_ext=_as_matrix(_require(entry, "C_ext", where), f"{where}.C_ext"),
-                    C_int=_int_keyed(entry.get("C_int", {}), f"{where}.C_int"),
-                )
-            )
-        except DimensionMismatch as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+        s = LinearSubsystem(
+            id=sid,
+            **_matrices(entry, _SUBSYSTEM_MATRICES, where),
+            C_int=_int_keyed(entry.get("C_int", {}), f"{where}.C_int"),
+        )
+        problems = validate_subsystem(s)
+        if problems:
+            raise SchemaError(f"{where}: " + "; ".join(problems))
+        subsystems.append(s)
     subsystems = tuple(subsystems)
-    n = len(subsystems)
 
-    topo_doc = _require(doc, "topology", "project")
-    pairs = topo_doc.get("edges", [])
+    pairs = _list(_require(_require(doc, "topology", "project"), "edges", "topology", []),
+                  "topology.edges")
     for e in pairs:
         if not (isinstance(e, list) and len(e) == 2):
             raise SchemaError(f"topology.edges entries must be [from, to] pairs, got {e!r}")
     try:
-        topology = Topology.from_pairs(subsystems, [(int(a), int(b)) for a, b in pairs])
+        topology = Topology.from_pairs(
+            subsystems, [[_number(v, "topology.edges", int) for v in e] for e in pairs]
+        )
     except DimensionMismatch as exc:
         raise SchemaError(f"topology: {exc}") from exc
 
+    def entries(key: str):
+        """``(where, subsystem, entry, its dimensions)`` per entry of an optional list."""
+        for pos, entry in enumerate(_list(_require(doc, key, "project", []), key)):
+            where = f"{key}[{pos}]"
+            sid = _number(_require(entry, "subsystem", where), f"{where}.subsystem", int)
+            if not 0 <= sid < len(subsystems):
+                raise SchemaError(f"{where}: unknown subsystem {sid}")
+            s = subsystems[sid]
+            yield where, s, entry, {"n": s.n, "m": s.m, "p": s.p, "r": s.r}
+
     candidates: dict[int, AbstractionCandidate] = {}
-    for pos, entry in enumerate(doc.get("candidates", [])):
-        where = f"candidates[{pos}]"
-        sid = int(_require(entry, "subsystem", where))
-        if not 0 <= sid < n:
-            raise SchemaError(f"{where}: unknown subsystem {sid}")
-        s = subsystems[sid]
-        P = _as_matrix(_require(entry, "P", where), f"{where}.P")
-        Ahat = _as_matrix(_require(entry, "Ahat", where), f"{where}.Ahat")
-        nhat = Ahat.shape[0]
-        fhat = entry.get("Fhat")
-        chat_ext = entry.get("Chat_ext")
-        chat_int = entry.get("Chat_int")
-        candidates[sid] = AbstractionCandidate(
-            Ahat=Ahat,
-            Bhat=_as_matrix(_require(entry, "Bhat", where), f"{where}.Bhat"),
-            Dhat=_as_matrix(_require(entry, "Dhat", where), f"{where}.Dhat"),
-            Fhat=_as_matrix(fhat, f"{where}.Fhat") if fhat is not None else np.zeros((nhat, 0)),
-            Chat_ext=_as_matrix(chat_ext, f"{where}.Chat_ext")
-            if chat_ext is not None
-            else s.C_ext @ P,
-            Chat_int=_int_keyed(chat_int, f"{where}.Chat_int")
-            if chat_int is not None
-            else {j: blk @ P for j, blk in s.C_int.items()},
-            P=P,
-        )
+    for where, s, entry, dims in entries("candidates"):
+        mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where)
+        nhat = dims["nhat"] = mats["Ahat"].shape[0]
+        dims["mhat"] = mats["Bhat"].shape[1]
+        _check_shapes(where, mats, dims)
+        # absent optional fields: noiseless, outputs inherited through P
+        default = AbstractionCandidate.induced(s, **mats)
+        for name in ("Fhat", "Chat_ext"):
+            if entry.get(name) is None:
+                mats[name] = getattr(default, name)
+            else:
+                mats[name] = _as_matrix(entry[name], f"{where}.{name}")
+        dims["qhat"] = mats["Fhat"].shape[1]
+        _check_shapes(where, mats, dims)
+        chat_int = default.Chat_int
+        if entry.get("Chat_int") is not None:
+            chat_int = _int_keyed(entry["Chat_int"], f"{where}.Chat_int")
+        if set(chat_int) != set(s.C_int) or any(
+            blk.shape != (s.C_int[j].shape[0], nhat) for j, blk in chat_int.items()
+        ):
+            raise SchemaError(
+                f"{where}.Chat_int: needs one block of C_int[j] rows x {nhat} "
+                f"for each peer j in {sorted(s.C_int)}"
+            )
+        candidates[s.id] = AbstractionCandidate(**mats, Chat_int=chat_int)
 
     certificates: dict[int, AbstractionCertificate] = {}
     notes: dict[int, str] = {}
-    for pos, entry in enumerate(doc.get("certificates", [])):
-        where = f"certificates[{pos}]"
-        sid = int(_require(entry, "subsystem", where))
-        if not 0 <= sid < n:
-            raise SchemaError(f"{where}: unknown subsystem {sid}")
-        certificates[sid] = AbstractionCertificate(
-            M=_as_matrix(_require(entry, "M", where), f"{where}.M"),
-            K=_as_matrix(_require(entry, "K", where), f"{where}.K"),
-            P=_as_matrix(_require(entry, "P", where), f"{where}.P"),
-            Q=_as_matrix(_require(entry, "Q", where), f"{where}.Q"),
-            S=_as_matrix(_require(entry, "S", where), f"{where}.S"),
-            Rtilde=_as_matrix(_require(entry, "Rtilde", where), f"{where}.Rtilde"),
-            pi=float(_require(entry, "pi", where)),
-            kappa_hat=float(_require(entry, "kappa_hat", where)),
+    for where, s, entry, dims in entries("certificates"):
+        mats = _matrices(entry, _CERTIFICATE_MATRICES, where)
+        cand = candidates.get(s.id)
+        dims["nhat"] = cand.nhat if cand else mats["P"].shape[1]
+        dims["mhat"] = cand.mhat if cand else mats["Rtilde"].shape[1]
+        _check_shapes(where, mats, dims)
+        certificates[s.id] = AbstractionCertificate(
+            **mats,
+            pi=_number(_require(entry, "pi", where), f"{where}.pi", float),
+            kappa_hat=_number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float),
         )
         if "note" in entry:
-            notes[sid] = str(entry["note"])
+            notes[s.id] = str(entry["note"])
 
     run = None
-    if "run" in doc and doc["run"] is not None:
-        r = doc["run"]
-        run = RunDefaults(
-            horizon=int(r.get("horizon", 10)),
-            trials=int(r.get("trials", 1000)),
-            seed=int(r.get("seed", 0)),
-            epsilon=float(r.get("epsilon", 1.0)),
-        )
+    if doc.get("run") is not None:
+        run = RunDefaults(**{
+            f.name: _number(_require(doc["run"], f.name, "run", f.default), f"run.{f.name}",
+                            type(f.default))
+            for f in fields(RunDefaults)
+        })
 
     return ProjectFile(
         schema_version=SCHEMA_VERSION,
@@ -232,68 +292,45 @@ def project_from_dict(doc: dict) -> ProjectFile:
     )
 
 
-def _mat(a: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(a)]
+def _save_matrices(obj, names) -> dict[str, list]:
+    return {name: getattr(obj, name).tolist() for name in names}
+
+
+def _save_blocks(blocks: Mapping[int, np.ndarray]) -> dict[str, list]:
+    return {str(j): m.tolist() for j, m in sorted(blocks.items())}
 
 
 def project_to_dict(project: ProjectFile) -> dict:
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "subsystems": [
-            {
-                "id": s.id,
-                "A": _mat(s.A),
-                "B": _mat(s.B),
-                "D": _mat(s.D),
-                "F": _mat(s.F),
-                "C_ext": _mat(s.C_ext),
-                "C_int": {str(j): _mat(m) for j, m in sorted(s.C_int.items())},
-            }
+            {"id": s.id, **_save_matrices(s, _SUBSYSTEM_MATRICES), "C_int": _save_blocks(s.C_int)}
             for s in project.subsystems
         ],
-        "topology": {
-            "edges": [[e.source, e.target] for e in project.topology.edges],
-        },
+        "topology": {"edges": [[e.source, e.target] for e in project.topology.edges]},
     }
     if project.candidates:
         doc["candidates"] = [
             {
                 "subsystem": sid,
-                "P": _mat(c.P),
-                "Ahat": _mat(c.Ahat),
-                "Bhat": _mat(c.Bhat),
-                "Dhat": _mat(c.Dhat),
-                "Fhat": _mat(c.Fhat),
-                "Chat_ext": _mat(c.Chat_ext),
-                "Chat_int": {str(j): _mat(m) for j, m in sorted(c.Chat_int.items())},
+                **_save_matrices(c, _CANDIDATE_MATRICES),
+                "Chat_int": _save_blocks(c.Chat_int),
             }
             for sid, c in sorted(project.candidates.items())
         ]
     if project.certificates:
-        entries = []
-        for sid, c in sorted(project.certificates.items()):
-            entry = {
+        doc["certificates"] = [
+            {
                 "subsystem": sid,
-                "M": _mat(c.M),
-                "K": _mat(c.K),
-                "P": _mat(c.P),
-                "Q": _mat(c.Q),
-                "S": _mat(c.S),
-                "Rtilde": _mat(c.Rtilde),
+                **_save_matrices(c, _CERTIFICATE_MATRICES),
                 "pi": c.pi,
                 "kappa_hat": c.kappa_hat,
+                **({"note": project.notes[sid]} if sid in project.notes else {}),
             }
-            if sid in project.notes:
-                entry["note"] = project.notes[sid]
-            entries.append(entry)
-        doc["certificates"] = entries
+            for sid, c in sorted(project.certificates.items())
+        ]
     if project.run is not None:
-        doc["run"] = {
-            "horizon": project.run.horizon,
-            "trials": project.run.trials,
-            "seed": project.run.seed,
-            "epsilon": project.run.epsilon,
-        }
+        doc["run"] = asdict(project.run)
     return doc
 
 

@@ -147,7 +147,8 @@ def spectral_radius_test(g: GainDecomposition) -> float:
     and frequently permutation-like, where iterative schemes stall.
     """
     G = np.linalg.solve(g.Lambda, g.Delta)
-    return float(np.max(np.abs(np.linalg.eigvals(G))))
+    # a ratio that overflowed belongs to a gain far above 1
+    return float(np.max(np.abs(np.linalg.eigvals(G)))) if np.isfinite(G).all() else np.inf
 
 
 def _is_irreducible(G: np.ndarray) -> bool:

@@ -32,6 +32,7 @@ from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     Infeasible,
     RankDeficientWarning,
     SingularGramWarning,
@@ -55,9 +56,6 @@ __all__ = [
     "expected_V_next",
     "expected_decrease_bound",
 ]
-
-RHO_EXT_VARIANTS = ("printed", "symmetric")
-
 
 @dataclass(frozen=True, eq=False)
 class AbstractionCandidate:
@@ -128,11 +126,7 @@ class AbstractionCandidate:
 
 @dataclass(frozen=True, eq=False)
 class AbstractionCertificate:
-    """Witness data for one concrete/abstract subsystem pair.
-
-    ``residuals`` optionally carries the numerical slack of each condition as
-    reported by :func:`check_conditions`.
-    """
+    """Witness data for one concrete/abstract subsystem pair."""
 
     M: np.ndarray
     K: np.ndarray
@@ -142,7 +136,6 @@ class AbstractionCertificate:
     Rtilde: np.ndarray
     pi: float
     kappa_hat: float
-    residuals: Mapping[str, float] | None = None
 
     def __post_init__(self):
         for name in ("M", "K", "P", "Q", "S", "Rtilde"):
@@ -214,22 +207,20 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+# An overflowed matrix gives NaN, which fails every condition, where LAPACK would raise.
+
+
 def _min_eig(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(_sym(m))[0])
-
-
-def _max_eig(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(_sym(m))[-1])
+    m = _sym(m)
+    return float(np.linalg.eigvalsh(m)[0]) if np.isfinite(m).all() else np.nan
 
 
 def _spec_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else np.nan
 
 
 def stacked_outputs(s: LinearSubsystem, cand: AbstractionCandidate) -> tuple[np.ndarray, np.ndarray]:
@@ -429,49 +420,37 @@ def compute_Rtilde(B, M, P, Bhat) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
-def _young_coefficients(pi: float, rho_ext_variant: str) -> tuple[float, float]:
-    if rho_ext_variant not in RHO_EXT_VARIANTS:
-        raise ValueError(f"rho_ext_variant must be one of {RHO_EXT_VARIANTS}")
-    young_int = 1.0 + 2.0 / pi + pi / 2.0
-    if rho_ext_variant == "printed":
-        young_ext = 1.0 + 2.0 / pi + 2.0 / pi
-    else:
-        young_ext = 1.0 + 2.0 / pi + pi / 2.0
-    return young_int, young_ext
-
-
 def derive_constants(
-    s: LinearSubsystem,
-    cand: AbstractionCandidate,
-    cert: AbstractionCertificate,
-    *,
-    rho_ext_variant: str = "printed",
+    s: LinearSubsystem, cand: AbstractionCandidate, cert: AbstractionCertificate
 ) -> SpsfConstants:
     """Closed-form decrease-inequality constants for a valid certificate.
 
     With spectral norms throughout:
 
     * ``rho_int_coef = (1 + 2/pi + pi/2) ||sqrt(M) D||^2``
-    * ``rho_ext_coef = (1 + 2/pi + 2/pi) ||sqrt(M)(B Rtilde - P Bhat)||^2``
+    * ``rho_ext_coef = (1 + 4/pi) ||sqrt(M)(B Rtilde - P Bhat)||^2``
     * ``psi = Tr(F'MF + Fhat'P'MP Fhat)``
 
-    The default external coefficient is the one consistent with splitting the
-    mixed cross term as ``2ab <= (pi/2) a^2 + (2/pi) b^2``; the ``symmetric``
-    variant mirrors the internal coefficient instead and is only a valid
-    bound for ``pi >= 2``.
+    The external coefficient splits the mixed cross term as
+    ``2ab <= (pi/2) a^2 + (2/pi) b^2``, which is a valid bound for every
+    ``pi > 0``.  Raises :class:`DomainError` when a constant overflows.
     """
-    young_int, young_ext = _young_coefficients(cert.pi, rho_ext_variant)
+    young_int = 1.0 + 2.0 / cert.pi + cert.pi / 2.0
+    young_ext = 1.0 + 4.0 / cert.pi
     M, P = cert.M, cert.P
-    rho_int = young_int * max(0.0, _max_eig(s.D.T @ M @ s.D))
     X = s.B @ cert.Rtilde - P @ cand.Bhat
-    rho_ext = young_ext * max(0.0, _max_eig(X.T @ M @ X))
     PF = P @ cand.Fhat
+    # largest eigenvalues as -min(-m), round-off below zero clamped, an overflow's NaN kept
+    lam = -np.array([_min_eig(-s.D.T @ M @ s.D), _min_eig(-X.T @ M @ X)])
+    rho = np.array([young_int, young_ext]) * np.where(lam <= 0, 0.0, lam)
     psi = float(np.trace(s.F.T @ M @ s.F) + np.trace(PF.T @ M @ PF))
+    if not np.isfinite([*rho, psi]).all():
+        raise DomainError(f"certificate constants are not finite: rho = {rho}, psi = {psi}")
     return SpsfConstants(
         alpha_coef=1.0,
         kappa_hat=cert.kappa_hat,
-        rho_int_coef=rho_int,
-        rho_ext_coef=rho_ext,
+        rho_int_coef=float(rho[0]),
+        rho_ext_coef=float(rho[1]),
         psi=max(0.0, psi),
     )
 

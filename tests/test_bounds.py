@@ -97,13 +97,21 @@ def test_low_threshold_T_limit():
     assert res.probability == 1.0  # clamped
 
 
+def test_low_threshold_tiny_kappa_keeps_offset():
+    # (psi_hat / (kappa_hat a)) (1 - (1 - kappa_hat)^T) -> T psi_hat / a as kappa_hat -> 0
+    q = BoundQuery(V0=0.0, alpha_coef=1.0, epsilon=1.0, T=10, psi_hat=0.05, kappa_hat=1e-20)
+    res = finite_horizon_bound(q)
+    assert res.branch == "low_threshold"
+    assert res.probability == pytest.approx(10 * 0.05, rel=1e-12)
+
+
 def test_bound_vanishes_for_large_epsilon():
     probs = [
         finite_horizon_bound(
             BoundQuery(V0=0.2, alpha_coef=1.0, epsilon=eps, T=20,
                        psi_hat=0.05, kappa_hat=0.3)
         ).probability
-        for eps in (1.0, 10.0, 100.0, 1e4)
+        for eps in (1.0, 10.0, 100.0, 1e4, 1e200)  # 1e200 squared overflows to inf
     ]
     assert all(a >= b for a, b in zip(probs, probs[1:]))
     assert probs[-1] < 1e-6
@@ -137,6 +145,7 @@ def test_psi_hat_examples():
     assert psi_hat(0.0, 0.0, 0.01) == pytest.approx(0.01)
     assert psi_hat(2.0, 3.0, 1.0) == pytest.approx(19.0)
     assert psi_hat(0.0, 0.0, 0.0) == 0.0
+    assert psi_hat(2.0, 1e200, 1.0) == float("inf")
 
 
 def test_domain_errors():

@@ -1,8 +1,11 @@
+import csv
 import json
 
 import pytest
 
+from simcert import cli
 from simcert.cli import main
+from simcert.montecarlo import RunConfig, simulate_pair
 from simcert.project import load_project, save_project
 from simcert.reference import reference_project
 
@@ -86,7 +89,6 @@ def test_abstract_rewrites_certificate(project_path, tmp_path, capsys):
     assert code == 0
     updated = load_project(out_path)
     cert = updated.certificates[0]
-    assert cert.residuals is None  # residuals live in the report, not the file
     assert cert.pi == 0.99 and cert.kappa_hat == 0.98
 
 
@@ -216,7 +218,7 @@ def test_bound_nan_epsilon_exits_1(project_path, capsys):
     assert "probability" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags", [["--trials", "0"], ["--horizon", "-1"]])
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--horizon", "-1"], ["--seed", "-1"]])
 def test_simulate_bad_run_flags_exit_2(project_path, capsys, flags):
     assert main(["simulate", "--project", str(project_path), *flags]) == 2
     assert "trials >= 1 and horizon >= 0" in capsys.readouterr().err
@@ -235,14 +237,78 @@ def test_paper_example_zero_trials_exits_2(capsys):
     assert "trials >= 1 and horizon >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command", [["bound", "--epsilon", "1.0", "--horizon", "10"], ["abstract", "--subsystem", "0"]]
+FAILING_CERTIFICATES = pytest.mark.parametrize(
+    "field, value",
+    [
+        ("K", [[0.0] * 25 for _ in range(25)]),
+        ("kappa_hat", 1.2),
+        # (A + BK)' M (A + BK) overflows: the check must fail, not raise
+        ("K", [[1e308] + [0.0] * 24] + [[0.0] * 25 for _ in range(24)]),
+    ],
+    ids=["K=0", "kappa_hat=1.2", "K-overflow"],
 )
-def test_symmetric_variant_below_pi_2_exits_1(project_path, capsys, command):
-    # the reference certificates have pi = 0.99; the symmetric form needs pi >= 2
+
+
+def _break_certificate(path, field, value):
+    doc = json.loads(path.read_text())
+    doc["certificates"][0][field] = value
+    path.write_text(json.dumps(doc))
+
+
+@FAILING_CERTIFICATES
+@pytest.mark.parametrize(
+    "command",
+    [["compose"], ["bound", "--epsilon", "1", "--horizon", "10"], ["simulate", "--trials", "50"]],
+    ids=["compose", "bound", "simulate"],
+)
+def test_failing_certificate_prints_no_guarantee(project_path, capsys, field, value, command):
+    _break_certificate(project_path, field, value)
+    assert main([command[0], "--project", str(project_path), *command[1:]]) == 1
+    out = capsys.readouterr().out
+    assert "certificate of subsystem 0 fails its pre-check" in out
+    for guarantee in ("composed:", "probability", "analytic bound", "soundness"):
+        assert guarantee not in out
+
+
+@FAILING_CERTIFICATES
+def test_abstract_failing_certificate_not_written(project_path, capsys, field, value):
+    _break_certificate(project_path, field, value)
     before = project_path.read_text()
-    code = main([command[0], "--project", str(project_path), *command[1:],
-                 "--rho-ext-variant", "symmetric"])
-    assert code == 1
-    assert "pi >= 2" in capsys.readouterr().err
+    assert main(["abstract", "--project", str(project_path), "--subsystem", "0"]) == 1
+    assert "constants:" not in capsys.readouterr().out
     assert project_path.read_text() == before
+
+
+def test_simulate_underpowered_is_inconclusive(project_path, capsys):
+    assert main(["simulate", "--project", str(project_path), "--trials", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "(0/5)" in out
+    # 1 - 0.05**(1/n) <= 0.0956 needs n >= ln(0.05) / ln(1 - 0.0956) = 29.8
+    assert "soundness: INCONCLUSIVE (underpowered" in out and "at least 30 trials" in out
+
+
+def test_simulate_zero_bound_is_inconclusive(project_path, capsys):
+    # from zero initial states nothing can deviate within zero steps
+    code = main(["simulate", "--project", str(project_path), "--trials", "5",
+                 "--horizon", "0"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "analytic bound: 0.0000" in out
+    assert "no number of trials can confirm a bound of 0" in out
+
+
+def test_csv_deviation_matches_sup_deviation(ref_project, tmp_path):
+    abs_subs, abs_topo = cli._abstract_network(ref_project)
+    certs = [ref_project.certificate_for(s.id) for s in ref_project.subsystems]
+    cfg = RunConfig(horizon=10, trials=500, seed=0, record_trajectories=True)
+    samples = simulate_pair(
+        ref_project.subsystems, ref_project.topology, abs_subs, abs_topo, certs, cfg
+    )
+    path = tmp_path / "traj.csv"
+    cli._write_csv(path, samples)
+    worst: dict[int, float] = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            trial = int(row["trial"])
+            worst[trial] = max(worst.get(trial, 0.0), float(row["deviation"]))
+    assert [worst[s.trial] for s in samples] == [s.sup_deviation for s in samples]

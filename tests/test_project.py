@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from simcert.cli import main
 from simcert.errors import SchemaError
 from simcert.project import load_project, project_from_dict, project_to_dict, save_project
 
@@ -107,3 +108,50 @@ def test_not_json(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(SchemaError):
         load_project(tmp_path / "nope.json")
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# each entry is one malformed field; all must be refused at load with exit 2
+LOADER_DEFECTS = {
+    "nan-matrix-entry": (("subsystems", 0, "A", 0, 0), float("nan")),
+    "inf-matrix-entry": (("certificates", 0, "M", 0, 0), float("inf")),
+    "nan-string-entry": (("candidates", 0, "Bhat"), [["nan"]]),
+    "huge-int-entry": (("subsystems", 0, "F", 0, 0), 10**400),
+    "wrong-shape-Q": (("certificates", 0, "Q"), [[1.0]]),
+    "wrong-shape-Chat_ext": (("candidates", 0, "Chat_ext"), [[1.0, 2.0]]),
+    "Chat_int-peer": (("candidates", 0, "Chat_int"), {"2": [[1.0]]}),
+    "A-1x1-B-25-rows": (("subsystems", 0, "A"), [[0.5]]),
+    "string-pi": (("certificates", 0, "pi"), "0.99"),
+    "null-kappa_hat": (("certificates", 0, "kappa_hat"), None),
+    "nan-pi": (("certificates", 0, "pi"), float("nan")),
+    "string-subsystem": (("certificates", 1, "subsystem"), "one"),
+    "null-candidate-subsystem": (("candidates", 0, "subsystem"), None),
+    "bool-id": (("subsystems", 1, "id"), True),
+    "string-edge-end": (("topology", "edges", 0, 0), "a"),
+    "null-edge-end": (("topology", "edges", 0, 1), None),
+    "edges-not-a-list": (("topology", "edges"), 5),
+    "string-run-field": (("run", "trials"), "many"),
+    "null-run-field": (("run", "seed"), None),
+    "fractional-run-field": (("run", "horizon"), 2.5),
+    "topology-not-object": (("topology",), []),
+    "run-not-object": (("run",), 5),
+    "candidates-not-a-list": (("candidates",), 5),
+}
+
+
+@pytest.mark.parametrize("path, value", LOADER_DEFECTS.values(), ids=LOADER_DEFECTS.keys())
+def test_malformed_field_exits_2(ref_project, tmp_path, capsys, path, value):
+    doc = project_to_dict(ref_project)
+    _set(doc, path, value)
+    with pytest.raises(SchemaError):
+        project_from_dict(doc)
+    target = tmp_path / "net.json"
+    target.write_text(json.dumps(doc))
+    assert main(["bound", "--project", str(target), "--epsilon", "1", "--horizon", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import identity_candidate, random_certified_instance
@@ -239,17 +241,17 @@ def test_psi_smaller_with_noiseless_abstraction():
     assert psi_quiet < psi_noisy
 
 
-def test_rho_ext_variant_coefficients():
+def test_rho_ext_coefficient():
     rng = np.random.default_rng(3)
     s, cand, cert = random_certified_instance(rng)
-    printed = derive_constants(s, cand, cert, rho_ext_variant="printed")
-    symmetric = derive_constants(s, cand, cert, rho_ext_variant="symmetric")
-    pi = cert.pi
-    if printed.rho_ext_coef > 0:
-        ratio = symmetric.rho_ext_coef / printed.rho_ext_coef
-        assert ratio == pytest.approx((1 + 2 / pi + pi / 2) / (1 + 4 / pi), rel=1e-12)
-    with pytest.raises(ValueError):
-        derive_constants(s, cand, cert, rho_ext_variant="bogus")
+    # the synthesized Rtilde matches inputs almost exactly; a shifted one does not
+    for c in (cert, dataclasses.replace(cert, Rtilde=cert.Rtilde + 0.1)):
+        X = s.B @ c.Rtilde - c.P @ cand.Bhat
+        G = X.T @ c.M @ X
+        lam = np.linalg.eigvalsh(0.5 * (G + G.T))[-1]
+        expected = (1 + 4 / c.pi) * lam
+        assert derive_constants(s, cand, c).rho_ext_coef == pytest.approx(expected, rel=1e-12)
+    assert expected > 0.1
 
 
 def test_evaluate_V_examples():
