@@ -50,22 +50,37 @@ def _print_matrix(name: str, m) -> None:
 # guarantee: checked constants -> gain test -> mu and composition -> bound.
 
 
-def _all_constants(project: ProjectFile, tol: float) -> list[spsf.SpsfConstants]:
+def _check_reports(project: ProjectFile, tol: float, ids) -> dict:
+    """Condition report of each listed subsystem's certificate, keyed by id."""
+    return {
+        sid: spsf.check_conditions(
+            project.subsystems[sid], project.candidate_for(sid), project.certificate_for(sid), tol
+        )
+        for sid in ids
+    }
+
+
+def _all_constants(
+    project: ProjectFile, tol: float, reports: dict | None = None
+) -> list[spsf.SpsfConstants]:
     """Constants of every certificate, derived only once all pass their check.
 
     The bound holds only for certificates that satisfy their conditions, so a
     failing certificate stops the pipeline before any guarantee is formed.
+    ``reports`` passes on the checks already made at ``tol``, keyed by id.
     """
     parts = [
         (s, project.candidate_for(s.id), project.certificate_for(s.id))
         for s in project.subsystems
     ]
-    reports = [spsf.check_conditions(s, cand, cert, tol) for s, cand, cert in parts]
-    for s, report in zip(project.subsystems, reports):
-        if not report.passed:
-            reasons = [c.name for c in report.checks if not c.passed] + list(report.violations)
-            print(f"certificate of subsystem {s.id} fails its pre-check: {'; '.join(reasons)}")
-    if not all(r.passed for r in reports):
+    if reports is None:
+        reports = _check_reports(project, tol, [s.id for s in project.subsystems])
+    failed = [s.id for s in project.subsystems if not reports[s.id].passed]
+    for sid in failed:
+        report = reports[sid]
+        reasons = [c.name for c in report.checks if not c.passed] + list(report.violations)
+        print(f"certificate of subsystem {sid} fails its pre-check: {'; '.join(reasons)}")
+    if failed:
         raise PreconditionViolated("a certificate fails its conditions; no guarantee printed")
     return [spsf.derive_constants(s, cand, cert) for s, cand, cert in parts]
 
@@ -98,11 +113,10 @@ def _bound(composed, epsilon: float, horizon: int, nuhat_sup: float = 0.0):
 
 
 def _guarantee(
-    project: ProjectFile, mode: str, tol: float, epsilon: float, horizon: int,
+    project: ProjectFile, constants, mode: str, epsilon: float, horizon: int,
     nuhat_sup: float = 0.0,
 ):
-    """The whole pipeline on a project's own certificates: ``(psi_hat, bound)``."""
-    constants = _all_constants(project, tol)
+    """The pipeline from checked constants on: ``(psi_hat, bound)``."""
     gains, _ = _gain_test(constants, project.topology, mode)
     _, composed = _compose(project, constants, gains)
     return _bound(composed, epsilon, horizon, nuhat_sup)
@@ -113,12 +127,13 @@ def cmd_check(project: ProjectFile, tol: float) -> int:
     if not project.certificates:
         print("project contains no certificates to check", file=sys.stderr)
         return 2
+    return _print_reports(project, _check_reports(project, tol, sorted(project.certificates)))
+
+
+def _print_reports(project: ProjectFile, reports: dict) -> int:
+    """Print each certificate's condition report; 0 iff all pass."""
     all_pass = True
-    for sid in sorted(project.certificates):
-        s = project.subsystems[sid]
-        cand = project.candidate_for(sid)
-        cert = project.certificate_for(sid)
-        report = spsf.check_conditions(s, cand, cert, tol)
+    for sid, report in reports.items():
         print(f"subsystem {sid}:")
         print(report.render())
         if sid in project.notes:
@@ -232,7 +247,9 @@ def cmd_bound(
     tol: float = 1e-9,
 ) -> int:
     """Evaluate the deviation bound for zero initial states."""
-    offset, result = _guarantee(project, mode, tol, epsilon, horizon, nuhat_sup)
+    offset, result = _guarantee(
+        project, _all_constants(project, tol), mode, epsilon, horizon, nuhat_sup
+    )
     print(f"psi_hat = {offset:.6g}  branch = {result.branch}  clamped = {result.clamped}")
     print(
         f"P(sup deviation >= {epsilon:g} within T={horizon}) <= {result.probability:.4f}"
@@ -266,7 +283,14 @@ def cmd_simulate(
     empirical violation frequency exceeds the analytic bound, unless no
     violation was seen: then too few trials were run to test the bound.
     """
-    _, analytic = _guarantee(project, mode, tol, epsilon, horizon)
+    return _simulate(
+        project, _all_constants(project, tol), trials, seed, horizon, epsilon, csv_path, mode
+    )
+
+
+def _simulate(project, constants, trials, seed, horizon, epsilon, csv_path, mode) -> int:
+    """:func:`cmd_simulate` from the project's checked constants."""
+    _, analytic = _guarantee(project, constants, mode, epsilon, horizon)
 
     certs = [project.certificate_for(s.id) for s in project.subsystems]
     abs_subs, abs_topo = _abstract_network(project)
@@ -355,8 +379,8 @@ def cmd_paper_example(
     failures: list[str] = []
 
     print("== certificate check ==")
-    rc = cmd_check(project, tol)
-    if rc != 0:
+    reports = _check_reports(project, tol, sorted(project.certificates))
+    if _print_reports(project, reports) != 0:
         failures.append("certificate check")
 
     print("\n== per-subsystem reconstruction ==")
@@ -381,7 +405,7 @@ def cmd_paper_example(
                   f"published {reference.S_PUBLISHED_COEF})")
             print(f"  note: {reference.S_NOTE}")
 
-    constants = _all_constants(project, tol)
+    constants = _all_constants(project, tol, reports)
     c0 = constants[0]
     exp = reference.EXPECTED
     _check_value("rho_int_coef", c0.rho_int_coef, *exp["rho_int_coef"], failures)
@@ -420,14 +444,9 @@ def cmd_paper_example(
     print(f"  closeness >= {1 - result.probability:.4f} over T={project.run.horizon}")
 
     print("\n== simulation ==")
-    rc = cmd_simulate(
-        project,
-        trials=trials,
-        seed=seed,
-        horizon=project.run.horizon,
-        epsilon=project.run.epsilon,
-        mode=mode,
-        tol=tol,
+    rc = _simulate(
+        project, constants, trials, seed, project.run.horizon, project.run.epsilon,
+        csv_path=None, mode=mode,
     )
     if rc != 0:
         failures.append("simulation soundness")

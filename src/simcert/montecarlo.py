@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.stats import beta as _beta
 
 from . import model
@@ -98,19 +97,33 @@ def step(s: LinearSubsystem, x, nu, omega, noise) -> np.ndarray:
     )
 
 
+def _row_block(rows: slice, dense: np.ndarray) -> tuple[slice, np.ndarray, np.ndarray]:
+    """``(rows, cols, L)``: a row block of an operator over only the columns it reads."""
+    cols = np.flatnonzero(dense.any(axis=0))
+    return rows, cols, np.ascontiguousarray(dense[:, cols])
+
+
+def _apply(blocks, z: np.ndarray, out: np.ndarray) -> None:
+    """``out[rows] = L @ z[cols]`` for every row block, trials as columns."""
+    for rows, cols, L in blocks:
+        np.matmul(L, z[cols], out=out[rows])
+
+
 class _PairSimulator:
-    """Precomputed closed-loop matrices of the coupled concrete/abstract pair.
+    """Row-blocked closed-loop operators of the coupled concrete/abstract pair.
 
     Substituting the routed internal inputs and the interface function into
-    the subsystem recursions leaves, per step,
-
-        x+    = Mxx x + Mxh xhat + Mxv nuhat + Fc noise_c
-        xhat+ = Mhh xhat + Mhv nuhat + Fa noise_a
-
-    which :meth:`run_block` iterates for a block of trials at once, one
-    trial per row.  Both networks are closed by
-    :func:`model.assemble_interconnection`; the concrete input refined from
-    the abstract internal inputs is routed through the abstract ``R_int``.
+    the subsystem recursions leaves, per step, a linear map of the stacked
+    pair column ``z = [x; xhat; nuhat; w; what]`` (states, abstract inputs,
+    concrete and abstract noise) to the next ``[x; xhat]``, and outputs that
+    are a linear map of ``[x; xhat]``.  Both maps are stored as one row block
+    per subsystem and side, each over only the columns its rows read, so a
+    step costs one gathered product per block and grows with the edges of
+    the network, not with its squared state dimension.  Both networks are
+    closed by :func:`model.assemble_interconnection`; the concrete input
+    refined from the abstract internal inputs is routed through the abstract
+    ``R_int``.  :meth:`run_block` iterates the maps for a block of trials at
+    once, one trial per column.
     """
 
     def __init__(self, subsystems, topo, abstract_subsystems, abstract_topo, certs):
@@ -123,46 +136,78 @@ class _PairSimulator:
             raise DimensionMismatch("abstract topology must mirror the concrete one")
         net = model.assemble_interconnection(subsystems, topo)
         abs_net = model.assemble_interconnection(abstract_subsystems, abstract_topo)
+        subs, abs_subs = net.subsystems, abs_net.subsystems
 
-        K = block_diag(*(c.K for c in certs))
-        P = block_diag(*(c.P for c in certs))
-        Q = block_diag(*(c.Q for c in certs))
-        S = block_diag(*(c.S for c in certs))
-        Rt = block_diag(*(c.Rtilde for c in certs))
-        B = net.B_cl
+        self.n_tot = net.n
+        self.nhat_tot = abs_net.n
+        self.mhat_tot = sum(a.m for a in abs_subs)
+        self.q_dims = [s.q for s in subs]
+        self.qhat_dims = [a.q for a in abs_subs]
+        self.ids = [s.id for s in subs]
+        self.r_tot = sum(s.r for s in subs)
+        # column ranges of z
+        self.x = slice(0, self.n_tot)
+        self.xh = slice(self.n_tot, self.n_tot + self.nhat_tot)
+        self.nu = slice(self.xh.stop, self.xh.stop + self.mhat_tot)
+        self.w = slice(self.nu.stop, self.nu.stop + sum(self.q_dims))
+        self.wh = slice(self.w.stop, self.w.stop + sum(self.qhat_dims))
+        width = self.wh.stop
 
-        self.Mxx = net.A_cl + B @ K
-        self.Mxh = B @ (Q - K @ P) + B @ S @ abs_net.R_int
-        self.Mxv = B @ Rt
-        self.Fc = net.F_cl
-        self.Mhh = abs_net.A_cl
-        self.Mhv = abs_net.B_cl
-        self.Fa = abs_net.F_cl
-        self.Cy = net.C_cl
-        self.Cyh = abs_net.C_cl
-        self.n_tot = self.Mxx.shape[0]
-        self.nhat_tot = self.Mhh.shape[0]
-        self.mhat_tot = self.Mhv.shape[1]
-        self.q_dims = [s.q for s in net.subsystems]
-        self.qhat_dims = [a.q for a in abs_net.subsystems]
-        self.ids = [s.id for s in net.subsystems]
-        # trials per block: about 256 KB of concrete state makes each step a
-        # matrix-matrix product while peak memory stays flat
-        self.block = max(1, 256 * 1024 // (8 * self.n_tot))
+        def span(start, size):
+            return slice(start, start + size)
+
+        step, out = [], []
+        n_off, nh_off = net.state_offsets, abs_net.state_offsets
+        m_off, ph_off = _offsets(a.m for a in abs_subs), _offsets(a.p for a in abs_subs)
+        q_off, qh_off = _offsets(self.q_dims), _offsets(self.qhat_dims)
+        r_off, rh_off = _offsets(s.r for s in subs), _offsets(a.r for a in abs_subs)
+        for i, (s, a, c) in enumerate(zip(subs, abs_subs, certs)):
+            xi, xhi = span(n_off[i], s.n), span(self.n_tot + nh_off[i], a.n)
+            nui = span(self.nu.start + m_off[i], a.m)
+            # x_i+ = (A_cl x)_i + B_i nu_i + F_i w_i with the refined input
+            # nu_i = K_i (x_i - P_i xhat_i) + Q_i xhat_i + Rt_i nuhat_i + S_i omegahat_i
+            L = np.zeros((s.n, width))
+            L[:, self.x] = net.A_cl[xi]
+            L[:, xi] += s.B @ c.K
+            L[:, xhi] = s.B @ (c.Q - c.K @ c.P)
+            L[:, self.xh] += s.B @ c.S @ abs_net.R_int[span(ph_off[i], a.p)]
+            L[:, nui] = s.B @ c.Rtilde
+            L[:, span(self.w.start + q_off[i], s.q)] = s.F
+            step.append(_row_block(xi, L))
+            # xhat_i+ = (Ahat_cl xhat)_i + Bhat_i nuhat_i + Fhat_i what_i
+            L = np.zeros((a.n, width))
+            L[:, self.xh] = abs_net.A_cl[span(nh_off[i], a.n)]
+            L[:, nui] = a.B
+            L[:, span(self.wh.start + qh_off[i], a.q)] = a.F
+            step.append(_row_block(xhi, L))
+            # outputs: y rows first, then yhat rows
+            C = np.zeros((s.r, self.xh.stop))
+            C[:, xi] = s.C_ext
+            out.append(_row_block(span(r_off[i], s.r), C))
+            C = np.zeros((a.r, self.xh.stop))
+            C[:, xhi] = a.C_ext
+            out.append(_row_block(span(self.r_tot + rh_off[i], a.r), C))
+        self.step_blocks, self.output_blocks = step, out
+        self.width = width
+        self.out_dim = self.r_tot + sum(a.r for a in abs_subs)
+        # trials per block: a step makes one call per row block, so a fixed
+        # count keeps the call overhead per trial from growing with the
+        # network, while a block's memory grows only with the pair column
+        self.block = 256
 
     def _noise(self, cfg: RunConfig, trials: range, abstract: bool) -> np.ndarray:
-        """Draws of one side for a block of trials, shaped ``(trials, T, q_tot)``.
+        """Draws of one side for a block of trials, shaped ``(T, q_tot, trials)``.
 
         Every trial draws from its own substreams, whatever block it runs in;
         a side with ``q == 0`` draws nothing and builds no stream.
         """
         dims = self.qhat_dims if abstract else self.q_dims
-        out = np.empty((len(trials), cfg.horizon, sum(dims)))
+        out = np.empty((cfg.horizon, sum(dims), len(trials)))
         for sid, start, q in zip(self.ids, _offsets(dims), dims):
             if q:
-                for row, trial in enumerate(trials):
+                for col, trial in enumerate(trials):
                     stream = noise_stream(cfg.seed, trial, sid, abstract)
-                    out[row, :, start : start + q] = stream.standard_normal((cfg.horizon, q))
+                    out[:, start : start + q, col] = stream.standard_normal((cfg.horizon, q))
         return out
 
     def _policy_inputs(self, policy: Policy, k: int, xh: np.ndarray) -> np.ndarray:
@@ -180,34 +225,36 @@ class _PairSimulator:
     def run_block(
         self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray
     ) -> list[DeviationSample]:
-        """Step ``trials`` together from the stacked initial states, one per row."""
-        T, rows = cfg.horizon, len(trials)
+        """Step ``trials`` together from the stacked initial states, one per column."""
+        T, cols = cfg.horizon, len(trials)
         noise_c = self._noise(cfg, trials, abstract=False)
         noise_a = self._noise(cfg, trials, abstract=True)
-        x, xh = np.tile(x0, (rows, 1)), np.tile(xh0, (rows, 1))
-        nuhat = np.zeros((rows, self.mhat_tot))
-        ys = np.empty((rows, T + 1, self.Cy.shape[0]))
-        yhs = np.empty((rows, T + 1, self.Cyh.shape[0]))
+        # two pair columns in turn: a step reads one and writes the other's state
+        z = np.zeros((self.width, cols))
+        z[self.x], z[self.xh] = x0[:, None], xh0[:, None]
+        nxt = np.zeros_like(z)
+        ys = np.empty((T + 1, self.out_dim, cols))
         for k in range(T + 1):
             if k:
                 if cfg.abstract_policy is not None:
-                    nuhat = self._policy_inputs(cfg.abstract_policy, k - 1, xh)
-                x, xh = (
-                    x @ self.Mxx.T + xh @ self.Mxh.T + nuhat @ self.Mxv.T
-                    + noise_c[:, k - 1] @ self.Fc.T,
-                    xh @ self.Mhh.T + nuhat @ self.Mhv.T + noise_a[:, k - 1] @ self.Fa.T,
-                )
-            ys[:, k], yhs[:, k] = x @ self.Cy.T, xh @ self.Cyh.T
-        sup = np.linalg.norm(ys - yhs, axis=2).max(axis=1)
+                    xh = np.ascontiguousarray(z[self.xh].T)
+                    z[self.nu] = self._policy_inputs(cfg.abstract_policy, k - 1, xh).T
+                z[self.w], z[self.wh] = noise_c[k - 1], noise_a[k - 1]
+                _apply(self.step_blocks, z, nxt)
+                z, nxt = nxt, z
+            _apply(self.output_blocks, z, ys[k])
+        ys = np.ascontiguousarray(ys.transpose(2, 0, 1))
+        y, yh = ys[:, :, : self.r_tot], ys[:, :, self.r_tot :]
+        sup = np.linalg.norm(y - yh, axis=2).max(axis=1)
         record = cfg.record_trajectories
         return [
             DeviationSample(
                 trial=trial,
-                sup_deviation=float(sup[row]),
-                outputs=ys[row] if record else None,
-                abstract_outputs=yhs[row] if record else None,
+                sup_deviation=float(sup[col]),
+                outputs=y[col] if record else None,
+                abstract_outputs=yh[col] if record else None,
             )
-            for row, trial in enumerate(trials)
+            for col, trial in enumerate(trials)
         ]
 
 
@@ -223,8 +270,7 @@ def simulate_pair(
 
     Concrete and abstract noises are fully independent.  Results are
     bitwise-reproducible for a fixed config: every trial consumes only its
-    own substreams, and trials are stepped in blocks whose size depends only
-    on the network's state dimension.
+    own substreams, and trials are stepped in blocks of a fixed size.
     """
     sim = _PairSimulator(subsystems, topo, abstract_subsystems, abstract_topo, certs)
     x0 = np.zeros(sim.n_tot) if cfg.initial_concrete is None else cfg.initial_concrete

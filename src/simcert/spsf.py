@@ -405,6 +405,8 @@ def compute_Rtilde(B, M, P, Bhat) -> np.ndarray:
     ``||sqrt(M)(B Rtilde - P Bhat)||`` and hence the external gain
     coefficient.  Falls back to a pseudo-inverse (with
     :class:`SingularGramWarning`) when the Gram matrix ``B'MB`` is singular.
+    Raises :class:`DomainError` when ``B'MB`` or ``B'M P Bhat`` overflows,
+    before any factorisation sees a non-finite matrix.
     """
     B = _matrix(B, "B")
     M = _matrix(M, "M")
@@ -412,6 +414,8 @@ def compute_Rtilde(B, M, P, Bhat) -> np.ndarray:
     Bhat = _matrix(Bhat, "Bhat")
     gram = B.T @ M @ B
     rhs = B.T @ M @ P @ Bhat
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise DomainError("B'MB or B'M P Bhat is not finite; Rtilde is undefined")
     if gram.size == 0:
         return np.zeros((B.shape[1], Bhat.shape[1]))
     if np.linalg.cond(gram) > 1e12:

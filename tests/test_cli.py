@@ -279,6 +279,20 @@ def test_abstract_failing_certificate_not_written(project_path, capsys, field, v
     assert project_path.read_text() == before
 
 
+def test_abstract_overflowing_gram_exits_1(project_path, tmp_path, capsys):
+    # B'MB overflows, so Rtilde is undefined: the command must stop before any
+    # factorisation of the non-finite Gram matrix (a pseudo-inverse never returns)
+    doc = json.loads(project_path.read_text())
+    doc["subsystems"][0]["B"][0][0] = 1e308
+    project_path.write_text(json.dumps(doc))
+    output = tmp_path / "out.json"
+    argv = ["abstract", "--project", str(project_path), "--subsystem", "0",
+            "--output", str(output)]
+    assert main(argv) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not output.exists()
+
+
 def test_simulate_underpowered_is_inconclusive(project_path, capsys):
     assert main(["simulate", "--project", str(project_path), "--trials", "5"]) == 0
     out = capsys.readouterr().out

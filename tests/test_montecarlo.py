@@ -17,6 +17,11 @@ from simcert.montecarlo import (
     step,
     violation_probability,
 )
+from simcert.reference import (
+    reference_candidates,
+    reference_certificates,
+    reference_subsystems,
+)
 from simcert.spsf import AbstractionCandidate, AbstractionCertificate, interface
 
 
@@ -117,8 +122,12 @@ def test_violation_probability_examples():
     assert violation_probability(mk([0.5, 1.5]), 1.0).estimate == 0.5
 
 
-def _naive_pair_trial(subs, topo, abs_subs, certs, cfg, trial):
-    """Independent oracle: explicit per-subsystem routing and stepping."""
+def _naive_pair_trial(subs, topo, abs_subs, certs, cfg, trial, trajectories=False):
+    """Independent oracle: explicit per-subsystem routing and stepping.
+
+    Returns the supremum deviation, and with ``trajectories`` also the stacked
+    concrete and abstract outputs of every step.
+    """
 
     def per_subsystem(stacked, parts):
         if stacked is None:
@@ -136,12 +145,20 @@ def _naive_pair_trial(subs, topo, abs_subs, certs, cfg, trial):
         for a in abs_subs
     ]
     sup = 0.0
+    ys, yhs = [], []
     for k in range(cfg.horizon + 1):
         y = np.concatenate([s.C_ext @ xs[i] for i, s in enumerate(subs)])
         yh = np.concatenate([a.C_ext @ xhs[i] for i, a in enumerate(abs_subs)])
+        ys.append(y)
+        yhs.append(yh)
         sup = max(sup, float(np.linalg.norm(y - yh)))
         if k == cfg.horizon:
             break
+        if cfg.abstract_policy is None:
+            nuhats = [np.zeros(a.m) for a in abs_subs]
+        else:
+            u = np.asarray(cfg.abstract_policy(k, np.concatenate(xhs)), dtype=float)
+            nuhats = np.split(u, np.cumsum([a.m for a in abs_subs])[:-1])
         omegas = [np.zeros(s.p) for s in subs]
         omegahats = [np.zeros(a.p) for a in abs_subs]
         for e in topo.edges:
@@ -151,12 +168,11 @@ def _naive_pair_trial(subs, topo, abs_subs, certs, cfg, trial):
             )
         new_x, new_xh = [], []
         for i, s in enumerate(subs):
-            nuhat = np.zeros(abs_subs[i].m)
-            nu = interface(xs[i], xhs[i], nuhat, omegahats[i], certs[i])
+            nu = interface(xs[i], xhs[i], nuhats[i], omegahats[i], certs[i])
             new_x.append(step(s, xs[i], nu, omegas[i], noises[i][k]))
-            new_xh.append(step(abs_subs[i], xhs[i], nuhat, omegahats[i], noises_hat[i][k]))
+            new_xh.append(step(abs_subs[i], xhs[i], nuhats[i], omegahats[i], noises_hat[i][k]))
         xs, xhs = new_x, new_xh
-    return sup
+    return (sup, np.array(ys), np.array(yhs)) if trajectories else sup
 
 
 def test_simulate_matches_naive_oracle(ref_parts):
@@ -214,6 +230,67 @@ def test_blocked_simulation_matches_oracle_across_block_boundary():
         assert x.sup_deviation == y.sup_deviation
         assert np.array_equal(x.outputs, y.outputs)
         assert np.array_equal(x.abstract_outputs, y.abstract_outputs)
+
+
+def test_policy_and_recording_match_oracle():
+    # a state-dependent policy, recorded trajectories, nonzero initial states
+    # and a noiseless concrete side, checked row by row
+    subs, topo, cands, certs, _ = certified_network(2101)
+    subs[0] = dataclasses.replace(subs[0], F=np.zeros((subs[0].n, 0)))
+    abs_subs = [cands[i].as_subsystem(i) for i in range(len(subs))]
+    rng = np.random.default_rng(23)
+    gain = rng.standard_normal((sum(a.m for a in abs_subs), sum(a.n for a in abs_subs)))
+
+    def policy(k, xh):
+        return np.tanh(gain @ xh) + 0.1 * k
+
+    cfg = RunConfig(
+        horizon=6, trials=3, seed=41, abstract_policy=policy,
+        initial_concrete=0.2 * rng.standard_normal(sum(s.n for s in subs)),
+        initial_abstract=0.2 * rng.standard_normal(sum(a.n for a in abs_subs)),
+        record_trajectories=True,
+    )
+    samples = simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+    for t, sample in enumerate(samples):
+        sup, ys, yhs = _naive_pair_trial(subs, topo, abs_subs, certs, cfg, t, trajectories=True)
+        assert sample.outputs.shape == ys.shape and sample.abstract_outputs.shape == yhs.shape
+        for k in range(cfg.horizon + 1):
+            assert sample.outputs[k] == pytest.approx(ys[k], rel=1e-12, abs=1e-14)
+            assert sample.abstract_outputs[k] == pytest.approx(yhs[k], rel=1e-12, abs=1e-14)
+        assert sample.sup_deviation == pytest.approx(sup, rel=1e-12, abs=1e-14)
+        devs = np.linalg.norm(sample.outputs - sample.abstract_outputs, axis=1)
+        assert sample.sup_deviation == devs.max()
+
+
+def _reference_ring(N):
+    """Ring ``i -> i+1 mod N`` of copies of the reference subsystem and its abstraction."""
+    sub = reference_subsystems()[0]
+    cand = reference_candidates()[0]
+    cert = reference_certificates()[0]
+    (row,) = sub.C_int.values()
+    subs = [
+        LinearSubsystem(id=i, A=sub.A, B=sub.B, D=sub.D, F=sub.F, C_ext=sub.C_ext,
+                        C_int={(i + 1) % N: row})
+        for i in range(N)
+    ]
+    topo = Topology.from_pairs(subs, [(i, (i + 1) % N) for i in range(N)])
+    abs_subs = [
+        AbstractionCandidate.induced(s, P=cand.P, Ahat=cand.Ahat, Bhat=cand.Bhat, Dhat=cand.Dhat)
+        .as_subsystem(s.id)
+        for s in subs
+    ]
+    return subs, topo, abs_subs, [cert] * N
+
+
+def test_step_operators_grow_with_edges():
+    # each row block stores only the columns it reads, so a ring twice as long
+    # stores exactly twice the entries; dense stepping would store four times
+    def stored(N):
+        subs, topo, abs_subs, certs = _reference_ring(N)
+        sim = _PairSimulator(subs, topo, abs_subs, topo, certs)
+        return sum(L.size for _, _, L in sim.step_blocks + sim.output_blocks)
+
+    assert stored(32) == 2 * stored(16)
 
 
 def test_policy_dimension_error(ref_parts):
