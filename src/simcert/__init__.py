@@ -45,7 +45,6 @@ from .montecarlo import (
     empirical_supermartingale_check,
     noise_stream,
     simulate_pair,
-    step,
     violation_probability,
 )
 from .project import ProjectFile, RunDefaults, load_project, save_project

@@ -3,9 +3,11 @@
 A subsystem evolves as ``x(k+1) = A x(k) + B nu(k) + D omega(k) + F noise(k)``
 with external output ``y_ext = C_ext x`` and one internal output block
 ``C_int[j] x`` per peer ``j`` it feeds.  An interconnection matches each
-internal input slice to a peer's internal output block and eliminates the
-internal signals, leaving a closed monolithic system driven only by external
-inputs and noise.
+internal input slice to a peer's internal output block.  It is kept as
+per-edge routing: for each subsystem, the in-edges that feed its internal
+input and the output block each one carries, so a consumer that eliminates
+the internal signals builds one subsystem's rows from that subsystem and its
+neighbours alone.
 
 Subsystem ids double as block positions: the i-th entry of a subsystem list
 must carry ``id == i``, and topology edges and ``C_int`` keys refer to those
@@ -18,7 +20,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DanglingInput, DimensionMismatch
 
@@ -208,49 +209,38 @@ def _offsets(sizes) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class InterconnectedSystem:
-    """Closed monolithic system over the stacked state of its subsystems.
+    """Subsystems wired by per-edge routing, internal signals eliminated edge by edge.
 
-    ``R_int`` is the routing matrix: it maps the stacked state to the stacked
-    internal inputs, so ``A_cl = blockdiag(A) + blockdiag(D) @ R_int``.
+    ``in_edges[i]`` lists, in topology order, each edge that feeds subsystem
+    ``i``'s internal input with the source's output block that edge carries:
+    ``omega_i[e.start:e.stop] = block @ x_{e.source}``.  Input rows that no
+    edge feeds are the constant zero signal.  Storage grows with the edges,
+    not with the squared stacked state dimension.
     """
 
-    A_cl: np.ndarray
-    B_cl: np.ndarray
-    F_cl: np.ndarray
-    C_cl: np.ndarray
-    R_int: np.ndarray
     subsystems: tuple[LinearSubsystem, ...]
     topology: Topology
-
-    def __post_init__(self):
-        for name in ("A_cl", "B_cl", "F_cl", "C_cl", "R_int"):
-            getattr(self, name).setflags(write=False)
+    in_edges: tuple[tuple[tuple[Edge, np.ndarray], ...], ...]
 
     @property
     def n(self) -> int:
-        return self.A_cl.shape[0]
+        return sum(s.n for s in self.subsystems)
 
     @property
     def state_offsets(self) -> tuple[int, ...]:
         return _offsets(s.n for s in self.subsystems)
 
-    def step(self, x: np.ndarray, nu: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        return self.A_cl @ x + self.B_cl @ nu + self.F_cl @ noise
-
-    def output(self, x: np.ndarray) -> np.ndarray:
-        return self.C_cl @ x
-
 
 def assemble_interconnection(
     subsystems: Sequence[LinearSubsystem], topology: Topology
 ) -> InterconnectedSystem:
-    """Close the loop ``omega_ij = y_ji`` and return the monolithic system.
+    """Close the loop ``omega_ij = y_ji`` and return its per-edge routing.
 
     Substituting each internal input by the peer output that feeds it turns
     the coupled recursions into a single linear system over the stacked state;
-    stepping the result reproduces stepping the subsystems signal-for-signal.
-    This is the only place a topology is turned into matrices: the routing
-    matrix ``R_int`` is recorded edge by edge alongside ``A_cl``.
+    its rows for subsystem ``i`` are ``A_i`` on ``x_i`` plus
+    ``D_i[:, e.start:e.stop] @ block`` on ``x_{e.source}`` for each in-edge.
+    This is the only place a topology is checked and turned into routing.
 
     Raises
     ------
@@ -273,10 +263,7 @@ def assemble_interconnection(
     if problems:
         raise DimensionMismatch("; ".join(problems))
 
-    n_off = _offsets(s.n for s in subsystems)
-    p_off = _offsets(s.p for s in subsystems)
-    A_cl = block_diag(*(s.A for s in subsystems))
-    R_int = np.zeros((sum(s.p for s in subsystems), A_cl.shape[1]))
+    incoming: list[list[tuple[Edge, np.ndarray]]] = [[] for _ in subsystems]
     coverage: dict[int, dict[int, Edge]] = {i: {} for i in range(len(subsystems))}
     for e in topology.edges:
         src, tgt = subsystems[e.source], subsystems[e.target]
@@ -301,10 +288,7 @@ def assemble_interconnection(
                     f"omega row {row} of subsystem {e.target} covered by multiple edges"
                 )
             coverage[e.target][row] = e
-        ri, rj = n_off[e.target], n_off[e.source]
-        A_cl[ri : ri + tgt.n, rj : rj + src.n] += tgt.D[:, e.start : e.stop] @ block
-        rp = p_off[e.target]
-        R_int[rp + e.start : rp + e.stop, rj : rj + src.n] = block
+        incoming[e.target].append((e, block))
 
     for i, s in enumerate(subsystems):
         declared = set(topology.unconnected.get(i, ()))
@@ -318,12 +302,4 @@ def assemble_interconnection(
                     f"omega row {row} of subsystem {i} both fed and declared unconnected"
                 )
 
-    return InterconnectedSystem(
-        A_cl=A_cl,
-        B_cl=block_diag(*(s.B for s in subsystems)),
-        F_cl=block_diag(*(s.F for s in subsystems)),
-        C_cl=block_diag(*(s.C_ext for s in subsystems)),
-        R_int=R_int,
-        subsystems=subsystems,
-        topology=topology,
-    )
+    return InterconnectedSystem(subsystems, topology, tuple(map(tuple, incoming)))

@@ -5,15 +5,17 @@ internal inputs are routed from the respective internal outputs, the abstract
 external input comes from a user policy (zero by default), and the concrete
 input is refined through the per-subsystem interface functions.  Per-trial
 noise is drawn from counter-based substreams keyed by
-``(seed, trial, subsystem id, concrete/abstract)``, so results are
-reproducible and independent of how trials are scheduled.
+``(seed, trial, subsystem id, concrete/abstract)``, and trials are stepped in
+blocks of a fixed width, so a trial's bits are a function of the run
+configuration and its trial index alone: the first ``t`` trials of a longer
+run equal a ``t``-trial run.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from . import model
 from .errors import DimensionMismatch, PolicyDimension
@@ -34,7 +36,6 @@ __all__ = [
     "ViolationEstimate",
     "SupermartingaleCheck",
     "noise_stream",
-    "step",
     "simulate_pair",
     "violation_probability",
     "empirical_supermartingale_check",
@@ -87,20 +88,21 @@ def noise_stream(seed: int, trial: int, subsystem_id: int, abstract: bool) -> np
     return np.random.Generator(np.random.Philox(key))
 
 
-def step(s: LinearSubsystem, x, nu, omega, noise) -> np.ndarray:
-    """One subsystem transition ``A x + B nu + D omega + F noise``."""
-    return (
-        s.A @ np.asarray(x, dtype=float)
-        + s.B @ np.asarray(nu, dtype=float)
-        + s.D @ np.asarray(omega, dtype=float)
-        + s.F @ np.asarray(noise, dtype=float)
-    )
+def _row_block(rows: slice, terms) -> tuple[slice, np.ndarray, np.ndarray]:
+    """``(rows, cols, L)``: a row block of an operator over only the columns it reads.
 
-
-def _row_block(rows: slice, dense: np.ndarray) -> tuple[slice, np.ndarray, np.ndarray]:
-    """``(rows, cols, L)``: a row block of an operator over only the columns it reads."""
-    cols = np.flatnonzero(dense.any(axis=0))
-    return rows, cols, np.ascontiguousarray(dense[:, cols])
+    ``terms`` lists ``(start, M)`` pairs, each adding ``M`` to the global
+    columns ``start : start + M.shape[1]``, in order; two terms' column ranges
+    are equal or disjoint.  ``L`` is built over the union of those columns in
+    ascending order, and columns that sum to zero are dropped.
+    """
+    cols = np.unique(np.concatenate([np.arange(j, j + M.shape[1]) for j, M in terms]))
+    L = np.zeros((rows.stop - rows.start, len(cols)))
+    for j, M in terms:
+        at = int(np.searchsorted(cols, j))
+        L[:, at : at + M.shape[1]] += M
+    keep = L.any(axis=0)
+    return rows, cols[keep], np.ascontiguousarray(L[:, keep])
 
 
 def _apply(blocks, z: np.ndarray, out: np.ndarray) -> None:
@@ -117,12 +119,11 @@ class _PairSimulator:
     pair column ``z = [x; xhat; nuhat; w; what]`` (states, abstract inputs,
     concrete and abstract noise) to the next ``[x; xhat]``, and outputs that
     are a linear map of ``[x; xhat]``.  Both maps are stored as one row block
-    per subsystem and side, each over only the columns its rows read, so a
-    step costs one gathered product per block and grows with the edges of
-    the network, not with its squared state dimension.  Both networks are
-    closed by :func:`model.assemble_interconnection`; the concrete input
-    refined from the abstract internal inputs is routed through the abstract
-    ``R_int``.  :meth:`run_block` iterates the maps for a block of trials at
+    per subsystem and side, each over only the columns its rows read.  A
+    block is built from its own subsystem and the in-edges that
+    :func:`model.assemble_interconnection` routes to it, so set-up as well as
+    a step grows with the edges of the network, not with its squared state
+    dimension.  :meth:`run_block` iterates the maps for a block of trials at
     once, one trial per column.
     """
 
@@ -151,58 +152,61 @@ class _PairSimulator:
         self.nu = slice(self.xh.stop, self.xh.stop + self.mhat_tot)
         self.w = slice(self.nu.stop, self.nu.stop + sum(self.q_dims))
         self.wh = slice(self.w.stop, self.w.stop + sum(self.qhat_dims))
-        width = self.wh.stop
 
-        def span(start, size):
-            return slice(start, start + size)
-
+        # first column of each subsystem's block in every part of z
+        x_at = net.state_offsets
+        xh_at = [self.xh.start + j for j in abs_net.state_offsets]
+        nu_at = [self.nu.start + j for j in _offsets(a.m for a in abs_subs)]
+        w_at = [self.w.start + j for j in _offsets(self.q_dims)]
+        wh_at = [self.wh.start + j for j in _offsets(self.qhat_dims)]
+        r_at = _offsets(s.r for s in subs)
+        rh_at = [self.r_tot + j for j in _offsets(a.r for a in abs_subs)]
         step, out = [], []
-        n_off, nh_off = net.state_offsets, abs_net.state_offsets
-        m_off, ph_off = _offsets(a.m for a in abs_subs), _offsets(a.p for a in abs_subs)
-        q_off, qh_off = _offsets(self.q_dims), _offsets(self.qhat_dims)
-        r_off, rh_off = _offsets(s.r for s in subs), _offsets(a.r for a in abs_subs)
         for i, (s, a, c) in enumerate(zip(subs, abs_subs, certs)):
-            xi, xhi = span(n_off[i], s.n), span(self.n_tot + nh_off[i], a.n)
-            nui = span(self.nu.start + m_off[i], a.m)
-            # x_i+ = (A_cl x)_i + B_i nu_i + F_i w_i with the refined input
+            edges, abs_edges = net.in_edges[i], abs_net.in_edges[i]
+            BS = s.B @ c.S
+            # x_i+ = A_i x_i + D_i omega_i + B_i nu_i + F_i w_i with the routed omega_i
+            # and the refined input
             # nu_i = K_i (x_i - P_i xhat_i) + Q_i xhat_i + Rt_i nuhat_i + S_i omegahat_i
-            L = np.zeros((s.n, width))
-            L[:, self.x] = net.A_cl[xi]
-            L[:, xi] += s.B @ c.K
-            L[:, xhi] = s.B @ (c.Q - c.K @ c.P)
-            L[:, self.xh] += s.B @ c.S @ abs_net.R_int[span(ph_off[i], a.p)]
-            L[:, nui] = s.B @ c.Rtilde
-            L[:, span(self.w.start + q_off[i], s.q)] = s.F
-            step.append(_row_block(xi, L))
-            # xhat_i+ = (Ahat_cl xhat)_i + Bhat_i nuhat_i + Fhat_i what_i
-            L = np.zeros((a.n, width))
-            L[:, self.xh] = abs_net.A_cl[span(nh_off[i], a.n)]
-            L[:, nui] = a.B
-            L[:, span(self.wh.start + qh_off[i], a.q)] = a.F
-            step.append(_row_block(xhi, L))
+            step.append(_row_block(slice(x_at[i], x_at[i] + s.n), [
+                (x_at[i], s.A),
+                *((x_at[e.source], s.D[:, e.start : e.stop] @ C) for e, C in edges),
+                (x_at[i], s.B @ c.K),
+                (xh_at[i], s.B @ (c.Q - c.K @ c.P)),
+                *((xh_at[e.source], BS[:, e.start : e.stop] @ C) for e, C in abs_edges),
+                (nu_at[i], s.B @ c.Rtilde),
+                (w_at[i], s.F),
+            ]))
+            # xhat_i+ = Ahat_i xhat_i + Dhat_i omegahat_i + Bhat_i nuhat_i + Fhat_i what_i
+            step.append(_row_block(slice(xh_at[i], xh_at[i] + a.n), [
+                (xh_at[i], a.A),
+                *((xh_at[e.source], a.D[:, e.start : e.stop] @ C) for e, C in abs_edges),
+                (nu_at[i], a.B),
+                (wh_at[i], a.F),
+            ]))
             # outputs: y rows first, then yhat rows
-            C = np.zeros((s.r, self.xh.stop))
-            C[:, xi] = s.C_ext
-            out.append(_row_block(span(r_off[i], s.r), C))
-            C = np.zeros((a.r, self.xh.stop))
-            C[:, xhi] = a.C_ext
-            out.append(_row_block(span(self.r_tot + rh_off[i], a.r), C))
+            out.append(_row_block(slice(r_at[i], r_at[i] + s.r), [(x_at[i], s.C_ext)]))
+            out.append(_row_block(slice(rh_at[i], rh_at[i] + a.r), [(xh_at[i], a.C_ext)]))
         self.step_blocks, self.output_blocks = step, out
-        self.width = width
+        self.width = self.wh.stop
         self.out_dim = self.r_tot + sum(a.r for a in abs_subs)
         # trials per block: a step makes one call per row block, so a fixed
         # count keeps the call overhead per trial from growing with the
-        # network, while a block's memory grows only with the pair column
+        # network, while a block's memory grows only with the pair column.
+        # Every block is stepped at this width, the last one padded with zero
+        # columns: a column's product then does not depend on how many trials
+        # share its block.
         self.block = 256
 
     def _noise(self, cfg: RunConfig, trials: range, abstract: bool) -> np.ndarray:
-        """Draws of one side for a block of trials, shaped ``(T, q_tot, trials)``.
+        """Draws of one side for a block of trials, shaped ``(T, q_tot, block)``.
 
         Every trial draws from its own substreams, whatever block it runs in;
-        a side with ``q == 0`` draws nothing and builds no stream.
+        the columns past the block's trials stay zero.  A side with ``q == 0``
+        draws nothing and builds no stream.
         """
         dims = self.qhat_dims if abstract else self.q_dims
-        out = np.empty((cfg.horizon, sum(dims), len(trials)))
+        out = np.zeros((cfg.horizon, sum(dims), self.block))
         for sid, start, q in zip(self.ids, _offsets(dims), dims):
             if q:
                 for col, trial in enumerate(trials):
@@ -225,25 +229,26 @@ class _PairSimulator:
     def run_block(
         self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray
     ) -> list[DeviationSample]:
-        """Step ``trials`` together from the stacked initial states, one per column."""
+        """Step ``trials`` (at most :attr:`block`) together from the stacked
+        initial states, one per column; padding columns start from zero."""
         T, cols = cfg.horizon, len(trials)
         noise_c = self._noise(cfg, trials, abstract=False)
         noise_a = self._noise(cfg, trials, abstract=True)
         # two pair columns in turn: a step reads one and writes the other's state
-        z = np.zeros((self.width, cols))
-        z[self.x], z[self.xh] = x0[:, None], xh0[:, None]
+        z = np.zeros((self.width, self.block))
+        z[self.x, :cols], z[self.xh, :cols] = x0[:, None], xh0[:, None]
         nxt = np.zeros_like(z)
-        ys = np.empty((T + 1, self.out_dim, cols))
+        ys = np.empty((T + 1, self.out_dim, self.block))
         for k in range(T + 1):
             if k:
                 if cfg.abstract_policy is not None:
-                    xh = np.ascontiguousarray(z[self.xh].T)
-                    z[self.nu] = self._policy_inputs(cfg.abstract_policy, k - 1, xh).T
+                    xh = np.ascontiguousarray(z[self.xh, :cols].T)
+                    z[self.nu, :cols] = self._policy_inputs(cfg.abstract_policy, k - 1, xh).T
                 z[self.w], z[self.wh] = noise_c[k - 1], noise_a[k - 1]
                 _apply(self.step_blocks, z, nxt)
                 z, nxt = nxt, z
             _apply(self.output_blocks, z, ys[k])
-        ys = np.ascontiguousarray(ys.transpose(2, 0, 1))
+        ys = np.ascontiguousarray(ys[:, :, :cols].transpose(2, 0, 1))
         y, yh = ys[:, :, : self.r_tot], ys[:, :, self.r_tot :]
         sup = np.linalg.norm(y - yh, axis=2).max(axis=1)
         record = cfg.record_trajectories
@@ -301,7 +306,7 @@ def violation_probability(samples: Sequence[DeviationSample], epsilon: float) ->
         raise ValueError("samples must be nonempty")
     n = len(samples)
     x = sum(1 for s in samples if s.sup_deviation >= epsilon)
-    upper = 1.0 if x == n else float(_beta.ppf(0.95, x + 1, n - x))
+    upper = 1.0 if x == n else float(betaincinv(x + 1, n - x, 0.95))
     return ViolationEstimate(violations=x, trials=n, estimate=x / n, upper95=upper)
 
 

@@ -1,8 +1,9 @@
-"""Shared construction helpers for randomized test instances."""
+"""Shared construction helpers for randomized test instances, and dense oracles."""
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from simcert.model import LinearSubsystem, Topology
+from simcert.model import InterconnectedSystem, LinearSubsystem, Topology
 from simcert.smallgain import build_gains, compose, find_mu, spectral_radius_test
 from simcert.spsf import (
     AbstractionCandidate,
@@ -12,6 +13,47 @@ from simcert.spsf import (
     solve_structural,
     synthesize_MK,
 )
+
+
+def step(s: LinearSubsystem, x, nu, omega, noise) -> np.ndarray:
+    """One subsystem transition ``A x + B nu + D omega + F noise``."""
+    return (
+        s.A @ np.asarray(x, dtype=float)
+        + s.B @ np.asarray(nu, dtype=float)
+        + s.D @ np.asarray(omega, dtype=float)
+        + s.F @ np.asarray(noise, dtype=float)
+    )
+
+
+class DenseMonolith:
+    """Closed monolithic system over the stacked state, as dense matrices.
+
+    Built edge by edge from the per-edge routing of ``net``: ``R_int`` maps
+    the stacked state to the stacked internal inputs, and ``A_cl`` adds
+    ``D_i[:, e.start:e.stop] @ block`` per in-edge to ``blockdiag(A)``, so
+    ``A_cl = blockdiag(A) + blockdiag(D) @ R_int``.  Its size is quadratic in
+    the stacked state, so it serves as an oracle for small networks only.
+    """
+
+    def __init__(self, net: InterconnectedSystem):
+        subs = net.subsystems
+        self.n, self.state_offsets = net.n, net.state_offsets
+        p_off = np.cumsum([0] + [s.p for s in subs])
+        self.A_cl = block_diag(*(s.A for s in subs))
+        self.R_int = np.zeros((p_off[-1], self.n))
+        for i, s in enumerate(subs):
+            ri = self.state_offsets[i]
+            for e, block in net.in_edges[i]:
+                rj = self.state_offsets[e.source]
+                cols = slice(rj, rj + block.shape[1])
+                self.A_cl[ri : ri + s.n, cols] += s.D[:, e.start : e.stop] @ block
+                self.R_int[p_off[i] + e.start : p_off[i] + e.stop, cols] = block
+        self.B_cl = block_diag(*(s.B for s in subs))
+        self.F_cl = block_diag(*(s.F for s in subs))
+        self.C_cl = block_diag(*(s.C_ext for s in subs))
+
+    def step(self, x: np.ndarray, nu: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return self.A_cl @ x + self.B_cl @ nu + self.F_cl @ noise
 
 
 def invertible(rng, n, cond_cap=1e6):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_network
+from helpers import DenseMonolith, random_network
 from scipy.linalg import block_diag
 
 from simcert.errors import DanglingInput, DimensionMismatch
@@ -46,7 +46,7 @@ def test_validate_isolated_subsystem():
 
 def test_assemble_reference_ring(ref_parts):
     subs, topo, *_ = ref_parts
-    mono = assemble_interconnection(subs, topo)
+    mono = DenseMonolith(assemble_interconnection(subs, topo))
     assert mono.A_cl.shape == (100, 100)
     expected = np.eye(100)
     coupling = 0.1 * np.ones((25, 1)) @ (0.1 * np.ones((1, 25)))
@@ -67,7 +67,7 @@ def test_assemble_single_subsystem_empty_topology():
         F=np.ones((3, 1)),
         C_ext=np.ones((1, 3)),
     )
-    mono = assemble_interconnection([s], Topology(1))
+    mono = DenseMonolith(assemble_interconnection([s], Topology(1)))
     assert np.array_equal(mono.A_cl, s.A)
     assert np.array_equal(mono.B_cl, s.B)
 
@@ -89,7 +89,7 @@ def test_assemble_two_state_mutual_coupling():
         for i in range(2)
     ]
     topo = Topology.from_pairs(subs, [(0, 1), (1, 0)])
-    mono = assemble_interconnection(subs, topo)
+    mono = DenseMonolith(assemble_interconnection(subs, topo))
     assert np.allclose(mono.A_cl, [[a, d * c], [d * c, a]], atol=1e-15)
 
 
@@ -117,7 +117,7 @@ def test_assemble_dangling_input():
     )
     with pytest.raises(DanglingInput):
         assemble_interconnection([s], Topology(1))  # omega row 0 not declared
-    mono = assemble_interconnection([s], Topology(1, unconnected={0: (0,)}))
+    mono = DenseMonolith(assemble_interconnection([s], Topology(1, unconnected={0: (0,)})))
     assert np.array_equal(mono.A_cl, np.eye(2))
 
 
@@ -156,7 +156,7 @@ def test_monolith_equivalence(seed):
     rng = np.random.default_rng(seed)
     subs, pairs = random_network(rng)
     topo = Topology.from_pairs(subs, pairs)
-    mono = assemble_interconnection(subs, topo)
+    mono = DenseMonolith(assemble_interconnection(subs, topo))
     routed = block_diag(*[s.A for s in subs]) + block_diag(*[s.D for s in subs]) @ mono.R_int
     assert np.allclose(mono.A_cl, routed, rtol=0, atol=1e-14)
     steps = 6
@@ -178,7 +178,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(11)
     subs, pairs = random_network(rng, n_subs=4)
     topo = Topology.from_pairs(subs, pairs)
-    mono = assemble_interconnection(subs, topo)
+    mono = DenseMonolith(assemble_interconnection(subs, topo))
 
     perm = [2, 0, 3, 1]  # new position of old index i is perm[i]
     inv = np.argsort(perm)
@@ -197,7 +197,7 @@ def test_permutation_equivariance():
         tuple(Edge(perm[e.source], perm[e.target], e.start, e.stop) for e in topo.edges),
         unconnected={perm[t]: rows for t, rows in topo.unconnected.items()},
     )
-    mono_p = assemble_interconnection(relabeled, topo_p)
+    mono_p = DenseMonolith(assemble_interconnection(relabeled, topo_p))
 
     offs = list(mono.state_offsets) + [mono.n]
     offs_p = list(mono_p.state_offsets) + [mono_p.n]

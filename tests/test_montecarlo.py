@@ -1,20 +1,26 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import certified_network, random_certified_instance
+from helpers import certified_network, random_certified_instance, step
 
+import simcert
 from simcert.bounds import BoundQuery, finite_horizon_bound
 
 from simcert.errors import DimensionMismatch, PolicyDimension
 from simcert.model import Edge, LinearSubsystem, Topology
 from simcert.montecarlo import (
+    DeviationSample,
     RunConfig,
     _PairSimulator,
     empirical_supermartingale_check,
     noise_stream,
     simulate_pair,
-    step,
     violation_probability,
 )
 from simcert.reference import (
@@ -111,8 +117,6 @@ def test_stream_isolation():
 
 def test_violation_probability_examples():
     def mk(vals):
-        from simcert.montecarlo import DeviationSample
-
         return [DeviationSample(trial=i, sup_deviation=v) for i, v in enumerate(vals)]
 
     zero = violation_probability(mk([0.0] * 100), 1.0)
@@ -120,6 +124,26 @@ def test_violation_probability_examples():
     assert zero.upper95 == pytest.approx(1 - 0.05 ** (1 / 100), rel=1e-9)
     assert violation_probability(mk([2.0] * 10), 1.0).estimate == 1.0
     assert violation_probability(mk([0.5, 1.5]), 1.0).estimate == 0.5
+
+
+def test_upper_bound_equals_beta_quantile():
+    # the bound is the Clopper-Pearson quantile of scipy.stats, computed
+    # without importing scipy.stats
+    from scipy.stats import beta
+
+    for n in (1, 2, 3, 7, 29, 30, 100, 301, 1000, 10_000):
+        for x in sorted({0, 1, n // 3, n // 2, n - 1} - {n}):
+            samples = [DeviationSample(trial=i, sup_deviation=float(i < x)) for i in range(n)]
+            assert violation_probability(samples, 1.0).upper95 == beta.ppf(0.95, x + 1, n - x)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(simcert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, simcert; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def _naive_pair_trial(subs, topo, abs_subs, certs, cfg, trial, trajectories=False):
@@ -232,6 +256,28 @@ def test_blocked_simulation_matches_oracle_across_block_boundary():
         assert np.array_equal(x.abstract_outputs, y.abstract_outputs)
 
 
+def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
+    # every block is stepped at full width, so a trial's bits depend only on
+    # the configuration and its index, not on how many trials the run has
+    subs, topo, cands, certs = ref_parts
+    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    certs = [certs[i] for i in range(4)]
+
+    def run(trials):
+        cfg = RunConfig(horizon=10, trials=trials, seed=3, record_trajectories=True)
+        return simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+
+    longer = run(1000)
+    for trials in (400, 257):
+        shorter = run(trials)
+        assert len(shorter) == trials
+        for a, b in zip(shorter, longer):
+            assert a.trial == b.trial
+            assert a.sup_deviation == b.sup_deviation
+            assert np.array_equal(a.outputs, b.outputs)
+            assert np.array_equal(a.abstract_outputs, b.abstract_outputs)
+
+
 def test_policy_and_recording_match_oracle():
     # a state-dependent policy, recorded trajectories, nonzero initial states
     # and a noiseless concrete side, checked row by row
@@ -291,6 +337,23 @@ def test_step_operators_grow_with_edges():
         return sum(L.size for _, _, L in sim.step_blocks + sim.output_blocks)
 
     assert stored(32) == 2 * stored(16)
+
+
+def test_setup_memory_grows_with_edges():
+    # row blocks are built from each subsystem and its in-edges over local
+    # columns, so set-up memory about doubles with the ring; keeping dense
+    # (N n)^2 closed-loop or routing matrices would quadruple it
+    def peak(N):
+        subs, topo, abs_subs, certs = _reference_ring(N)
+        tracemalloc.start()
+        try:
+            _PairSimulator(subs, topo, abs_subs, topo, certs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    large = peak(64)  # first, so one-time allocations count against the larger ring
+    assert large <= 2.2 * peak(32)
 
 
 def test_policy_dimension_error(ref_parts):
