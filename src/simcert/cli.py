@@ -15,7 +15,6 @@ The project file format is documented in :mod:`simcert.project`.
 """
 
 import argparse
-import csv as _csv
 import dataclasses
 import json
 import math
@@ -329,23 +328,30 @@ def _simulate(project, constants, trials, seed, horizon, epsilon, csv_path, mode
 
 
 def _write_csv(path, samples) -> None:
-    """One row per trial and step; the deviation is computed as ``sup_deviation`` is."""
+    """One row per trial and step; the deviation is computed as ``sup_deviation`` is.
+
+    Trials are formatted 16 at a time, so the memory this takes beyond the
+    samples stays small however many trials the run has.
+    """
+    header = (
+        ["trial", "k"]
+        + [f"y{i}" for i in range(samples[0].outputs.shape[1])]
+        + [f"yhat{i}" for i in range(samples[0].abstract_outputs.shape[1])]
+        + ["deviation"]
+    )
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        r = samples[0].outputs.shape[1]
-        rhat = samples[0].abstract_outputs.shape[1]
-        header = (
-            ["trial", "k"]
-            + [f"y{i}" for i in range(r)]
-            + [f"yhat{i}" for i in range(rhat)]
-            + ["deviation"]
-        )
-        writer.writerow(header)
-        for s in samples:
-            deviation = np.linalg.norm(s.outputs - s.abstract_outputs, axis=1)
-            rows = np.column_stack([s.outputs, s.abstract_outputs, deviation]).tolist()
-            for k, row in enumerate(rows):
-                writer.writerow([s.trial, k, *map(repr, row)])
+        fh.write(",".join(header) + "\n")
+        for at in range(0, len(samples), 16):
+            chunk = samples[at : at + 16]
+            y = np.stack([s.outputs for s in chunk])
+            yh = np.stack([s.abstract_outputs for s in chunk])
+            deviation = np.linalg.norm(y - yh, axis=2)
+            rows = np.concatenate([y, yh, deviation[:, :, None]], axis=2).tolist()
+            fh.writelines(
+                f"{s.trial},{k},{','.join(map(repr, row))}\n"
+                for s, trial_rows in zip(chunk, rows)
+                for k, row in enumerate(trial_rows)
+            )
 
 
 def _check_value(label: str, got: float, expected: float, tol: float, failures: list) -> None:

@@ -3,18 +3,22 @@
 Each trial runs the concrete network and its abstraction side by side: the
 internal inputs are routed from the respective internal outputs, the abstract
 external input comes from a user policy (zero by default), and the concrete
-input is refined through the per-subsystem interface functions.  Per-trial
-noise is drawn from counter-based substreams keyed by
-``(seed, trial, subsystem id, concrete/abstract)``, and trials are stepped in
+input is refined through the per-subsystem interface functions.  Noise comes
+from the counter-based Philox generator: each ``(seed, subsystem id,
+concrete/abstract)`` side has one key, and a trial's draws are the counter
+range that its index selects within that side's stream.  Trials are stepped in
 blocks of a fixed width, so a trial's bits are a function of the run
 configuration and its trial index alone: the first ``t`` trials of a longer
 run equal a ``t``-trial run.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import betaincinv
 
 from . import model
@@ -78,14 +82,44 @@ class DeviationSample:
     abstract_outputs: np.ndarray | None = None
 
 
+class _DerivedKey(ISeedSequence):
+    """Hands :class:`numpy.random.Philox` a key derived once, in place of a
+    seed sequence that would hash the seed again for every stream."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for exactly its key: two 64-bit words
+        return self.key
+
+
+@functools.lru_cache(maxsize=4096)
+def _side_key(seed: int, subsystem_id: int, abstract: bool) -> np.ndarray:
+    """The Philox key of one (seed, subsystem, side), read-only: it is shared."""
+    seq = np.random.SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))
+    key = seq.generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
 def noise_stream(seed: int, trial: int, subsystem_id: int, abstract: bool) -> np.random.Generator:
     """Deterministic substream for one (trial, subsystem, side) combination.
 
-    Built on the counter-based Philox generator keyed through a seed sequence,
-    so distinct keys give statistically independent, parallel-safe streams.
+    The stream is the side's counter-based Philox generator, keyed by
+    ``SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))`` and
+    started at counter ``(0, trial, 0, 0)``: each trial owns a range of
+    ``2**64`` counter blocks of its side's stream, so distinct trials and
+    sides give statistically independent, parallel-safe streams.  Trial 0's
+    stream is the side's plain keyed Philox stream.  ``trial`` must satisfy
+    ``0 <= trial < 2**64``.
     """
-    key = np.random.SeedSequence(seed, spawn_key=(trial, subsystem_id, int(abstract)))
-    return np.random.Generator(np.random.Philox(key))
+    trial = operator.index(trial)
+    if not 0 <= trial < 2**64:
+        raise ValueError(f"trial must be in [0, 2**64): {trial}")
+    key = _DerivedKey(_side_key(seed, subsystem_id, bool(abstract)))
+    counter = np.array([0, trial, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key, counter=counter))
 
 
 def _row_block(rows: slice, terms) -> tuple[slice, np.ndarray, np.ndarray]:
@@ -363,7 +397,7 @@ def empirical_supermartingale_check(
         zc = rng.standard_normal((draws_per_point, s.q))
         za = rng.standard_normal((draws_per_point, cand.Fhat.shape[1]))
         e_plus = e_mean + zc @ s.F.T - za @ PF.T
-        v_plus = np.einsum("ij,jk,ik->i", e_plus, M, e_plus)
+        v_plus = ((e_plus @ M) * e_plus).sum(axis=1)
         est = float(v_plus.mean())
         se = float(v_plus.std(ddof=1) / np.sqrt(draws_per_point)) if draws_per_point > 1 else 0.0
         v = evaluate_V(x, xh, M, P)

@@ -10,6 +10,7 @@ import pytest
 from helpers import certified_network, random_certified_instance, step
 
 import simcert
+from simcert import montecarlo
 from simcert.bounds import BoundQuery, finite_horizon_bound
 
 from simcert.errors import DimensionMismatch, PolicyDimension
@@ -113,6 +114,62 @@ def test_stream_isolation():
     # identical keys reproduce the identical stream
     again = noise_stream(42, 3, 1, abstract=False).standard_normal(1000)
     assert np.array_equal(a, again)
+
+
+@pytest.mark.parametrize("abstract", [False, True])
+def test_noise_stream_is_the_side_stream_at_the_trial_counter(abstract):
+    # one Philox key per (seed, subsystem, side); the trial picks the counter range
+    seed, sid = 20261018, 3
+    side = np.random.SeedSequence(seed, spawn_key=(sid, int(abstract)))
+    for trial in (0, 1, 255, 256, 10**6):
+        expected = np.random.Generator(np.random.Philox(side, counter=[0, trial, 0, 0]))
+        got = noise_stream(seed, trial, sid, abstract)
+        assert np.array_equal(got.standard_normal(50), expected.standard_normal(50))
+    plain = np.random.Generator(np.random.Philox(side))
+    assert np.array_equal(noise_stream(seed, 0, sid, abstract).standard_normal(50),
+                          plain.standard_normal(50))
+    # the last trial's counter word must not pass through a float
+    last = np.random.Generator(np.random.Philox(side, counter=(2**64 - 1) << 64))
+    assert np.array_equal(noise_stream(seed, 2**64 - 1, sid, abstract).standard_normal(50),
+                          last.standard_normal(50))
+
+
+def test_noise_stream_side_flag_forms_agree():
+    draws = [noise_stream(5, 7, 2, flag).standard_normal(20) for flag in (True, 1, np.True_)]
+    assert all(np.array_equal(draws[0], d) for d in draws[1:])
+
+
+@pytest.mark.parametrize("trial", [-1, 2**64])
+def test_noise_stream_rejects_trial_out_of_range(trial):
+    with pytest.raises(ValueError, match="trial"):
+        noise_stream(0, trial, 0, abstract=False)
+
+
+def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):
+    # a key is derived once per noisy side, not per trial, while every trial
+    # still builds one stream per noisy side
+    subs, topo, cands, certs = ref_parts
+    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    noisy_sides = sum(1 for s in (*subs, *abs_subs) if s.q > 0)
+    assert noisy_sides > 0
+    seed_sequence, stream = np.random.SeedSequence, montecarlo.noise_stream
+    built, streams = [], []
+
+    def counting_seed_sequence(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    def counting_stream(*args, **kwargs):
+        streams.append(args)
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    monkeypatch.setattr(montecarlo, "noise_stream", counting_stream)
+    cfg = RunConfig(horizon=4, trials=300, seed=8191)
+    samples = simulate_pair(subs, topo, abs_subs, topo, [certs[i] for i in range(4)], cfg)
+    assert len(samples) == cfg.trials
+    assert len(built) <= noisy_sides
+    assert len(streams) == cfg.trials * noisy_sides
 
 
 def test_violation_probability_examples():
