@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds, montecarlo, reference, smallgain, spsf
 from .errors import PreconditionViolated, SchemaError, SimcertError
 from .model import Topology
-from .project import ProjectFile, RunDefaults, load_project, save_project
+from .project import ProjectFile, RunDefaults, load_project, open_output, save_project
 
 __all__ = [
     "main",
@@ -121,12 +121,13 @@ def _guarantee(
     return _bound(composed, epsilon, horizon, nuhat_sup)
 
 
-def cmd_check(project: ProjectFile, tol: float) -> int:
-    """Check every certificate; 0 iff all conditions hold at ``tol``."""
+def cmd_check(args) -> int:
+    """Check every certificate; 0 iff all conditions hold at ``--tol``."""
+    project = load_project(args.project)
     if not project.certificates:
         print("project contains no certificates to check", file=sys.stderr)
         return 2
-    return _print_reports(project, _check_reports(project, tol, sorted(project.certificates)))
+    return _print_reports(project, _check_reports(project, args.tol, sorted(project.certificates)))
 
 
 def _print_reports(project: ProjectFile, reports: dict) -> int:
@@ -143,21 +144,17 @@ def _print_reports(project: ProjectFile, reports: dict) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_abstract(
-    project: ProjectFile,
-    sub_id: int,
-    pi: float | None,
-    kappa_hat: float | None,
-    output,
-    tol: float = 1e-9,
-) -> int:
+def cmd_abstract(args) -> int:
     """Complete and store the certificate for one subsystem.
 
     Reuses ``M``/``K`` from an existing certificate entry when present,
-    otherwise synthesizes them for the given ``pi`` and ``kappa_hat``; the
+    otherwise synthesizes them for the given ``--pi`` and ``--kappa-hat``; the
     structural matrices ``Q``/``S`` and the input-matching gain are always
-    recomputed.
+    recomputed.  Writes to ``--output``, by default the project file itself.
     """
+    project = load_project(args.project)
+    sub_id, pi, kappa_hat, tol = args.subsystem, args.pi, args.kappa_hat, args.tol
+    output = args.output or args.project
     if not 0 <= sub_id < len(project.subsystems):
         raise SchemaError(f"unknown subsystem {sub_id}")
     s = project.subsystems[sub_id]
@@ -200,9 +197,11 @@ def cmd_abstract(
     return 0
 
 
-def cmd_compose(project: ProjectFile, mode: str, output=None, tol: float = 1e-9) -> int:
+def cmd_compose(args) -> int:
     """Run the gain test and print the composed certificate constants."""
-    constants = _all_constants(project, tol)
+    project = load_project(args.project)
+    mode, output = args.degree_mode, args.output
+    constants = _all_constants(project, args.tol)
     gains, radius = _gain_test(constants, project.topology, mode)
     _print_matrix("Lambda", gains.Lambda)
     _print_matrix("Delta", gains.Delta)
@@ -230,24 +229,20 @@ def cmd_compose(project: ProjectFile, mode: str, output=None, tol: float = 1e-9)
                 {"subsystem": i, **dataclasses.asdict(c)} for i, c in enumerate(constants)
             ],
         }
-        with open(output, "w") as fh:
+        with open_output(output) as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         print(f"composed certificate written to {output}")
     return 0
 
 
-def cmd_bound(
-    project: ProjectFile,
-    epsilon: float,
-    horizon: int,
-    nuhat_sup: float = 0.0,
-    mode: str = "in_degree",
-    tol: float = 1e-9,
-) -> int:
+def cmd_bound(args) -> int:
     """Evaluate the deviation bound for zero initial states."""
+    project = load_project(args.project)
+    epsilon, horizon = args.epsilon, args.horizon
     offset, result = _guarantee(
-        project, _all_constants(project, tol), mode, epsilon, horizon, nuhat_sup
+        project, _all_constants(project, args.tol), args.degree_mode, epsilon, horizon,
+        args.nuhat_sup,
     )
     print(f"psi_hat = {offset:.6g}  branch = {result.branch}  clamped = {result.clamped}")
     print(
@@ -258,46 +253,36 @@ def cmd_bound(
     return 0
 
 
-def _abstract_network(project: ProjectFile):
-    abs_subs = [
-        project.candidate_for(s.id).as_subsystem(s.id) for s in project.subsystems
-    ]
-    pairs = [(e.source, e.target) for e in project.topology.edges]
-    return abs_subs, Topology.from_pairs(abs_subs, pairs)
-
-
-def cmd_simulate(
-    project: ProjectFile,
-    trials: int,
-    seed: int,
-    horizon: int,
-    epsilon: float,
-    csv_path=None,
-    mode: str = "in_degree",
-    tol: float = 1e-9,
-) -> int:
+def cmd_simulate(args) -> int:
     """Monte Carlo soundness check of the analytic bound.
 
     Fails (exit 1) when the one-sided 95% upper confidence bound of the
     empirical violation frequency exceeds the analytic bound, unless no
     violation was seen: then too few trials were run to test the bound.
     """
+    project = load_project(args.project)
+    # run settings are input: they are checked before any certificate is
+    run = _run_settings(args, project.run)
     return _simulate(
-        project, _all_constants(project, tol), trials, seed, horizon, epsilon, csv_path, mode
+        project, _all_constants(project, args.tol), run, args.csv, args.degree_mode
     )
 
 
-def _simulate(project, constants, trials, seed, horizon, epsilon, csv_path, mode) -> int:
+def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path, mode: str) -> int:
     """:func:`cmd_simulate` from the project's checked constants."""
+    trials, seed, horizon, epsilon = run.trials, run.seed, run.horizon, run.epsilon
     _, analytic = _guarantee(project, constants, mode, epsilon, horizon)
 
-    certs = [project.certificate_for(s.id) for s in project.subsystems]
-    abs_subs, abs_topo = _abstract_network(project)
+    subs = project.subsystems
     cfg = montecarlo.RunConfig(
         horizon=horizon, trials=trials, seed=seed, record_trajectories=csv_path is not None
     )
     samples = montecarlo.simulate_pair(
-        project.subsystems, project.topology, abs_subs, abs_topo, certs, cfg
+        subs,
+        project.topology,
+        [project.candidate_for(s.id) for s in subs],
+        [project.certificate_for(s.id) for s in subs],
+        cfg,
     )
     est = montecarlo.violation_probability(samples, epsilon)
 
@@ -339,7 +324,7 @@ def _write_csv(path, samples) -> None:
         + [f"yhat{i}" for i in range(samples[0].abstract_outputs.shape[1])]
         + ["deviation"]
     )
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         for at in range(0, len(samples), 16):
             chunk = samples[at : at + 16]
@@ -362,13 +347,7 @@ def _check_value(label: str, got: float, expected: float, tol: float, failures: 
         failures.append(label)
 
 
-def cmd_paper_example(
-    trials: int = 2000,
-    seed: int = 42,
-    mode: str = "in_degree",
-    emit_project=None,
-    tol: float = 1e-9,
-) -> int:
+def cmd_paper_example(args) -> int:
     """End-to-end regression on the bundled four-subsystem reference network.
 
     Rebuilds every certificate quantity, compares against the published
@@ -379,9 +358,12 @@ def cmd_paper_example(
     """
     t0 = time.perf_counter()
     project = reference.reference_project()
-    if emit_project is not None:
-        save_project(project, emit_project)
-        print(f"reference project written to {emit_project}")
+    # --trials and --seed; the horizon and epsilon are the reference ones
+    run = _run_settings(args, project.run)
+    tol, mode = args.tol, args.degree_mode
+    if args.emit_project is not None:
+        save_project(project, args.emit_project)
+        print(f"reference project written to {args.emit_project}")
     failures: list[str] = []
 
     print("== certificate check ==")
@@ -445,16 +427,12 @@ def cmd_paper_example(
     _check_value("composed psi", composed.psi, *exp["composed_psi"], failures)
 
     print("\n== bound ==")
-    _, result = _bound(composed, project.run.epsilon, project.run.horizon)
+    _, result = _bound(composed, run.epsilon, run.horizon)
     _check_value("bound", result.probability, *exp["bound"], failures)
-    print(f"  closeness >= {1 - result.probability:.4f} over T={project.run.horizon}")
+    print(f"  closeness >= {1 - result.probability:.4f} over T={run.horizon}")
 
     print("\n== simulation ==")
-    rc = _simulate(
-        project, constants, trials, seed, project.run.horizon, project.run.epsilon,
-        csv_path=None, mode=mode,
-    )
-    if rc != 0:
+    if _simulate(project, constants, run, None, mode) != 0:
         failures.append("simulation soundness")
 
     elapsed = time.perf_counter() - t0
@@ -467,6 +445,15 @@ def cmd_paper_example(
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite, nonnegative condition tolerance."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        # an infinite tolerance would pass any certificate
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simcert",
@@ -474,41 +461,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, project=True):
+    def add_common(name, command, help, project=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=command)
         if project:
             p.add_argument("--project", required=True, help="project JSON file")
-        p.add_argument("--tol", type=float, default=1e-9, help="condition tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-9, help="condition tolerance")
         p.add_argument(
             "--degree-mode",
             choices=list(smallgain.DEGREE_MODES),
             default="in_degree",
             help="edge gain scaling: realized fan-in or the conservative N-1",
         )
+        return p
 
-    p = sub.add_parser("check", help="validate certificates")
-    add_common(p)
+    add_common("check", cmd_check, "validate certificates")
 
-    p = sub.add_parser("abstract", help="complete a certificate for one subsystem")
-    add_common(p)
+    p = add_common("abstract", cmd_abstract, "complete a certificate for one subsystem")
     p.add_argument("--subsystem", type=int, required=True)
     p.add_argument("--pi", type=float, default=None)
     p.add_argument("--kappa-hat", type=float, default=None)
     p.add_argument("--output", default=None, help="output project file (default: in place)")
 
-    p = sub.add_parser("compose", help="small-gain test and composed constants")
-    add_common(p)
+    p = add_common("compose", cmd_compose, "small-gain test and composed constants")
     p.add_argument("--output", default=None,
                    help="also write the composed certificate as JSON")
 
-    p = sub.add_parser("bound", help="finite-horizon deviation bound")
-    add_common(p)
+    p = add_common("bound", cmd_bound, "finite-horizon deviation bound")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--nuhat-sup", type=float, default=0.0,
                    help="sup norm of the abstract input trajectory")
 
-    p = sub.add_parser("simulate", help="Monte Carlo validation of the bound")
-    add_common(p)
+    p = add_common("simulate", cmd_simulate, "Monte Carlo validation of the bound")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
@@ -516,8 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="has no effect")
     p.add_argument("--csv", default=None, help="write per-step trajectories to CSV")
 
-    p = sub.add_parser("paper-example", help="regression on the bundled reference network")
-    add_common(p, project=False)
+    p = add_common("paper-example", cmd_paper_example,
+                   "regression on the bundled reference network", project=False)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=1, help="has no effect")
@@ -545,53 +530,7 @@ def _run_settings(args, run: RunDefaults | None) -> RunDefaults:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(load_project(args.project), args.tol)
-        if args.command == "abstract":
-            return cmd_abstract(
-                load_project(args.project),
-                args.subsystem,
-                args.pi,
-                args.kappa_hat,
-                output=args.output or args.project,
-                tol=args.tol,
-            )
-        if args.command == "compose":
-            return cmd_compose(
-                load_project(args.project), args.degree_mode, output=args.output, tol=args.tol
-            )
-        if args.command == "bound":
-            return cmd_bound(
-                load_project(args.project),
-                epsilon=args.epsilon,
-                horizon=args.horizon,
-                nuhat_sup=args.nuhat_sup,
-                mode=args.degree_mode,
-                tol=args.tol,
-            )
-        if args.command == "simulate":
-            project = load_project(args.project)
-            run = _run_settings(args, project.run)
-            return cmd_simulate(
-                project,
-                trials=run.trials,
-                seed=run.seed,
-                horizon=run.horizon,
-                epsilon=run.epsilon,
-                csv_path=args.csv,
-                mode=args.degree_mode,
-                tol=args.tol,
-            )
-        if args.command == "paper-example":
-            run = _run_settings(args, None)  # checks --trials; the horizon is the reference one
-            return cmd_paper_example(
-                trials=run.trials,
-                seed=run.seed,
-                mode=args.degree_mode,
-                emit_project=args.emit_project,
-                tol=args.tol,
-            )
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,25 +152,24 @@ class _PairSimulator:
     the subsystem recursions leaves, per step, a linear map of the stacked
     pair column ``z = [x; xhat; nuhat; w; what]`` (states, abstract inputs,
     concrete and abstract noise) to the next ``[x; xhat]``, and outputs that
-    are a linear map of ``[x; xhat]``.  Both maps are stored as one row block
-    per subsystem and side, each over only the columns its rows read.  A
-    block is built from its own subsystem and the in-edges that
-    :func:`model.assemble_interconnection` routes to it, so set-up as well as
-    a step grows with the edges of the network, not with its squared state
-    dimension.  :meth:`run_block` iterates the maps for a block of trials at
-    once, one trial per column.
+    are a linear map of ``[x; xhat]``.  The abstract network is each
+    subsystem's candidate wired by the concrete topology's own edges.  Both
+    maps are stored as one row block per subsystem and side, each over only
+    the columns its rows read.  A block is built from its own subsystem and
+    the in-edges that :func:`model.assemble_interconnection` routes to it, so
+    set-up as well as a step grows with the edges of the network, not with
+    its squared state dimension.  :meth:`run_block` iterates the maps for a
+    block of trials at once, one trial per column.
     """
 
-    def __init__(self, subsystems, topo, abstract_subsystems, abstract_topo, certs):
-        certs = tuple(certs)
-        if not (len(subsystems) == len(abstract_subsystems) == len(certs)):
-            raise DimensionMismatch("subsystem, abstraction and certificate counts differ")
-        if {(e.source, e.target, e.start, e.stop) for e in topo.edges} != {
-            (e.source, e.target, e.start, e.stop) for e in abstract_topo.edges
-        }:
-            raise DimensionMismatch("abstract topology must mirror the concrete one")
+    def __init__(self, subsystems, topo, candidates, certs):
+        candidates, certs = tuple(candidates), tuple(certs)
+        if not (len(subsystems) == len(candidates) == len(certs)):
+            raise DimensionMismatch("subsystem, candidate and certificate counts differ")
         net = model.assemble_interconnection(subsystems, topo)
-        abs_net = model.assemble_interconnection(abstract_subsystems, abstract_topo)
+        abs_net = model.assemble_interconnection(
+            [c.as_subsystem(i) for i, c in enumerate(candidates)], topo
+        )
         subs, abs_subs = net.subsystems, abs_net.subsystems
 
         self.n_tot = net.n
@@ -299,19 +298,20 @@ class _PairSimulator:
 
 def simulate_pair(
     subsystems: Sequence[LinearSubsystem],
-    topo: Topology,
-    abstract_subsystems: Sequence[LinearSubsystem],
-    abstract_topo: Topology,
-    certs: Sequence[AbstractionCertificate],
+    topology: Topology,
+    candidates: Sequence[AbstractionCandidate],
+    certificates: Sequence[AbstractionCertificate],
     cfg: RunConfig,
 ) -> list[DeviationSample]:
     """Run all trials of the coupled pair and collect deviation samples.
 
-    Concrete and abstract noises are fully independent.  Results are
-    bitwise-reproducible for a fixed config: every trial consumes only its
-    own substreams, and trials are stepped in blocks of a fixed size.
+    ``candidates`` and ``certificates`` are in subsystem order; the abstract
+    network is the candidates wired by ``topology``.  Concrete and abstract
+    noises are fully independent.  Results are bitwise-reproducible for a
+    fixed config: every trial consumes only its own substreams, and trials
+    are stepped in blocks of a fixed size.
     """
-    sim = _PairSimulator(subsystems, topo, abstract_subsystems, abstract_topo, certs)
+    sim = _PairSimulator(subsystems, topology, candidates, certificates)
     x0 = np.zeros(sim.n_tot) if cfg.initial_concrete is None else cfg.initial_concrete
     xh0 = np.zeros(sim.nhat_tot) if cfg.initial_abstract is None else cfg.initial_abstract
     x0, xh0 = np.asarray(x0, dtype=float), np.asarray(xh0, dtype=float)

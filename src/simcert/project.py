@@ -43,6 +43,7 @@ Floats are written with full precision, so save/load round-trips bit-exactly.
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
@@ -347,6 +348,17 @@ def load_project(path) -> ProjectFile:
     return project_from_dict(doc)
 
 
+@contextmanager
+def open_output(path):
+    """``path`` opened for writing text; an ``OSError`` raises :class:`SchemaError`."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
 def save_project(project: ProjectFile, path) -> None:
     """Write a project file (floats at full round-trip precision)."""
-    Path(path).write_text(json.dumps(project_to_dict(project), indent=1) + "\n")
+    with open_output(path) as fh:
+        fh.write(json.dumps(project_to_dict(project), indent=1) + "\n")

@@ -44,7 +44,6 @@ class GainDecomposition:
 
     Lambda: np.ndarray
     Delta: np.ndarray
-    degree_mode: str = "in_degree"
 
     def __post_init__(self):
         object.__setattr__(self, "Lambda", _matrix(self.Lambda, "Lambda"))
@@ -60,8 +59,6 @@ class GainDecomposition:
             raise ValueError("Delta must be nonnegative")
         if np.any(np.diag(self.Delta) != 0):
             raise ValueError("Delta must have zero diagonal")
-        if self.degree_mode not in DEGREE_MODES:
-            raise ValueError(f"degree_mode must be one of {DEGREE_MODES}")
 
     @property
     def n(self) -> int:
@@ -137,7 +134,7 @@ def build_gains(
     for e in topo.edges:
         d = (n - 1) if mode == "paper_N_minus_1" else topo.in_degree(e.target)
         delta[e.target, e.source] = constants[e.target].rho_int_coef * d**2
-    return GainDecomposition(Lambda=lam, Delta=delta, degree_mode=mode)
+    return GainDecomposition(Lambda=lam, Delta=delta)
 
 
 def spectral_radius_test(g: GainDecomposition) -> float:

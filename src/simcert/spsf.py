@@ -230,15 +230,7 @@ def stacked_outputs(s: LinearSubsystem, cand: AbstractionCandidate) -> tuple[np.
             f"candidate internal output keys {sorted(cand.Chat_int)} "
             f"!= concrete keys {sorted(s.C_int)}"
         )
-    concrete = dict(s.C_int)
-    concrete[s.id] = s.C_ext
-    abstract = dict(cand.Chat_int)
-    abstract[s.id] = cand.Chat_ext
-    order = sorted(concrete)
-    return (
-        np.vstack([concrete[j] for j in order]),
-        np.vstack([abstract[j] for j in order]),
-    )
+    return s.output_matrix(), cand.as_subsystem(s.id).output_matrix()
 
 
 def check_conditions(

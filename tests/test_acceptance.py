@@ -70,13 +70,11 @@ def test_criterion_2_reference_bound(capsys):
 
 def test_criterion_3_monte_carlo_soundness(capsys):
     project = reference_project()
-    abs_subs = [project.candidates[i].as_subsystem(i) for i in range(4)]
+    cands = [project.candidates[i] for i in range(4)]
     certs = [project.certificates[i] for i in range(4)]
     cfg = RunConfig(horizon=10, trials=10_000, seed=42)
     t0 = time.perf_counter()
-    samples = simulate_pair(
-        project.subsystems, project.topology, abs_subs, project.topology, certs, cfg
-    )
+    samples = simulate_pair(project.subsystems, project.topology, cands, certs, cfg)
     elapsed = time.perf_counter() - t0
     est = violation_probability(samples, epsilon=1.0)
     assert est.upper95 <= 0.0956

@@ -312,12 +312,11 @@ def test_simulate_zero_bound_is_inconclusive(project_path, capsys):
 
 
 def test_csv_deviation_matches_sup_deviation(ref_project, tmp_path):
-    abs_subs, abs_topo = cli._abstract_network(ref_project)
-    certs = [ref_project.certificate_for(s.id) for s in ref_project.subsystems]
+    subs = ref_project.subsystems
+    cands = [ref_project.candidate_for(s.id) for s in subs]
+    certs = [ref_project.certificate_for(s.id) for s in subs]
     cfg = RunConfig(horizon=10, trials=500, seed=0, record_trajectories=True)
-    samples = simulate_pair(
-        ref_project.subsystems, ref_project.topology, abs_subs, abs_topo, certs, cfg
-    )
+    samples = simulate_pair(subs, ref_project.topology, cands, certs, cfg)
     path = tmp_path / "traj.csv"
     cli._write_csv(path, samples)
     worst: dict[int, float] = {}
@@ -326,3 +325,44 @@ def test_csv_deviation_matches_sup_deviation(ref_project, tmp_path):
             trial = int(row["trial"])
             worst[trial] = max(worst.get(trial, 0.0), float(row["deviation"]))
     assert [worst[s.trial] for s in samples] == [s.sup_deviation for s in samples]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["compose", "--project", "{project}"], "--output"),
+        (["abstract", "--project", "{project}", "--subsystem", "1"], "--output"),
+        (["paper-example", "--trials", "30"], "--emit-project"),
+        (["simulate", "--project", "{project}", "--trials", "30"], "--csv"),
+    ],
+    ids=["compose", "abstract", "paper-example", "simulate"],
+)
+def test_unwritable_output_exits_2(project_path, tmp_path, capsys, command, flag):
+    target = tmp_path / "missing" / "x"
+    argv = [a.format(project=project_path) for a in command] + [flag, str(target)]
+    before = project_path.read_text()
+    assert main(argv) == 2
+    assert any(line.startswith("error: cannot write") for line in capsys.readouterr().err.splitlines())
+    assert not target.parent.exists()
+    assert project_path.read_text() == before
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_tolerance_must_be_finite_and_nonnegative(project_path, capsys, tol):
+    # with K = 0 the certificate fails; an infinite tolerance used to pass it
+    _break_certificate(project_path, "K", [[0.0] * 25 for _ in range(25)])
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--project", str(project_path), "--epsilon", "1", "--horizon", "10",
+              "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --tol" in captured.err
+    assert "probability" not in captured.out
+
+
+def test_run_settings_are_checked_before_certificates(project_path, capsys):
+    _break_certificate(project_path, "kappa_hat", 1.2)
+    assert main(["simulate", "--project", str(project_path), "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "trials >= 1 and horizon >= 0" in captured.err
+    assert "fails its pre-check" not in captured.out

@@ -52,14 +52,13 @@ def _noiseless_reference(ref_parts):
         )
         for s in subs
     ]
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
-    return quiet, topo, abs_subs, topo, [certs[i] for i in range(4)]
+    return quiet, topo, [cands[i] for i in range(4)], [certs[i] for i in range(4)]
 
 
 def test_noiseless_matched_start_zero_deviation(ref_parts):
-    quiet, topo, abs_subs, abs_topo, certs = _noiseless_reference(ref_parts)
+    quiet, topo, cands, certs = _noiseless_reference(ref_parts)
     cfg = RunConfig(horizon=8, trials=5, seed=1)
-    samples = simulate_pair(quiet, topo, abs_subs, abs_topo, certs, cfg)
+    samples = simulate_pair(quiet, topo, cands, certs, cfg)
     assert all(s.sup_deviation == 0.0 for s in samples)
 
 
@@ -78,8 +77,7 @@ def test_geometric_decay_scalar_pair():
         initial_concrete=np.array([1.0]), initial_abstract=np.array([0.0]),
         record_trajectories=True,
     )
-    (sample,) = simulate_pair([s], Topology(1), [cand.as_subsystem(0)], Topology(1),
-                              [cert], cfg)
+    (sample,) = simulate_pair([s], Topology(1), [cand], [cert], cfg)
     devs = np.linalg.norm(sample.outputs - sample.abstract_outputs, axis=1)
     # error recursion e+ = (A + BK) e with A + BK = 0.5
     for k in range(6):
@@ -89,10 +87,10 @@ def test_geometric_decay_scalar_pair():
 
 def test_determinism_same_seed(ref_parts):
     subs, topo, cands, certs = ref_parts
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    cands = [cands[i] for i in range(4)]
     cfg = RunConfig(horizon=5, trials=20, seed=77, record_trajectories=True)
-    a = simulate_pair(subs, topo, abs_subs, topo, [certs[i] for i in range(4)], cfg)
-    b = simulate_pair(subs, topo, abs_subs, topo, [certs[i] for i in range(4)], cfg)
+    a = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
+    b = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
     for x, y in zip(a, b):
         assert x.sup_deviation == y.sup_deviation
         assert np.array_equal(x.outputs, y.outputs)
@@ -149,8 +147,8 @@ def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):
     # a key is derived once per noisy side, not per trial, while every trial
     # still builds one stream per noisy side
     subs, topo, cands, certs = ref_parts
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
-    noisy_sides = sum(1 for s in (*subs, *abs_subs) if s.q > 0)
+    cands = [cands[i] for i in range(4)]
+    noisy_sides = sum(1 for s in subs if s.q > 0) + sum(1 for c in cands if c.Fhat.shape[1])
     assert noisy_sides > 0
     seed_sequence, stream = np.random.SeedSequence, montecarlo.noise_stream
     built, streams = [], []
@@ -166,7 +164,7 @@ def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
     monkeypatch.setattr(montecarlo, "noise_stream", counting_stream)
     cfg = RunConfig(horizon=4, trials=300, seed=8191)
-    samples = simulate_pair(subs, topo, abs_subs, topo, [certs[i] for i in range(4)], cfg)
+    samples = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
     assert len(samples) == cfg.trials
     assert len(built) <= noisy_sides
     assert len(streams) == cfg.trials * noisy_sides
@@ -203,12 +201,13 @@ def test_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def _naive_pair_trial(subs, topo, abs_subs, certs, cfg, trial, trajectories=False):
+def _naive_pair_trial(subs, topo, cands, certs, cfg, trial, trajectories=False):
     """Independent oracle: explicit per-subsystem routing and stepping.
 
     Returns the supremum deviation, and with ``trajectories`` also the stacked
     concrete and abstract outputs of every step.
     """
+    abs_subs = [c.as_subsystem(i) for i, c in enumerate(cands)]
 
     def per_subsystem(stacked, parts):
         if stacked is None:
@@ -258,12 +257,12 @@ def _naive_pair_trial(subs, topo, abs_subs, certs, cfg, trial, trajectories=Fals
 
 def test_simulate_matches_naive_oracle(ref_parts):
     subs, topo, cands, certs = ref_parts
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    cands = [cands[i] for i in range(4)]
     certs_list = [certs[i] for i in range(4)]
     cfg = RunConfig(horizon=7, trials=4, seed=99)
-    fast = simulate_pair(subs, topo, abs_subs, topo, certs_list, cfg)
+    fast = simulate_pair(subs, topo, cands, certs_list, cfg)
     for t in range(4):
-        naive = _naive_pair_trial(subs, topo, abs_subs, certs_list, cfg, t)
+        naive = _naive_pair_trial(subs, topo, cands, certs_list, cfg, t)
         assert fast[t].sup_deviation == pytest.approx(naive, rel=1e-12, abs=1e-14)
 
 
@@ -271,11 +270,10 @@ def test_simulate_matches_naive_oracle(ref_parts):
 def test_simulate_matches_naive_oracle_heterogeneous(seed):
     # mixed state/abstract dimensions exercise the block offsets
     subs, topo, cands, certs, _ = certified_network(seed)
-    abs_subs = [cands[i].as_subsystem(i) for i in range(len(subs))]
     cfg = RunConfig(horizon=6, trials=3, seed=seed)
-    fast = simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+    fast = simulate_pair(subs, topo, cands, certs, cfg)
     for t in range(3):
-        naive = _naive_pair_trial(subs, topo, abs_subs, certs, cfg, t)
+        naive = _naive_pair_trial(subs, topo, cands, certs, cfg, t)
         assert fast[t].sup_deviation == pytest.approx(naive, rel=1e-12, abs=1e-14)
 
 
@@ -286,27 +284,26 @@ def test_blocked_simulation_matches_oracle_across_block_boundary():
     subs, topo, cands, certs, _ = certified_network(2104)
     rng = np.random.default_rng(17)
     subs[-1] = dataclasses.replace(subs[-1], F=np.zeros((subs[-1].n, 0)))
-    abs_subs = [cands[i].as_subsystem(i) for i in range(len(subs))]
     for i in range(0, len(subs), 2):
-        noisy = 0.2 * rng.standard_normal((abs_subs[i].n, 2))
-        abs_subs[i] = dataclasses.replace(abs_subs[i], F=noisy)
-    assert {a.q for a in abs_subs} == {0, 2}
-    block = _PairSimulator(subs, topo, abs_subs, topo, certs).block
+        noisy = 0.2 * rng.standard_normal((cands[i].nhat, 2))
+        cands[i] = dataclasses.replace(cands[i], Fhat=noisy)
+    assert {c.Fhat.shape[1] for c in cands} == {0, 2}
+    block = _PairSimulator(subs, topo, cands, certs).block
     cfg = RunConfig(
         horizon=6, trials=block + 2, seed=31,
         initial_concrete=0.1 * rng.standard_normal(sum(s.n for s in subs)),
-        initial_abstract=0.1 * rng.standard_normal(sum(a.n for a in abs_subs)),
+        initial_abstract=0.1 * rng.standard_normal(sum(c.nhat for c in cands)),
         record_trajectories=True,
     )
-    first = simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+    first = simulate_pair(subs, topo, cands, certs, cfg)
     assert [s.trial for s in first] == list(range(block + 2))
     for t in (0, block - 2, block - 1, block, block + 1):
-        naive = _naive_pair_trial(subs, topo, abs_subs, certs, cfg, t)
+        naive = _naive_pair_trial(subs, topo, cands, certs, cfg, t)
         assert first[t].sup_deviation == pytest.approx(naive, rel=1e-12, abs=1e-14)
         # the supremum is reached after stepping, so noise and coupling enter it
         start_gap = np.linalg.norm(first[t].outputs[0] - first[t].abstract_outputs[0])
         assert first[t].sup_deviation > start_gap
-    again = simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+    again = simulate_pair(subs, topo, cands, certs, cfg)
     for x, y in zip(first, again):
         assert x.sup_deviation == y.sup_deviation
         assert np.array_equal(x.outputs, y.outputs)
@@ -317,12 +314,12 @@ def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
     # every block is stepped at full width, so a trial's bits depend only on
     # the configuration and its index, not on how many trials the run has
     subs, topo, cands, certs = ref_parts
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    cands = [cands[i] for i in range(4)]
     certs = [certs[i] for i in range(4)]
 
     def run(trials):
         cfg = RunConfig(horizon=10, trials=trials, seed=3, record_trajectories=True)
-        return simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+        return simulate_pair(subs, topo, cands, certs, cfg)
 
     longer = run(1000)
     for trials in (400, 257):
@@ -340,9 +337,8 @@ def test_policy_and_recording_match_oracle():
     # and a noiseless concrete side, checked row by row
     subs, topo, cands, certs, _ = certified_network(2101)
     subs[0] = dataclasses.replace(subs[0], F=np.zeros((subs[0].n, 0)))
-    abs_subs = [cands[i].as_subsystem(i) for i in range(len(subs))]
     rng = np.random.default_rng(23)
-    gain = rng.standard_normal((sum(a.m for a in abs_subs), sum(a.n for a in abs_subs)))
+    gain = rng.standard_normal((sum(c.mhat for c in cands), sum(c.nhat for c in cands)))
 
     def policy(k, xh):
         return np.tanh(gain @ xh) + 0.1 * k
@@ -350,12 +346,12 @@ def test_policy_and_recording_match_oracle():
     cfg = RunConfig(
         horizon=6, trials=3, seed=41, abstract_policy=policy,
         initial_concrete=0.2 * rng.standard_normal(sum(s.n for s in subs)),
-        initial_abstract=0.2 * rng.standard_normal(sum(a.n for a in abs_subs)),
+        initial_abstract=0.2 * rng.standard_normal(sum(c.nhat for c in cands)),
         record_trajectories=True,
     )
-    samples = simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+    samples = simulate_pair(subs, topo, cands, certs, cfg)
     for t, sample in enumerate(samples):
-        sup, ys, yhs = _naive_pair_trial(subs, topo, abs_subs, certs, cfg, t, trajectories=True)
+        sup, ys, yhs = _naive_pair_trial(subs, topo, cands, certs, cfg, t, trajectories=True)
         assert sample.outputs.shape == ys.shape and sample.abstract_outputs.shape == yhs.shape
         for k in range(cfg.horizon + 1):
             assert sample.outputs[k] == pytest.approx(ys[k], rel=1e-12, abs=1e-14)
@@ -377,20 +373,19 @@ def _reference_ring(N):
         for i in range(N)
     ]
     topo = Topology.from_pairs(subs, [(i, (i + 1) % N) for i in range(N)])
-    abs_subs = [
+    cands = [
         AbstractionCandidate.induced(s, P=cand.P, Ahat=cand.Ahat, Bhat=cand.Bhat, Dhat=cand.Dhat)
-        .as_subsystem(s.id)
         for s in subs
     ]
-    return subs, topo, abs_subs, [cert] * N
+    return subs, topo, cands, [cert] * N
 
 
 def test_step_operators_grow_with_edges():
     # each row block stores only the columns it reads, so a ring twice as long
     # stores exactly twice the entries; dense stepping would store four times
     def stored(N):
-        subs, topo, abs_subs, certs = _reference_ring(N)
-        sim = _PairSimulator(subs, topo, abs_subs, topo, certs)
+        subs, topo, cands, certs = _reference_ring(N)
+        sim = _PairSimulator(subs, topo, cands, certs)
         return sum(L.size for _, _, L in sim.step_blocks + sim.output_blocks)
 
     assert stored(32) == 2 * stored(16)
@@ -401,10 +396,10 @@ def test_setup_memory_grows_with_edges():
     # columns, so set-up memory about doubles with the ring; keeping dense
     # (N n)^2 closed-loop or routing matrices would quadruple it
     def peak(N):
-        subs, topo, abs_subs, certs = _reference_ring(N)
+        subs, topo, cands, certs = _reference_ring(N)
         tracemalloc.start()
         try:
-            _PairSimulator(subs, topo, abs_subs, topo, certs)
+            _PairSimulator(subs, topo, cands, certs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -415,22 +410,22 @@ def test_setup_memory_grows_with_edges():
 
 def test_policy_dimension_error(ref_parts):
     subs, topo, cands, certs = ref_parts
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    cands = [cands[i] for i in range(4)]
     cfg = RunConfig(horizon=3, trials=1, seed=0,
                     abstract_policy=lambda k, xh: np.zeros(7))
     with pytest.raises(PolicyDimension):
-        simulate_pair(subs, topo, abs_subs, topo, [certs[i] for i in range(4)], cfg)
+        simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
 
 
 def test_policy_drives_abstract_system(ref_parts):
     subs, topo, cands, certs = ref_parts
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    cands = [cands[i] for i in range(4)]
     certs_list = [certs[i] for i in range(4)]
     quiet = RunConfig(horizon=4, trials=1, seed=0, record_trajectories=True)
     driven = RunConfig(horizon=4, trials=1, seed=0, record_trajectories=True,
                        abstract_policy=lambda k, xh: np.full(4, 0.5))
-    (a,) = simulate_pair(subs, topo, abs_subs, topo, certs_list, quiet)
-    (b,) = simulate_pair(subs, topo, abs_subs, topo, certs_list, driven)
+    (a,) = simulate_pair(subs, topo, cands, certs_list, quiet)
+    (b,) = simulate_pair(subs, topo, cands, certs_list, driven)
     assert not np.array_equal(a.abstract_outputs, b.abstract_outputs)
 
 
@@ -445,9 +440,8 @@ def test_bound_soundness_randomized_networks(seed):
         BoundQuery(V0=0.0, alpha_coef=composed.alpha_coef, epsilon=epsilon,
                    T=T, psi_hat=composed.psi, kappa_hat=composed.kappa_hat)
     )
-    abs_subs = [cands[i].as_subsystem(i) for i in range(len(subs))]
     cfg = RunConfig(horizon=T, trials=500, seed=seed)
-    samples = simulate_pair(subs, topo, abs_subs, topo, certs, cfg)
+    samples = simulate_pair(subs, topo, cands, certs, cfg)
     est = violation_probability(samples, epsilon)
     assert est.upper95 <= analytic.probability
 
@@ -474,17 +468,22 @@ def test_empirical_supermartingale_noiseless_exact():
 
 def test_simulate_pair_rejects_bad_wiring(ref_parts):
     subs, topo, cands, certs = ref_parts
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    cands = [cands[i] for i in range(4)]
     certs = [certs[i] for i in range(4)]
     cfg = RunConfig(horizon=2, trials=1, seed=0)
     first, *rest = topo.edges
-    unmirrored = Topology(4, tuple(rest), unconnected={first.target: (0,)})
-    with pytest.raises(DimensionMismatch, match="mirror"):
-        simulate_pair(subs, topo, abs_subs, unmirrored, certs, cfg)
     # the first edge claims two omega rows; its source block has one
     widened = Topology(4, (Edge(first.source, first.target, 0, 2), *rest))
     with pytest.raises(DimensionMismatch, match="slice width"):
-        simulate_pair(subs, widened, abs_subs, widened, certs, cfg)
+        simulate_pair(subs, widened, cands, certs, cfg)
+    # the abstract network is wired by the same edges, so its blocks are checked too
+    src = cands[first.source]
+    wide = {**src.Chat_int, first.target: np.vstack([src.Chat_int[first.target]] * 2)}
+    cands[first.source] = dataclasses.replace(src, Chat_int=wide)
+    with pytest.raises(DimensionMismatch, match="slice width"):
+        simulate_pair(subs, topo, cands, certs, cfg)
+    with pytest.raises(DimensionMismatch, match="counts differ"):
+        simulate_pair(subs, topo, cands[:3], certs, cfg)
 
 
 def test_abstract_internal_inputs_enter_concrete_step():
@@ -496,13 +495,13 @@ def test_abstract_internal_inputs_enter_concrete_step():
                         C_int=dict(s.C_int))
         for s in subs
     ]
-    abs_subs = [cands[i].as_subsystem(i) for i in range(len(subs))]
+    abs_subs = [c.as_subsystem(i) for i, c in enumerate(cands)]
     rng = np.random.default_rng(5)
     xs = [rng.standard_normal(s.n) for s in subs]
     xhs = [rng.standard_normal(a.n) for a in abs_subs]
     cfg = RunConfig(horizon=1, trials=1, seed=0, initial_concrete=np.concatenate(xs),
                     initial_abstract=np.concatenate(xhs), record_trajectories=True)
-    (sample,) = simulate_pair(quiet, topo, abs_subs, topo, certs, cfg)
+    (sample,) = simulate_pair(quiet, topo, cands, certs, cfg)
 
     omegas = [np.zeros(s.p) for s in subs]
     omegahats = [np.zeros(a.p) for a in abs_subs]
