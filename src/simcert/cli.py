@@ -16,7 +16,6 @@ The project file format is documented in :mod:`simcert.project`.
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import time
@@ -26,7 +25,9 @@ import numpy as np
 from . import bounds, montecarlo, reference, smallgain, spsf
 from .errors import PreconditionViolated, SchemaError, SimcertError
 from .model import Topology
-from .project import ProjectFile, RunDefaults, load_project, open_output, save_project
+from .project import (
+    ProjectFile, RunDefaults, check_output, load_project, open_output, save_project, write_json,
+)
 
 __all__ = [
     "main",
@@ -155,6 +156,7 @@ def cmd_abstract(args) -> int:
     project = load_project(args.project)
     sub_id, pi, kappa_hat, tol = args.subsystem, args.pi, args.kappa_hat, args.tol
     output = args.output or args.project
+    check_output(output)
     if not 0 <= sub_id < len(project.subsystems):
         raise SchemaError(f"unknown subsystem {sub_id}")
     s = project.subsystems[sub_id]
@@ -201,6 +203,8 @@ def cmd_compose(args) -> int:
     """Run the gain test and print the composed certificate constants."""
     project = load_project(args.project)
     mode, output = args.degree_mode, args.output
+    if output is not None:
+        check_output(output)
     constants = _all_constants(project, args.tol)
     gains, radius = _gain_test(constants, project.topology, mode)
     _print_matrix("Lambda", gains.Lambda)
@@ -229,9 +233,7 @@ def cmd_compose(args) -> int:
                 {"subsystem": i, **dataclasses.asdict(c)} for i, c in enumerate(constants)
             ],
         }
-        with open_output(output) as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_json(doc, output)
         print(f"composed certificate written to {output}")
     return 0
 
@@ -263,6 +265,8 @@ def cmd_simulate(args) -> int:
     project = load_project(args.project)
     # run settings are input: they are checked before any certificate is
     run = _run_settings(args, project.run)
+    if args.csv is not None:
+        check_output(args.csv)
     return _simulate(
         project, _all_constants(project, args.tol), run, args.csv, args.degree_mode
     )

@@ -39,10 +39,14 @@ Subsystem ids double as list positions.  Fields marked * are optional.
     }
 
 Floats are written with full precision, so save/load round-trips bit-exactly.
+:func:`dumps` writes a line per top-level field and per entry of a list of
+objects, so a diff names the entry that changed; older files, indented a
+space per level, load unchanged.  A non-finite number is never written.
 """
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -54,7 +58,7 @@ from .errors import DimensionMismatch, SchemaError
 from .model import LinearSubsystem, Topology, validate_subsystem
 from .spsf import AbstractionCandidate, AbstractionCertificate
 
-__all__ = ["SCHEMA_VERSION", "RunDefaults", "ProjectFile", "load_project", "save_project"]
+__all__ = ["SCHEMA_VERSION", "RunDefaults", "ProjectFile", "load_project", "save_project", "dumps"]
 
 SCHEMA_VERSION = 1
 
@@ -348,6 +352,17 @@ def load_project(path) -> ProjectFile:
     return project_from_dict(doc)
 
 
+def check_output(path) -> None:
+    """Raise :func:`open_output`'s error now, before any work, if ``path`` cannot be written."""
+    target = Path(path)
+    if target.exists():
+        ok = not target.is_dir() and os.access(target, os.W_OK)
+    else:
+        ok = target.parent.is_dir() and os.access(target.parent, os.W_OK)
+    if not ok:
+        raise SchemaError(f"cannot write {path}: not a writable file path")
+
+
 @contextmanager
 def open_output(path):
     """``path`` opened for writing text; an ``OSError`` raises :class:`SchemaError`."""
@@ -358,7 +373,28 @@ def open_output(path):
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
+def dumps(doc: dict) -> str:
+    """JSON text of ``doc``: a line per top-level field and per entry of a list of objects."""
+    encode = json.JSONEncoder(allow_nan=False).encode  # the C encoder: no indent
+    try:
+        lines = [
+            f" {encode(key)}: [\n  " + ",\n  ".join(map(encode, value)) + "\n ]"
+            if isinstance(value, list) and value and all(isinstance(v, dict) for v in value)
+            else f" {encode(key)}: {encode(value)}"
+            for key, value in doc.items()
+        ]
+    except ValueError as exc:  # a non-finite number, which JSON cannot hold
+        raise SchemaError(f"cannot write a non-finite number as JSON ({exc})") from None
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def write_json(doc: dict, path) -> None:
+    """Write ``dumps(doc)``; the file is opened, and so truncated, only once encoded."""
+    text = dumps(doc)
+    with open_output(path) as fh:
+        fh.write(text)
+
+
 def save_project(project: ProjectFile, path) -> None:
     """Write a project file (floats at full round-trip precision)."""
-    with open_output(path) as fh:
-        fh.write(json.dumps(project_to_dict(project), indent=1) + "\n")
+    write_json(project_to_dict(project), path)

@@ -233,6 +233,8 @@ def stacked_outputs(s: LinearSubsystem, cand: AbstractionCandidate) -> tuple[np.
     return s.output_matrix(), cand.as_subsystem(s.id).output_matrix()
 
 
+# an overflow's inf or NaN fails its check, so numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore")
 def check_conditions(
     s: LinearSubsystem,
     cand: AbstractionCandidate,
@@ -390,6 +392,7 @@ def solve_structural(s: LinearSubsystem, cand: AbstractionCandidate) -> Structur
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises DomainError instead
 def compute_Rtilde(B, M, P, Bhat) -> np.ndarray:
     """Input-matching gain ``Rtilde = (B'MB)^{-1} B'M P Bhat``.
 

@@ -1,10 +1,12 @@
 import csv
 import json
+import warnings
 
 import pytest
 
-from simcert import cli
+from simcert import cli, montecarlo, smallgain, spsf
 from simcert.cli import main
+from simcert.errors import RankDeficientWarning
 from simcert.montecarlo import RunConfig, simulate_pair
 from simcert.project import load_project, save_project
 from simcert.reference import reference_project
@@ -345,6 +347,57 @@ def test_unwritable_output_exits_2(project_path, tmp_path, capsys, command, flag
     assert any(line.startswith("error: cannot write") for line in capsys.readouterr().err.splitlines())
     assert not target.parent.exists()
     assert project_path.read_text() == before
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work done before the output path was checked")
+
+
+@pytest.mark.parametrize("target", ["missing/x", "."], ids=["no-directory", "is-a-directory"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["compose"], "--output"),
+        (["abstract", "--subsystem", "1"], "--output"),
+        (["simulate", "--trials", "10000"], "--csv"),
+    ],
+    ids=["compose", "abstract", "simulate"],
+)
+def test_unwritable_output_fails_before_work(
+    project_path, tmp_path, capsys, monkeypatch, command, flag, target
+):
+    for module, name in [(spsf, "check_conditions"), (spsf, "synthesize_MK"),
+                         (smallgain, "compose"), (montecarlo, "simulate_pair")]:
+        monkeypatch.setattr(module, name, _must_not_run)
+    before = sorted(tmp_path.iterdir())
+    argv = [command[0], "--project", str(project_path), *command[1:], flag, str(tmp_path / target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {tmp_path / target}")
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_rejected_inputs_raise_no_runtime_warning(project_path, tmp_path, capsys):
+    # overflowing certificates and Gram matrices are rejected without numpy's
+    # "overflow/invalid value encountered" on stderr
+    overflow_K = [[1e308] + [0.0] * 24] + [[0.0] * 25 for _ in range(24)]
+    commands = [["compose"], ["bound", "--epsilon", "1", "--horizon", "10"],
+                ["simulate", "--trials", "50"], ["abstract", "--subsystem", "0"]]
+    broken = tmp_path / "broken.json"
+    broken.write_text(project_path.read_text())
+    _break_certificate(broken, "K", overflow_K)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in commands:
+            assert main([command[0], "--project", str(broken), *command[1:]]) == 1
+        doc = json.loads(project_path.read_text())
+        doc["subsystems"][0]["B"][0][0] = 1e308
+        project_path.write_text(json.dumps(doc))
+        assert main(["abstract", "--project", str(project_path), "--subsystem", "0"]) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert [w.category for w in seen] == [RankDeficientWarning]  # the intended one stays
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

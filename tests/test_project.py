@@ -1,11 +1,21 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from helpers import certified_network
+from simcert import cli
 from simcert.cli import main
-from simcert.errors import SchemaError
-from simcert.project import load_project, project_from_dict, project_to_dict, save_project
+from simcert.errors import SchemaError, SimcertError
+from simcert.project import (
+    ProjectFile,
+    RunDefaults,
+    load_project,
+    project_from_dict,
+    project_to_dict,
+    save_project,
+)
 
 
 def test_round_trip_preserves_matrices(ref_project, tmp_path):
@@ -155,3 +165,95 @@ def test_malformed_field_exits_2(ref_project, tmp_path, capsys, path, value):
     target.write_text(json.dumps(doc))
     assert main(["bound", "--project", str(target), "--epsilon", "1", "--horizon", "10"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _ring_project(seed=3) -> ProjectFile:
+    """A certified random ring, with full-precision floats everywhere."""
+    subs, topo, cands, certs, _ = certified_network(seed)
+    return ProjectFile(
+        schema_version=1,
+        subsystems=tuple(subs),
+        topology=topo,
+        candidates=dict(enumerate(cands)),
+        certificates=dict(enumerate(certs)),
+        notes={0: "first"},
+        run=RunDefaults(),
+    )
+
+
+# float repr round-trips exactly, so equal JSON text means bitwise-equal numbers
+def _bits(project) -> str:
+    return json.dumps(project_to_dict(project))
+
+
+AWKWARD_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+
+
+def test_indented_layout_loads_bitwise_equal(tmp_path):
+    project = _ring_project()
+    doc = project_to_dict(project)
+    A = doc["subsystems"][0]["A"]  # at least 2 x 2
+    A[0][0], A[0][1], A[1][0], A[1][1] = AWKWARD_FLOATS
+    old, new, again = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "again.json"
+    old.write_text(json.dumps(doc, indent=1) + "\n")  # the layout of earlier releases
+    save_project(project_from_dict(doc), new)
+    from_old = load_project(old)
+    assert _bits(from_old) == _bits(load_project(new)) == json.dumps(doc)
+    assert from_old.subsystems[0].A[:2, :2].tobytes() == np.array(AWKWARD_FLOATS).tobytes()
+
+    # re-saving an old file gives the new bytes, and save -> load -> save is stable
+    save_project(from_old, again)
+    assert again.read_bytes() == new.read_bytes()
+    save_project(load_project(again), again)
+    assert again.read_bytes() == new.read_bytes()
+
+
+def test_one_line_per_entry(tmp_path):
+    project = _ring_project()
+    path = tmp_path / "ring.json"
+    save_project(project, path)
+    doc = project_to_dict(project)
+    lines = path.read_text().splitlines()
+    for key in ("subsystems", "candidates", "certificates"):
+        at = lines.index(f' "{key}": [')
+        entries = lines[at + 1 : at + 1 + len(doc[key])]
+        assert [json.loads(line.rstrip(",")) for line in entries] == doc[key]
+        assert lines[at + 1 + len(doc[key])].strip().startswith("]")
+    assert json.loads(path.read_text()) == doc
+
+
+def test_non_finite_value_is_not_written(ref_project, tmp_path):
+    path = tmp_path / "net.json"
+    save_project(ref_project, path)
+    before = path.read_bytes()
+    cert = ref_project.certificates[0]
+    bad = dataclasses.replace(cert, M=np.where(np.eye(cert.M.shape[0]) > 0, np.nan, cert.M))
+    broken = dataclasses.replace(ref_project, certificates={**ref_project.certificates, 0: bad})
+    with pytest.raises(SimcertError, match="non-finite"):
+        save_project(broken, path)
+    assert path.read_bytes() == before
+
+
+def test_compose_output_numbers(tmp_path, capsys):
+    project = _ring_project()
+    src, out = tmp_path / "ring.json", tmp_path / "composed.json"
+    save_project(project, src)
+    assert main(["compose", "--project", str(src), "--output", str(out)]) == 0
+    constants = cli._all_constants(project, 1e-9)
+    gains, radius = cli._gain_test(constants, project.topology, "in_degree")
+    mu, composed = cli._compose(project, constants, gains)
+    doc = json.loads(out.read_text())
+    assert doc == {
+        "mu": mu.tolist(),
+        "alpha_coef": composed.alpha_coef,
+        "kappa_hat": composed.kappa_hat,
+        "rho_ext_coef": composed.rho_ext_coef,
+        "psi": composed.psi,
+        "degree_mode": "in_degree",
+        "spectral_radius": radius,
+        "constituents": [
+            {"subsystem": i, **dataclasses.asdict(c)} for i, c in enumerate(constants)
+        ],
+    }
+    # "{", a line per field, a line per constituent, the constituents' "]" and "}"
+    assert len(out.read_text().splitlines()) == 1 + 8 + len(constants) + 2
