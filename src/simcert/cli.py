@@ -126,8 +126,7 @@ def cmd_check(args) -> int:
     """Check every certificate; 0 iff all conditions hold at ``--tol``."""
     project = load_project(args.project)
     if not project.certificates:
-        print("project contains no certificates to check", file=sys.stderr)
-        return 2
+        raise SchemaError("project contains no certificates to check")
     return _print_reports(project, _check_reports(project, args.tol, sorted(project.certificates)))
 
 

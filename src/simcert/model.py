@@ -34,6 +34,20 @@ __all__ = [
 
 
 def _matrix(value, name: str) -> np.ndarray:
+    """``value`` as a read-only float matrix, copied unless no caller can write to it.
+
+    A read-only float array that owns its data, such as the loader builds or
+    another dataclass holds, is kept as it is.  A writable array or a view is
+    copied, so a caller's later writes never reach the dataclass.
+    """
+    if (
+        type(value) is np.ndarray
+        and value.dtype == np.float64
+        and value.ndim == 2
+        and not value.flags.writeable
+        and value.base is None
+    ):
+        return value
     arr = np.array(value, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")

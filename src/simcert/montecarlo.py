@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import betaincinv
 
 from . import model
 from .errors import DimensionMismatch, PolicyDimension
@@ -336,6 +335,9 @@ class ViolationEstimate:
 def violation_probability(samples: Sequence[DeviationSample], epsilon: float) -> ViolationEstimate:
     """Fraction of trials with ``sup deviation >= epsilon`` plus its
     exact (Clopper-Pearson) one-sided 95% upper confidence bound."""
+    # scipy loads here, not at import: only this bound calls it
+    from scipy.special import betaincinv
+
     if not samples:
         raise ValueError("samples must be nonempty")
     n = len(samples)

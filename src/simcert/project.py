@@ -38,6 +38,11 @@ Subsystem ids double as list positions.  Fields marked * are optional.
       "run": {"horizon": 10, "trials": 1000, "seed": 0, "epsilon": 1.0}*
     }
 
+Each subsystem has at most one candidate and one certificate, and each peer
+at most one ``C_int`` or ``Chat_int`` block: a duplicate (two entries naming
+one subsystem, or keys ``"1"`` and ``"01"``) is a :class:`SchemaError`.
+Loaded matrices are read-only arrays, each built once from its JSON list.
+
 Floats are written with full precision, so save/load round-trips bit-exactly.
 :func:`dumps` writes a line per top-level field and per entry of a list of
 objects, so a diff names the entry that changed; older files, indented a
@@ -105,6 +110,7 @@ def _as_matrix(obj, where: str) -> np.ndarray:
         raise SchemaError(f"{where}: expected a nested (2-D) array, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         raise SchemaError(f"{where}: entries must be finite")
+    arr.setflags(write=False)  # owned and read-only: the dataclasses keep it uncopied
     return arr
 
 
@@ -130,6 +136,9 @@ def _int_keyed(obj, where: str) -> dict[int, np.ndarray]:
             key = int(k)
         except ValueError as exc:
             raise SchemaError(f"{where}: key {k!r} is not an integer") from exc
+        if key in out:
+            first = next(k0 for k0 in obj if int(k0) == key)
+            raise SchemaError(f"{where}: keys {first!r} and {k!r} both name peer {key}")
         out[key] = _as_matrix(v, f"{where}[{k}]")
     return out
 
@@ -227,40 +236,41 @@ def project_from_dict(doc: dict) -> ProjectFile:
 
     def entries(key: str):
         """``(where, subsystem, entry, its dimensions)`` per entry of an optional list."""
+        seen: dict[int, int] = {}  # subsystem -> list position of its entry
         for pos, entry in enumerate(_list(_require(doc, key, "project", []), key)):
             where = f"{key}[{pos}]"
             sid = _number(_require(entry, "subsystem", where), f"{where}.subsystem", int)
             if not 0 <= sid < len(subsystems):
                 raise SchemaError(f"{where}: unknown subsystem {sid}")
+            if sid in seen:
+                raise SchemaError(f"{key}[{seen[sid]}] and {where} both name subsystem {sid}")
+            seen[sid] = pos
             s = subsystems[sid]
             yield where, s, entry, {"n": s.n, "m": s.m, "p": s.p, "r": s.r}
 
     candidates: dict[int, AbstractionCandidate] = {}
     for where, s, entry, dims in entries("candidates"):
         mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where)
+        # an absent optional field takes its default in `induced`, built only then
+        mats.update(
+            (name, _as_matrix(entry[name], f"{where}.{name}"))
+            for name in ("Fhat", "Chat_ext") if entry.get(name) is not None
+        )
         nhat = dims["nhat"] = mats["Ahat"].shape[0]
         dims["mhat"] = mats["Bhat"].shape[1]
+        dims["qhat"] = mats["Fhat"].shape[1] if "Fhat" in mats else 0
         _check_shapes(where, mats, dims)
-        # absent optional fields: noiseless, outputs inherited through P
-        default = AbstractionCandidate.induced(s, **mats)
-        for name in ("Fhat", "Chat_ext"):
-            if entry.get(name) is None:
-                mats[name] = getattr(default, name)
-            else:
-                mats[name] = _as_matrix(entry[name], f"{where}.{name}")
-        dims["qhat"] = mats["Fhat"].shape[1]
-        _check_shapes(where, mats, dims)
-        chat_int = default.Chat_int
-        if entry.get("Chat_int") is not None:
-            chat_int = _int_keyed(entry["Chat_int"], f"{where}.Chat_int")
-        if set(chat_int) != set(s.C_int) or any(
-            blk.shape != (s.C_int[j].shape[0], nhat) for j, blk in chat_int.items()
-        ):
-            raise SchemaError(
-                f"{where}.Chat_int: needs one block of C_int[j] rows x {nhat} "
-                f"for each peer j in {sorted(s.C_int)}"
-            )
-        candidates[s.id] = AbstractionCandidate(**mats, Chat_int=chat_int)
+        chat_int = entry.get("Chat_int")
+        if chat_int is not None:
+            chat_int = _int_keyed(chat_int, f"{where}.Chat_int")
+            if set(chat_int) != set(s.C_int) or any(
+                blk.shape != (s.C_int[j].shape[0], nhat) for j, blk in chat_int.items()
+            ):
+                raise SchemaError(
+                    f"{where}.Chat_int: needs one block of C_int[j] rows x {nhat} "
+                    f"for each peer j in {sorted(s.C_int)}"
+                )
+        candidates[s.id] = AbstractionCandidate.induced(s, **mats, Chat_int=chat_int)
 
     certificates: dict[int, AbstractionCertificate] = {}
     notes: dict[int, str] = {}

@@ -28,7 +28,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from .errors import (
     DimensionMismatch,
@@ -89,25 +88,31 @@ class AbstractionCandidate:
         return self.Bhat.shape[1]
 
     @classmethod
-    def induced(cls, s: LinearSubsystem, P, Ahat, Bhat, Dhat, Fhat=None) -> "AbstractionCandidate":
-        """Candidate whose output blocks are inherited from the concrete map.
+    def induced(
+        cls, s: LinearSubsystem, P, Ahat, Bhat, Dhat, Fhat=None, Chat_ext=None, Chat_int=None
+    ) -> "AbstractionCandidate":
+        """Candidate whose absent (None) fields take their defaults.
 
-        Sets ``Chat = C P`` blockwise, which satisfies the output-matching
-        equality by construction, and defaults ``Fhat`` to a noiseless
-        abstraction (zero columns), the choice that minimizes the offset
-        ``psi``.
+        The output blocks default to ``Chat = C P`` blockwise, which satisfies
+        the output-matching equality by construction, and ``Fhat`` defaults
+        to a noiseless abstraction (zero columns), the choice that minimizes
+        the offset ``psi``.
         """
         P = _matrix(P, "P")
         Ahat = _matrix(Ahat, "Ahat")
         if Fhat is None:
             Fhat = np.zeros((Ahat.shape[0], 0))
+        if Chat_ext is None:
+            Chat_ext = s.C_ext @ P
+        if Chat_int is None:
+            Chat_int = {j: blk @ P for j, blk in s.C_int.items()}
         return cls(
             Ahat=Ahat,
             Bhat=Bhat,
             Dhat=Dhat,
             Fhat=Fhat,
-            Chat_ext=s.C_ext @ P,
-            Chat_int={j: blk @ P for j, blk in s.C_int.items()},
+            Chat_ext=Chat_ext,
+            Chat_int=Chat_int,
             P=P,
         )
 
@@ -303,6 +308,9 @@ def synthesize_MK(
     Infeasible
         If no gain renders the scaled closed loop Schur stable.
     """
+    # scipy loads here, not at import: only synthesis calls it
+    from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
+
     A = _matrix(A, "A")
     B = _matrix(B, "B")
     C = _matrix(C, "C")

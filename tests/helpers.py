@@ -1,8 +1,15 @@
-"""Shared construction helpers for randomized test instances, and dense oracles."""
+"""Shared construction helpers for randomized test instances, dense oracles,
+and a fresh interpreter for import checks."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import block_diag
 
+import simcert
 from simcert.model import InterconnectedSystem, LinearSubsystem, Topology
 from simcert.smallgain import build_gains, compose, find_mu, spectral_radius_test
 from simcert.spsf import (
@@ -207,3 +214,13 @@ def random_network(rng, n_subs=None):
             )
         )
     return subs, pairs
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this simcert."""
+    src = str(Path(simcert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

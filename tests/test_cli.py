@@ -3,6 +3,7 @@ import json
 import warnings
 
 import pytest
+from helpers import fresh_python
 
 from simcert import cli, montecarlo, smallgain, spsf
 from simcert.cli import main
@@ -42,6 +43,14 @@ def test_malformed_project_exits_2(tmp_path, capsys):
 
 def test_missing_project_exits_2(tmp_path):
     assert main(["check", "--project", str(tmp_path / "nope.json")]) == 2
+
+
+def test_check_without_certificates_exits_2(project_path, capsys):
+    doc = json.loads(project_path.read_text())
+    del doc["certificates"]
+    project_path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(project_path)]) == 2
+    assert capsys.readouterr().err == "error: project contains no certificates to check\n"
 
 
 def test_compose_reference(project_path, capsys):
@@ -419,3 +428,46 @@ def test_run_settings_are_checked_before_certificates(project_path, capsys):
     captured = capsys.readouterr()
     assert "trials >= 1 and horizon >= 0" in captured.err
     assert "fails its pre-check" not in captured.out
+
+
+SCIPY_MODULES = "json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+
+# Commands that check, compose and bound stored certificates need only numpy.
+CERTIFICATE_COMMANDS = f"""
+import contextlib, io, json, sys
+from simcert import cli
+project, output = sys.argv[1:]
+for argv in (["check"], ["compose"], ["bound", "--epsilon", "1", "--horizon", "10"],
+             ["abstract", "--subsystem", "0", "--output", output]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([argv[0], "--project", project, *argv[1:]]) == 0, argv
+print({SCIPY_MODULES})
+"""
+
+
+def test_certificate_commands_load_no_scipy(project_path, tmp_path):
+    out = fresh_python(CERTIFICATE_COMMANDS, str(project_path), str(tmp_path / "out.json"))
+    assert json.loads(out) == []
+    assert (tmp_path / "out.json").exists()
+
+
+# The Monte Carlo bound and synthesis import scipy when they run.
+SCIPY_USERS = f"""
+import contextlib, io, json, sys
+import numpy as np
+from simcert import cli, spsf
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["simulate", "--project", sys.argv[1], "--trials", "50"]) == 0
+assert "95% upper bound" in out.getvalue()
+# B is not square, so K comes from the scaled Riccati equation
+A = np.array([[1.1, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.3]])
+M, K = spsf.synthesize_MK(A, np.array([[0.0], [0.0], [1.0]]), np.eye(3), 0.1, 0.1)
+assert M.shape == (3, 3) and K.shape == (1, 3)
+print({SCIPY_MODULES})
+"""
+
+
+def test_moved_scipy_imports_resolve(project_path):
+    loaded = json.loads(fresh_python(SCIPY_USERS, str(project_path)))
+    assert {"scipy.linalg", "scipy.special"} <= set(loaded)

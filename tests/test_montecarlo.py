@@ -1,15 +1,10 @@
 import dataclasses
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import certified_network, random_certified_instance, step
+from helpers import certified_network, fresh_python, random_certified_instance, step
 
-import simcert
 from simcert import montecarlo
 from simcert.bounds import BoundQuery, finite_horizon_bound
 
@@ -193,12 +188,8 @@ def test_upper_bound_equals_beta_quantile():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    src = str(Path(simcert.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, simcert; print('scipy.stats' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert fresh_python(code).strip() == "False"
 
 
 def _naive_pair_trial(subs, topo, cands, certs, cfg, trial, trajectories=False):

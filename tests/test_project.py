@@ -8,6 +8,7 @@ from helpers import certified_network
 from simcert import cli
 from simcert.cli import main
 from simcert.errors import SchemaError, SimcertError
+from simcert.model import LinearSubsystem
 from simcert.project import (
     ProjectFile,
     RunDefaults,
@@ -16,6 +17,7 @@ from simcert.project import (
     project_to_dict,
     save_project,
 )
+from simcert.spsf import AbstractionCandidate
 
 
 def test_round_trip_preserves_matrices(ref_project, tmp_path):
@@ -94,18 +96,34 @@ def test_edge_to_unknown_subsystem(ref_project):
         project_from_dict(doc)
 
 
-def test_candidate_defaults(ref_project):
-    doc = project_to_dict(ref_project)
+def _without_optional_fields(project) -> dict:
+    doc = project_to_dict(project)
     for cand in doc["candidates"]:
-        del cand["Chat_ext"]
-        del cand["Chat_int"]
-        del cand["Fhat"]
-    loaded = project_from_dict(doc)
+        for name in ("Fhat", "Chat_ext", "Chat_int"):
+            del cand[name]
+    return doc
+
+
+def test_candidate_defaults(ref_project):
+    loaded = project_from_dict(_without_optional_fields(ref_project))
     cand = loaded.candidates[0]
     s = loaded.subsystems[0]
     assert np.array_equal(cand.Chat_ext, s.C_ext @ cand.P)
     assert set(cand.Chat_int) == set(s.C_int)
     assert cand.Fhat.shape == (1, 0)
+    # on the reference ring and on a random one, absent fields are bitwise `induced`'s
+    for project in (loaded, project_from_dict(_without_optional_fields(_ring_project()))):
+        for s in project.subsystems:
+            got = project.candidates[s.id]
+            want = AbstractionCandidate.induced(
+                s, P=got.P, Ahat=got.Ahat, Bhat=got.Bhat, Dhat=got.Dhat
+            )
+            for name in ("Fhat", "Chat_ext"):
+                assert getattr(got, name).shape == getattr(want, name).shape
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert set(got.Chat_int) == set(want.Chat_int) == set(s.C_int)
+            for j in want.Chat_int:
+                assert got.Chat_int[j].tobytes() == want.Chat_int[j].tobytes()
 
 
 def test_not_json(tmp_path):
@@ -257,3 +275,90 @@ def test_compose_output_numbers(tmp_path, capsys):
     }
     # "{", a line per field, a line per constituent, the constituents' "]" and "}"
     assert len(out.read_text().splitlines()) == 1 + 8 + len(constants) + 2
+
+
+@pytest.mark.parametrize("key", ["candidates", "certificates"])
+def test_duplicate_entry_rejected(ref_project, key):
+    # a second entry for subsystem 0 used to replace the first without a word
+    doc = project_to_dict(ref_project)
+    doc[key].append(json.loads(json.dumps(doc[key][0])))
+    last = len(doc[key]) - 1
+    with pytest.raises(SchemaError, match=rf"{key}\[0\] and {key}\[{last}\] both name subsystem 0"):
+        project_from_dict(doc)
+
+
+@pytest.mark.parametrize("path", [("subsystems", 0, "C_int"), ("candidates", 0, "Chat_int")])
+def test_duplicate_peer_key_rejected(ref_project, path):
+    doc = project_to_dict(ref_project)
+    blocks = doc[path[0]][path[1]][path[2]]
+    (peer,) = blocks
+    blocks["0" + peer] = blocks[peer]
+    with pytest.raises(SchemaError, match=f"keys '{peer}' and '0{peer}' both name peer {peer}"):
+        project_from_dict(doc)
+
+
+def test_duplicate_certificate_exits_2(ref_project, tmp_path, capsys):
+    # a failing certificate followed by a passing one for the same subsystem
+    doc = project_to_dict(ref_project)
+    failing = json.loads(json.dumps(doc["certificates"][0]))
+    failing["kappa_hat"] = 1.2
+    doc["certificates"].insert(0, failing)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: certificates[0] and certificates[1] both name subsystem 0\n"
+    assert captured.out == ""
+
+
+def test_present_optional_fields_are_used_as_written(ref_project):
+    doc = project_to_dict(ref_project)
+    rng = np.random.default_rng(5)
+    cand = doc["candidates"][0]
+    nhat = len(cand["Ahat"])
+    written = {
+        "Fhat": rng.standard_normal((nhat, 2)).tolist(),
+        "Chat_ext": rng.standard_normal(np.shape(cand["Chat_ext"])).tolist(),
+        "Chat_int": {j: rng.standard_normal(np.shape(b)).tolist()
+                     for j, b in cand["Chat_int"].items()},
+    }
+    cand.update(written)
+    got = project_from_dict(doc).candidates[0]
+    assert got.Fhat.tolist() == written["Fhat"]
+    assert got.Chat_ext.tolist() == written["Chat_ext"]
+    assert {str(j): b.tolist() for j, b in got.Chat_int.items()} == written["Chat_int"]
+
+
+def test_loaded_arrays_are_read_only(ref_project):
+    loaded = project_from_dict(project_to_dict(ref_project))
+    arrays = []
+    for s in loaded.subsystems:
+        arrays += [s.A, s.B, s.D, s.F, s.C_ext, *s.C_int.values()]
+    for c in loaded.candidates.values():
+        arrays += [c.P, c.Ahat, c.Bhat, c.Dhat, c.Fhat, c.Chat_ext, *c.Chat_int.values()]
+    for c in loaded.certificates.values():
+        arrays += [c.M, c.K, c.P, c.Q, c.S, c.Rtilde]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_writable_arrays_are_copied():
+    base = np.eye(2)
+    view = base.view()
+    view.setflags(write=False)  # read-only, yet written through `base`
+    given = {"A": base.copy(), "B": base.copy(), "D": view, "F": base.copy(), "C_ext": base.copy()}
+    block = base.copy()
+    s = LinearSubsystem(id=0, **given, C_int={1: block})
+    cand = AbstractionCandidate(
+        Ahat=given["A"], Bhat=given["B"], Dhat=view, Fhat=given["F"], Chat_ext=given["C_ext"],
+        Chat_int={1: block}, P=base,
+    )
+    for arr in [*given.values(), block, base]:
+        if arr.flags.writeable:
+            arr[...] = 7.0  # `base` last: it also changes `view`
+    for held in [s.A, s.B, s.D, s.F, s.C_ext, s.C_int[1],
+                 cand.Ahat, cand.Bhat, cand.Dhat, cand.Fhat, cand.Chat_ext, cand.Chat_int[1],
+                 cand.P]:
+        assert np.array_equal(held, np.eye(2))
