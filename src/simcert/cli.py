@@ -464,23 +464,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(name, command, help, project=True):
+    def add_common(name, command, help, project=True, gains=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=command)
         if project:
             p.add_argument("--project", required=True, help="project JSON file")
         p.add_argument("--tol", type=_tolerance, default=1e-9, help="condition tolerance")
-        p.add_argument(
-            "--degree-mode",
-            choices=list(smallgain.DEGREE_MODES),
-            default="in_degree",
-            help="edge gain scaling: realized fan-in or the conservative N-1",
-        )
+        if gains:  # only the commands that build the gain matrices read it
+            p.add_argument(
+                "--degree-mode",
+                choices=list(smallgain.DEGREE_MODES),
+                default="in_degree",
+                help="edge gain scaling: realized fan-in or the conservative N-1",
+            )
         return p
 
-    add_common("check", cmd_check, "validate certificates")
+    add_common("check", cmd_check, "validate certificates", gains=False)
 
-    p = add_common("abstract", cmd_abstract, "complete a certificate for one subsystem")
+    p = add_common("abstract", cmd_abstract, "complete a certificate for one subsystem",
+                   gains=False)
     p.add_argument("--subsystem", type=int, required=True)
     p.add_argument("--pi", type=float, default=None)
     p.add_argument("--kappa-hat", type=float, default=None)

@@ -38,9 +38,9 @@ Subsystem ids double as list positions.  Fields marked * are optional.
       "run": {"horizon": 10, "trials": 1000, "seed": 0, "epsilon": 1.0}*
     }
 
-Each subsystem has at most one candidate and one certificate, and each peer
-at most one ``C_int`` or ``Chat_int`` block: a duplicate (two entries naming
-one subsystem, or keys ``"1"`` and ``"01"``) is a :class:`SchemaError`.
+Each subsystem has at most one candidate and one certificate, each peer at
+most one ``C_int`` or ``Chat_int`` block, and each object a key once: a
+duplicate (peers ``"1"`` and ``"01"``, or ``"pi"`` twice) is a :class:`SchemaError`.
 Loaded matrices are read-only arrays, each built once from its JSON list.
 
 Floats are written with full precision, so save/load round-trips bit-exactly.
@@ -349,6 +349,16 @@ def project_to_dict(project: ProjectFile) -> dict:
     return doc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key written twice in it is a :class:`SchemaError`."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise SchemaError(f"key {key!r} is written twice in one object")
+    return doc
+
+
 def load_project(path) -> ProjectFile:
     """Parse a project file; raises :class:`SchemaError` on any defect."""
     try:
@@ -356,7 +366,7 @@ def load_project(path) -> ProjectFile:
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return project_from_dict(doc)

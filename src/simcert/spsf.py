@@ -225,7 +225,7 @@ def _min_eig(m: np.ndarray) -> float:
 def _spec_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else np.nan
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if np.isfinite(m).all() else np.nan
 
 
 def stacked_outputs(s: LinearSubsystem, cand: AbstractionCandidate) -> tuple[np.ndarray, np.ndarray]:
@@ -293,8 +293,9 @@ def synthesize_MK(
 
     The decrease condition is equivalent to Schur stability of the scaled
     closed loop ``gamma (A + BK)`` with ``gamma = sqrt((1+pi)/(1-kappa_hat))``.
-    ``K`` is chosen by uniform shrinkage ``K = -eta B^+ A`` (swept over eta)
-    when ``B`` is square and invertible, otherwise as the optimal regulator
+    ``K`` is the uniform shrinkage ``-eta B^-1 A`` when ``B`` is square and
+    invertible; its loop ``(1 - eta) A`` needs ``rho(A)`` once, not per ``eta``.
+    Otherwise, or if round-off spoils that loop, ``K`` is the optimal regulator
     gain of the gamma-scaled pair.  ``M`` is then the scaled Lyapunov series
 
         M = sum_k gamma**(2k) (A+BK)'**k (C'C + eps I) (A+BK)**k,
@@ -323,21 +324,19 @@ def synthesize_MK(
 
     K = None
     if m == n and np.linalg.cond(B) < 1e12:
-        Binv_A = np.linalg.solve(B, A)
-        for eta in np.linspace(0.0, 1.0, 21):
-            cand = -eta * Binv_A
-            if gamma * _spectral_radius(A + B @ cand) <= 0.9:
-                K = cand
-                break
-    if K is None:
+        # the first eta with gamma rho(A) (1 - eta) <= 0.9; an overflowed radius takes eta = 1
+        r, etas = gamma * _spectral_radius(A), np.linspace(0.0, 1.0, 21)
+        eta = etas[np.argmax(r * (1.0 - etas) <= 0.9)] if np.isfinite(r) else 1.0
+        K = -eta * np.linalg.solve(B, A)
+    if K is None or not gamma * _spectral_radius(A + B @ K) <= 0.9:
         try:
             X = solve_discrete_are(gamma * A, gamma * B, np.eye(n), np.eye(m))
         except Exception as exc:
             raise Infeasible(f"no stabilizing gain found: {exc}") from exc
         G = np.linalg.solve(np.eye(m) + gamma**2 * B.T @ X @ B, gamma**2 * B.T @ X @ A)
         K = -G
-    if gamma * _spectral_radius(A + B @ K) >= 1.0:
-        raise Infeasible("scaled closed loop is not Schur stable")
+        if gamma * _spectral_radius(A + B @ K) >= 1.0:
+            raise Infeasible("scaled closed loop is not Schur stable")
 
     G = gamma * (A + B @ K)
     Abar = A + B @ K

@@ -63,6 +63,22 @@ class DenseMonolith:
         return self.A_cl @ x + self.B_cl @ nu + self.F_cl @ noise
 
 
+def shrinkage_sweep_gain(A, B, pi, kappa_hat):
+    """Shrinkage gain by the numeric sweep ``synthesize_MK`` once ran.
+
+    The first ``K = -eta B^-1 A`` over ``eta = 0, 0.05, ..., 1`` whose scaled
+    closed loop ``gamma (A + B K)`` has spectral radius ``<= 0.9``, each
+    radius from its own eigendecomposition; None when no grid point does.
+    """
+    gamma = np.sqrt((1.0 + pi) / (1.0 - kappa_hat))
+    Binv_A = np.linalg.solve(B, A)
+    for eta in np.linspace(0.0, 1.0, 21):
+        K = -eta * Binv_A
+        if gamma * float(np.max(np.abs(np.linalg.eigvals(A + B @ K)))) <= 0.9:
+            return K
+    return None
+
+
 def invertible(rng, n, cond_cap=1e6):
     while True:
         b = rng.standard_normal((n, n))

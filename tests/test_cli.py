@@ -422,6 +422,15 @@ def test_tolerance_must_be_finite_and_nonnegative(project_path, capsys, tol):
     assert "probability" not in captured.out
 
 
+@pytest.mark.parametrize("command", [["check"], ["abstract", "--subsystem", "0"]])
+def test_degree_mode_only_where_gains_are_built(project_path, capsys, command):
+    # check and abstract build no gain matrix, so the flag would be silently ignored there
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--project", str(project_path), "--degree-mode", "in_degree"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree-mode" in capsys.readouterr().err
+
+
 def test_run_settings_are_checked_before_certificates(project_path, capsys):
     _break_certificate(project_path, "kappa_hat", 1.2)
     assert main(["simulate", "--project", str(project_path), "--trials", "0"]) == 2

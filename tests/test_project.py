@@ -311,6 +311,18 @@ def test_duplicate_certificate_exits_2(ref_project, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_duplicate_json_key_exits_2(ref_project, tmp_path, capsys):
+    # a key written twice in one object used to load its last value without a word
+    text = json.dumps(project_to_dict(ref_project))
+    assert text.count('"kappa_hat": 0.98') == 4
+    path = tmp_path / "net.json"
+    path.write_text(text.replace('"kappa_hat": 0.98', '"kappa_hat": 1.2, "kappa_hat": 0.98', 1))
+    assert main(["check", "--project", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: key 'kappa_hat' is written twice in one object\n"
+    assert captured.out == ""
+
+
 def test_present_optional_fields_are_used_as_written(ref_project):
     doc = project_to_dict(ref_project)
     rng = np.random.default_rng(5)

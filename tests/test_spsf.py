@@ -2,11 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import identity_candidate, random_certified_instance
+from scipy.linalg import solve_discrete_are
+from helpers import (
+    identity_candidate,
+    invertible,
+    random_certified_instance,
+    shrinkage_sweep_gain,
+)
 
 from simcert.errors import Infeasible, RankDeficientWarning, SingularGramWarning
 from simcert.model import LinearSubsystem
 from simcert.spsf import (
+    _spec_norm,
     AbstractionCandidate,
     AbstractionCertificate,
     check_conditions,
@@ -93,8 +100,9 @@ def test_synthesize_reference_dimensions(ref_parts):
     gamma = np.sqrt(1.99 / 0.02)
     rho = np.max(np.abs(np.linalg.eigvals(s.A + s.B @ K)))
     assert gamma * rho < 1.0
-    # the uniform-shrinkage sweep lands on the published gain here
+    # uniform shrinkage lands on the published gain here, as the numeric sweep did
     assert np.allclose(K, -0.95 * np.eye(25))
+    assert K.tobytes() == shrinkage_sweep_gain(s.A, s.B, 0.99, 0.98).tobytes()
 
 
 def test_synthesize_zero_output():
@@ -116,6 +124,63 @@ def test_synthesize_scalar():
 def test_synthesize_infeasible():
     with pytest.raises(Infeasible):
         synthesize_MK([[2.0]], [[0.0]], [[1.0]], pi=1.0, kappa_hat=0.5)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_shrinkage_closed_form_matches_sweep(seed):
+    # one radius of A, scaled by (1 - eta), picks the gain the per-eta radii picked, bit for bit
+    rng = np.random.default_rng(300 + seed)
+    n = 1 + seed % 5
+    A = rng.uniform(0.2, 4.0) * rng.standard_normal((n, n))
+    B = invertible(rng, n)
+    if seed % 4 == 3:  # singular values 1 ... 1e-10: cond(B) = 1e10, under the 1e12 gate
+        U, _, Vt = np.linalg.svd(B)
+        B = U @ np.diag(np.logspace(0, -10, n)) @ Vt
+    pi, kappa_hat = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.95))
+    _, K = synthesize_MK(A, B, np.eye(n), pi, kappa_hat)
+    assert K.tobytes() == shrinkage_sweep_gain(A, B, pi, kappa_hat).tobytes()
+
+
+def test_shrinkage_overflowed_radius_takes_eta_one():
+    # gamma rho(A) overflows, so (1 - eta) gamma rho(A) is inf or NaN at every grid point;
+    # the sweep ends at eta = 1, where A + BK = 0, and must not fall back to eta = 0
+    A, B = np.diag([1.5e308, -1.5e308]), np.array([[2.0, 1.0], [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        _, K = synthesize_MK(A, B, np.eye(2), pi=0.99, kappa_hat=0.98)
+        swept = shrinkage_sweep_gain(A, B, 0.99, 0.98)
+    assert K.tobytes() == swept.tobytes() == (-1.0 * np.linalg.solve(B, A)).tobytes()
+
+
+def test_shrinkage_lost_to_round_off_falls_back_to_regulator():
+    # with cond(B) = 1e10 and ||A|| ~ 1e6, round-off in B^-1 A keeps gamma rho(A + BK) above
+    # 0.9 on the whole grid, so the regulator gain is used, as when the sweep found none
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    A, B = 1e6 * rng.standard_normal((2, 2)), U @ np.diag([1.0, 1e-10]) @ U.T
+    assert shrinkage_sweep_gain(A, B, 0.99, 0.98) is None
+    _, K = synthesize_MK(A, B, np.eye(2), pi=0.99, kappa_hat=0.98)
+    gamma = np.sqrt((1.0 + 0.99) / (1.0 - 0.98))
+    X = solve_discrete_are(gamma * A, gamma * B, np.eye(2), np.eye(2))
+    G = np.linalg.solve(np.eye(2) + gamma**2 * B.T @ X @ B, gamma**2 * B.T @ X @ A)
+    assert K.tobytes() == (-G).tobytes()
+
+
+def test_synthesize_infinite_gamma_infeasible():
+    with np.errstate(invalid="ignore"), pytest.raises(Infeasible):
+        synthesize_MK(np.diag([0.5, 2.0]), np.eye(2), np.eye(2), pi=np.inf, kappa_hat=0.5)
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (6, 6)])
+def test_spec_norm_is_bitwise_norm_2(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        m = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+        assert _spec_norm(m) == float(np.linalg.norm(m, 2))
+
+
+def test_spec_norm_empty_and_non_finite():
+    assert _spec_norm(np.zeros((0, 3))) == 0.0
+    assert np.isnan(_spec_norm(np.array([[1.0, np.inf]])))
 
 
 @pytest.mark.parametrize("seed", range(20))
