@@ -38,11 +38,9 @@ from .model import (
     validate_subsystem,
 )
 from .montecarlo import (
-    DeviationSample,
+    Deviations,
     RunConfig,
-    SupermartingaleCheck,
     ViolationEstimate,
-    empirical_supermartingale_check,
     noise_stream,
     simulate_pair,
     violation_probability,
@@ -65,7 +63,6 @@ from .spsf import (
     compute_Rtilde,
     derive_constants,
     evaluate_V,
-    expected_V_next,
     interface,
     solve_structural,
     synthesize_MK,

@@ -91,11 +91,10 @@ def _gain_test(constants, topology: Topology, mode: str):
     return gains, smallgain.spectral_radius_test(gains)
 
 
-def _compose(project: ProjectFile, constants, gains):
+def _compose(constants, gains):
     """Small-gain vector ``mu`` and the composed certificate."""
     mu = smallgain.find_mu(gains)
-    certs = [project.certificate_for(s.id) for s in project.subsystems]
-    return mu, smallgain.compose(certs, constants, gains, mu)
+    return mu, smallgain.compose(constants, gains, mu)
 
 
 def _bound(composed, epsilon: float, horizon: int, nuhat_sup: float = 0.0):
@@ -118,7 +117,7 @@ def _guarantee(
 ):
     """The pipeline from checked constants on: ``(psi_hat, bound)``."""
     gains, _ = _gain_test(constants, project.topology, mode)
-    _, composed = _compose(project, constants, gains)
+    _, composed = _compose(constants, gains)
     return _bound(composed, epsilon, horizon, nuhat_sup)
 
 
@@ -212,7 +211,7 @@ def cmd_compose(args) -> int:
     if radius >= 1.0:
         print("composition INFEASIBLE: spectral radius >= 1")
         return 1
-    mu, composed = _compose(project, constants, gains)
+    mu, composed = _compose(constants, gains)
     print("mu =", np.array2string(mu, precision=6))
     print(
         f"composed: alpha_coef={composed.alpha_coef:.6g} "
@@ -315,29 +314,28 @@ def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path, mode:
     return 1
 
 
-def _write_csv(path, samples) -> None:
-    """One row per trial and step; the deviation is computed as ``sup_deviation`` is.
+def _write_csv(path, samples: montecarlo.Deviations) -> None:
+    """One row per trial and step; the deviation is computed as ``samples.sup`` is.
 
     Trials are formatted 16 at a time, so the memory this takes beyond the
     samples stays small however many trials the run has.
     """
+    outputs, abstract_outputs = samples.outputs, samples.abstract_outputs
     header = (
         ["trial", "k"]
-        + [f"y{i}" for i in range(samples[0].outputs.shape[1])]
-        + [f"yhat{i}" for i in range(samples[0].abstract_outputs.shape[1])]
+        + [f"y{i}" for i in range(outputs.shape[2])]
+        + [f"yhat{i}" for i in range(abstract_outputs.shape[2])]
         + ["deviation"]
     )
     with open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         for at in range(0, len(samples), 16):
-            chunk = samples[at : at + 16]
-            y = np.stack([s.outputs for s in chunk])
-            yh = np.stack([s.abstract_outputs for s in chunk])
+            y, yh = outputs[at : at + 16], abstract_outputs[at : at + 16]
             deviation = np.linalg.norm(y - yh, axis=2)
             rows = np.concatenate([y, yh, deviation[:, :, None]], axis=2).tolist()
             fh.writelines(
-                f"{s.trial},{k},{','.join(map(repr, row))}\n"
-                for s, trial_rows in zip(chunk, rows)
+                f"{trial},{k},{','.join(map(repr, row))}\n"
+                for trial, trial_rows in enumerate(rows, at)
                 for k, row in enumerate(trial_rows)
             )
 
@@ -424,7 +422,7 @@ def cmd_paper_example(args) -> int:
         spsf.SpsfConstants(1.0, p.kappa_hat, p.rho_int_coef, d.rho_ext_coef, d.psi)
         for p, d in zip(published, constants)
     ]
-    mu, composed = _compose(project, merged, gains)
+    mu, composed = _compose(merged, gains)
     print("  mu =", np.array2string(mu, precision=6))
     _check_value("composed kappa_hat", composed.kappa_hat, *exp["composed_kappa_hat"], failures)
     _check_value("composed psi", composed.psi, *exp["composed_psi"], failures)
@@ -448,13 +446,24 @@ def cmd_paper_example(args) -> int:
     return 0
 
 
-def _tolerance(text: str) -> float:
-    """``--tol``: a finite, nonnegative condition tolerance."""
-    tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0):
-        # an infinite tolerance would pass any certificate
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return tol
+def _checked(kind, need: str, ok):
+    """An argparse type: ``kind(text)``, an input error unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # names the type in argparse's "invalid ... value"
+    return parse
+
+
+# --tol and --nuhat-sup (an infinite tolerance would pass any certificate),
+# bound --epsilon and bound --horizon
+_nonnegative = _checked(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+_positive = _checked(float, "finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_steps = _checked(int, ">= 0", lambda v: v >= 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -469,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=command)
         if project:
             p.add_argument("--project", required=True, help="project JSON file")
-        p.add_argument("--tol", type=_tolerance, default=1e-9, help="condition tolerance")
+        p.add_argument("--tol", type=_nonnegative, default=1e-9, help="condition tolerance")
         if gains:  # only the commands that build the gain matrices read it
             p.add_argument(
                 "--degree-mode",
@@ -493,9 +502,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the composed certificate as JSON")
 
     p = add_common("bound", cmd_bound, "finite-horizon deviation bound")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--nuhat-sup", type=float, default=0.0,
+    p.add_argument("--epsilon", type=_positive, required=True)
+    p.add_argument("--horizon", type=_steps, required=True)
+    p.add_argument("--nuhat-sup", type=_nonnegative, default=0.0,
                    help="sup norm of the abstract input trajectory")
 
     p = add_common("simulate", cmd_simulate, "Monte Carlo validation of the bound")
@@ -510,24 +519,30 @@ def _build_parser() -> argparse.ArgumentParser:
                    "regression on the bundled reference network", project=False)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1, help="has no effect")
     p.add_argument("--emit-project", default=None,
                    help="also write the bundled network as a project file")
     return parser
 
 
 def _run_settings(args, run: RunDefaults | None) -> RunDefaults:
-    """Simulation settings: flags override the project's ``run`` defaults."""
+    """Simulation settings: flags override the project's ``run`` defaults.
+
+    A bad value is an input error whether a flag or the project gives it.
+    """
     flags = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(RunDefaults)
         if getattr(args, f.name, None) is not None
     }
     merged = dataclasses.replace(run or RunDefaults(), **flags)
-    if merged.trials < 1 or merged.horizon < 0 or merged.seed < 0:
+    if not (
+        merged.trials >= 1 and merged.horizon >= 0 and merged.seed >= 0
+        and math.isfinite(merged.epsilon) and merged.epsilon > 0
+    ):
         raise SchemaError(
-            f"run needs seed >= 0, trials >= 1 and horizon >= 0, got "
-            f"trials={merged.trials} horizon={merged.horizon} seed={merged.seed}"
+            f"run needs seed >= 0, trials >= 1 and horizon >= 0, and a finite epsilon > 0, "
+            f"got trials={merged.trials} horizon={merged.horizon} seed={merged.seed} "
+            f"epsilon={merged.epsilon}"
         )
     return merged
 

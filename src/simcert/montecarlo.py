@@ -1,4 +1,4 @@
-"""Coupled simulation of concrete/abstract interconnections and empirical checks.
+"""Coupled Monte Carlo simulation of a concrete interconnection and its abstraction.
 
 Each trial runs the concrete network and its abstraction side by side: the
 internal inputs are routed from the respective internal outputs, the abstract
@@ -9,7 +9,9 @@ concrete/abstract)`` side has one key, and a trial's draws are the counter
 range that its index selects within that side's stream.  Trials are stepped in
 blocks of a fixed width, so a trial's bits are a function of the run
 configuration and its trial index alone: the first ``t`` trials of a longer
-run equal a ``t``-trial run.
+run equal a ``t``-trial run.  A run returns its per-trial deviations as arrays,
+trial ``t`` in row ``t``; :func:`violation_probability` reduces them to the
+empirical violation frequency and its exact one-sided confidence bound.
 """
 
 import functools
@@ -23,25 +25,15 @@ from numpy.random.bit_generator import ISeedSequence
 from . import model
 from .errors import DimensionMismatch, PolicyDimension
 from .model import LinearSubsystem, Topology, _offsets
-from .spsf import (
-    AbstractionCandidate,
-    AbstractionCertificate,
-    derive_constants,
-    evaluate_V,
-    expected_decrease_bound,
-    expected_V_next,
-    interface,
-)
+from .spsf import AbstractionCandidate, AbstractionCertificate
 
 __all__ = [
     "RunConfig",
-    "DeviationSample",
+    "Deviations",
     "ViolationEstimate",
-    "SupermartingaleCheck",
     "noise_stream",
     "simulate_pair",
     "violation_probability",
-    "empirical_supermartingale_check",
 ]
 
 Policy = Callable[[int, np.ndarray], np.ndarray]
@@ -72,13 +64,20 @@ class RunConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class DeviationSample:
-    """Supremum output deviation of one trial, optionally with trajectories."""
+class Deviations:
+    """Supremum output deviation of every trial, trial ``t`` in row ``t``.
 
-    trial: int
-    sup_deviation: float
+    ``sup`` has shape ``(trials,)``.  When the run records trajectories,
+    ``outputs`` and ``abstract_outputs`` hold the concrete and abstract
+    external outputs, shaped ``(trials, T+1, r)``; otherwise they are ``None``.
+    """
+
+    sup: np.ndarray
     outputs: np.ndarray | None = None
     abstract_outputs: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.sup)
 
 
 class _DerivedKey(ISeedSequence):
@@ -259,10 +258,11 @@ class _PairSimulator:
         return nuhat
 
     def run_block(
-        self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray
-    ) -> list[DeviationSample]:
+        self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray, out: Deviations
+    ) -> None:
         """Step ``trials`` (at most :attr:`block`) together from the stacked
-        initial states, one per column; padding columns start from zero."""
+        initial states, one per column, and write their rows of ``out``;
+        padding columns start from zero."""
         T, cols = cfg.horizon, len(trials)
         noise_c = self._noise(cfg, trials, abstract=False)
         noise_a = self._noise(cfg, trials, abstract=True)
@@ -282,17 +282,10 @@ class _PairSimulator:
             _apply(self.output_blocks, z, ys[k])
         ys = np.ascontiguousarray(ys[:, :, :cols].transpose(2, 0, 1))
         y, yh = ys[:, :, : self.r_tot], ys[:, :, self.r_tot :]
-        sup = np.linalg.norm(y - yh, axis=2).max(axis=1)
-        record = cfg.record_trajectories
-        return [
-            DeviationSample(
-                trial=trial,
-                sup_deviation=float(sup[col]),
-                outputs=y[col] if record else None,
-                abstract_outputs=yh[col] if record else None,
-            )
-            for col, trial in enumerate(trials)
-        ]
+        rows = slice(trials.start, trials.stop)
+        out.sup[rows] = np.linalg.norm(y - yh, axis=2).max(axis=1)
+        if out.outputs is not None:
+            out.outputs[rows], out.abstract_outputs[rows] = y, yh
 
 
 def simulate_pair(
@@ -301,8 +294,8 @@ def simulate_pair(
     candidates: Sequence[AbstractionCandidate],
     certificates: Sequence[AbstractionCertificate],
     cfg: RunConfig,
-) -> list[DeviationSample]:
-    """Run all trials of the coupled pair and collect deviation samples.
+) -> Deviations:
+    """Run all trials of the coupled pair and collect their deviations.
 
     ``candidates`` and ``certificates`` are in subsystem order; the abstract
     network is the candidates wired by ``topology``.  Concrete and abstract
@@ -316,10 +309,13 @@ def simulate_pair(
     x0, xh0 = np.asarray(x0, dtype=float), np.asarray(xh0, dtype=float)
     if x0.shape != (sim.n_tot,) or xh0.shape != (sim.nhat_tot,):
         raise DimensionMismatch("initial state dimensions do not match the network")
-    samples: list[DeviationSample] = []
+    n, steps, r = cfg.trials, cfg.horizon + 1, sim.r_tot
+    out = Deviations(np.empty(n))
+    if cfg.record_trajectories:
+        out = Deviations(out.sup, np.empty((n, steps, r)), np.empty((n, steps, sim.out_dim - r)))
     for start in range(0, cfg.trials, sim.block):
-        samples += sim.run_block(range(cfg.trials)[start : start + sim.block], cfg, x0, xh0)
-    return samples
+        sim.run_block(range(cfg.trials)[start : start + sim.block], cfg, x0, xh0, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -332,92 +328,15 @@ class ViolationEstimate:
     upper95: float
 
 
-def violation_probability(samples: Sequence[DeviationSample], epsilon: float) -> ViolationEstimate:
+def violation_probability(samples: Deviations, epsilon: float) -> ViolationEstimate:
     """Fraction of trials with ``sup deviation >= epsilon`` plus its
     exact (Clopper-Pearson) one-sided 95% upper confidence bound."""
     # scipy loads here, not at import: only this bound calls it
     from scipy.special import betaincinv
 
-    if not samples:
-        raise ValueError("samples must be nonempty")
     n = len(samples)
-    x = sum(1 for s in samples if s.sup_deviation >= epsilon)
+    if not n:
+        raise ValueError("samples must be nonempty")
+    x = int(np.count_nonzero(samples.sup >= epsilon))
     upper = 1.0 if x == n else float(betaincinv(x + 1, n - x, 0.95))
     return ViolationEstimate(violations=x, trials=n, estimate=x / n, upper95=upper)
-
-
-@dataclass(frozen=True)
-class SupermartingaleCheck:
-    """Worst observed slack of the one-step decrease inequality.
-
-    ``worst_slack`` is the largest ``E_mc[V+] - rhs`` over the sampled
-    points (nonpositive up to noise when the certificate is valid);
-    ``max_gap_se`` is the largest ``|E_mc[V+] - E_exact[V+]|`` in units of
-    the Monte Carlo standard error.
-    """
-
-    worst_slack: float
-    worst_slack_stderr: float
-    max_gap_se: float
-    points: int
-    draws: int
-
-
-def empirical_supermartingale_check(
-    s: LinearSubsystem,
-    cand: AbstractionCandidate,
-    cert: AbstractionCertificate,
-    points: int = 100,
-    draws_per_point: int = 1000,
-    seed: int = 0,
-) -> SupermartingaleCheck:
-    """Estimate ``E[V+]`` by simulation at random points and compare against
-    the closed-form decrease bound and the exact expectation.
-
-    At each sampled ``(x, xhat, nuhat, omega, omegahat)`` the concrete input
-    is refined through the interface, ``draws_per_point`` noise pairs are
-    drawn, and the sampled mean of ``V+`` is checked against both the exact
-    one-step expectation and the right-hand side of the decrease inequality.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    constants = derive_constants(s, cand, cert)
-    M, P = cert.M, cert.P
-    PF = P @ cand.Fhat
-    worst = -np.inf
-    worst_se = 0.0
-    max_gap_se = 0.0
-    for _ in range(points):
-        x = rng.standard_normal(s.n)
-        xh = rng.standard_normal(cand.nhat)
-        nuhat = rng.standard_normal(cand.mhat)
-        omega = rng.standard_normal(s.p)
-        omegahat = rng.standard_normal(s.p)
-        nu = interface(x, xh, nuhat, omegahat, cert)
-        mean_c = s.A @ x + s.B @ nu + s.D @ omega
-        mean_a = cand.Ahat @ xh + cand.Bhat @ nuhat + cand.Dhat @ omegahat
-        e_mean = mean_c - P @ mean_a
-        zc = rng.standard_normal((draws_per_point, s.q))
-        za = rng.standard_normal((draws_per_point, cand.Fhat.shape[1]))
-        e_plus = e_mean + zc @ s.F.T - za @ PF.T
-        v_plus = ((e_plus @ M) * e_plus).sum(axis=1)
-        est = float(v_plus.mean())
-        se = float(v_plus.std(ddof=1) / np.sqrt(draws_per_point)) if draws_per_point > 1 else 0.0
-        v = evaluate_V(x, xh, M, P)
-        rhs = expected_decrease_bound(v, constants, omega, omegahat, nuhat)
-        slack = est - rhs
-        if slack > worst:
-            worst, worst_se = slack, se
-        exact = expected_V_next(x, xh, nu, nuhat, omega, omegahat, s, cand, cert)
-        if se > 1e-12 * max(1.0, abs(est)):
-            gap = abs(est - exact) / se
-        else:
-            # degenerate (noiseless) distribution: require agreement to round-off
-            gap = 0.0 if abs(est - exact) <= 1e-9 * max(1.0, abs(exact)) else np.inf
-        max_gap_se = max(max_gap_se, gap)
-    return SupermartingaleCheck(
-        worst_slack=worst,
-        worst_slack_stderr=worst_se,
-        max_gap_se=max_gap_se,
-        points=points,
-        draws=draws_per_point,
-    )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import Infeasible, UnsupportedForm
 from .model import Topology, _matrix
-from .spsf import AbstractionCertificate, SpsfConstants, evaluate_V
+from .spsf import SpsfConstants
 
 __all__ = [
     "DEGREE_MODES",
@@ -80,8 +80,6 @@ class CompositionCertificate:
     kappa_hat: float
     rho_ext_coef: float
     psi: float
-    constants: tuple[SpsfConstants, ...]
-    certificates: tuple[AbstractionCertificate, ...]
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
@@ -91,15 +89,6 @@ class CompositionCertificate:
             raise ValueError("mu must be strictly positive")
         if not 0.0 < self.kappa_hat < 1.0:
             raise ValueError(f"composed kappa_hat out of (0,1): {self.kappa_hat}")
-
-    def evaluate(self, xs: Sequence[np.ndarray], xhats: Sequence[np.ndarray]) -> float:
-        """Composed closeness value, delegated to the per-subsystem functions."""
-        return float(
-            sum(
-                w * evaluate_V(x, xh, c.M, c.P)
-                for w, x, xh, c in zip(self.mu, xs, xhats, self.certificates, strict=True)
-            )
-        )
 
 
 def build_gains(
@@ -196,10 +185,7 @@ def find_mu(g: GainDecomposition) -> np.ndarray:
 
 
 def compose(
-    certs: Sequence[AbstractionCertificate],
-    constants: Sequence[SpsfConstants],
-    g: GainDecomposition,
-    mu: np.ndarray,
+    constants: Sequence[SpsfConstants], g: GainDecomposition, mu: np.ndarray
 ) -> CompositionCertificate:
     """Composed constants of the weighted-sum closeness function.
 
@@ -220,6 +206,4 @@ def compose(
         kappa_hat=kappa,
         rho_ext_coef=float(sum(w * c.rho_ext_coef for w, c in zip(mu, constants))),
         psi=float(sum(w * c.psi for w, c in zip(mu, constants))),
-        constants=tuple(constants),
-        certificates=tuple(certs),
     )

@@ -52,8 +52,6 @@ __all__ = [
     "derive_constants",
     "evaluate_V",
     "interface",
-    "expected_V_next",
-    "expected_decrease_bound",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -331,10 +329,9 @@ def synthesize_MK(
     if K is None or not gamma * _spectral_radius(A + B @ K) <= 0.9:
         try:
             X = solve_discrete_are(gamma * A, gamma * B, np.eye(n), np.eye(m))
+            K = -np.linalg.solve(np.eye(m) + gamma**2 * B.T @ X @ B, gamma**2 * B.T @ X @ A)
         except Exception as exc:
             raise Infeasible(f"no stabilizing gain found: {exc}") from exc
-        G = np.linalg.solve(np.eye(m) + gamma**2 * B.T @ X @ B, gamma**2 * B.T @ X @ A)
-        K = -G
         if gamma * _spectral_radius(A + B @ K) >= 1.0:
             raise Infeasible("scaled closed loop is not Schur stable")
 
@@ -481,59 +478,4 @@ def interface(x, xhat, nuhat, omegahat, cert: AbstractionCertificate) -> np.ndar
         + cert.Q @ xhat
         + cert.Rtilde @ nuhat
         + cert.S @ omegahat
-    )
-
-
-def expected_V_next(
-    x,
-    xhat,
-    nu,
-    nuhat,
-    omega,
-    omegahat,
-    s: LinearSubsystem,
-    cand: AbstractionCandidate,
-    cert: AbstractionCertificate,
-) -> float:
-    """Exact one-step conditional expectation of the closeness function.
-
-    Both noises are zero mean and mutually independent, so the expectation
-    splits into the deterministic mean drift plus the trace offset:
-
-        E[V+] = || sqrt(M) (mean_x - P mean_xhat) ||^2
-                + Tr(F'MF + Fhat'P'MP Fhat).
-
-    When the structural equalities hold and ``nu`` comes from
-    :func:`interface`, the mean term equals
-    ``(A+BK)(x - P xhat) + D (omega - omegahat) + (B Rtilde - P Bhat) nuhat``.
-    """
-    x = np.asarray(x, dtype=float)
-    xhat = np.asarray(xhat, dtype=float)
-    mean_c = s.A @ x + s.B @ np.asarray(nu, dtype=float) + s.D @ np.asarray(omega, dtype=float)
-    mean_a = (
-        cand.Ahat @ xhat
-        + cand.Bhat @ np.asarray(nuhat, dtype=float)
-        + cand.Dhat @ np.asarray(omegahat, dtype=float)
-    )
-    d = mean_c - cert.P @ mean_a
-    PF = cert.P @ cand.Fhat
-    trace_term = float(np.trace(s.F.T @ cert.M @ s.F) + np.trace(PF.T @ cert.M @ PF))
-    return float(d @ cert.M @ d) + trace_term
-
-
-def expected_decrease_bound(
-    v: float, constants: SpsfConstants, omega, omegahat, nuhat
-) -> float:
-    """Right-hand side of the one-step inequality on ``E[V+]``:
-
-    ``V - kappa_hat V + rho_int ||omega - omegahat||^2
-    + rho_ext ||nuhat||^2 + psi``.
-    """
-    d_omega = np.asarray(omega, dtype=float) - np.asarray(omegahat, dtype=float)
-    nuhat = np.asarray(nuhat, dtype=float)
-    return (
-        (1.0 - constants.kappa_hat) * v
-        + constants.rho_int_coef * float(d_omega @ d_omega)
-        + constants.rho_ext_coef * float(nuhat @ nuhat)
-        + constants.psi
     )

@@ -1,9 +1,11 @@
 """Shared construction helpers for randomized test instances, dense oracles,
-and a fresh interpreter for import checks."""
+the one-step expectation oracles of the closeness function with their Monte
+Carlo check, and a fresh interpreter for import checks."""
 
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,11 @@ from simcert.smallgain import build_gains, compose, find_mu, spectral_radius_tes
 from simcert.spsf import (
     AbstractionCandidate,
     AbstractionCertificate,
+    SpsfConstants,
     compute_Rtilde,
     derive_constants,
+    evaluate_V,
+    interface,
     solve_structural,
     synthesize_MK,
 )
@@ -188,7 +193,7 @@ def certified_network(seed):
         gains = build_gains(constants, topo, "in_degree")
         if spectral_radius_test(gains) < 0.9:
             mu = find_mu(gains)
-            composed = compose(certs, constants, gains, mu)
+            composed = compose(constants, gains, mu)
             return subs, topo, cands, certs, composed
         scale *= 0.5
     raise AssertionError("could not scale couplings into the feasible region")
@@ -240,3 +245,135 @@ def fresh_python(code: str, *args: str) -> str:
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def expected_V_next(
+    x,
+    xhat,
+    nu,
+    nuhat,
+    omega,
+    omegahat,
+    s: LinearSubsystem,
+    cand: AbstractionCandidate,
+    cert: AbstractionCertificate,
+) -> float:
+    """Exact one-step conditional expectation of the closeness function.
+
+    Both noises are zero mean and mutually independent, so the expectation
+    splits into the deterministic mean drift plus the trace offset:
+
+        E[V+] = || sqrt(M) (mean_x - P mean_xhat) ||^2
+                + Tr(F'MF + Fhat'P'MP Fhat).
+
+    When the structural equalities hold and ``nu`` comes from
+    :func:`interface`, the mean term equals
+    ``(A+BK)(x - P xhat) + D (omega - omegahat) + (B Rtilde - P Bhat) nuhat``.
+    """
+    x = np.asarray(x, dtype=float)
+    xhat = np.asarray(xhat, dtype=float)
+    mean_c = s.A @ x + s.B @ np.asarray(nu, dtype=float) + s.D @ np.asarray(omega, dtype=float)
+    mean_a = (
+        cand.Ahat @ xhat
+        + cand.Bhat @ np.asarray(nuhat, dtype=float)
+        + cand.Dhat @ np.asarray(omegahat, dtype=float)
+    )
+    d = mean_c - cert.P @ mean_a
+    PF = cert.P @ cand.Fhat
+    trace_term = float(np.trace(s.F.T @ cert.M @ s.F) + np.trace(PF.T @ cert.M @ PF))
+    return float(d @ cert.M @ d) + trace_term
+
+
+def expected_decrease_bound(
+    v: float, constants: SpsfConstants, omega, omegahat, nuhat
+) -> float:
+    """Right-hand side of the one-step inequality on ``E[V+]``:
+
+    ``V - kappa_hat V + rho_int ||omega - omegahat||^2
+    + rho_ext ||nuhat||^2 + psi``.
+    """
+    d_omega = np.asarray(omega, dtype=float) - np.asarray(omegahat, dtype=float)
+    nuhat = np.asarray(nuhat, dtype=float)
+    return (
+        (1.0 - constants.kappa_hat) * v
+        + constants.rho_int_coef * float(d_omega @ d_omega)
+        + constants.rho_ext_coef * float(nuhat @ nuhat)
+        + constants.psi
+    )
+
+
+@dataclass(frozen=True)
+class SupermartingaleCheck:
+    """Worst observed slack of the one-step decrease inequality.
+
+    ``worst_slack`` is the largest ``E_mc[V+] - rhs`` over the sampled
+    points (nonpositive up to noise when the certificate is valid);
+    ``max_gap_se`` is the largest ``|E_mc[V+] - E_exact[V+]|`` in units of
+    the Monte Carlo standard error.
+    """
+
+    worst_slack: float
+    worst_slack_stderr: float
+    max_gap_se: float
+    points: int
+    draws: int
+
+
+def empirical_supermartingale_check(
+    s: LinearSubsystem,
+    cand: AbstractionCandidate,
+    cert: AbstractionCertificate,
+    points: int = 100,
+    draws_per_point: int = 1000,
+    seed: int = 0,
+) -> SupermartingaleCheck:
+    """Estimate ``E[V+]`` by simulation at random points and compare against
+    the closed-form decrease bound and the exact expectation.
+
+    At each sampled ``(x, xhat, nuhat, omega, omegahat)`` the concrete input
+    is refined through the interface, ``draws_per_point`` noise pairs are
+    drawn, and the sampled mean of ``V+`` is checked against both the exact
+    one-step expectation and the right-hand side of the decrease inequality.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    constants = derive_constants(s, cand, cert)
+    M, P = cert.M, cert.P
+    PF = P @ cand.Fhat
+    worst = -np.inf
+    worst_se = 0.0
+    max_gap_se = 0.0
+    for _ in range(points):
+        x = rng.standard_normal(s.n)
+        xh = rng.standard_normal(cand.nhat)
+        nuhat = rng.standard_normal(cand.mhat)
+        omega = rng.standard_normal(s.p)
+        omegahat = rng.standard_normal(s.p)
+        nu = interface(x, xh, nuhat, omegahat, cert)
+        mean_c = s.A @ x + s.B @ nu + s.D @ omega
+        mean_a = cand.Ahat @ xh + cand.Bhat @ nuhat + cand.Dhat @ omegahat
+        e_mean = mean_c - P @ mean_a
+        zc = rng.standard_normal((draws_per_point, s.q))
+        za = rng.standard_normal((draws_per_point, cand.Fhat.shape[1]))
+        e_plus = e_mean + zc @ s.F.T - za @ PF.T
+        v_plus = ((e_plus @ M) * e_plus).sum(axis=1)
+        est = float(v_plus.mean())
+        se = float(v_plus.std(ddof=1) / np.sqrt(draws_per_point)) if draws_per_point > 1 else 0.0
+        v = evaluate_V(x, xh, M, P)
+        rhs = expected_decrease_bound(v, constants, omega, omegahat, nuhat)
+        slack = est - rhs
+        if slack > worst:
+            worst, worst_se = slack, se
+        exact = expected_V_next(x, xh, nu, nuhat, omega, omegahat, s, cand, cert)
+        if se > 1e-12 * max(1.0, abs(est)):
+            gap = abs(est - exact) / se
+        else:
+            # degenerate (noiseless) distribution: require agreement to round-off
+            gap = 0.0 if abs(est - exact) <= 1e-9 * max(1.0, abs(exact)) else np.inf
+        max_gap_se = max(max_gap_se, gap)
+    return SupermartingaleCheck(
+        worst_slack=worst,
+        worst_slack_stderr=worst_se,
+        max_gap_se=max_gap_se,
+        points=points,
+        draws=draws_per_point,
+    )

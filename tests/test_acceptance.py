@@ -8,18 +8,19 @@ import time
 
 import numpy as np
 import pytest
-from helpers import identity_candidate, random_certified_instance
+from helpers import (
+    empirical_supermartingale_check,
+    expected_decrease_bound,
+    expected_V_next,
+    identity_candidate,
+    random_certified_instance,
+)
 
 from simcert.bounds import BoundQuery, finite_horizon_bound, infinite_horizon_bound
 from simcert.cli import main
 from simcert.errors import Infeasible
 from simcert.model import LinearSubsystem
-from simcert.montecarlo import (
-    RunConfig,
-    empirical_supermartingale_check,
-    simulate_pair,
-    violation_probability,
-)
+from simcert.montecarlo import RunConfig, simulate_pair, violation_probability
 from simcert.project import save_project
 from simcert.reference import reference_project
 from simcert.smallgain import GainDecomposition, find_mu, spectral_radius_test
@@ -28,8 +29,6 @@ from simcert.spsf import (
     check_conditions,
     derive_constants,
     evaluate_V,
-    expected_decrease_bound,
-    expected_V_next,
     interface,
     synthesize_MK,
 )

@@ -85,10 +85,27 @@ def test_bound_reference(project_path, capsys):
     assert "0.09" in out and "closeness" in out
 
 
-def test_bound_domain_error_exits_1(project_path):
-    code = main(["bound", "--project", str(project_path),
-                 "--epsilon", "-1.0", "--horizon", "10"])
-    assert code == 1
+def test_bound_domain_error_exits_2(project_path, capsys):
+    # a negative epsilon is bad input, not an analytic failure
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--project", str(project_path), "--epsilon", "-1.0", "--horizon", "10"])
+    assert exc.value.code == 2
+    assert "error: argument --epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "inf"], ["--epsilon", "0"], ["--horizon", "-1"],
+    ["--nuhat-sup", "-1"], ["--nuhat-sup", "nan"],
+])
+def test_bound_bad_flags_exit_2(project_path, capsys, flags):
+    # the bad value comes after a good one, so each occurrence is checked
+    argv = ["bound", "--project", str(project_path), "--epsilon", "1", "--horizon", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flags[0]}" in captured.err
+    assert "probability" not in captured.out
 
 
 def test_abstract_rewrites_certificate(project_path, tmp_path, capsys):
@@ -222,14 +239,17 @@ def test_paper_example_N_minus_1_documented_failure(capsys):
     assert "INFEASIBLE" in capsys.readouterr().out
 
 
-def test_bound_nan_epsilon_exits_1(project_path, capsys):
-    code = main(["bound", "--project", str(project_path),
-                 "--epsilon", "nan", "--horizon", "10"])
-    assert code == 1
+def test_bound_nan_epsilon_exits_2(project_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--project", str(project_path), "--epsilon", "nan", "--horizon", "10"])
+    assert exc.value.code == 2
     assert "probability" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags", [["--trials", "0"], ["--horizon", "-1"], ["--seed", "-1"]])
+@pytest.mark.parametrize("flags", [
+    ["--trials", "0"], ["--horizon", "-1"], ["--seed", "-1"],
+    ["--epsilon", "-1"], ["--epsilon", "nan"], ["--epsilon", "0"],
+])
 def test_simulate_bad_run_flags_exit_2(project_path, capsys, flags):
     assert main(["simulate", "--project", str(project_path), *flags]) == 2
     assert "trials >= 1 and horizon >= 0" in capsys.readouterr().err
@@ -241,6 +261,22 @@ def test_simulate_bad_project_run_exits_2(project_path, capsys):
     project_path.write_text(json.dumps(doc))
     assert main(["simulate", "--project", str(project_path)]) == 2
     assert "trials >= 1 and horizon >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0])
+def test_simulate_bad_project_epsilon_exits_2(project_path, capsys, epsilon):
+    doc = json.loads(project_path.read_text())
+    doc["run"]["epsilon"] = epsilon
+    project_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--project", str(project_path)]) == 2
+    assert "finite epsilon > 0" in capsys.readouterr().err
+
+
+def test_paper_example_takes_no_workers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paper-example", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_paper_example_zero_trials_exits_2(capsys):
@@ -335,7 +371,8 @@ def test_csv_deviation_matches_sup_deviation(ref_project, tmp_path):
         for row in csv.DictReader(fh):
             trial = int(row["trial"])
             worst[trial] = max(worst.get(trial, 0.0), float(row["deviation"]))
-    assert [worst[s.trial] for s in samples] == [s.sup_deviation for s in samples]
+    assert len(samples) == cfg.trials
+    assert worst == dict(enumerate(samples.sup.tolist()))
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import certified_network, fresh_python, random_certified_instance, step
+from helpers import (
+    certified_network,
+    empirical_supermartingale_check,
+    fresh_python,
+    random_certified_instance,
+    step,
+)
 
 from simcert import montecarlo
 from simcert.bounds import BoundQuery, finite_horizon_bound
@@ -11,10 +17,9 @@ from simcert.bounds import BoundQuery, finite_horizon_bound
 from simcert.errors import DimensionMismatch, PolicyDimension
 from simcert.model import Edge, LinearSubsystem, Topology
 from simcert.montecarlo import (
-    DeviationSample,
+    Deviations,
     RunConfig,
     _PairSimulator,
-    empirical_supermartingale_check,
     noise_stream,
     simulate_pair,
     violation_probability,
@@ -54,7 +59,8 @@ def test_noiseless_matched_start_zero_deviation(ref_parts):
     quiet, topo, cands, certs = _noiseless_reference(ref_parts)
     cfg = RunConfig(horizon=8, trials=5, seed=1)
     samples = simulate_pair(quiet, topo, cands, certs, cfg)
-    assert all(s.sup_deviation == 0.0 for s in samples)
+    assert len(samples) == cfg.trials and samples.sup.shape == (cfg.trials,)
+    assert np.all(samples.sup == 0.0)
 
 
 def test_geometric_decay_scalar_pair():
@@ -72,12 +78,13 @@ def test_geometric_decay_scalar_pair():
         initial_concrete=np.array([1.0]), initial_abstract=np.array([0.0]),
         record_trajectories=True,
     )
-    (sample,) = simulate_pair([s], Topology(1), [cand], [cert], cfg)
-    devs = np.linalg.norm(sample.outputs - sample.abstract_outputs, axis=1)
+    res = simulate_pair([s], Topology(1), [cand], [cert], cfg)
+    assert len(res) == 1
+    devs = np.linalg.norm(res.outputs[0] - res.abstract_outputs[0], axis=1)
     # error recursion e+ = (A + BK) e with A + BK = 0.5
     for k in range(6):
         assert devs[k + 1] == pytest.approx(0.5 * devs[k], rel=1e-12)
-    assert sample.sup_deviation == pytest.approx(1.0)
+    assert res.sup[0] == pytest.approx(1.0)
 
 
 def test_determinism_same_seed(ref_parts):
@@ -86,9 +93,9 @@ def test_determinism_same_seed(ref_parts):
     cfg = RunConfig(horizon=5, trials=20, seed=77, record_trajectories=True)
     a = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
     b = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
-    for x, y in zip(a, b):
-        assert x.sup_deviation == y.sup_deviation
-        assert np.array_equal(x.outputs, y.outputs)
+    assert len(a) == len(b) == cfg.trials
+    assert np.array_equal(a.sup, b.sup)
+    assert np.array_equal(a.outputs, b.outputs)
 
 
 def test_noise_moments():
@@ -167,7 +174,7 @@ def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):
 
 def test_violation_probability_examples():
     def mk(vals):
-        return [DeviationSample(trial=i, sup_deviation=v) for i, v in enumerate(vals)]
+        return Deviations(sup=np.array(vals))
 
     zero = violation_probability(mk([0.0] * 100), 1.0)
     assert zero.estimate == 0.0
@@ -183,7 +190,7 @@ def test_upper_bound_equals_beta_quantile():
 
     for n in (1, 2, 3, 7, 29, 30, 100, 301, 1000, 10_000):
         for x in sorted({0, 1, n // 3, n // 2, n - 1} - {n}):
-            samples = [DeviationSample(trial=i, sup_deviation=float(i < x)) for i in range(n)]
+            samples = Deviations(sup=np.array([float(i < x) for i in range(n)]))
             assert violation_probability(samples, 1.0).upper95 == beta.ppf(0.95, x + 1, n - x)
 
 
@@ -254,7 +261,7 @@ def test_simulate_matches_naive_oracle(ref_parts):
     fast = simulate_pair(subs, topo, cands, certs_list, cfg)
     for t in range(4):
         naive = _naive_pair_trial(subs, topo, cands, certs_list, cfg, t)
-        assert fast[t].sup_deviation == pytest.approx(naive, rel=1e-12, abs=1e-14)
+        assert fast.sup[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("seed", [2101, 2104])
@@ -265,7 +272,7 @@ def test_simulate_matches_naive_oracle_heterogeneous(seed):
     fast = simulate_pair(subs, topo, cands, certs, cfg)
     for t in range(3):
         naive = _naive_pair_trial(subs, topo, cands, certs, cfg, t)
-        assert fast[t].sup_deviation == pytest.approx(naive, rel=1e-12, abs=1e-14)
+        assert fast.sup[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
 
 
 def test_blocked_simulation_matches_oracle_across_block_boundary():
@@ -287,18 +294,19 @@ def test_blocked_simulation_matches_oracle_across_block_boundary():
         record_trajectories=True,
     )
     first = simulate_pair(subs, topo, cands, certs, cfg)
-    assert [s.trial for s in first] == list(range(block + 2))
+    assert len(first) == block + 2
+    shape = (block + 2, cfg.horizon + 1)
+    assert first.outputs.shape[:2] == first.abstract_outputs.shape[:2] == shape
     for t in (0, block - 2, block - 1, block, block + 1):
         naive = _naive_pair_trial(subs, topo, cands, certs, cfg, t)
-        assert first[t].sup_deviation == pytest.approx(naive, rel=1e-12, abs=1e-14)
+        assert first.sup[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
         # the supremum is reached after stepping, so noise and coupling enter it
-        start_gap = np.linalg.norm(first[t].outputs[0] - first[t].abstract_outputs[0])
-        assert first[t].sup_deviation > start_gap
+        start_gap = np.linalg.norm(first.outputs[t, 0] - first.abstract_outputs[t, 0])
+        assert first.sup[t] > start_gap
     again = simulate_pair(subs, topo, cands, certs, cfg)
-    for x, y in zip(first, again):
-        assert x.sup_deviation == y.sup_deviation
-        assert np.array_equal(x.outputs, y.outputs)
-        assert np.array_equal(x.abstract_outputs, y.abstract_outputs)
+    assert np.array_equal(first.sup, again.sup)
+    assert np.array_equal(first.outputs, again.outputs)
+    assert np.array_equal(first.abstract_outputs, again.abstract_outputs)
 
 
 def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
@@ -316,11 +324,9 @@ def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
     for trials in (400, 257):
         shorter = run(trials)
         assert len(shorter) == trials
-        for a, b in zip(shorter, longer):
-            assert a.trial == b.trial
-            assert a.sup_deviation == b.sup_deviation
-            assert np.array_equal(a.outputs, b.outputs)
-            assert np.array_equal(a.abstract_outputs, b.abstract_outputs)
+        assert np.array_equal(shorter.sup, longer.sup[:trials])
+        assert np.array_equal(shorter.outputs, longer.outputs[:trials])
+        assert np.array_equal(shorter.abstract_outputs, longer.abstract_outputs[:trials])
 
 
 def test_policy_and_recording_match_oracle():
@@ -340,16 +346,18 @@ def test_policy_and_recording_match_oracle():
         initial_abstract=0.2 * rng.standard_normal(sum(c.nhat for c in cands)),
         record_trajectories=True,
     )
-    samples = simulate_pair(subs, topo, cands, certs, cfg)
-    for t, sample in enumerate(samples):
+    res = simulate_pair(subs, topo, cands, certs, cfg)
+    assert len(res) == cfg.trials
+    for t in range(cfg.trials):
         sup, ys, yhs = _naive_pair_trial(subs, topo, cands, certs, cfg, t, trajectories=True)
-        assert sample.outputs.shape == ys.shape and sample.abstract_outputs.shape == yhs.shape
+        outputs, abstract_outputs = res.outputs[t], res.abstract_outputs[t]
+        assert outputs.shape == ys.shape and abstract_outputs.shape == yhs.shape
         for k in range(cfg.horizon + 1):
-            assert sample.outputs[k] == pytest.approx(ys[k], rel=1e-12, abs=1e-14)
-            assert sample.abstract_outputs[k] == pytest.approx(yhs[k], rel=1e-12, abs=1e-14)
-        assert sample.sup_deviation == pytest.approx(sup, rel=1e-12, abs=1e-14)
-        devs = np.linalg.norm(sample.outputs - sample.abstract_outputs, axis=1)
-        assert sample.sup_deviation == devs.max()
+            assert outputs[k] == pytest.approx(ys[k], rel=1e-12, abs=1e-14)
+            assert abstract_outputs[k] == pytest.approx(yhs[k], rel=1e-12, abs=1e-14)
+        assert res.sup[t] == pytest.approx(sup, rel=1e-12, abs=1e-14)
+        devs = np.linalg.norm(outputs - abstract_outputs, axis=1)
+        assert res.sup[t] == devs.max()
 
 
 def _reference_ring(N):
@@ -415,8 +423,8 @@ def test_policy_drives_abstract_system(ref_parts):
     quiet = RunConfig(horizon=4, trials=1, seed=0, record_trajectories=True)
     driven = RunConfig(horizon=4, trials=1, seed=0, record_trajectories=True,
                        abstract_policy=lambda k, xh: np.full(4, 0.5))
-    (a,) = simulate_pair(subs, topo, cands, certs_list, quiet)
-    (b,) = simulate_pair(subs, topo, cands, certs_list, driven)
+    a = simulate_pair(subs, topo, cands, certs_list, quiet)
+    b = simulate_pair(subs, topo, cands, certs_list, driven)
     assert not np.array_equal(a.abstract_outputs, b.abstract_outputs)
 
 
@@ -492,7 +500,7 @@ def test_abstract_internal_inputs_enter_concrete_step():
     xhs = [rng.standard_normal(a.n) for a in abs_subs]
     cfg = RunConfig(horizon=1, trials=1, seed=0, initial_concrete=np.concatenate(xs),
                     initial_abstract=np.concatenate(xhs), record_trajectories=True)
-    (sample,) = simulate_pair(quiet, topo, cands, certs, cfg)
+    res = simulate_pair(quiet, topo, cands, certs, cfg)
 
     omegas = [np.zeros(s.p) for s in subs]
     omegahats = [np.zeros(a.p) for a in abs_subs]
@@ -504,4 +512,4 @@ def test_abstract_internal_inputs_enter_concrete_step():
         nuhat = np.zeros(abs_subs[i].m)
         nu = interface(xs[i], xhs[i], nuhat, omegahats[i], certs[i])
         expected.append(s.C_ext @ step(s, xs[i], nu, omegas[i], [0.0]))
-    assert np.allclose(sample.outputs[1], np.concatenate(expected), rtol=1e-12, atol=1e-14)
+    assert np.allclose(res.outputs[0, 1], np.concatenate(expected), rtol=1e-12, atol=1e-14)

@@ -259,7 +259,7 @@ def test_compose_output_numbers(tmp_path, capsys):
     assert main(["compose", "--project", str(src), "--output", str(out)]) == 0
     constants = cli._all_constants(project, 1e-9)
     gains, radius = cli._gain_test(constants, project.topology, "in_degree")
-    mu, composed = cli._compose(project, constants, gains)
+    mu, composed = cli._compose(constants, gains)
     doc = json.loads(out.read_text())
     assert doc == {
         "mu": mu.tolist(),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import expected_V_next
 
 from simcert.bounds import BoundQuery, finite_horizon_bound
 from simcert.errors import Infeasible, UnsupportedForm
@@ -13,13 +14,7 @@ from simcert.smallgain import (
     find_mu,
     spectral_radius_test,
 )
-from simcert.spsf import (
-    SpsfConstants,
-    derive_constants,
-    evaluate_V,
-    expected_V_next,
-    interface,
-)
+from simcert.spsf import SpsfConstants, derive_constants, evaluate_V, interface
 
 RING = [(2, 0), (3, 1), (1, 2), (0, 3)]
 
@@ -147,7 +142,7 @@ def test_compose_reference(ref_parts):
     ]
     g = build_gains(published, topo, "in_degree")
     mu = find_mu(g)
-    comp = compose([certs[i] for i in range(4)], published, g, mu)
+    comp = compose(published, g, mu)
     assert comp.kappa_hat == pytest.approx(0.1, abs=1e-9)
     assert comp.psi == pytest.approx(0.01, abs=1e-9)
     assert comp.rho_ext_coef == 0.0
@@ -158,7 +153,7 @@ def test_compose_single_subsystem_passthrough():
     c = SpsfConstants(1.0, 0.4, 0.7, 0.2, 0.003)
     g = GainDecomposition(np.diag([0.4]), np.zeros((1, 1)))
     mu = find_mu(g)
-    comp = compose([None], [c], g, mu)
+    comp = compose([c], g, mu)
     assert comp.kappa_hat == pytest.approx(0.4)
     assert comp.psi == pytest.approx(0.003)
     assert comp.rho_ext_coef == pytest.approx(0.2)
@@ -169,7 +164,7 @@ def test_compose_two_subsystems_derived():
     c = SpsfConstants(1.0, 0.5, 0.2, 0.0, 0.003)
     g = GainDecomposition(np.diag([0.5, 0.5]), np.array([[0.0, 0.2], [0.2, 0.0]]))
     mu = np.array([1.0, 1.0])
-    comp = compose([None, None], [c, c], g, mu)
+    comp = compose([c, c], g, mu)
     assert comp.kappa_hat == pytest.approx(0.3, abs=1e-12)
     assert comp.psi == pytest.approx(0.006, abs=1e-15)
 
@@ -178,7 +173,7 @@ def test_compose_rejects_bad_mu():
     c = SpsfConstants(1.0, 0.5, 0.2, 0.0, 0.0)
     g = GainDecomposition(np.diag([0.5, 0.5]), np.array([[0.0, 0.6], [0.6, 0.0]]))
     with pytest.raises(Infeasible):
-        compose([None, None], [c, c], g, np.array([1.0, 1.0]))
+        compose([c, c], g, np.array([1.0, 1.0]))
 
 
 def _route_internal(subs, topo, states):
@@ -192,7 +187,7 @@ def _reference_composition(subs, topo, cands, certs):
     derived = [derive_constants(subs[i], cands[i], certs[i]) for i in range(4)]
     g = build_gains(derived, topo, "in_degree")
     mu = find_mu(g)
-    return derived, compose([certs[i] for i in range(4)], derived, g, mu)
+    return derived, compose(derived, g, mu)
 
 
 def test_composed_lower_bound(ref_parts):
@@ -204,7 +199,7 @@ def test_composed_lower_bound(ref_parts):
         xhs = [rng.standard_normal(1) for _ in range(4)]
         y = np.concatenate([subs[i].C_ext @ xs[i] for i in range(4)])
         yh = np.concatenate([cands[i].Chat_ext @ xhs[i] for i in range(4)])
-        v = comp.evaluate(xs, xhs)
+        v = sum(comp.mu[i] * evaluate_V(xs[i], xhs[i], certs[i].M, certs[i].P) for i in range(4))
         assert comp.alpha_coef * float((y - yh) @ (y - yh)) <= v + 1e-9
 
 
@@ -239,8 +234,8 @@ def test_mu_scaling_invariance(ref_parts):
     g = build_gains(derived, topo, "in_degree")
     mu = find_mu(g)
     scale = 7.3
-    comp1 = compose([certs[i] for i in range(4)], derived, g, mu)
-    comp2 = compose([certs[i] for i in range(4)], derived, g, scale * mu)
+    comp1 = compose(derived, g, mu)
+    comp2 = compose(derived, g, scale * mu)
     assert comp2.kappa_hat == pytest.approx(comp1.kappa_hat, rel=1e-12)
     assert comp2.psi == pytest.approx(scale * comp1.psi, rel=1e-12)
     assert comp2.alpha_coef == pytest.approx(scale * comp1.alpha_coef, rel=1e-12)
@@ -257,9 +252,7 @@ def test_mu_scaling_invariance(ref_parts):
 
 
 def test_composition_certificate_validation():
-    c = SpsfConstants(1.0, 0.5, 0.2, 0.0, 0.0)
     with pytest.raises(ValueError):
         CompositionCertificate(
-            mu=np.array([1.0, -1.0]), alpha_coef=1.0, kappa_hat=0.5,
-            rho_ext_coef=0.0, psi=0.0, constants=(c, c), certificates=(None, None),
+            mu=np.array([1.0, -1.0]), alpha_coef=1.0, kappa_hat=0.5, rho_ext_coef=0.0, psi=0.0
         )

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import qr, solve_discrete_are
 from helpers import (
+    expected_decrease_bound,
+    expected_V_next,
     identity_candidate,
     invertible,
     random_certified_instance,
@@ -20,8 +22,6 @@ from simcert.spsf import (
     compute_Rtilde,
     derive_constants,
     evaluate_V,
-    expected_decrease_bound,
-    expected_V_next,
     interface,
     solve_structural,
     stacked_outputs,
@@ -163,6 +163,18 @@ def test_shrinkage_lost_to_round_off_falls_back_to_regulator():
     X = solve_discrete_are(gamma * A, gamma * B, np.eye(2), np.eye(2))
     G = np.linalg.solve(np.eye(2) + gamma**2 * B.T @ X @ B, gamma**2 * B.T @ X @ A)
     assert K.tobytes() == (-G).tobytes()
+
+
+def test_singular_regulator_gain_is_infeasible():
+    # cond(B) = 1e11 and ||A|| ~ 7e7: shrinkage is lost to round-off, and the
+    # regulator's I + gamma^2 B'XB is singular; that is Infeasible, not a LinAlgError
+    r = np.random.default_rng(1)
+    n = int(r.integers(1, 5))
+    A = 10 ** r.uniform(0, 8) * r.standard_normal((n, n))
+    U, _ = qr(r.standard_normal((n, n)))
+    B = U @ np.diag(np.logspace(0, -r.uniform(8, 12), n)) @ U.T
+    with pytest.raises(Infeasible, match="Singular matrix"):
+        synthesize_MK(A, B, np.eye(n), 0.99, 0.98)
 
 
 def test_synthesize_infinite_gamma_infeasible():
