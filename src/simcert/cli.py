@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import bounds, montecarlo, reference, smallgain, spsf
-from .errors import PreconditionViolated, SchemaError, SimcertError
+from .errors import Infeasible, PreconditionViolated, SchemaError, SimcertError
 from .model import Topology
 from .project import (
     ProjectFile, RunDefaults, check_output, load_project, open_output, save_project, write_json,
@@ -41,13 +41,9 @@ __all__ = [
 ]
 
 
-def _print_matrix(name: str, m) -> None:
-    body = np.array2string(np.asarray(m), precision=4, suppress_small=True)
-    print(f"{name} =\n{body}")
-
-
-# The project-to-guarantee pipeline, shared by every command that prints a
-# guarantee: checked constants -> gain test -> mu and composition -> bound.
+# The project-to-guarantee pipeline, one pass shared by compose, bound, simulate
+# and paper-example: _all_constants (checked constants) -> _composition (gain
+# test, mu and composed constants, or the infeasible report) -> _bound.
 
 
 def _check_reports(project: ProjectFile, tol: float, ids) -> dict:
@@ -69,10 +65,6 @@ def _all_constants(
     failing certificate stops the pipeline before any guarantee is formed.
     ``reports`` passes on the checks already made at ``tol``, keyed by id.
     """
-    parts = [
-        (s, project.candidate_for(s.id), project.certificate_for(s.id))
-        for s in project.subsystems
-    ]
     if reports is None:
         reports = _check_reports(project, tol, [s.id for s in project.subsystems])
     failed = [s.id for s in project.subsystems if not reports[s.id].passed]
@@ -82,19 +74,33 @@ def _all_constants(
         print(f"certificate of subsystem {sid} fails its pre-check: {'; '.join(reasons)}")
     if failed:
         raise PreconditionViolated("a certificate fails its conditions; no guarantee printed")
-    return [spsf.derive_constants(s, cand, cert) for s, cand, cert in parts]
+    return [
+        spsf.derive_constants(s, project.candidate_for(s.id), project.certificate_for(s.id))
+        for s in project.subsystems
+    ]
 
 
-def _gain_test(constants, topology: Topology, mode: str):
-    """Gain matrices and the spectral radius of ``Lambda^-1 Delta``."""
+def _composition(constants, topology: Topology, mode: str, show: bool = False):
+    """``(radius of Lambda^-1 Delta, composed certificate)``; ``show`` prints the stage.
+
+    For every caller, a radius >= 1 prints one ``composition INFEASIBLE`` line
+    and raises :class:`Infeasible`.
+    """
     gains = smallgain.build_gains(constants, topology, mode)
-    return gains, smallgain.spectral_radius_test(gains)
-
-
-def _compose(constants, gains):
-    """Small-gain vector ``mu`` and the composed certificate."""
-    mu = smallgain.find_mu(gains)
-    return mu, smallgain.compose(constants, gains, mu)
+    radius = smallgain.spectral_radius_test(gains)
+    if show:
+        for name, m in (("Lambda", gains.Lambda), ("Delta", gains.Delta)):
+            print(f"{name} =\n{np.array2string(m, precision=4, suppress_small=True)}")
+        print(f"spectral radius of Lambda^-1 Delta: {radius:.6f} (mode {mode})")
+    if radius >= 1.0:
+        print(f"composition INFEASIBLE: spectral radius >= 1 (mode {mode})")
+        raise Infeasible(f"spectral radius {radius:.6f} >= 1; no valid mu exists")
+    composed = smallgain.compose(constants, gains, smallgain.find_mu(gains))
+    if show:
+        print("mu =", np.array2string(composed.mu, precision=6))
+        print(f"composed: alpha_coef={composed.alpha_coef:.6g} kappa_hat={composed.kappa_hat:.6g} "
+              f"rho_ext={composed.rho_ext_coef:.6g} psi={composed.psi:.6g}")
+    return radius, composed
 
 
 def _bound(composed, epsilon: float, horizon: int, nuhat_sup: float = 0.0):
@@ -109,16 +115,6 @@ def _bound(composed, epsilon: float, horizon: int, nuhat_sup: float = 0.0):
         kappa_hat=composed.kappa_hat,
     )
     return offset, bounds.finite_horizon_bound(query)
-
-
-def _guarantee(
-    project: ProjectFile, constants, mode: str, epsilon: float, horizon: int,
-    nuhat_sup: float = 0.0,
-):
-    """The pipeline from checked constants on: ``(psi_hat, bound)``."""
-    gains, _ = _gain_test(constants, project.topology, mode)
-    _, composed = _compose(constants, gains)
-    return _bound(composed, epsilon, horizon, nuhat_sup)
 
 
 def cmd_check(args) -> int:
@@ -204,23 +200,10 @@ def cmd_compose(args) -> int:
     if output is not None:
         check_output(output)
     constants = _all_constants(project, args.tol)
-    gains, radius = _gain_test(constants, project.topology, mode)
-    _print_matrix("Lambda", gains.Lambda)
-    _print_matrix("Delta", gains.Delta)
-    print(f"spectral radius of Lambda^-1 Delta: {radius:.6f} (mode {mode})")
-    if radius >= 1.0:
-        print("composition INFEASIBLE: spectral radius >= 1")
-        return 1
-    mu, composed = _compose(constants, gains)
-    print("mu =", np.array2string(mu, precision=6))
-    print(
-        f"composed: alpha_coef={composed.alpha_coef:.6g} "
-        f"kappa_hat={composed.kappa_hat:.6g} rho_ext={composed.rho_ext_coef:.6g} "
-        f"psi={composed.psi:.6g}"
-    )
+    radius, composed = _composition(constants, project.topology, mode, show=True)
     if output is not None:
         doc = {
-            "mu": [float(v) for v in mu],
+            "mu": [float(v) for v in composed.mu],
             "alpha_coef": composed.alpha_coef,
             "kappa_hat": composed.kappa_hat,
             "rho_ext_coef": composed.rho_ext_coef,
@@ -240,10 +223,9 @@ def cmd_bound(args) -> int:
     """Evaluate the deviation bound for zero initial states."""
     project = load_project(args.project)
     epsilon, horizon = args.epsilon, args.horizon
-    offset, result = _guarantee(
-        project, _all_constants(project, args.tol), args.degree_mode, epsilon, horizon,
-        args.nuhat_sup,
-    )
+    constants = _all_constants(project, args.tol)
+    _, composed = _composition(constants, project.topology, args.degree_mode)
+    offset, result = _bound(composed, epsilon, horizon, args.nuhat_sup)
     print(f"psi_hat = {offset:.6g}  branch = {result.branch}  clamped = {result.clamped}")
     print(
         f"P(sup deviation >= {epsilon:g} within T={horizon}) <= {result.probability:.4f}"
@@ -265,15 +247,15 @@ def cmd_simulate(args) -> int:
     run = _run_settings(args, project.run)
     if args.csv is not None:
         check_output(args.csv)
-    return _simulate(
-        project, _all_constants(project, args.tol), run, args.csv, args.degree_mode
-    )
+    constants = _all_constants(project, args.tol)
+    return _simulate(project, constants, run, args.csv, args.degree_mode)
 
 
 def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path, mode: str) -> int:
     """:func:`cmd_simulate` from the project's checked constants."""
     trials, seed, horizon, epsilon = run.trials, run.seed, run.horizon, run.epsilon
-    _, analytic = _guarantee(project, constants, mode, epsilon, horizon)
+    _, composed = _composition(constants, project.topology, mode)
+    _, analytic = _bound(composed, epsilon, horizon)
 
     subs = project.subsystems
     cfg = montecarlo.RunConfig(
@@ -395,35 +377,19 @@ def cmd_paper_example(args) -> int:
             print(f"  note: {reference.S_NOTE}")
 
     constants = _all_constants(project, tol, reports)
-    c0 = constants[0]
     exp = reference.EXPECTED
-    _check_value("rho_int_coef", c0.rho_int_coef, *exp["rho_int_coef"], failures)
-    _check_value("psi", c0.psi, *exp["psi"], failures)
-    if c0.rho_ext_coef != 0.0:
-        failures.append("rho_ext_coef")
-    print(f"  rho_ext_coef: {c0.rho_ext_coef} (expected exactly 0) "
-          f"{'ok' if c0.rho_ext_coef == 0 else 'MISMATCH'}")
+    for name in ("rho_int_coef", "psi", "rho_ext_coef"):
+        _check_value(name, getattr(constants[0], name), *exp[name], failures)
 
     print("\n== composition (published gain coefficients) ==")
-    published = [reference.published_constants()] * reference.N_SUBSYSTEMS
-    gains, radius = _gain_test(published, project.topology, mode)
-    _print_matrix("Lambda", gains.Lambda)
-    _print_matrix("Delta", gains.Delta)
-    print(f"  spectral radius: {radius:.6f}")
-    if mode == "paper_N_minus_1":
-        if radius >= 1.0:
-            print("  composition INFEASIBLE under mode paper_N_minus_1 "
-                  "(documented outcome for this mode)")
-            return 1
-        failures.append("expected infeasibility under paper_N_minus_1")
-    _check_value("spectral_radius", radius, *exp["spectral_radius"], failures)
-    # per-subsystem psi/rho_ext enter the composition at their derived values
+    # published kappa_hat and rho_int set the gains; psi and rho_ext are the derived ones
+    published = reference.published_constants()
     merged = [
-        spsf.SpsfConstants(1.0, p.kappa_hat, p.rho_int_coef, d.rho_ext_coef, d.psi)
-        for p, d in zip(published, constants)
+        dataclasses.replace(published, rho_ext_coef=d.rho_ext_coef, psi=d.psi)
+        for d in constants
     ]
-    mu, composed = _compose(merged, gains)
-    print("  mu =", np.array2string(mu, precision=6))
+    radius, composed = _composition(merged, project.topology, mode, show=True)
+    _check_value("spectral_radius", radius, *exp["spectral_radius"], failures)
     _check_value("composed kappa_hat", composed.kappa_hat, *exp["composed_kappa_hat"], failures)
     _check_value("composed psi", composed.psi, *exp["composed_psi"], failures)
 
@@ -460,9 +426,10 @@ def _checked(kind, need: str, ok):
 
 
 # --tol and --nuhat-sup (an infinite tolerance would pass any certificate),
-# bound --epsilon and bound --horizon
+# bound --epsilon, abstract --pi and --kappa-hat, and bound --horizon
 _nonnegative = _checked(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 _positive = _checked(float, "finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_fraction = _checked(float, "in (0, 1)", lambda v: 0 < v < 1)
 _steps = _checked(int, ">= 0", lambda v: v >= 0)
 
 
@@ -493,8 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_common("abstract", cmd_abstract, "complete a certificate for one subsystem",
                    gains=False)
     p.add_argument("--subsystem", type=int, required=True)
-    p.add_argument("--pi", type=float, default=None)
-    p.add_argument("--kappa-hat", type=float, default=None)
+    p.add_argument("--pi", type=_positive, default=None)
+    p.add_argument("--kappa-hat", type=_fraction, default=None)
     p.add_argument("--output", default=None, help="output project file (default: in place)")
 
     p = add_common("compose", cmd_compose, "small-gain test and composed constants")

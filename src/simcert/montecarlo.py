@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import model
-from .errors import DimensionMismatch, PolicyDimension
+from .errors import DimensionMismatch, PolicyDimension, SchemaError
 from .model import LinearSubsystem, Topology, _offsets
 from .spsf import AbstractionCandidate, AbstractionCertificate
 
@@ -229,21 +229,22 @@ class _PairSimulator:
         # share its block.
         self.block = 256
 
-    def _noise(self, cfg: RunConfig, trials: range, abstract: bool) -> np.ndarray:
-        """Draws of one side for a block of trials, shaped ``(T, q_tot, block)``.
+    def _noise(self, cfg: RunConfig, trials: range, out: np.ndarray) -> None:
+        """Write the draws of a block of trials into ``out``, shaped
+        ``(T, q_tot + qhat_tot, block)`` like the rows ``[w; what]`` of ``z``.
 
         Every trial draws from its own substreams, whatever block it runs in;
-        the columns past the block's trials stay zero.  A side with ``q == 0``
+        the columns past the block's trials are zero.  A side with ``q == 0``
         draws nothing and builds no stream.
         """
-        dims = self.qhat_dims if abstract else self.q_dims
-        out = np.zeros((cfg.horizon, sum(dims), self.block))
-        for sid, start, q in zip(self.ids, _offsets(dims), dims):
+        out.fill(0.0)
+        sides = [(sid, False) for sid in self.ids] + [(sid, True) for sid in self.ids]
+        dims = self.q_dims + self.qhat_dims
+        for (sid, abstract), start, q in zip(sides, _offsets(dims), dims):
             if q:
                 for col, trial in enumerate(trials):
                     stream = noise_stream(cfg.seed, trial, sid, abstract)
                     out[:, start : start + q, col] = stream.standard_normal((cfg.horizon, q))
-        return out
 
     def _policy_inputs(self, policy: Policy, k: int, xh: np.ndarray) -> np.ndarray:
         """Stacked abstract inputs, one policy call per trial row of ``xh``."""
@@ -258,25 +259,26 @@ class _PairSimulator:
         return nuhat
 
     def run_block(
-        self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray, out: Deviations
+        self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray, out: Deviations,
+        work: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
         """Step ``trials`` (at most :attr:`block`) together from the stacked
         initial states, one per column, and write their rows of ``out``;
-        padding columns start from zero."""
+        padding columns start from zero.  ``work`` holds the arrays that
+        :func:`simulate_pair` sizes once for every block."""
         T, cols = cfg.horizon, len(trials)
-        noise_c = self._noise(cfg, trials, abstract=False)
-        noise_a = self._noise(cfg, trials, abstract=True)
+        noise, pair, ys = work
+        self._noise(cfg, trials, noise)
         # two pair columns in turn: a step reads one and writes the other's state
-        z = np.zeros((self.width, self.block))
+        pair.fill(0.0)
+        z, nxt = pair
         z[self.x, :cols], z[self.xh, :cols] = x0[:, None], xh0[:, None]
-        nxt = np.zeros_like(z)
-        ys = np.empty((T + 1, self.out_dim, self.block))
         for k in range(T + 1):
             if k:
                 if cfg.abstract_policy is not None:
                     xh = np.ascontiguousarray(z[self.xh, :cols].T)
                     z[self.nu, :cols] = self._policy_inputs(cfg.abstract_policy, k - 1, xh).T
-                z[self.w], z[self.wh] = noise_c[k - 1], noise_a[k - 1]
+                z[self.w.start :] = noise[k - 1]
                 _apply(self.step_blocks, z, nxt)
                 z, nxt = nxt, z
             _apply(self.output_blocks, z, ys[k])
@@ -309,12 +311,23 @@ def simulate_pair(
     x0, xh0 = np.asarray(x0, dtype=float), np.asarray(xh0, dtype=float)
     if x0.shape != (sim.n_tot,) or xh0.shape != (sim.nhat_tot,):
         raise DimensionMismatch("initial state dimensions do not match the network")
-    n, steps, r = cfg.trials, cfg.horizon + 1, sim.r_tot
-    out = Deviations(np.empty(n))
-    if cfg.record_trajectories:
-        out = Deviations(out.sup, np.empty((n, steps, r)), np.empty((n, steps, sim.out_dim - r)))
-    for start in range(0, cfg.trials, sim.block):
-        sim.run_block(range(cfg.trials)[start : start + sim.block], cfg, x0, xh0, out)
+    n, T, r, b = cfg.trials, cfg.horizon, sim.r_tot, sim.block
+    # every array is sized before the first step (numpy: ValueError past the address space)
+    try:
+        out = Deviations(np.empty(n))
+        if cfg.record_trajectories:
+            y, yh = np.empty((n, T + 1, r)), np.empty((n, T + 1, sim.out_dim - r))
+            out = Deviations(out.sup, y, yh)
+        # a block's noise, two pair columns and outputs, reused by the next block
+        work = (
+            np.empty((T, sim.width - sim.w.start, b)),
+            np.empty((2, sim.width, b)),
+            np.empty((T + 1, sim.out_dim, b)),
+        )
+    except (MemoryError, ValueError) as exc:
+        raise SchemaError(f"trials={n} and horizon={T} cannot be allocated: {exc}") from None
+    for start in range(0, n, b):
+        sim.run_block(range(n)[start : start + b], cfg, x0, xh0, out, work)
     return out
 
 

@@ -49,8 +49,6 @@ S_NOTE = (
 
 # published values the pipeline must reproduce, with comparison tolerances
 EXPECTED = {
-    "kappa_hat": (0.98, 0.0),
-    "pi": (0.99, 0.0),
     "rho_int_coef": (0.88, 5e-3),
     "rho_ext_coef": (0.0, 0.0),
     "psi": (0.0025, 1e-6),

@@ -70,11 +70,19 @@ def test_compose_writes_composed_certificate(project_path, tmp_path, capsys):
     assert 0 < doc["kappa_hat"] < 1
 
 
-def test_compose_infeasible_N_minus_1(project_path, capsys):
-    code = main(["compose", "--project", str(project_path),
-                 "--degree-mode", "paper_N_minus_1"])
-    assert code == 1
-    assert "INFEASIBLE" in capsys.readouterr().out
+@pytest.mark.parametrize("command", [
+    ["compose"], ["bound", "--epsilon", "1", "--horizon", "10"], ["simulate", "--trials", "50"],
+    ["paper-example"],
+], ids=lambda command: command[0])
+def test_infeasible_network_reported_once(project_path, capsys, command):
+    # every command that composes reports a failed gain test with the same line
+    project = [] if command[0] == "paper-example" else ["--project", str(project_path)]
+    assert main([*command, *project, "--degree-mode", "paper_N_minus_1"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("composition INFEASIBLE") == 1
+    assert "composition INFEASIBLE: spectral radius >= 1 (mode paper_N_minus_1)\n" in out
+    for guarantee in ("probability", "analytic bound", "soundness"):
+        assert guarantee not in out
 
 
 def test_bound_reference(project_path, capsys):
@@ -141,6 +149,24 @@ def test_abstract_requires_pi_when_no_certificate(project_path, tmp_path):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(doc))
     assert main(["abstract", "--project", str(bare), "--subsystem", "0"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pi", "inf"], ["--pi", "nan"], ["--pi", "-1"], ["--kappa-hat", "nan"],
+    ["--kappa-hat", "1.5"],
+])
+def test_abstract_bad_synthesis_flags_exit_2(project_path, tmp_path, capsys, flags):
+    doc = json.loads(project_path.read_text())
+    del doc["certificates"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    argv = ["abstract", "--project", str(bare), "--subsystem", "0",
+            "--pi", "0.99", "--kappa-hat", "0.98", "--output", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    assert f"error: argument {flags[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_simulate_pass(project_path, capsys):
@@ -234,11 +260,6 @@ def test_paper_example_emit_project(tmp_path, capsys):
     assert len(emitted.subsystems) == 4
 
 
-def test_paper_example_N_minus_1_documented_failure(capsys):
-    assert main(["paper-example", "--degree-mode", "paper_N_minus_1"]) == 1
-    assert "INFEASIBLE" in capsys.readouterr().out
-
-
 def test_bound_nan_epsilon_exits_2(project_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--project", str(project_path), "--epsilon", "nan", "--horizon", "10"])
@@ -270,6 +291,20 @@ def test_simulate_bad_project_epsilon_exits_2(project_path, capsys, epsilon):
     project_path.write_text(json.dumps(doc))
     assert main(["simulate", "--project", str(project_path)]) == 2
     assert "finite epsilon > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "1000000000000000"],
+    ["--trials", "100000000000000000000"],
+    ["--trials", "10", "--horizon", "100000000000000"],
+], ids=["trials-past-memory", "trials-past-max-dimension", "horizon-past-memory"])
+def test_oversized_run_exits_2(project_path, capsys, flags):
+    # each size is past the 128 TiB address space: allocation fails at once
+    # under any overcommit setting, before a step is taken
+    assert main(["simulate", "--project", str(project_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trials=") and "horizon=" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_paper_example_takes_no_workers(capsys):

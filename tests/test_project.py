@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import certified_network
-from simcert import cli
+from simcert import smallgain, spsf
 from simcert.cli import main
 from simcert.errors import SchemaError, SimcertError
 from simcert.model import LinearSubsystem
@@ -257,9 +257,14 @@ def test_compose_output_numbers(tmp_path, capsys):
     src, out = tmp_path / "ring.json", tmp_path / "composed.json"
     save_project(project, src)
     assert main(["compose", "--project", str(src), "--output", str(out)]) == 0
-    constants = cli._all_constants(project, 1e-9)
-    gains, radius = cli._gain_test(constants, project.topology, "in_degree")
-    mu, composed = cli._compose(constants, gains)
+    constants = [
+        spsf.derive_constants(s, project.candidate_for(s.id), project.certificate_for(s.id))
+        for s in project.subsystems
+    ]
+    gains = smallgain.build_gains(constants, project.topology, "in_degree")
+    radius = smallgain.spectral_radius_test(gains)
+    mu = smallgain.find_mu(gains)
+    composed = smallgain.compose(constants, gains, mu)
     doc = json.loads(out.read_text())
     assert doc == {
         "mu": mu.tolist(),
