@@ -93,12 +93,12 @@ class _DerivedKey(ISeedSequence):
 
 
 @functools.lru_cache(maxsize=4096)
-def _side_key(seed: int, subsystem_id: int, abstract: bool) -> np.ndarray:
+def _side_key(seed: int, subsystem_id: int, abstract: bool) -> _DerivedKey:
     """The Philox key of one (seed, subsystem, side), read-only: it is shared."""
     seq = np.random.SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))
     key = seq.generate_state(2, np.uint64)
     key.flags.writeable = False
-    return key
+    return _DerivedKey(key)
 
 
 def noise_stream(seed: int, trial: int, subsystem_id: int, abstract: bool) -> np.random.Generator:
@@ -115,8 +115,8 @@ def noise_stream(seed: int, trial: int, subsystem_id: int, abstract: bool) -> np
     trial = operator.index(trial)
     if not 0 <= trial < 2**64:
         raise ValueError(f"trial must be in [0, 2**64): {trial}")
-    key = _DerivedKey(_side_key(seed, subsystem_id, bool(abstract)))
-    counter = np.array([0, trial, 0, 0], dtype=np.uint64)
+    key, counter = _side_key(seed, subsystem_id, bool(abstract)), np.zeros(4, np.uint64)
+    counter[1] = trial
     return np.random.Generator(np.random.Philox(key, counter=counter))
 
 
@@ -233,18 +233,21 @@ class _PairSimulator:
         """Write the draws of a block of trials into ``out``, shaped
         ``(T, q_tot + qhat_tot, block)`` like the rows ``[w; what]`` of ``z``.
 
-        Every trial draws from its own substreams, whatever block it runs in;
-        the columns past the block's trials are zero.  A side with ``q == 0``
-        draws nothing and builds no stream.
+        Every trial draws its own substreams, whatever block it runs in, into
+        its row of one side's buffer; the columns past the block's trials are
+        zero.  A side with ``q == 0`` draws nothing and builds no stream.
         """
-        out.fill(0.0)
+        cols, T = len(trials), cfg.horizon
+        out[:, :, cols:] = 0.0
         sides = [(sid, False) for sid in self.ids] + [(sid, True) for sid in self.ids]
         dims = self.q_dims + self.qhat_dims
+        buffer = np.empty(cols * T * max(dims))  # every side's draws in turn
         for (sid, abstract), start, q in zip(sides, _offsets(dims), dims):
             if q:
-                for col, trial in enumerate(trials):
-                    stream = noise_stream(cfg.seed, trial, sid, abstract)
-                    out[:, start : start + q, col] = stream.standard_normal((cfg.horizon, q))
+                draws = buffer[: cols * T * q].reshape(cols, T, q)
+                for row, trial in zip(draws, trials):
+                    noise_stream(cfg.seed, trial, sid, abstract).standard_normal(out=row)
+                out[:, start : start + q, :cols] = draws.transpose(1, 2, 0)
 
     def _policy_inputs(self, policy: Policy, k: int, xh: np.ndarray) -> np.ndarray:
         """Stacked abstract inputs, one policy call per trial row of ``xh``."""
@@ -258,21 +261,23 @@ class _PairSimulator:
             nuhat[row] = u
         return nuhat
 
+    @np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
     def run_block(
         self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray, out: Deviations,
         work: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
-        """Step ``trials`` (at most :attr:`block`) together from the stacked
-        initial states, one per column, and write their rows of ``out``;
-        padding columns start from zero.  ``work`` holds the arrays that
-        :func:`simulate_pair` sizes once for every block."""
-        T, cols = cfg.horizon, len(trials)
-        noise, pair, ys = work
+        """Step ``trials`` (at most :attr:`block`) together from the stacked initial states,
+        one per column (padding columns from zero), folding each step's deviations into their
+        rows of ``out`` as it is taken; ``work`` holds the arrays :func:`simulate_pair` sizes."""
+        T, cols, r = cfg.horizon, len(trials), self.r_tot
+        noise, pair, y = work
         self._noise(cfg, trials, noise)
         # two pair columns in turn: a step reads one and writes the other's state
         pair.fill(0.0)
         z, nxt = pair
         z[self.x, :cols], z[self.xh, :cols] = x0[:, None], xh0[:, None]
+        rows = slice(trials.start, trials.stop)
+        sup = out.sup[rows]
         for k in range(T + 1):
             if k:
                 if cfg.abstract_policy is not None:
@@ -281,13 +286,11 @@ class _PairSimulator:
                 z[self.w.start :] = noise[k - 1]
                 _apply(self.step_blocks, z, nxt)
                 z, nxt = nxt, z
-            _apply(self.output_blocks, z, ys[k])
-        ys = np.ascontiguousarray(ys[:, :, :cols].transpose(2, 0, 1))
-        y, yh = ys[:, :, : self.r_tot], ys[:, :, self.r_tot :]
-        rows = slice(trials.start, trials.stop)
-        out.sup[rows] = np.linalg.norm(y - yh, axis=2).max(axis=1)
-        if out.outputs is not None:
-            out.outputs[rows], out.abstract_outputs[rows] = y, yh
+            _apply(self.output_blocks, z, y)
+            yk = np.ascontiguousarray(y[:, :cols].T)
+            np.maximum(sup, np.linalg.norm(yk[:, :r] - yk[:, r:], axis=1), out=sup)
+            if out.outputs is not None:
+                out.outputs[rows, k], out.abstract_outputs[rows, k] = yk[:, :r], yk[:, r:]
 
 
 def simulate_pair(
@@ -314,16 +317,13 @@ def simulate_pair(
     n, T, r, b = cfg.trials, cfg.horizon, sim.r_tot, sim.block
     # every array is sized before the first step (numpy: ValueError past the address space)
     try:
-        out = Deviations(np.empty(n))
+        out = Deviations(np.zeros(n))  # run_block folds each step's deviations into sup
         if cfg.record_trajectories:
             y, yh = np.empty((n, T + 1, r)), np.empty((n, T + 1, sim.out_dim - r))
             out = Deviations(out.sup, y, yh)
-        # a block's noise, two pair columns and outputs, reused by the next block
-        work = (
-            np.empty((T, sim.width - sim.w.start, b)),
-            np.empty((2, sim.width, b)),
-            np.empty((T + 1, sim.out_dim, b)),
-        )
+        # a block's noise, two pair columns and one step's outputs, reused by the next block
+        work = (np.empty((T, sim.width - sim.w.start, b)), np.empty((2, sim.width, b)),
+                np.empty((sim.out_dim, b)))
     except (MemoryError, ValueError) as exc:
         raise SchemaError(f"trials={n} and horizon={T} cannot be allocated: {exc}") from None
     for start in range(0, n, b):
@@ -342,14 +342,14 @@ class ViolationEstimate:
 
 
 def violation_probability(samples: Deviations, epsilon: float) -> ViolationEstimate:
-    """Fraction of trials with ``sup deviation >= epsilon`` plus its
-    exact (Clopper-Pearson) one-sided 95% upper confidence bound."""
+    """Fraction of trials with ``sup deviation >= epsilon`` or non-finite, plus
+    its exact (Clopper-Pearson) one-sided 95% upper confidence bound."""
     # scipy loads here, not at import: only this bound calls it
     from scipy.special import betaincinv
 
     n = len(samples)
     if not n:
         raise ValueError("samples must be nonempty")
-    x = int(np.count_nonzero(samples.sup >= epsilon))
+    x = int(np.count_nonzero(~(samples.sup < epsilon)))
     upper = 1.0 if x == n else float(betaincinv(x + 1, n - x, 0.95))
     return ViolationEstimate(violations=x, trials=n, estimate=x / n, upper95=upper)

@@ -8,6 +8,7 @@ matrix test ``rho(Lambda^{-1} Delta) < 1`` succeeds, a positive weight vector
 composed constants emitted by :func:`compose`.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,6 +64,15 @@ class GainDecomposition:
     @property
     def n(self) -> int:
         return self.Lambda.shape[0]
+
+    @functools.cached_property
+    def radius(self) -> float:
+        """Spectral radius of ``Lambda^{-1} Delta``, solved once (the matrices are read-only)
+        by a dense eigensolver: they are tiny and often permutation-like, where iterative
+        schemes stall."""
+        G = np.linalg.solve(self.Lambda, self.Delta)
+        # a ratio that overflowed belongs to a gain far above 1
+        return float(np.max(np.abs(np.linalg.eigvals(G)))) if np.isfinite(G).all() else np.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +137,8 @@ def build_gains(
 
 
 def spectral_radius_test(g: GainDecomposition) -> float:
-    """Spectral radius of ``Lambda^{-1} Delta``; a valid ``mu`` exists iff < 1.
-
-    Computed with a dense eigensolver: the gain matrices of interest are tiny
-    and frequently permutation-like, where iterative schemes stall.
-    """
-    G = np.linalg.solve(g.Lambda, g.Delta)
-    # a ratio that overflowed belongs to a gain far above 1
-    return float(np.max(np.abs(np.linalg.eigvals(G)))) if np.isfinite(G).all() else np.inf
+    """Spectral radius ``g.radius`` of ``Lambda^{-1} Delta``; a valid ``mu`` exists iff < 1."""
+    return g.radius
 
 
 def _is_irreducible(G: np.ndarray) -> bool:
@@ -159,7 +163,7 @@ def find_mu(g: GainDecomposition) -> np.ndarray:
     Infeasible
         If the spectral radius test fails (``rho >= 1``).
     """
-    rho = spectral_radius_test(g)
+    rho = g.radius
     if rho >= 1.0:
         raise Infeasible(f"spectral radius {rho:.6f} >= 1; no valid mu exists")
     n = g.n

@@ -2,6 +2,7 @@
 the one-step expectation oracles of the closeness function with their Monte
 Carlo check, and a fresh interpreter for import checks."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from scipy.linalg import block_diag
 
 import simcert
 from simcert.model import InterconnectedSystem, LinearSubsystem, Topology
+from simcert.project import ProjectFile
+from simcert.reference import reference_project
 from simcert.smallgain import build_gains, compose, find_mu, spectral_radius_test
 from simcert.spsf import (
     AbstractionCandidate,
@@ -135,6 +138,22 @@ def identity_candidate(s: LinearSubsystem) -> AbstractionCandidate:
     return AbstractionCandidate.induced(
         s, P=np.eye(s.n), Ahat=s.A, Bhat=s.B, Dhat=s.D, Fhat=s.F
     )
+
+
+def diverging_project() -> ProjectFile:
+    """The reference project with unstable, noisy abstractions ``Ahat = 3``, ``Fhat = 1``.
+
+    ``Q`` is re-solved from the structural equalities, so every certificate
+    still passes its check, but the abstract states grow like ``3**k``: past
+    a few hundred steps the deviations overflow to ``inf`` and then ``nan``.
+    """
+    project = reference_project()
+    cands, certs = {}, {}
+    for s in project.subsystems:
+        cands[s.id] = dataclasses.replace(project.candidates[s.id], Ahat=[[3.0]], Fhat=[[1.0]])
+        Q = solve_structural(s, cands[s.id]).Q
+        certs[s.id] = dataclasses.replace(project.certificates[s.id], Q=Q)
+    return dataclasses.replace(project, candidates=cands, certificates=certs)
 
 
 def certified_network(seed):

@@ -2,8 +2,9 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
-from helpers import fresh_python
+from helpers import diverging_project, fresh_python
 
 from simcert import cli, montecarlo, smallgain, spsf
 from simcert.cli import main
@@ -177,6 +178,29 @@ def test_simulate_pass(project_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "analytic bound: 0.0956" in out
+
+
+def test_simulate_counts_diverging_runs(tmp_path, capsys):
+    # at horizon 700 every deviation of this network overflows to nan; each
+    # one is a violation, and the overflow raises no numpy warning
+    path = tmp_path / "diverging.json"
+    save_project(diverging_project(), path)
+    assert main(["check", "--project", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--project", str(path), "--trials", "200", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        main([*argv, "--horizon", "700"])
+    assert "empirical violation estimate: 1.0000 (200/200)" in capsys.readouterr().out
+
+
+def test_compose_solves_one_eigenproblem(project_path, capsys, monkeypatch):
+    # the gain test's radius is solved once and reused by find_mu
+    eigvals, calls = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    assert main(["compose", "--project", str(project_path)]) == 0
+    assert len(calls) == 1
+    assert "spectral radius of Lambda^-1 Delta: 0.896" in capsys.readouterr().out
 
 
 def test_simulate_corrupted_certificate_flagged(project_path, capsys):

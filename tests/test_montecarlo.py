@@ -183,6 +183,13 @@ def test_violation_probability_examples():
     assert violation_probability(mk([0.5, 1.5]), 1.0).estimate == 0.5
 
 
+def test_non_finite_deviation_counts_as_violation():
+    # a diverging run overflows to inf, then inf - inf gives nan; neither is
+    # "within epsilon"
+    est = violation_probability(Deviations(sup=np.array([np.nan, np.inf, 0.0, 2.0])), 1.0)
+    assert (est.violations, est.trials) == (3, 4)
+
+
 def test_upper_bound_equals_beta_quantile():
     # the bound is the Clopper-Pearson quantile of scipy.stats, computed
     # without importing scipy.stats
@@ -377,6 +384,44 @@ def _reference_ring(N):
         for s in subs
     ]
     return subs, topo, cands, [cert] * N
+
+
+@pytest.mark.parametrize("network", ["reference", "heterogeneous"])
+def test_recording_leaves_sup_unchanged(ref_parts, network):
+    # recorded and unrecorded runs reduce each step's deviations on one path;
+    # 300 trials span two blocks
+    if network == "reference":
+        subs, topo, cands, certs = ref_parts
+        cands, certs = [cands[i] for i in range(4)], [certs[i] for i in range(4)]
+    else:
+        subs, topo, cands, certs, _ = certified_network(2104)
+    runs = [
+        simulate_pair(subs, topo, cands, certs,
+                      RunConfig(horizon=9, trials=300, seed=13, record_trajectories=record))
+        for record in (False, True)
+    ]
+    assert runs[0].outputs is None and runs[1].outputs.shape[:2] == (300, 10)
+    assert runs[0].sup.tobytes() == runs[1].sup.tobytes()
+
+
+def test_run_memory_grows_with_horizon_only_through_noise(ref_parts):
+    # deviations are reduced as the steps run, so of a block's arrays only
+    # the noise block, (T, q_tot, 256), grows with the horizon
+    subs, topo, cands, certs = ref_parts
+    cands, certs = [cands[i] for i in range(4)], [certs[i] for i in range(4)]
+    sim = _PairSimulator(subs, topo, cands, certs)
+    q_tot = sim.width - sim.w.start
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            simulate_pair(subs, topo, cands, certs, RunConfig(horizon=T, trials=256, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    long = peak(400)  # first, so one-time allocations count against the longer run
+    assert long - peak(10) <= 1.5 * (400 - 10) * q_tot * sim.block * 8
 
 
 def test_step_operators_grow_with_edges():
