@@ -95,7 +95,10 @@ def finite_horizon_bound(q: BoundQuery) -> BoundResult:
     a = q.alpha_coef * (q.epsilon * q.epsilon)  # where a float ** raises, * gives inf
     if a >= q.psi_hat / q.kappa_hat:
         branch = "high_threshold"
-        raw = 1.0 - (1.0 - q.V0 / a) * (1.0 - q.psi_hat / a) ** q.T
+        if q.V0 < a:  # in logs, so that a bound far below 1e-16 does not cancel to 0
+            raw = -math.expm1(math.log1p(-q.V0 / a) + q.T * math.log1p(-q.psi_hat / a))
+        else:  # raw >= 1 here, and is clamped
+            raw = 1.0 - (1.0 - q.V0 / a) * (1.0 - q.psi_hat / a) ** q.T
     else:
         branch = "low_threshold"
         decay = (1.0 - q.kappa_hat) ** q.T

@@ -285,10 +285,13 @@ def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path, mode:
     if est.violations == 0:
         # with no violation the upper bound is 1 - 0.05**(1/n), which falls
         # below p only from n >= ln(0.05) / ln(1 - p) trials
-        need = (
-            f"at least {math.ceil(math.log(0.05) / math.log1p(-p))} trials are needed"
-            if p > 0 else "no number of trials can confirm a bound of 0"
-        )
+        need = "no number of trials can confirm a bound of 0"
+        if p > 0:
+            from decimal import Decimal  # loads here, not at start-up: only this count needs it
+
+            # that count passes 2**53 once p < 3.3e-16, and the float range once p < 1.7e-308
+            n = Decimal(math.log(0.05)) / Decimal(math.log1p(-p))
+            need = f"at least {math.ceil(n) if n <= 2**53 else format(n, '.3g')} trials are needed"
         print(f"soundness: INCONCLUSIVE (underpowered: "
               f"0 violations in {est.trials} trials; {need})")
         return 0

@@ -15,6 +15,7 @@ empirical violation frequency and its exact one-sided confidence bound.
 """
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -343,13 +344,98 @@ class ViolationEstimate:
 
 def violation_probability(samples: Deviations, epsilon: float) -> ViolationEstimate:
     """Fraction of trials with ``sup deviation >= epsilon`` or non-finite, plus
-    its exact (Clopper-Pearson) one-sided 95% upper confidence bound."""
-    # scipy loads here, not at import: only this bound calls it
-    from scipy.special import betaincinv
-
+    its exact (Clopper-Pearson) one-sided 95% upper confidence bound, rounded up."""
     n = len(samples)
     if not n:
         raise ValueError("samples must be nonempty")
     x = int(np.count_nonzero(~(samples.sup < epsilon)))
-    upper = 1.0 if x == n else float(betaincinv(x + 1, n - x, 0.95))
-    return ViolationEstimate(violations=x, trials=n, estimate=x / n, upper95=upper)
+    return ViolationEstimate(violations=x, trials=n, estimate=x / n, upper95=_upper95(x, n))
+
+
+_U = 2.0**-53  # unit roundoff of a double
+# ln k! - ln(sqrt(2 pi k) (k/e)**k) for k < 16, correctly rounded (Loader 2000)
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+
+
+def _stirlerr(k: int) -> float:
+    """Loader's ``ln k! - ln(sqrt(2 pi k) (k/e)**k)``, to within ``u`` absolute."""
+    if k < 16:
+        return _STIRLERR[k]
+    kk = k * k  # the Stirling series to its k**-9 term; the next is below 1.1e-16
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+
+
+def _bd0(x: int, m: float) -> tuple[float, float]:
+    """Loader's deviance ``x ln(x/m) + m - x`` and a bound on its absolute error,
+    counting a relative error ``u`` in ``m`` itself."""
+    d = x - m
+    if abs(d) < 0.1 * (x + m):  # d is exact here; the series' terms share a sign
+        v = d / (x + m)
+        s, ej, v2 = d * v, 2 * x * v, v * v
+        for j in range(3, 1000, 2):
+            ej *= v2
+            if s + ej / j == s:
+                break
+            s += ej / j
+        return s, _U * (32 * s + abs(d))
+    t = x * math.log(x / m)
+    return t - d, _U * (x + 3 * abs(t) + 4 * abs(d) + abs(t - d))
+
+
+def _binom_cdf(x: int, n: int, p: float) -> tuple[float, float, float]:
+    """``P(Bin(n, p) <= x)``, its derivative in ``p`` and a bound on its relative
+    error (barring underflow), for ``1 <= x <= n - 2``, ``(x + 2) / (n + 3) <= p < 1``:
+    Loader's saddle-point pmf at ``x``, then the smaller terms by their ratios."""
+    q = 1.0 - p
+    b1, e1 = _bd0(x, n * p)
+    b2, e2 = _bd0(n - x, n * q)
+    lc = _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x) - b1 - b2
+    t = math.exp(lc) * math.sqrt(n / (2 * math.pi * x * (n - x)))
+    # n*q also carries q's rounding; the sum for lc, exp, sqrt and products add 12u
+    eta = e1 + e2 + _U * (abs(n - x - n * q) + 4 * (b1 + b2) + 12)
+    f, df, k = t, -(n - x) / q * t, x
+    while k:
+        r = k * q / ((n - k + 1) * p)
+        t *= r
+        f += t
+        k -= 1
+        # ratios fall with k, so the terms left sum to at most t r / (1 - r)
+        if t * r <= (1 - r) * _U * f:
+            break
+    # term x - j is off by (5j)u at most, the sum by one u per term, the remainder u
+    return f, df, eta + _U * (6 * (x - k + 1) + 1)
+
+
+def _upper95(x: int, n: int) -> float:
+    """The 0.95-quantile of Beta(x + 1, n - x), rounded up by less than 1e-13 relative.
+
+    That quantile is the ``p`` with ``P(Bin(n, p) <= x) = 0.05``. Safeguarded
+    Newton steps on ``ln P`` (log-concave in ``p``) bracket it, and a ``p`` is
+    accepted only if the computed tail plus its error bound is at most 0.05.
+    """
+    if x == n:
+        return 1.0
+    if x == 0 or x == n - 1:
+        # (1 - p)**n = 0.05 and p**n = 0.95 in closed form, to within 3 ulps
+        up = -math.expm1(math.log(0.05) / n) if x == 0 else math.exp(math.log1p(-0.05) / n)
+        for _ in range(4):
+            up = math.nextafter(up, 1.0)
+        return up
+    # below (x + 2) / (n + 3) the tail exceeds 0.19, so the quantile lies above it
+    lo = p = (x + 2) / (n + 3)
+    hi = 1.0
+    for _ in range(100):
+        f, df, eta = _binom_cdf(x, n, p)
+        e = eta + 16 * _U  # also the float 0.05, the product and the comparison
+        lo, hi = (lo, p) if f * (1 + e) <= 0.05 else (p, hi)
+        # aim 2e below the cut, so that the step lands on the accepted side
+        nxt = p - math.log(f * (1 + 3 * e) / 0.05) * f / df if f else lo
+        if hi - lo <= 1e-14 * hi or p == hi and p - nxt <= 1e-14 * p:
+            break
+        w = (hi - lo) / 16
+        p = nxt if lo < nxt < hi else lo + w if nxt <= lo else hi - w
+    return hi

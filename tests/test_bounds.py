@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from simcert.bounds import (
     psi_hat,
     safety_transfer,
 )
+from simcert import cli
 from simcert.errors import DomainError, PreconditionViolated
+from simcert.reference import reference_project
 
 
 def _case1(v0, a, ph, T):
@@ -28,6 +32,22 @@ def test_reference_bound_value():
     assert res.branch == "high_threshold"
     assert res.probability == pytest.approx(1.0 - 0.99**10, abs=1e-15)
     assert res.probability == pytest.approx(0.0956, abs=1e-4)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 1e3, 1e5, 1e8])
+def test_high_threshold_bound_on_reference_is_exact(epsilon):
+    # 1 - (1 - psi_hat/a)**T cancels: once psi_hat/a nears the rounding unit it
+    # lost digits (1e5) and then all of them (1e8, where it gave 0 for 1e-17)
+    project = reference_project()
+    constants = cli._all_constants(project, 1e-9)
+    composed = cli._composition(constants, project.topology, "in_degree")[1]
+    offset, res = cli._bound(composed, epsilon, 10)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = decimal.Decimal(composed.alpha_coef) * decimal.Decimal(epsilon) ** 2
+        exact = 1 - (1 - decimal.Decimal(offset) / a) ** 10
+    assert res.branch == "high_threshold"
+    assert res.probability == pytest.approx(float(exact), rel=1e-13, abs=0)
 
 
 def test_zero_horizon():

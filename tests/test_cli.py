@@ -407,6 +407,16 @@ def test_simulate_underpowered_is_inconclusive(project_path, capsys):
     assert "soundness: INCONCLUSIVE (underpowered" in out and "at least 30 trials" in out
 
 
+@pytest.mark.parametrize("epsilon, count", [("1e150", "3.00e+301"), ("1e154", "3.00e+309")])
+def test_simulate_tiny_bound_is_inconclusive(project_path, capsys, epsilon, count):
+    # past 2**53 the trial count is printed to three digits; past the float range
+    # (a bound below 1.7e-308) it must not overflow
+    argv = ["simulate", "--project", str(project_path), "--trials", "50", "--epsilon", epsilon]
+    assert main(argv) == 0
+    lines = [s for s in capsys.readouterr().out.splitlines() if "INCONCLUSIVE" in s]
+    assert len(lines) == 1 and lines[0].endswith(f"at least {count} trials are needed)")
+
+
 def test_simulate_zero_bound_is_inconclusive(project_path, capsys):
     # from zero initial states nothing can deviate within zero steps
     code = main(["simulate", "--project", str(project_path), "--trials", "5",
@@ -537,15 +547,19 @@ def test_run_settings_are_checked_before_certificates(project_path, capsys):
 
 SCIPY_MODULES = "json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
 
-# Commands that check, compose and bound stored certificates need only numpy.
+# Commands that check, compose and bound stored certificates need only numpy,
+# and so do the Monte Carlo commands and their confidence bound.
 CERTIFICATE_COMMANDS = f"""
 import contextlib, io, json, sys
 from simcert import cli
 project, output = sys.argv[1:]
 for argv in (["check"], ["compose"], ["bound", "--epsilon", "1", "--horizon", "10"],
-             ["abstract", "--subsystem", "0", "--output", output]):
+             ["abstract", "--subsystem", "0", "--output", output],
+             ["simulate", "--trials", "50"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([argv[0], "--project", project, *argv[1:]]) == 0, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["paper-example", "--trials", "50"]) == 0
 print({SCIPY_MODULES})
 """
 
@@ -556,7 +570,7 @@ def test_certificate_commands_load_no_scipy(project_path, tmp_path):
     assert (tmp_path / "out.json").exists()
 
 
-# The Monte Carlo bound and synthesis import scipy when they run.
+# Synthesis imports scipy.linalg when it runs; no command imports scipy.special.
 SCIPY_USERS = f"""
 import contextlib, io, json, sys
 import numpy as np
@@ -575,4 +589,4 @@ print({SCIPY_MODULES})
 
 def test_moved_scipy_imports_resolve(project_path):
     loaded = json.loads(fresh_python(SCIPY_USERS, str(project_path)))
-    assert {"scipy.linalg", "scipy.special"} <= set(loaded)
+    assert "scipy.linalg" in loaded and "scipy.special" not in loaded

@@ -1,8 +1,11 @@
 import dataclasses
+import decimal
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     certified_network,
     empirical_supermartingale_check,
@@ -190,15 +193,54 @@ def test_non_finite_deviation_counts_as_violation():
     assert (est.violations, est.trials) == (3, 4)
 
 
-def test_upper_bound_equals_beta_quantile():
-    # the bound is the Clopper-Pearson quantile of scipy.stats, computed
-    # without importing scipy.stats
-    from scipy.stats import beta
+def _cp_upper(x, n):
+    return violation_probability(Deviations(sup=(np.arange(n) < x) * 2.0), 1.0).upper95
 
-    for n in (1, 2, 3, 7, 29, 30, 100, 301, 1000, 10_000):
-        for x in sorted({0, 1, n // 3, n // 2, n - 1} - {n}):
-            samples = Deviations(sup=np.array([float(i < x) for i in range(n)]))
-            assert violation_probability(samples, 1.0).upper95 == beta.ppf(0.95, x + 1, n - x)
+
+def _binomial_tail(n, x, p):
+    """Exact ``P(Bin(n, p) <= x)`` at the float ``p``, summed by term ratios in
+    60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 60, -999_999_999, 999_999_999
+        p = decimal.Decimal(p)
+        term = total = (1 - p) ** n
+        for k in range(x):
+            term = term * (n - k) / (k + 1) * p / (1 - p)
+            total += term
+        return total
+
+
+# the exact quantile q has tail 0.05: the bound is never below it, and less than 1e-12 above it
+CP_GRID = [(n, x) for n in (1, 2, 3, 7, 29, 30, 100, 301, 1000, 10_000)
+           for x in sorted({0, 1, n // 3, n // 2, n - 1} - {n})]
+
+
+@pytest.mark.parametrize("n, x", CP_GRID + [(10**6, 1), (10**6, 2)])
+def test_upper_bound_is_the_exact_quantile_rounded_up(n, x):
+    upper = _cp_upper(x, n)
+    assert _binomial_tail(n, x, upper) <= decimal.Decimal("0.05")
+    assert _binomial_tail(n, x, upper * (1 - 1e-12)) > decimal.Decimal("0.05")
+
+
+# at n = 10**6 and x = 1 or 2, scipy's value is itself 1.6e-12 and 6.3e-12 above
+# the exact quantile; the decimal oracle covers those two
+@pytest.mark.parametrize("n, x", [(10**5, x) for x in (0, 1, 33_333, 50_000, 99_999)]
+                         + [(10**6, x) for x in (0, 333_333, 500_000, 999_999)])
+def test_upper_bound_matches_scipy_at_large_n(n, x):
+    from scipy.special import betaincinv
+
+    assert _cp_upper(x, n) == pytest.approx(betaincinv(x + 1, n - x, 0.95), rel=1e-12)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n=st.integers(1, 2000), data=st.data())
+def test_upper_bound_is_monotone_and_in_range(n, data):
+    x = data.draw(st.integers(0, n))
+    upper = _cp_upper(x, n)
+    assert x / n <= upper <= 1.0
+    if x < n:
+        assert _cp_upper(x + 1, n) >= upper
+    assert _cp_upper(x, n + 1) <= upper
 
 
 def test_import_leaves_scipy_stats_unloaded():
