@@ -9,12 +9,8 @@ deviation bounds, and validates everything by seeded Monte Carlo simulation.
 from .bounds import (
     BoundQuery,
     BoundResult,
-    BoxSet,
     finite_horizon_bound,
-    infinite_horizon_bound,
-    inflate_set,
     psi_hat,
-    safety_transfer,
 )
 from .errors import (
     DanglingInput,
@@ -52,7 +48,6 @@ from .smallgain import (
     build_gains,
     compose,
     find_mu,
-    spectral_radius_test,
 )
 from .spsf import (
     AbstractionCandidate,

@@ -12,17 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionViolated
+from .errors import DomainError
 
 __all__ = [
     "BoundQuery",
     "BoundResult",
-    "BoxSet",
     "psi_hat",
     "finite_horizon_bound",
-    "infinite_horizon_bound",
-    "inflate_set",
-    "safety_transfer",
 ]
 
 
@@ -68,9 +64,6 @@ class BoundResult:
     branch: str
     clamped: bool
 
-    def __float__(self) -> float:
-        return self.probability
-
 
 def psi_hat(rho_ext_coef: float, nuhat_sup: float, psi: float) -> float:
     """Tight admissible offset ``rho_ext_coef * nuhat_sup**2 + psi``."""
@@ -108,79 +101,3 @@ def finite_horizon_bound(q: BoundQuery) -> BoundResult:
     prob = min(max(raw, 0.0), 1.0)
     return BoundResult(probability=prob, raw=float(raw), branch=branch, clamped=prob != raw)
 
-
-def infinite_horizon_bound(
-    V0: float,
-    alpha_coef: float,
-    epsilon: float,
-    *,
-    psi: float = 0.0,
-    rho_ext_coef: float = 0.0,
-) -> float:
-    """Unbounded-horizon bound ``min(V0 / (alpha_coef * epsilon**2), 1)``.
-
-    Valid only for certificates with no offset and no external gain, which
-    make the closeness function a nonnegative supermartingale.
-
-    Raises
-    ------
-    PreconditionViolated
-        If ``psi`` or ``rho_ext_coef`` is nonzero.
-    """
-    if psi != 0.0 or rho_ext_coef != 0.0:
-        raise PreconditionViolated(
-            f"infinite-horizon bound needs psi = 0 and rho_ext = 0, got {psi}, {rho_ext_coef}"
-        )
-    if V0 < 0:
-        raise DomainError(f"V0 must be nonnegative: {V0}")
-    if alpha_coef <= 0 or epsilon <= 0:
-        raise DomainError("alpha_coef and epsilon must be positive")
-    return min(V0 / (alpha_coef * (epsilon * epsilon)), 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class BoxSet:
-    """Axis-aligned box in output space."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float).reshape(-1)
-        upper = np.asarray(self.upper, dtype=float).reshape(-1)
-        if lower.shape != upper.shape:
-            raise DomainError("lower and upper must have equal length")
-        if np.any(lower > upper):
-            raise DomainError("lower must be <= upper componentwise")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    def contains(self, y) -> bool:
-        y = np.asarray(y, dtype=float).reshape(-1)
-        return bool(np.all(y >= self.lower) and np.all(y <= self.upper))
-
-
-def inflate_set(A1: BoxSet, epsilon: float) -> BoxSet:
-    """Box enlarged by ``epsilon`` on every side.
-
-    Contains the Euclidean epsilon-neighborhood of ``A1`` (a sound
-    over-approximation, since ``|y'_i - y_i| <= ||y' - y||``).
-    """
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be nonnegative: {epsilon}")
-    return BoxSet(A1.lower - epsilon, A1.upper + epsilon)
-
-
-def safety_transfer(p_abstract: float, delta: float) -> float:
-    """Reach probability carried from the abstract system to the concrete one.
-
-    If the abstract output enters the inflated set with probability at most
-    ``p_abstract`` and the deviation bound is ``delta``, the concrete output
-    enters the original set with probability at most their (capped) sum.
-    """
-    for name, v in (("p_abstract", p_abstract), ("delta", delta)):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} must lie in [0,1]: {v}")
-    return min(p_abstract + delta, 1.0)

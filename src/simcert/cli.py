@@ -19,6 +19,7 @@ import dataclasses
 import math
 import sys
 import time
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def _composition(constants, topology: Topology, mode: str, show: bool = False):
     and raises :class:`Infeasible`.
     """
     gains = smallgain.build_gains(constants, topology, mode)
-    radius = smallgain.spectral_radius_test(gains)
+    radius = gains.radius
     if show:
         for name, m in (("Lambda", gains.Lambda), ("Delta", gains.Delta)):
             print(f"{name} =\n{np.array2string(m, precision=4, suppress_small=True)}")
@@ -115,6 +116,20 @@ def _bound(composed, epsilon: float, horizon: int, nuhat_sup: float = 0.0):
         kappa_hat=composed.kappa_hat,
     )
     return offset, bounds.finite_horizon_bound(query)
+
+
+def _prob(p: float, closeness: bool = False) -> str:
+    """The bound ``p`` on a probability, or with ``closeness`` the bound ``1 - p``, for print.
+
+    The exact value (``1 - Decimal(p)``, not ``1.0 - p``) is rounded once to 4
+    significant digits, outward: ``p`` up and ``1 - p`` down, so no printed
+    digit claims more than was computed.  Below 1e-4 it is printed in e-notation.
+    """
+    if closeness:  # 1 - p >= 0; copy_abs only drops the sign of 1 - 1 rounded down, -0
+        d = Context(prec=4, rounding=ROUND_FLOOR).subtract(1, Decimal(p)).copy_abs()
+    else:
+        d = Context(prec=4, rounding=ROUND_CEILING).plus(Decimal(p))
+    return f"{d:.3e}" if 0 < d < Decimal("1e-4") else f"{d:.{3 - d.adjusted()}f}"
 
 
 def cmd_check(args) -> int:
@@ -227,11 +242,9 @@ def cmd_bound(args) -> int:
     _, composed = _composition(constants, project.topology, args.degree_mode)
     offset, result = _bound(composed, epsilon, horizon, args.nuhat_sup)
     print(f"psi_hat = {offset:.6g}  branch = {result.branch}  clamped = {result.clamped}")
-    print(
-        f"P(sup deviation >= {epsilon:g} within T={horizon}) <= {result.probability:.4f}"
-    )
+    print(f"P(sup deviation >= {epsilon:g} within T={horizon}) <= {_prob(result.probability)}")
     print(f"closeness: deviation stays below {epsilon:g} with probability >= "
-          f"{1.0 - result.probability:.4f}")
+          f"{_prob(result.probability, closeness=True)}")
     return 0
 
 
@@ -277,8 +290,8 @@ def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path, mode:
     p = analytic.probability
     print(f"trials={trials} seed={seed} horizon={horizon} epsilon={epsilon:g}")
     print(f"empirical violation estimate: {est.estimate:.4f} "
-          f"({est.violations}/{est.trials}), 95% upper bound {est.upper95:.4f}")
-    print(f"analytic bound: {p:.4f} (branch {analytic.branch})")
+          f"({est.violations}/{est.trials}), 95% upper bound {_prob(est.upper95)}")
+    print(f"analytic bound: {_prob(p)} (branch {analytic.branch})")
     if est.upper95 <= p:
         print("soundness: PASS (empirical <= analytic)")
         return 0
@@ -287,8 +300,6 @@ def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path, mode:
         # below p only from n >= ln(0.05) / ln(1 - p) trials
         need = "no number of trials can confirm a bound of 0"
         if p > 0:
-            from decimal import Decimal  # loads here, not at start-up: only this count needs it
-
             # that count passes 2**53 once p < 3.3e-16, and the float range once p < 1.7e-308
             n = Decimal(math.log(0.05)) / Decimal(math.log1p(-p))
             need = f"at least {math.ceil(n) if n <= 2**53 else format(n, '.3g')} trials are needed"
@@ -399,7 +410,7 @@ def cmd_paper_example(args) -> int:
     print("\n== bound ==")
     _, result = _bound(composed, run.epsilon, run.horizon)
     _check_value("bound", result.probability, *exp["bound"], failures)
-    print(f"  closeness >= {1 - result.probability:.4f} over T={run.horizon}")
+    print(f"  closeness >= {_prob(result.probability, closeness=True)} over T={run.horizon}")
 
     print("\n== simulation ==")
     if _simulate(project, constants, run, None, mode) != 0:

@@ -23,7 +23,6 @@ __all__ = [
     "GainDecomposition",
     "CompositionCertificate",
     "build_gains",
-    "spectral_radius_test",
     "find_mu",
     "compose",
 ]
@@ -134,11 +133,6 @@ def build_gains(
         d = (n - 1) if mode == "paper_N_minus_1" else topo.in_degree(e.target)
         delta[e.target, e.source] = constants[e.target].rho_int_coef * d**2
     return GainDecomposition(Lambda=lam, Delta=delta)
-
-
-def spectral_radius_test(g: GainDecomposition) -> float:
-    """Spectral radius ``g.radius`` of ``Lambda^{-1} Delta``; a valid ``mu`` exists iff < 1."""
-    return g.radius
 
 
 def _is_irreducible(G: np.ndarray) -> bool:

@@ -16,7 +16,7 @@ import simcert
 from simcert.model import InterconnectedSystem, LinearSubsystem, Topology
 from simcert.project import ProjectFile
 from simcert.reference import reference_project
-from simcert.smallgain import build_gains, compose, find_mu, spectral_radius_test
+from simcert.smallgain import build_gains, compose, find_mu
 from simcert.spsf import (
     AbstractionCandidate,
     AbstractionCertificate,
@@ -210,7 +210,7 @@ def certified_network(seed):
         topo = Topology.from_pairs(subs, pairs)
         constants = [derive_constants(subs[i], cands[i], certs[i]) for i in range(N)]
         gains = build_gains(constants, topo, "in_degree")
-        if spectral_radius_test(gains) < 0.9:
+        if gains.radius < 0.9:
             mu = find_mu(gains)
             composed = compose(constants, gains, mu)
             return subs, topo, cands, certs, composed

@@ -3,17 +3,9 @@ import decimal
 import numpy as np
 import pytest
 
-from simcert.bounds import (
-    BoundQuery,
-    BoxSet,
-    finite_horizon_bound,
-    infinite_horizon_bound,
-    inflate_set,
-    psi_hat,
-    safety_transfer,
-)
+from simcert.bounds import BoundQuery, finite_horizon_bound, psi_hat
 from simcert import cli
-from simcert.errors import DomainError, PreconditionViolated
+from simcert.errors import DomainError
 from simcert.reference import reference_project
 
 
@@ -139,26 +131,12 @@ def test_bound_vanishes_for_large_epsilon():
 
 def test_infinite_horizon_matches_zero_offset_limit():
     for v0, alpha, eps in [(0.0, 1.0, 1.0), (0.5, 1.0, 0.5), (5.0, 2.0, 1.0)]:
-        inf_b = infinite_horizon_bound(v0, alpha, eps)
+        inf_b = min(v0 / (alpha * eps**2), 1.0)  # the unbounded-horizon supermartingale bound
         fin = finite_horizon_bound(
             BoundQuery(V0=v0, alpha_coef=alpha, epsilon=eps, T=10**6,
                        psi_hat=0.0, kappa_hat=0.5)
         )
         assert inf_b == pytest.approx(fin.probability, abs=1e-12)
-
-
-def test_infinite_horizon_examples():
-    assert infinite_horizon_bound(0.0, 1.0, 1.0) == 0.0
-    # V0 / (alpha eps^2) = 0.5 / 2
-    assert infinite_horizon_bound(0.5, 2.0, 1.0) == pytest.approx(0.25)
-    assert infinite_horizon_bound(5.0, 2.0, 1.0) == 1.0
-
-
-def test_infinite_horizon_precondition():
-    with pytest.raises(PreconditionViolated):
-        infinite_horizon_bound(0.5, 1.0, 1.0, psi=0.01)
-    with pytest.raises(PreconditionViolated):
-        infinite_horizon_bound(0.5, 1.0, 1.0, rho_ext_coef=0.1)
 
 
 def test_psi_hat_examples():
@@ -186,32 +164,6 @@ def test_clamping_flags():
     assert res.raw > 1.0
     assert res.probability == 1.0
     assert res.clamped
-
-
-def test_inflate_set():
-    box = BoxSet([0.0], [1.0])
-    assert np.array_equal(inflate_set(box, 0.0).lower, box.lower)
-    grown = inflate_set(box, 0.5)
-    assert np.array_equal(grown.lower, [-0.5])
-    assert np.array_equal(grown.upper, [1.5])
-
-    square = inflate_set(BoxSet([0.0, 0.0], [1.0, 1.0]), 1.0)
-    assert np.array_equal(square.lower, [-1.0, -1.0])
-    # the inflated box contains the whole Euclidean neighborhood
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        y = rng.uniform(0, 1, 2)
-        d = rng.standard_normal(2)
-        d /= np.linalg.norm(d)
-        assert square.contains(y + d * rng.uniform(0, 1.0))
-
-
-def test_safety_transfer():
-    assert safety_transfer(0.0, 0.0) == 0.0
-    assert safety_transfer(0.05, 0.0956) == pytest.approx(0.1456)
-    assert safety_transfer(0.95, 0.2) == 1.0
-    with pytest.raises(DomainError):
-        safety_transfer(1.2, 0.0)
 
 
 @pytest.mark.parametrize("field", ["V0", "alpha_coef", "epsilon", "psi_hat", "kappa_hat"])

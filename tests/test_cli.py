@@ -1,10 +1,14 @@
 import csv
 import json
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import diverging_project, fresh_python
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simcert import cli, montecarlo, smallgain, spsf
 from simcert.cli import main
@@ -92,6 +96,35 @@ def test_bound_reference(project_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "0.09" in out and "closeness" in out
+    # the bound 0.0956179 rounds up and the closeness 0.9043821 down, not to nearest
+    assert "<= 0.09562\n" in out and ">= 0.9043\n" in out
+
+
+def test_bound_tiny_probability_is_not_printed_as_zero(project_path, capsys):
+    # the bound is 1.0e-11
+    argv = ["bound", "--project", str(project_path), "--horizon", "10", "--epsilon", "1e5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "<= 1.000e-11\n" in out and "0.0000" not in out
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(1.0)
+@example(5e-324)
+@example(1e-4)
+@example(1.0 - 2.0**-53)
+def test_printed_bounds_round_outward(p):
+    upper, lower = cli._prob(p), cli._prob(p, closeness=True)
+    # as exact rationals: p rounded up and 1 - p rounded down, by less than one
+    # unit in the fourth significant digit
+    for text, exact, sign in ((upper, Fraction(p), 1), (lower, 1 - Fraction(p), -1)):
+        printed = Decimal(text)
+        unit = Fraction(Decimal(1).scaleb(printed.adjusted() - 3))
+        assert 0 <= sign * (Fraction(printed) - exact) < unit
+        assert ("e" in text) == (0 < printed < Decimal("1e-4"))
+        assert text[0].isdigit()  # 1 - 1 rounded down is -0, printed without its sign
 
 
 def test_bound_domain_error_exits_2(project_path, capsys):
@@ -423,7 +456,7 @@ def test_simulate_zero_bound_is_inconclusive(project_path, capsys):
                  "--horizon", "0"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "analytic bound: 0.0000" in out
+    assert "analytic bound: 0.000 (" in out
     assert "no number of trials can confirm a bound of 0" in out
 
 

@@ -262,7 +262,7 @@ def test_compose_output_numbers(tmp_path, capsys):
         for s in project.subsystems
     ]
     gains = smallgain.build_gains(constants, project.topology, "in_degree")
-    radius = smallgain.spectral_radius_test(gains)
+    radius = gains.radius
     mu = smallgain.find_mu(gains)
     composed = smallgain.compose(constants, gains, mu)
     doc = json.loads(out.read_text())

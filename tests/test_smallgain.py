@@ -12,7 +12,6 @@ from simcert.smallgain import (
     build_gains,
     compose,
     find_mu,
-    spectral_radius_test,
 )
 from simcert.spsf import SpsfConstants, derive_constants, evaluate_V, interface
 
@@ -56,17 +55,17 @@ def test_build_gains_unsupported_form(ref_parts):
 
 def test_spectral_radius_reference(ref_parts):
     g = build_gains([published_constants()] * 4, _ring_topology(ref_parts), "in_degree")
-    assert spectral_radius_test(g) == pytest.approx(0.88 / 0.98, abs=1e-12)
+    assert g.radius == pytest.approx(0.88 / 0.98, abs=1e-12)
 
 
 def test_spectral_radius_zero_delta():
     g = GainDecomposition(np.eye(2), np.zeros((2, 2)))
-    assert spectral_radius_test(g) == 0.0
+    assert g.radius == 0.0
 
 
 def test_spectral_radius_boundary():
     g = GainDecomposition(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert spectral_radius_test(g) == pytest.approx(1.0, abs=1e-12)
+    assert g.radius == pytest.approx(1.0, abs=1e-12)
 
 
 def test_find_mu_reference(ref_parts):
@@ -110,7 +109,7 @@ def test_find_mu_reducible_chain():
 def test_find_mu_near_boundary():
     # radius 0.999: the slack is tiny but must stay strictly negative
     g = GainDecomposition(np.eye(2), 0.999 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert spectral_radius_test(g) == pytest.approx(0.999, abs=1e-12)
+    assert g.radius == pytest.approx(0.999, abs=1e-12)
     mu = find_mu(g)
     slack = mu @ (-g.Lambda + g.Delta)
     assert np.all(slack < 0)
