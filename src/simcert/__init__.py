@@ -13,7 +13,6 @@ from .bounds import (
     psi_hat,
 )
 from .errors import (
-    DanglingInput,
     DimensionMismatch,
     DomainError,
     Infeasible,

@@ -9,10 +9,6 @@ class DimensionMismatch(SimcertError):
     """Matrix or signal dimensions are inconsistent."""
 
 
-class DanglingInput(SimcertError):
-    """An internal-input row is neither fed by an edge nor declared unconnected."""
-
-
 class Infeasible(SimcertError):
     """A synthesis or composition step has no solution."""
 

@@ -2,15 +2,18 @@
 
 A subsystem evolves as ``x(k+1) = A x(k) + B nu(k) + D omega(k) + F noise(k)``
 with external output ``y_ext = C_ext x`` and one internal output block
-``C_int[j] x`` per peer ``j`` it feeds.  An interconnection matches each
-internal input slice to a peer's internal output block.  It is kept as
-per-edge routing: for each subsystem, the in-edges that feed its internal
-input and the output block each one carries, so a consumer that eliminates
-the internal signals builds one subsystem's rows from that subsystem and its
-neighbours alone.
+``C_int[j] x`` per peer ``j`` it feeds.  A topology is a set of
+``(source, target)`` pairs, each wiring ``C_int[target]`` of ``source`` into
+the internal input of ``target``.  A target's omega rows are assigned from
+row 0 in ascending source order, each pair taking the row count of its
+source's block; rows past the last pair read as zero.  Assembly keeps the
+result as per-edge routing: for each subsystem, the in-edges that feed its
+internal input and the output block each one carries, so a consumer that
+eliminates the internal signals builds one subsystem's rows from that
+subsystem and its neighbours alone.
 
 Subsystem ids double as block positions: the i-th entry of a subsystem list
-must carry ``id == i``, and topology edges and ``C_int`` keys refer to those
+must carry ``id == i``, and topology pairs and ``C_int`` keys refer to those
 indices.
 """
 
@@ -21,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DanglingInput, DimensionMismatch
+from .errors import DimensionMismatch
 
 __all__ = [
     "LinearSubsystem",
@@ -144,76 +147,64 @@ class Edge:
     start: int
     stop: int
 
-    def __post_init__(self):
-        if self.source == self.target:
-            raise ValueError("self-edges are not allowed")
-        if self.start < 0 or self.stop <= self.start:
-            raise ValueError(f"bad slice [{self.start}, {self.stop})")
-
-    @property
-    def width(self) -> int:
-        return self.stop - self.start
-
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Wiring of an interconnection.
+    """Wiring of an interconnection: ``(source, target)`` pairs, each listed once.
 
-    ``unconnected`` lists, per target index, the omega rows that are
-    deliberately fed by the constant zero signal.  Rows that are neither
-    covered by an edge slice nor declared here make the assembly fail.
+    A pair joins two distinct subsystems.  ``pairs`` is kept sorted by target,
+    then source, the order in which :func:`_route` assigns each target's
+    omega rows.
     """
 
     n_subsystems: int
-    edges: tuple[Edge, ...] = ()
-    unconnected: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
+    pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        frozen = {int(k): tuple(int(r) for r in v) for k, v in self.unconnected.items()}
-        object.__setattr__(self, "unconnected", MappingProxyType(frozen))
-        for e in self.edges:
-            if not (0 <= e.source < self.n_subsystems and 0 <= e.target < self.n_subsystems):
-                raise ValueError(f"edge ({e.source}->{e.target}) out of range")
+        pairs = tuple(sorted(((int(s), int(t)) for s, t in self.pairs), key=lambda e: e[::-1]))
+        object.__setattr__(self, "pairs", pairs)
+        for k, (src, tgt) in enumerate(pairs):
+            if not (0 <= src < self.n_subsystems and 0 <= tgt < self.n_subsystems):
+                raise DimensionMismatch(f"edge ({src}->{tgt}) references unknown subsystem")
+            if src == tgt:
+                raise DimensionMismatch(f"edge ({src}->{tgt}) is a self-loop")
+            if k and pairs[k - 1] == (src, tgt):
+                raise DimensionMismatch(f"edge ({src}->{tgt}) is listed twice")
 
     @classmethod
     def from_pairs(cls, subsystems: Sequence[LinearSubsystem], pairs) -> "Topology":
-        """Build a topology from ``(source, target)`` index pairs.
+        """The topology of ``pairs`` over ``subsystems``, checked against their blocks."""
+        topology = cls(len(subsystems), tuple(pairs))
+        _route(subsystems, topology)
+        return topology
 
-        Slices are assigned per target in ascending source order starting at
-        omega row 0, each with the row count of the source's connecting output
-        block; leftover omega rows are declared unconnected.
-        """
-        n = len(subsystems)
-        incoming: dict[int, list[int]] = {i: [] for i in range(n)}
-        for src, tgt in pairs:
-            src, tgt = int(src), int(tgt)
-            if not (0 <= src < n and 0 <= tgt < n):
-                raise DimensionMismatch(f"edge ({src}->{tgt}) references unknown subsystem")
-            incoming[tgt].append(src)
-        edges = []
-        unconnected: dict[int, tuple[int, ...]] = {}
-        for tgt in range(n):
-            cursor = 0
-            for src in sorted(incoming[tgt]):
-                block = subsystems[src].C_int.get(tgt)
-                if block is None:
-                    raise DimensionMismatch(
-                        f"subsystem {src} has no connecting output toward {tgt}"
-                    )
-                edges.append(Edge(src, tgt, cursor, cursor + block.shape[0]))
-                cursor += block.shape[0]
-            p = subsystems[tgt].p
-            if cursor > p:
-                raise DimensionMismatch(
-                    f"incoming slices of subsystem {tgt} need {cursor} rows, D has {p}"
-                )
-            if cursor < p:
-                unconnected[tgt] = tuple(range(cursor, p))
-        return cls(n, tuple(edges), unconnected)
 
-    def in_degree(self, target: int) -> int:
-        return sum(1 for e in self.edges if e.target == target)
+def _route(subsystems: Sequence[LinearSubsystem], topology: Topology):
+    """Per target, its in-edges with the source output block each carries.
+
+    This is the one place omega rows are assigned: from row 0 in ascending
+    source order, each edge taking the row count of its source's block.
+
+    Raises
+    ------
+    DimensionMismatch
+        If a source has no output block toward its target, or a target's
+        edges need more rows than its ``D`` has columns.
+    """
+    incoming: list[list[tuple[Edge, np.ndarray]]] = [[] for _ in subsystems]
+    used = [0] * len(subsystems)
+    for src, tgt in topology.pairs:
+        block = subsystems[src].C_int.get(tgt)
+        if block is None:
+            raise DimensionMismatch(f"subsystem {src} has no connecting output toward {tgt}")
+        incoming[tgt].append((Edge(src, tgt, used[tgt], used[tgt] + block.shape[0]), block))
+        used[tgt] += block.shape[0]
+    for tgt, (rows, s) in enumerate(zip(used, subsystems)):
+        if rows > s.p:
+            raise DimensionMismatch(
+                f"incoming slices of subsystem {tgt} need {rows} rows, D has {s.p}"
+            )
+    return tuple(map(tuple, incoming))
 
 
 def _offsets(sizes) -> tuple[int, ...]:
@@ -225,11 +216,11 @@ def _offsets(sizes) -> tuple[int, ...]:
 class InterconnectedSystem:
     """Subsystems wired by per-edge routing, internal signals eliminated edge by edge.
 
-    ``in_edges[i]`` lists, in topology order, each edge that feeds subsystem
-    ``i``'s internal input with the source's output block that edge carries:
-    ``omega_i[e.start:e.stop] = block @ x_{e.source}``.  Input rows that no
-    edge feeds are the constant zero signal.  Storage grows with the edges,
-    not with the squared stacked state dimension.
+    ``in_edges[i]`` lists, in ascending source order, each edge that feeds
+    subsystem ``i``'s internal input with the source's output block that edge
+    carries: ``omega_i[e.start:e.stop] = block @ x_{e.source}``.  Input rows
+    that no edge feeds are the constant zero signal.  Storage grows with the
+    edges, not with the squared stacked state dimension.
     """
 
     subsystems: tuple[LinearSubsystem, ...]
@@ -254,15 +245,13 @@ def assemble_interconnection(
     the coupled recursions into a single linear system over the stacked state;
     its rows for subsystem ``i`` are ``A_i`` on ``x_i`` plus
     ``D_i[:, e.start:e.stop] @ block`` on ``x_{e.source}`` for each in-edge.
-    This is the only place a topology is checked and turned into routing.
+    The rows each edge feeds are assigned by :func:`_route`.
 
     Raises
     ------
     DimensionMismatch
-        If a subsystem is malformed, an edge slice width disagrees with the
-        source block, or slices overlap.
-    DanglingInput
-        If an omega row is neither covered by an edge nor declared unconnected.
+        If a subsystem is malformed, the subsystem count differs from the
+        topology's, or the edges do not fit the blocks they connect.
     """
     subsystems = tuple(subsystems)
     if topology.n_subsystems != len(subsystems):
@@ -276,44 +265,4 @@ def assemble_interconnection(
         problems += [f"subsystem {s.id}: {v}" for v in validate_subsystem(s)]
     if problems:
         raise DimensionMismatch("; ".join(problems))
-
-    incoming: list[list[tuple[Edge, np.ndarray]]] = [[] for _ in subsystems]
-    coverage: dict[int, dict[int, Edge]] = {i: {} for i in range(len(subsystems))}
-    for e in topology.edges:
-        src, tgt = subsystems[e.source], subsystems[e.target]
-        block = src.C_int.get(e.target)
-        if block is None:
-            raise DimensionMismatch(
-                f"edge ({e.source}->{e.target}): source has no connecting output block"
-            )
-        if block.shape[0] != e.width:
-            raise DimensionMismatch(
-                f"edge ({e.source}->{e.target}): slice width {e.width} != "
-                f"output rows {block.shape[0]}"
-            )
-        if e.stop > tgt.p:
-            raise DimensionMismatch(
-                f"edge ({e.source}->{e.target}): slice [{e.start},{e.stop}) "
-                f"exceeds internal input dim {tgt.p}"
-            )
-        for row in range(e.start, e.stop):
-            if row in coverage[e.target]:
-                raise DimensionMismatch(
-                    f"omega row {row} of subsystem {e.target} covered by multiple edges"
-                )
-            coverage[e.target][row] = e
-        incoming[e.target].append((e, block))
-
-    for i, s in enumerate(subsystems):
-        declared = set(topology.unconnected.get(i, ()))
-        for row in range(s.p):
-            if row not in coverage[i] and row not in declared:
-                raise DanglingInput(
-                    f"omega row {row} of subsystem {i} is neither fed nor declared unconnected"
-                )
-            if row in coverage[i] and row in declared:
-                raise DimensionMismatch(
-                    f"omega row {row} of subsystem {i} both fed and declared unconnected"
-                )
-
-    return InterconnectedSystem(subsystems, topology, tuple(map(tuple, incoming)))
+    return InterconnectedSystem(subsystems, topology, _route(subsystems, topology))

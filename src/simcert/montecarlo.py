@@ -152,7 +152,8 @@ class _PairSimulator:
     pair column ``z = [x; xhat; nuhat; w; what]`` (states, abstract inputs,
     concrete and abstract noise) to the next ``[x; xhat]``, and outputs that
     are a linear map of ``[x; xhat]``.  The abstract network is each
-    subsystem's candidate wired by the concrete topology's own edges.  Both
+    subsystem's candidate wired by the concrete topology's own pairs, and
+    each of its omega slices must equal the concrete one.  Both
     maps are stored as one row block per subsystem and side, each over only
     the columns its rows read.  A block is built from its own subsystem and
     the in-edges that :func:`model.assemble_interconnection` routes to it, so
@@ -170,6 +171,11 @@ class _PairSimulator:
             [c.as_subsystem(i) for i, c in enumerate(candidates)], topo
         )
         subs, abs_subs = net.subsystems, abs_net.subsystems
+        for i, (edges, abs_edges) in enumerate(zip(net.in_edges, abs_net.in_edges)):
+            if [e for e, _ in edges] != [e for e, _ in abs_edges]:
+                raise DimensionMismatch(
+                    f"subsystem {i}: abstract internal input is not routed like the concrete one"
+                )
 
         self.n_tot = net.n
         self.nhat_tot = abs_net.n

@@ -15,9 +15,10 @@ Subsystem ids double as list positions.  Fields marked * are optional.
         }, ...
       ],
       "topology": {
-        "edges": [[from, to], ...]   // internal output of `from` feeds `to`;
-                                     // slices are assigned in ascending source
-                                     // order, leftover rows read as zero
+        "edges": [[from, to], ...]   // internal output of `from` feeds `to`,
+                                     // each pair at most once; slices are
+                                     // assigned in ascending source order,
+                                     // leftover rows read as zero
       },
       "candidates": [                // * reduced models, one per subsystem
         {"subsystem": 0, "P": [[...]],
@@ -322,7 +323,7 @@ def project_to_dict(project: ProjectFile) -> dict:
             {"id": s.id, **_save_matrices(s, _SUBSYSTEM_MATRICES), "C_int": _save_blocks(s.C_int)}
             for s in project.subsystems
         ],
-        "topology": {"edges": [[e.source, e.target] for e in project.topology.edges]},
+        "topology": {"edges": [list(pair) for pair in project.topology.pairs]},
     }
     if project.candidates:
         doc["candidates"] = [

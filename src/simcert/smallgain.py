@@ -9,6 +9,7 @@ composed constants emitted by :func:`compose`.
 """
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -129,9 +130,10 @@ def build_gains(
             )
     lam = np.diag([c.kappa_hat for c in constants])
     delta = np.zeros((n, n))
-    for e in topo.edges:
-        d = (n - 1) if mode == "paper_N_minus_1" else topo.in_degree(e.target)
-        delta[e.target, e.source] = constants[e.target].rho_int_coef * d**2
+    fan_in = Counter(tgt for _, tgt in topo.pairs)
+    for src, tgt in topo.pairs:
+        d = (n - 1) if mode == "paper_N_minus_1" else fan_in[tgt]
+        delta[tgt, src] = constants[tgt].rho_int_coef * d**2
     return GainDecomposition(Lambda=lam, Delta=delta)
 
 

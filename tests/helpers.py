@@ -218,6 +218,23 @@ def certified_network(seed):
     raise AssertionError("could not scale couplings into the feasible region")
 
 
+def omega_slices(subs, topo) -> dict[tuple[int, int], slice]:
+    """The omega rows of each ``(source, target)`` pair by the documented rule.
+
+    Written apart from ``simcert.model``: a target's rows go to its sources
+    from row 0 in ascending source order, each taking the row count of the
+    source's ``C_int[target]`` block.
+    """
+    slices = {}
+    for tgt in range(len(subs)):
+        row = 0
+        for src in sorted(src for src, t in topo.pairs if t == tgt):
+            rows = subs[src].C_int[tgt].shape[0]
+            slices[src, tgt] = slice(row, row + rows)
+            row += rows
+    return slices
+
+
 def random_network(rng, n_subs=None):
     """Random interconnection with consistent internal wiring.
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from helpers import DenseMonolith, random_network
+from helpers import DenseMonolith, omega_slices, random_network
 from scipy.linalg import block_diag
 
-from simcert.errors import DanglingInput, DimensionMismatch
+from simcert.errors import DimensionMismatch
 from simcert.model import (
-    Edge,
     LinearSubsystem,
     Topology,
     assemble_interconnection,
@@ -93,45 +92,64 @@ def test_assemble_two_state_mutual_coupling():
     assert np.allclose(mono.A_cl, [[a, d * c], [d * c, a]], atol=1e-15)
 
 
-def test_assemble_slice_width_mismatch():
-    subs = [
+def _two_subsystems(p0: int, rows_1_to_0: int):
+    """Subsystem 0 with ``p0`` omega rows, fed by a ``rows_1_to_0``-row block of subsystem 1."""
+    return [
         LinearSubsystem(
-            id=0, A=np.eye(2), B=np.eye(2), D=np.ones((2, 2)), F=np.zeros((2, 1)),
+            id=0, A=np.eye(2), B=np.eye(2), D=np.ones((2, p0)), F=np.zeros((2, 1)),
             C_ext=np.ones((1, 2)), C_int={1: np.ones((1, 2))},
         ),
         LinearSubsystem(
             id=1, A=np.eye(2), B=np.eye(2), D=np.ones((2, 1)), F=np.zeros((2, 1)),
-            C_ext=np.ones((1, 2)), C_int={0: np.ones((2, 2))},
+            C_ext=np.ones((1, 2)), C_int={0: np.ones((rows_1_to_0, 2))},
         ),
     ]
-    # edge claims 1 row but the source block has 2
-    topo = Topology(2, (Edge(1, 0, 0, 1),), unconnected={0: (1,)})
-    with pytest.raises(DimensionMismatch):
-        assemble_interconnection(subs, topo)
 
 
-def test_assemble_dangling_input():
+def test_assemble_slice_width_mismatch():
+    # the source block has 2 rows but D of subsystem 0 has 1 column
+    subs = _two_subsystems(p0=1, rows_1_to_0=2)
+    with pytest.raises(DimensionMismatch, match="need 2 rows, D has 1"):
+        Topology.from_pairs(subs, [(1, 0)])
+    with pytest.raises(DimensionMismatch, match="need 2 rows, D has 1"):
+        assemble_interconnection(subs, Topology(2, [(1, 0)]))
+
+
+def test_from_pairs_rejects_repeated_pair():
+    # D of subsystem 0 has room for the block twice, but one output feeds one slice
+    subs = _two_subsystems(p0=2, rows_1_to_0=1)
+    with pytest.raises(DimensionMismatch, match=r"edge \(1->0\) is listed twice"):
+        Topology.from_pairs(subs, [(1, 0), (0, 1), (1, 0)])
+
+
+def test_topology_rejects_self_pair():
+    # build_gains reads the pairs without the subsystems, so the check is the topology's own
+    with pytest.raises(DimensionMismatch, match="self-loop"):
+        Topology(4, [(2, 0), (1, 1)])
+
+
+def test_assemble_unfed_rows_read_zero():
     s = LinearSubsystem(
         id=0, A=np.eye(2), B=np.eye(2), D=np.ones((2, 1)), F=np.zeros((2, 1)),
         C_ext=np.ones((1, 2)),
     )
-    with pytest.raises(DanglingInput):
-        assemble_interconnection([s], Topology(1))  # omega row 0 not declared
-    mono = DenseMonolith(assemble_interconnection([s], Topology(1, unconnected={0: (0,)})))
-    assert np.array_equal(mono.A_cl, np.eye(2))
+    net = assemble_interconnection([s], Topology(1))
+    assert net.in_edges == ((),)
+    assert np.array_equal(DenseMonolith(net).A_cl, np.eye(2))
 
 
-def test_from_pairs_declares_leftover_rows():
+def test_from_pairs_leftover_rows_read_zero():
     subs, pairs = random_network(np.random.default_rng(3), n_subs=3)
-    # widen D of subsystem 0 by one unconnected column
+    mono = DenseMonolith(assemble_interconnection(subs, Topology.from_pairs(subs, pairs)))
+    # widen D of subsystem 0 by one column that no pair feeds
     s0 = subs[0]
     subs[0] = LinearSubsystem(
         id=0, A=s0.A, B=s0.B, D=np.hstack([s0.D, np.ones((s0.n, 1))]), F=s0.F,
         C_ext=s0.C_ext, C_int=dict(s0.C_int),
     )
-    topo = Topology.from_pairs(subs, pairs)
-    assert topo.unconnected.get(0) is not None
-    assemble_interconnection(subs, topo)
+    wide = DenseMonolith(assemble_interconnection(subs, Topology.from_pairs(subs, pairs)))
+    assert np.array_equal(wide.A_cl, mono.A_cl)
+    assert not wide.R_int[s0.p].any()  # the new row of omega_0 is the zero signal
 
 
 def _simulate_coupled(subs, topo, x0, nus, noises, steps):
@@ -140,9 +158,8 @@ def _simulate_coupled(subs, topo, x0, nus, noises, steps):
     history = [np.concatenate(xs)]
     for k in range(steps):
         omegas = [np.zeros(s.p) for s in subs]
-        for e in topo.edges:
-            block = subs[e.source].C_int[e.target]
-            omegas[e.target][e.start : e.stop] = block @ xs[e.source]
+        for (src, tgt), rows in omega_slices(subs, topo).items():
+            omegas[tgt][rows] = subs[src].C_int[tgt] @ xs[src]
         new = []
         for i, s in enumerate(subs):
             new.append(s.A @ xs[i] + s.B @ nus[i][k] + s.D @ omegas[i] + s.F @ noises[i][k])
@@ -182,21 +199,21 @@ def test_permutation_equivariance():
 
     perm = [2, 0, 3, 1]  # new position of old index i is perm[i]
     inv = np.argsort(perm)
+    slices = omega_slices(subs, topo)
     relabeled = []
     for new_pos, old in enumerate(inv):
         s = subs[old]
+        # omega rows follow source order, so each source's column block of D
+        # moves to where its new label sorts
+        blocks = [s.D[:, slices[src, old]] for src in sorted(
+            (src for src, tgt in pairs if tgt == old), key=lambda src: perm[src])]
         relabeled.append(
             LinearSubsystem(
-                id=new_pos, A=s.A, B=s.B, D=s.D, F=s.F, C_ext=s.C_ext,
-                C_int={perm[j]: blk for j, blk in s.C_int.items()},
+                id=new_pos, A=s.A, B=s.B, D=np.hstack(blocks) if blocks else s.D, F=s.F,
+                C_ext=s.C_ext, C_int={perm[j]: blk for j, blk in s.C_int.items()},
             )
         )
-    # relabel the explicit topology: edges keep their omega slices
-    topo_p = Topology(
-        4,
-        tuple(Edge(perm[e.source], perm[e.target], e.start, e.stop) for e in topo.edges),
-        unconnected={perm[t]: rows for t, rows in topo.unconnected.items()},
-    )
+    topo_p = Topology.from_pairs(relabeled, [(perm[src], perm[tgt]) for src, tgt in pairs])
     mono_p = DenseMonolith(assemble_interconnection(relabeled, topo_p))
 
     offs = list(mono.state_offsets) + [mono.n]

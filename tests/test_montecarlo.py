@@ -10,6 +10,7 @@ from helpers import (
     certified_network,
     empirical_supermartingale_check,
     fresh_python,
+    omega_slices,
     random_certified_instance,
     step,
 )
@@ -18,7 +19,7 @@ from simcert import montecarlo
 from simcert.bounds import BoundQuery, finite_horizon_bound
 
 from simcert.errors import DimensionMismatch, PolicyDimension
-from simcert.model import Edge, LinearSubsystem, Topology
+from simcert.model import LinearSubsystem, Topology
 from simcert.montecarlo import (
     Deviations,
     RunConfig,
@@ -288,11 +289,9 @@ def _naive_pair_trial(subs, topo, cands, certs, cfg, trial, trajectories=False):
             nuhats = np.split(u, np.cumsum([a.m for a in abs_subs])[:-1])
         omegas = [np.zeros(s.p) for s in subs]
         omegahats = [np.zeros(a.p) for a in abs_subs]
-        for e in topo.edges:
-            omegas[e.target][e.start : e.stop] = subs[e.source].C_int[e.target] @ xs[e.source]
-            omegahats[e.target][e.start : e.stop] = (
-                abs_subs[e.source].C_int[e.target] @ xhs[e.source]
-            )
+        for (src, tgt), rows in omega_slices(subs, topo).items():
+            omegas[tgt][rows] = subs[src].C_int[tgt] @ xs[src]
+            omegahats[tgt][rows] = abs_subs[src].C_int[tgt] @ xhs[src]
         new_x, new_xh = [], []
         for i, s in enumerate(subs):
             nu = interface(xs[i], xhs[i], nuhats[i], omegahats[i], certs[i])
@@ -557,19 +556,24 @@ def test_simulate_pair_rejects_bad_wiring(ref_parts):
     cands = [cands[i] for i in range(4)]
     certs = [certs[i] for i in range(4)]
     cfg = RunConfig(horizon=2, trials=1, seed=0)
-    first, *rest = topo.edges
-    # the first edge claims two omega rows; its source block has one
-    widened = Topology(4, (Edge(first.source, first.target, 0, 2), *rest))
-    with pytest.raises(DimensionMismatch, match="slice width"):
-        simulate_pair(subs, widened, cands, certs, cfg)
-    # the abstract network is wired by the same edges, so its blocks are checked too
-    src = cands[first.source]
-    wide = {**src.Chat_int, first.target: np.vstack([src.Chat_int[first.target]] * 2)}
-    cands[first.source] = dataclasses.replace(src, Chat_int=wide)
-    with pytest.raises(DimensionMismatch, match="slice width"):
-        simulate_pair(subs, topo, cands, certs, cfg)
     with pytest.raises(DimensionMismatch, match="counts differ"):
         simulate_pair(subs, topo, cands[:3], certs, cfg)
+    # the abstract network is wired by the same pairs, so its blocks are checked too:
+    # a two-row Chat_int block does not fit the one-column Dhat it feeds
+    src, tgt = topo.pairs[0]
+    double = {**cands[src].Chat_int, tgt: np.vstack([cands[src].Chat_int[tgt]] * 2)}
+    wide_cands = list(cands)
+    wide_cands[src] = dataclasses.replace(cands[src], Chat_int=double)
+    with pytest.raises(DimensionMismatch, match="need 2 rows, D has 1"):
+        simulate_pair(subs, topo, wide_cands, certs, cfg)
+    # with a spare omega column on both sides the block fits, but it would feed
+    # the abstract target two rows where the concrete one reads one
+    subs = list(subs)
+    subs[tgt] = dataclasses.replace(subs[tgt], D=np.hstack([subs[tgt].D, np.zeros((25, 1))]))
+    a = wide_cands[tgt]
+    wide_cands[tgt] = dataclasses.replace(a, Dhat=np.hstack([a.Dhat, np.zeros((a.nhat, 1))]))
+    with pytest.raises(DimensionMismatch, match="not routed like the concrete one"):
+        simulate_pair(subs, topo, wide_cands, certs, cfg)
 
 
 def test_abstract_internal_inputs_enter_concrete_step():
@@ -591,9 +595,9 @@ def test_abstract_internal_inputs_enter_concrete_step():
 
     omegas = [np.zeros(s.p) for s in subs]
     omegahats = [np.zeros(a.p) for a in abs_subs]
-    for e in topo.edges:
-        omegas[e.target][e.start : e.stop] = subs[e.source].C_int[e.target] @ xs[e.source]
-        omegahats[e.target][e.start : e.stop] = abs_subs[e.source].C_int[e.target] @ xhs[e.source]
+    for (src, tgt), rows in omega_slices(subs, topo).items():
+        omegas[tgt][rows] = subs[src].C_int[tgt] @ xs[src]
+        omegahats[tgt][rows] = abs_subs[src].C_int[tgt] @ xhs[src]
     expected = []
     for i, s in enumerate(quiet):
         nuhat = np.zeros(abs_subs[i].m)

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers import certified_network
+from helpers import certified_network, random_network
 from simcert import smallgain, spsf
 from simcert.cli import main
 from simcert.errors import SchemaError, SimcertError
-from simcert.model import LinearSubsystem
+from simcert.model import LinearSubsystem, Topology, assemble_interconnection
 from simcert.project import (
     ProjectFile,
     RunDefaults,
@@ -94,6 +94,30 @@ def test_edge_to_unknown_subsystem(ref_project):
     doc["topology"]["edges"].append([0, 9])
     with pytest.raises(SchemaError):
         project_from_dict(doc)
+
+
+def test_repeated_edge_exits_2(ref_project, tmp_path, capsys):
+    doc = project_to_dict(ref_project)
+    doc["topology"]["edges"].append(doc["topology"]["edges"][0])
+    with pytest.raises(SchemaError, match="listed twice"):
+        project_from_dict(doc)
+    target = tmp_path / "net.json"
+    target.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(target)]) == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_routing_survives_save_and_load(tmp_path, seed):
+    subs, pairs = random_network(np.random.default_rng(seed))
+    project = ProjectFile(1, tuple(subs), Topology.from_pairs(subs, pairs))
+    save_project(project, tmp_path / "net.json")
+    loaded = load_project(tmp_path / "net.json")
+    before = assemble_interconnection(project.subsystems, project.topology).in_edges
+    after = assemble_interconnection(loaded.subsystems, loaded.topology).in_edges
+    assert [[e for e, _ in edges] for edges in after] == [[e for e, _ in edges] for edges in before]
+    for edges, loaded_edges in zip(before, after):
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(edges, loaded_edges))
 
 
 def _without_optional_fields(project) -> dict:

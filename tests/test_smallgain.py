@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import expected_V_next
+from helpers import expected_V_next, omega_slices
 
 from simcert.bounds import BoundQuery, finite_horizon_bound
 from simcert.errors import Infeasible, UnsupportedForm
@@ -177,8 +177,8 @@ def test_compose_rejects_bad_mu():
 
 def _route_internal(subs, topo, states):
     omegas = [np.zeros(s.p) for s in subs]
-    for e in topo.edges:
-        omegas[e.target][e.start : e.stop] = subs[e.source].C_int[e.target] @ states[e.source]
+    for (src, tgt), rows in omega_slices(subs, topo).items():
+        omegas[tgt][rows] = subs[src].C_int[tgt] @ states[src]
     return omegas
 
 
