@@ -83,17 +83,20 @@ def finite_horizon_bound(q: BoundQuery) -> BoundResult:
       ``(V0/a) (1-kappa_hat)**T + (psi_hat/(kappa_hat a)) (1 - (1-kappa_hat)**T)``
 
     The branches agree exactly at the threshold.  The raw value can exceed 1
-    when ``V0 > a``; the reported probability is clamped.
+    when ``V0 > a``; the reported probability is clamped.  Where ``a``
+    underflows below the normal floats, the bound is its limit at ``a -> 0``,
+    which bounds every ``a > 0``: 1 unless ``V0 = 0`` and ``psi_hat T = 0``.
     """
     a = q.alpha_coef * (q.epsilon * q.epsilon)  # where a float ** raises, * gives inf
-    if a >= q.psi_hat / q.kappa_hat:
-        branch = "high_threshold"
+    branch = "high_threshold" if a >= q.psi_hat / q.kappa_hat else "low_threshold"
+    if a < np.finfo(float).tiny:  # a has underflowed: the limit, inf or 0
+        raw = math.inf if q.V0 > 0 or (q.psi_hat > 0 and q.T > 0) else 0.0
+    elif branch == "high_threshold":
         if q.V0 < a:  # in logs, so that a bound far below 1e-16 does not cancel to 0
             raw = -math.expm1(math.log1p(-q.V0 / a) + q.T * math.log1p(-q.psi_hat / a))
         else:  # raw >= 1 here, and is clamped
             raw = 1.0 - (1.0 - q.V0 / a) * (1.0 - q.psi_hat / a) ** q.T
     else:
-        branch = "low_threshold"
         decay = (1.0 - q.kappa_hat) ** q.T
         # 1 - decay, which cancels to 0 once kappa_hat is below the rounding unit
         growth = -math.expm1(q.T * math.log1p(-q.kappa_hat))

@@ -147,19 +147,18 @@ def _apply(blocks, z: np.ndarray, out: np.ndarray) -> None:
 class _PairSimulator:
     """Row-blocked closed-loop operators of the coupled concrete/abstract pair.
 
-    Substituting the routed internal inputs and the interface function into
-    the subsystem recursions leaves, per step, a linear map of the stacked
-    pair column ``z = [x; xhat; nuhat; w; what]`` (states, abstract inputs,
-    concrete and abstract noise) to the next ``[x; xhat]``, and outputs that
-    are a linear map of ``[x; xhat]``.  The abstract network is each
-    subsystem's candidate wired by the concrete topology's own pairs, and
-    each of its omega slices must equal the concrete one.  Both
-    maps are stored as one row block per subsystem and side, each over only
-    the columns its rows read.  A block is built from its own subsystem and
-    the in-edges that :func:`model.assemble_interconnection` routes to it, so
-    set-up as well as a step grows with the edges of the network, not with
-    its squared state dimension.  :meth:`run_block` iterates the maps for a
-    block of trials at once, one trial per column.
+    Substituting the interface function into the subsystem recursions leaves,
+    per step, a linear map of the stacked pair column
+    ``z = [x; xhat; nuhat; h; hhat; w; what]`` (states, abstract inputs,
+    outputs, concrete and abstract noise) to the next ``[x; xhat]``.  ``h``
+    holds each subsystem's full output ``[C_ext_j; C_int_j of each out-edge]
+    x_j`` and ``hhat`` the abstraction's, which is the candidates wired by the
+    concrete topology's own pairs (each omega slice must equal the concrete
+    one).  Both maps are one row block per subsystem and side: an output block
+    reads its own state, and a step block its own state, inputs and noise and
+    the internal-output rows routed to it, never a neighbour's state, so set-up
+    and a step grow with ``sum_i n_i (n_i + internal-input rows + ...)``.
+    :meth:`run_block` iterates the maps for a block of trials, one per column.
     """
 
     def __init__(self, subsystems, topo, candidates, certs):
@@ -183,13 +182,32 @@ class _PairSimulator:
         self.q_dims = [s.q for s in subs]
         self.qhat_dims = [a.q for a in abs_subs]
         self.ids = [s.id for s in subs]
-        self.r_tot = sum(s.r for s in subs)
         # column ranges of z
         self.x = slice(0, self.n_tot)
         self.xh = slice(self.n_tot, self.n_tot + self.nhat_tot)
         self.nu = slice(self.xh.stop, self.xh.stop + self.mhat_tot)
-        self.w = slice(self.nu.stop, self.nu.stop + sum(self.q_dims))
+        # h, then hhat: per subsystem one block over its own state, and per
+        # side the row of z where each edge's internal output starts
+        self.output_blocks, edge_at, at = [], [], self.nu.stop
+        for side, x_start in ((net, self.x.start), (abs_net, self.xh.start)):
+            sent = [[] for _ in side.subsystems]
+            for edges in side.in_edges:
+                for e, C in edges:
+                    sent[e.source].append((e, C))
+            edge_at.append({})
+            for s, j, out in zip(side.subsystems, side.state_offsets, sent):
+                H = np.vstack([s.C_ext, *(C for _, C in out)])
+                cols = slice(x_start + j, x_start + j + s.n)
+                self.output_blocks.append((slice(at, at + len(H)), cols, H))
+                at += s.r
+                for e, C in out:
+                    edge_at[-1][e], at = at, at + len(C)
+        y = [np.arange(rows.start, rows.start + s.r)
+             for (rows, _, _), s in zip(self.output_blocks, (*subs, *abs_subs))]
+        self.y, self.yh = np.concatenate(y[: len(subs)]), np.concatenate(y[len(subs) :])
+        self.w = slice(at, at + sum(self.q_dims))
         self.wh = slice(self.w.stop, self.w.stop + sum(self.qhat_dims))
+        self.width = self.wh.stop
 
         # first column of each subsystem's block in every part of z
         x_at = net.state_offsets
@@ -197,37 +215,29 @@ class _PairSimulator:
         nu_at = [self.nu.start + j for j in _offsets(a.m for a in abs_subs)]
         w_at = [self.w.start + j for j in _offsets(self.q_dims)]
         wh_at = [self.wh.start + j for j in _offsets(self.qhat_dims)]
-        r_at = _offsets(s.r for s in subs)
-        rh_at = [self.r_tot + j for j in _offsets(a.r for a in abs_subs)]
-        step, out = [], []
+        omega, omegahat = edge_at
+        self.step_blocks = []
         for i, (s, a, c) in enumerate(zip(subs, abs_subs, certs)):
-            edges, abs_edges = net.in_edges[i], abs_net.in_edges[i]
+            edges = [e for e, _ in net.in_edges[i]]
             BS = s.B @ c.S
-            # x_i+ = A_i x_i + D_i omega_i + B_i nu_i + F_i w_i with the routed omega_i
-            # and the refined input
+            # x_i+ = A_i x_i + D_i omega_i + B_i nu_i + F_i w_i with the refined input
             # nu_i = K_i (x_i - P_i xhat_i) + Q_i xhat_i + Rt_i nuhat_i + S_i omegahat_i
-            step.append(_row_block(slice(x_at[i], x_at[i] + s.n), [
+            self.step_blocks.append(_row_block(slice(x_at[i], x_at[i] + s.n), [
                 (x_at[i], s.A),
-                *((x_at[e.source], s.D[:, e.start : e.stop] @ C) for e, C in edges),
+                *((omega[e], s.D[:, e.start : e.stop]) for e in edges),
                 (x_at[i], s.B @ c.K),
                 (xh_at[i], s.B @ (c.Q - c.K @ c.P)),
-                *((xh_at[e.source], BS[:, e.start : e.stop] @ C) for e, C in abs_edges),
+                *((omegahat[e], BS[:, e.start : e.stop]) for e in edges),
                 (nu_at[i], s.B @ c.Rtilde),
                 (w_at[i], s.F),
             ]))
             # xhat_i+ = Ahat_i xhat_i + Dhat_i omegahat_i + Bhat_i nuhat_i + Fhat_i what_i
-            step.append(_row_block(slice(xh_at[i], xh_at[i] + a.n), [
+            self.step_blocks.append(_row_block(slice(xh_at[i], xh_at[i] + a.n), [
                 (xh_at[i], a.A),
-                *((xh_at[e.source], a.D[:, e.start : e.stop] @ C) for e, C in abs_edges),
+                *((omegahat[e], a.D[:, e.start : e.stop]) for e in edges),
                 (nu_at[i], a.B),
                 (wh_at[i], a.F),
             ]))
-            # outputs: y rows first, then yhat rows
-            out.append(_row_block(slice(r_at[i], r_at[i] + s.r), [(x_at[i], s.C_ext)]))
-            out.append(_row_block(slice(rh_at[i], rh_at[i] + a.r), [(xh_at[i], a.C_ext)]))
-        self.step_blocks, self.output_blocks = step, out
-        self.width = self.wh.stop
-        self.out_dim = self.r_tot + sum(a.r for a in abs_subs)
         # trials per block: a step makes one call per row block, so a fixed
         # count keeps the call overhead per trial from growing with the
         # network, while a block's memory grows only with the pair column.
@@ -270,15 +280,14 @@ class _PairSimulator:
 
     @np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
     def run_block(
-        self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray, out: Deviations,
-        work: tuple[np.ndarray, np.ndarray, np.ndarray],
+        self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray,
+        noise: np.ndarray, out: Deviations, pair: np.ndarray,
     ) -> None:
         """Step ``trials`` (at most :attr:`block`) together from the stacked initial states,
-        one per column (padding columns from zero), folding each step's deviations into their
-        rows of ``out`` as it is taken; ``work`` holds the arrays :func:`simulate_pair` sizes."""
-        T, cols, r = cfg.horizon, len(trials), self.r_tot
-        noise, pair, y = work
-        self._noise(cfg, trials, noise)
+        one per column (padding columns from zero), on ``noise`` shaped like :meth:`_noise`
+        writes it, folding each step's deviations into their rows of ``out`` as it is taken;
+        ``pair`` holds the two pair columns, ``(2, width, block)``."""
+        T, cols = cfg.horizon, len(trials)
         # two pair columns in turn: a step reads one and writes the other's state
         pair.fill(0.0)
         z, nxt = pair
@@ -293,11 +302,12 @@ class _PairSimulator:
                 z[self.w.start :] = noise[k - 1]
                 _apply(self.step_blocks, z, nxt)
                 z, nxt = nxt, z
-            _apply(self.output_blocks, z, y)
-            yk = np.ascontiguousarray(y[:, :cols].T)
-            np.maximum(sup, np.linalg.norm(yk[:, :r] - yk[:, r:], axis=1), out=sup)
+            _apply(self.output_blocks, z, z)
+            # the whole width, so that a column's sum does not depend on the trial count
+            y, yh = z[self.y], z[self.yh]
+            np.maximum(sup, np.linalg.norm(y - yh, axis=0)[:cols], out=sup)
             if out.outputs is not None:
-                out.outputs[rows, k], out.abstract_outputs[rows, k] = yk[:, :r], yk[:, r:]
+                out.outputs[rows, k], out.abstract_outputs[rows, k] = y[:, :cols].T, yh[:, :cols].T
 
 
 def simulate_pair(
@@ -321,20 +331,21 @@ def simulate_pair(
     x0, xh0 = np.asarray(x0, dtype=float), np.asarray(xh0, dtype=float)
     if x0.shape != (sim.n_tot,) or xh0.shape != (sim.nhat_tot,):
         raise DimensionMismatch("initial state dimensions do not match the network")
-    n, T, r, b = cfg.trials, cfg.horizon, sim.r_tot, sim.block
+    n, T, b = cfg.trials, cfg.horizon, sim.block
     # every array is sized before the first step (numpy: ValueError past the address space)
     try:
         out = Deviations(np.zeros(n))  # run_block folds each step's deviations into sup
         if cfg.record_trajectories:
-            y, yh = np.empty((n, T + 1, r)), np.empty((n, T + 1, sim.out_dim - r))
+            y, yh = np.empty((n, T + 1, len(sim.y))), np.empty((n, T + 1, len(sim.yh)))
             out = Deviations(out.sup, y, yh)
-        # a block's noise, two pair columns and one step's outputs, reused by the next block
-        work = (np.empty((T, sim.width - sim.w.start, b)), np.empty((2, sim.width, b)),
-                np.empty((sim.out_dim, b)))
+        # a block's noise and two pair columns, reused by the next block
+        noise, pair = np.empty((T, sim.width - sim.w.start, b)), np.empty((2, sim.width, b))
     except (MemoryError, ValueError) as exc:
         raise SchemaError(f"trials={n} and horizon={T} cannot be allocated: {exc}") from None
     for start in range(0, n, b):
-        sim.run_block(range(n)[start : start + b], cfg, x0, xh0, out, work)
+        trials = range(n)[start : start + b]
+        sim._noise(cfg, trials, noise)
+        sim.run_block(trials, cfg, x0, xh0, noise, out, pair)
     return out
 
 

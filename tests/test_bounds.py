@@ -42,6 +42,40 @@ def test_high_threshold_bound_on_reference_is_exact(epsilon):
     assert res.probability == pytest.approx(float(exact), rel=1e-13, abs=0)
 
 
+
+def _exact_bound(q):
+    """The two-case bound of ``q`` in 50-digit decimal arithmetic, clamped into [0, 1]."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = decimal.Decimal(q.alpha_coef) * decimal.Decimal(q.epsilon) ** 2
+        V0, ph, kh = (decimal.Decimal(v) for v in (q.V0, q.psi_hat, q.kappa_hat))
+        if a >= ph / kh:
+            exact = 1 - (1 - V0 / a) * (1 - ph / a) ** q.T
+        else:
+            decay = (1 - kh) ** q.T
+            exact = V0 / a * decay + ph / (kh * a) * (1 - decay)
+        return float(min(max(exact, 0), 1))
+
+
+@pytest.mark.parametrize("epsilon", [1e-160, 1e-200])  # a is subnormal, then 0
+@pytest.mark.parametrize("V0, offset, T, limit", [
+    (0.0, "reference", 10, 1.0), (0.5, 0.0, 10, 1.0), (0.0, 0.0, 10, 0.0),
+    (0.0, "reference", 0, 0.0),
+])
+def test_underflowing_threshold_gives_the_limit(epsilon, V0, offset, T, limit):
+    # a = alpha_coef * epsilon**2 underflows from about epsilon < 1e-162 on the
+    # reference network, where the two-case formula divided by zero
+    project = reference_project()
+    constants = cli._all_constants(project, 1e-9)
+    composed = cli._composition(constants, project.topology, "in_degree")[1]
+    q = BoundQuery(V0=V0, alpha_coef=composed.alpha_coef, epsilon=epsilon, T=T,
+                   psi_hat=composed.psi if offset == "reference" else offset,
+                   kappa_hat=composed.kappa_hat)
+    res = finite_horizon_bound(q)
+    assert res.probability == _exact_bound(q) == limit
+    assert res.clamped == (limit == 1.0)
+
+
 def test_zero_horizon():
     q = BoundQuery(V0=0.0, alpha_coef=1.0, epsilon=1.0, T=0, psi_hat=0.01, kappa_hat=0.1)
     assert finite_horizon_bound(q).probability == 0.0

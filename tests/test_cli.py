@@ -108,6 +108,16 @@ def test_bound_tiny_probability_is_not_printed_as_zero(project_path, capsys):
     assert "<= 1.000e-11\n" in out and "0.0000" not in out
 
 
+
+def test_underflowing_epsilon_gives_the_limit(project_path, capsys):
+    # alpha_coef * epsilon**2 underflows to 0: the bound is its limit 1, not a ZeroDivisionError
+    project = ["--project", str(project_path), "--epsilon", "1e-200"]
+    assert main(["bound", *project, "--horizon", "10"]) == 0
+    assert "<= 1.000\n" in capsys.readouterr().out
+    assert main(["simulate", *project, "--trials", "5"]) == 0
+    assert "analytic bound: 1.000 (branch low_threshold)\n" in capsys.readouterr().out
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.floats(0.0, 1.0))
 @example(0.0)

@@ -357,6 +357,71 @@ def test_blocked_simulation_matches_oracle_across_block_boundary():
     assert np.array_equal(first.abstract_outputs, again.abstract_outputs)
 
 
+
+def _random_pair_network(rng, dims, rows):
+    """Random subsystems with state sizes ``dims``, each ``(source, target)`` key of
+    ``rows`` an edge carrying that many internal-output rows, and two-state noisy
+    abstractions.  The certificates have the right shapes but certify nothing."""
+    p = [sum(k for (_, t), k in rows.items() if t == i) for i in range(len(dims))]
+    subs, cands, certs = [], [], []
+    for i, n in enumerate(dims):
+        s = LinearSubsystem(
+            id=i, A=0.5 * rng.standard_normal((n, n)) / np.sqrt(n), B=rng.standard_normal((n, 2)),
+            D=0.3 * rng.standard_normal((n, p[i])), F=0.1 * rng.standard_normal((n, 1)),
+            C_ext=rng.standard_normal((1, n)),
+            C_int={t: 0.5 * rng.standard_normal((k, n)) for (j, t), k in rows.items() if j == i},
+        )
+        cand = AbstractionCandidate.induced(
+            s, P=rng.standard_normal((n, 2)), Ahat=0.3 * rng.standard_normal((2, 2)),
+            Bhat=rng.standard_normal((2, 2)), Dhat=0.3 * rng.standard_normal((2, p[i])),
+            Fhat=0.1 * rng.standard_normal((2, 1)),
+        )
+        certs.append(AbstractionCertificate(
+            M=np.eye(n), K=0.1 * rng.standard_normal((2, n)), P=cand.P,
+            Q=0.1 * rng.standard_normal((2, 2)), S=0.1 * rng.standard_normal((2, p[i])),
+            Rtilde=rng.standard_normal((2, 2)), pi=1.0, kappa_hat=0.5,
+        ))
+        subs.append(s)
+        cands.append(cand)
+    return subs, Topology.from_pairs(subs, list(rows)), cands, certs
+
+
+def test_wide_internal_outputs_match_oracle():
+    # two-row internal outputs, a source feeding two targets, and a one-state
+    # source whose internal-output blocks have two rows each
+    rng = np.random.default_rng(29)
+    rows = {(0, 1): 2, (0, 2): 2, (1, 0): 2, (2, 1): 1}
+    subs, topo, cands, certs = _random_pair_network(rng, [1, 3, 2], rows)
+    gain = 0.3 * rng.standard_normal((6, 6))
+    cfg = RunConfig(
+        horizon=6, trials=3, seed=5, abstract_policy=lambda k, xh: np.tanh(gain @ xh),
+        initial_concrete=rng.standard_normal(6), initial_abstract=rng.standard_normal(6),
+        record_trajectories=True,
+    )
+    res = simulate_pair(subs, topo, cands, certs, cfg)
+    for t in range(cfg.trials):
+        sup, ys, yhs = _naive_pair_trial(subs, topo, cands, certs, cfg, t, trajectories=True)
+        assert res.outputs[t] == pytest.approx(ys, rel=1e-12, abs=1e-14)
+        assert res.abstract_outputs[t] == pytest.approx(yhs, rel=1e-12, abs=1e-14)
+        assert res.sup[t] == pytest.approx(sup, rel=1e-12, abs=1e-14)
+
+
+def test_step_blocks_read_no_neighbour_state():
+    # a subsystem reads its neighbours only through their routed internal
+    # outputs, so the 40-state neighbours of a ring add one column each
+    rng = np.random.default_rng(3)
+    subs, topo, cands, certs = _random_pair_network(
+        rng, [5, 40, 40, 40], {(i, (i + 1) % 4): 1 for i in range(4)}
+    )
+    sim = _PairSimulator(subs, topo, cands, certs)
+    concrete = [(rows, cols) for rows, cols, _ in sim.step_blocks if rows.stop <= sim.n_tot]
+    abstract = [(rows, cols) for rows, cols, _ in sim.step_blocks if rows.start >= sim.n_tot]
+    assert len(concrete) == len(abstract) == 4
+    for (_, cols), (_, hat_cols), s, c in zip(concrete, abstract, subs, cands):
+        assert len(cols) <= s.n + s.p + c.nhat + c.Dhat.shape[1] + c.mhat + s.q
+        assert len(hat_cols) <= c.nhat + c.Dhat.shape[1] + c.mhat + c.Fhat.shape[1]
+
+
 def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
     # every block is stepped at full width, so a trial's bits depend only on
     # the configuration and its index, not on how many trials the run has
