@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     Infeasible,
-    PolicyDimension,
     PreconditionViolated,
     RankDeficientWarning,
     SchemaError,
@@ -56,8 +55,6 @@ from .spsf import (
     check_conditions,
     compute_Rtilde,
     derive_constants,
-    evaluate_V,
-    interface,
     solve_structural,
     synthesize_MK,
 )

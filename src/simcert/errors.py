@@ -21,10 +21,6 @@ class PreconditionViolated(SimcertError):
     """A result was requested whose hypotheses the certificate does not satisfy."""
 
 
-class PolicyDimension(SimcertError):
-    """An abstract input policy returned a vector of the wrong dimension."""
-
-
 class UnsupportedForm(SimcertError):
     """Certificate constants are not in the quadratic/linear form the gains need."""
 

@@ -1,30 +1,31 @@
 """Coupled Monte Carlo simulation of a concrete interconnection and its abstraction.
 
-Each trial runs the concrete network and its abstraction side by side: the
-internal inputs are routed from the respective internal outputs, the abstract
-external input comes from a user policy (zero by default), and the concrete
-input is refined through the per-subsystem interface functions.  Noise comes
-from the counter-based Philox generator: each ``(seed, subsystem id,
-concrete/abstract)`` side has one key, and a trial's draws are the counter
-range that its index selects within that side's stream.  Trials are stepped in
-blocks of a fixed width, so a trial's bits are a function of the run
-configuration and its trial index alone: the first ``t`` trials of a longer
-run equal a ``t``-trial run.  A run returns its per-trial deviations as arrays,
-trial ``t`` in row ``t``; :func:`violation_probability` reduces them to the
-empirical violation frequency and its exact one-sided confidence bound.
+Each trial runs the concrete network and its abstraction side by side from
+zero states: the internal inputs are routed from the respective internal
+outputs, the abstract external input is zero, and the concrete input is refined
+through the per-subsystem interface functions.  (The analytic bound also covers
+a nonzero abstract input; no run simulates one.)  Noise comes from the
+counter-based Philox generator: each ``(seed, subsystem id, concrete/abstract)``
+side has one key, and a trial's draws are the counter range that its index
+selects within that side's stream.  Trials are stepped in blocks of a fixed
+width, so a trial's bits are a function of the run configuration and its trial
+index alone: the first ``t`` trials of a longer run equal a ``t``-trial run.  A
+run returns its per-trial deviations as arrays, trial ``t`` in row ``t``;
+:func:`violation_probability` reduces them to the empirical violation frequency
+and its exact one-sided confidence bound.
 """
 
 import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import model
-from .errors import DimensionMismatch, PolicyDimension, SchemaError
+from .errors import DimensionMismatch, SchemaError
 from .model import LinearSubsystem, Topology, _offsets
 from .spsf import AbstractionCandidate, AbstractionCertificate
 
@@ -37,24 +38,13 @@ __all__ = [
     "violation_probability",
 ]
 
-Policy = Callable[[int, np.ndarray], np.ndarray]
-
-
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Trial count, horizon, seed and optional policy/initial states.
-
-    ``abstract_policy`` maps ``(k, xhat)`` (stacked abstract state) to the
-    stacked abstract external input; ``None`` means identically zero.
-    Initial states default to zero vectors.
-    """
+    """Horizon, trial count and seed of a run, and whether it records trajectories."""
 
     horizon: int
     trials: int
     seed: int
-    abstract_policy: Policy | None = None
-    initial_concrete: np.ndarray | None = None
-    initial_abstract: np.ndarray | None = None
     record_trajectories: bool = False
 
     def __post_init__(self):
@@ -147,17 +137,17 @@ def _apply(blocks, z: np.ndarray, out: np.ndarray) -> None:
 class _PairSimulator:
     """Row-blocked closed-loop operators of the coupled concrete/abstract pair.
 
-    Substituting the interface function into the subsystem recursions leaves,
-    per step, a linear map of the stacked pair column
-    ``z = [x; xhat; nuhat; h; hhat; w; what]`` (states, abstract inputs,
-    outputs, concrete and abstract noise) to the next ``[x; xhat]``.  ``h``
-    holds each subsystem's full output ``[C_ext_j; C_int_j of each out-edge]
-    x_j`` and ``hhat`` the abstraction's, which is the candidates wired by the
-    concrete topology's own pairs (each omega slice must equal the concrete
-    one).  Both maps are one row block per subsystem and side: an output block
-    reads its own state, and a step block its own state, inputs and noise and
-    the internal-output rows routed to it, never a neighbour's state, so set-up
-    and a step grow with ``sum_i n_i (n_i + internal-input rows + ...)``.
+    Substituting the interface function, with a zero abstract input, into the
+    subsystem recursions leaves, per step, a linear map of the stacked pair
+    column ``z = [x; xhat; h; hhat; w; what]`` (states, outputs, concrete and
+    abstract noise) to the next ``[x; xhat]``.  ``h`` holds each subsystem's
+    full output ``[C_ext_j; C_int_j of each out-edge] x_j`` and ``hhat`` the
+    abstraction's, which is the candidates wired by the concrete topology's own
+    pairs (each omega slice must equal the concrete one).  Both maps are one
+    row block per subsystem and side: an output block reads its own state, and
+    a step block its own state and noise and the internal-output rows routed to
+    it, never a neighbour's state, so set-up and a step grow with
+    ``sum_i n_i (n_i + internal-input rows + ...)``.
     :meth:`run_block` iterates the maps for a block of trials, one per column.
     """
 
@@ -177,18 +167,15 @@ class _PairSimulator:
                 )
 
         self.n_tot = net.n
-        self.nhat_tot = abs_net.n
-        self.mhat_tot = sum(a.m for a in abs_subs)
         self.q_dims = [s.q for s in subs]
         self.qhat_dims = [a.q for a in abs_subs]
         self.ids = [s.id for s in subs]
         # column ranges of z
         self.x = slice(0, self.n_tot)
-        self.xh = slice(self.n_tot, self.n_tot + self.nhat_tot)
-        self.nu = slice(self.xh.stop, self.xh.stop + self.mhat_tot)
+        self.xh = slice(self.n_tot, self.n_tot + abs_net.n)
         # h, then hhat: per subsystem one block over its own state, and per
         # side the row of z where each edge's internal output starts
-        self.output_blocks, edge_at, at = [], [], self.nu.stop
+        self.output_blocks, edge_at, at = [], [], self.xh.stop
         for side, x_start in ((net, self.x.start), (abs_net, self.xh.start)):
             sent = [[] for _ in side.subsystems]
             for edges in side.in_edges:
@@ -212,7 +199,6 @@ class _PairSimulator:
         # first column of each subsystem's block in every part of z
         x_at = net.state_offsets
         xh_at = [self.xh.start + j for j in abs_net.state_offsets]
-        nu_at = [self.nu.start + j for j in _offsets(a.m for a in abs_subs)]
         w_at = [self.w.start + j for j in _offsets(self.q_dims)]
         wh_at = [self.wh.start + j for j in _offsets(self.qhat_dims)]
         omega, omegahat = edge_at
@@ -221,21 +207,19 @@ class _PairSimulator:
             edges = [e for e, _ in net.in_edges[i]]
             BS = s.B @ c.S
             # x_i+ = A_i x_i + D_i omega_i + B_i nu_i + F_i w_i with the refined input
-            # nu_i = K_i (x_i - P_i xhat_i) + Q_i xhat_i + Rt_i nuhat_i + S_i omegahat_i
+            # nu_i = K_i (x_i - P_i xhat_i) + Q_i xhat_i + S_i omegahat_i
             self.step_blocks.append(_row_block(slice(x_at[i], x_at[i] + s.n), [
                 (x_at[i], s.A),
                 *((omega[e], s.D[:, e.start : e.stop]) for e in edges),
                 (x_at[i], s.B @ c.K),
                 (xh_at[i], s.B @ (c.Q - c.K @ c.P)),
                 *((omegahat[e], BS[:, e.start : e.stop]) for e in edges),
-                (nu_at[i], s.B @ c.Rtilde),
                 (w_at[i], s.F),
             ]))
-            # xhat_i+ = Ahat_i xhat_i + Dhat_i omegahat_i + Bhat_i nuhat_i + Fhat_i what_i
+            # xhat_i+ = Ahat_i xhat_i + Dhat_i omegahat_i + Fhat_i what_i
             self.step_blocks.append(_row_block(slice(xh_at[i], xh_at[i] + a.n), [
                 (xh_at[i], a.A),
                 *((omegahat[e], a.D[:, e.start : e.stop]) for e in edges),
-                (nu_at[i], a.B),
                 (wh_at[i], a.F),
             ]))
         # trials per block: a step makes one call per row block, so a fixed
@@ -266,39 +250,22 @@ class _PairSimulator:
                     noise_stream(cfg.seed, trial, sid, abstract).standard_normal(out=row)
                 out[:, start : start + q, :cols] = draws.transpose(1, 2, 0)
 
-    def _policy_inputs(self, policy: Policy, k: int, xh: np.ndarray) -> np.ndarray:
-        """Stacked abstract inputs, one policy call per trial row of ``xh``."""
-        nuhat = np.empty((len(xh), self.mhat_tot))
-        for row, xh_row in enumerate(xh):
-            u = np.asarray(policy(k, xh_row), dtype=float).reshape(-1)
-            if u.shape != (self.mhat_tot,):
-                raise PolicyDimension(
-                    f"policy returned dim {u.shape}, expected ({self.mhat_tot},)"
-                )
-            nuhat[row] = u
-        return nuhat
-
     @np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
     def run_block(
-        self, trials: range, cfg: RunConfig, x0: np.ndarray, xh0: np.ndarray,
-        noise: np.ndarray, out: Deviations, pair: np.ndarray,
+        self, trials: range, cfg: RunConfig, noise: np.ndarray, out: Deviations, pair: np.ndarray
     ) -> None:
-        """Step ``trials`` (at most :attr:`block`) together from the stacked initial states,
-        one per column (padding columns from zero), on ``noise`` shaped like :meth:`_noise`
-        writes it, folding each step's deviations into their rows of ``out`` as it is taken;
-        ``pair`` holds the two pair columns, ``(2, width, block)``."""
+        """Step ``trials`` (at most :attr:`block`) together from zero states, one per column,
+        on ``noise`` shaped like :meth:`_noise` writes it, folding each step's deviations
+        into their rows of ``out`` as it is taken; ``pair`` holds the two pair columns,
+        ``(2, width, block)``."""
         T, cols = cfg.horizon, len(trials)
         # two pair columns in turn: a step reads one and writes the other's state
         pair.fill(0.0)
         z, nxt = pair
-        z[self.x, :cols], z[self.xh, :cols] = x0[:, None], xh0[:, None]
         rows = slice(trials.start, trials.stop)
         sup = out.sup[rows]
         for k in range(T + 1):
             if k:
-                if cfg.abstract_policy is not None:
-                    xh = np.ascontiguousarray(z[self.xh, :cols].T)
-                    z[self.nu, :cols] = self._policy_inputs(cfg.abstract_policy, k - 1, xh).T
                 z[self.w.start :] = noise[k - 1]
                 _apply(self.step_blocks, z, nxt)
                 z, nxt = nxt, z
@@ -320,17 +287,13 @@ def simulate_pair(
     """Run all trials of the coupled pair and collect their deviations.
 
     ``candidates`` and ``certificates`` are in subsystem order; the abstract
-    network is the candidates wired by ``topology``.  Concrete and abstract
+    network is the candidates wired by ``topology``.  Both networks start from
+    zero states, and the abstract input is zero.  Concrete and abstract
     noises are fully independent.  Results are bitwise-reproducible for a
     fixed config: every trial consumes only its own substreams, and trials
     are stepped in blocks of a fixed size.
     """
     sim = _PairSimulator(subsystems, topology, candidates, certificates)
-    x0 = np.zeros(sim.n_tot) if cfg.initial_concrete is None else cfg.initial_concrete
-    xh0 = np.zeros(sim.nhat_tot) if cfg.initial_abstract is None else cfg.initial_abstract
-    x0, xh0 = np.asarray(x0, dtype=float), np.asarray(xh0, dtype=float)
-    if x0.shape != (sim.n_tot,) or xh0.shape != (sim.nhat_tot,):
-        raise DimensionMismatch("initial state dimensions do not match the network")
     n, T, b = cfg.trials, cfg.horizon, sim.block
     # every array is sized before the first step (numpy: ValueError past the address space)
     try:
@@ -345,7 +308,7 @@ def simulate_pair(
     for start in range(0, n, b):
         trials = range(n)[start : start + b]
         sim._noise(cfg, trials, noise)
-        sim.run_block(trials, cfg, x0, xh0, noise, out, pair)
+        sim.run_block(trials, cfg, noise, out, pair)
     return out
 
 

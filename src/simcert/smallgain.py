@@ -138,12 +138,12 @@ def build_gains(
 
 
 def _is_irreducible(G: np.ndarray) -> bool:
-    n = G.shape[0]
-    if n <= 1:
-        return True
-    reach = (np.eye(n, dtype=bool) | (G > 0))
-    closure = np.linalg.matrix_power(reach.astype(int), n - 1) > 0
-    return bool(np.all(closure))
+    # reachability along G > 0, squared ceil(log2 n) times to cover paths of up to n
+    # edges; each product is clipped to 0/1, where an integer matrix power would wrap
+    reach = np.eye(len(G), dtype=bool) | (G > 0)
+    for _ in range((len(G) - 1).bit_length()):
+        reach = (reach.astype(float) @ reach) > 0
+    return bool(reach.all())
 
 
 def find_mu(g: GainDecomposition) -> np.ndarray:

@@ -12,7 +12,8 @@ Dhat, Fhat)`` through the lifted error ``e = x - P xhat``.  It is valid when
   ``C P = Chat`` hold.
 
 Those facts make ``V(x, xhat) = e' M e`` a one-step expected-decrease
-function: with the concrete input chosen by :func:`interface`,
+function: with the concrete input refined by the interface function
+``nu = K (x - P xhat) + Q xhat + Rtilde nuhat + S omegahat``,
 
     E[V+] - V  <=  -kappa_hat V
                    + rho_int ||omega - omegahat||^2
@@ -50,8 +51,6 @@ __all__ = [
     "solve_structural",
     "compute_Rtilde",
     "derive_constants",
-    "evaluate_V",
-    "interface",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +190,6 @@ class ConditionReport:
     @property
     def passed(self) -> bool:
         return not self.violations and all(c.passed for c in self.checks)
-
-    def values(self) -> dict[str, float]:
-        return {c.name: c.value for c in self.checks}
 
     def render(self) -> str:
         width = max(len(c.name) for c in self.checks)
@@ -455,27 +451,4 @@ def derive_constants(
         rho_int_coef=float(rho[0]),
         rho_ext_coef=float(rho[1]),
         psi=max(0.0, psi),
-    )
-
-
-def evaluate_V(x, xhat, M, P) -> float:
-    """Quadratic closeness function ``(x - P xhat)' M (x - P xhat)``."""
-    e = np.asarray(x, dtype=float) - np.asarray(P, dtype=float) @ np.asarray(xhat, dtype=float)
-    return float(e @ np.asarray(M, dtype=float) @ e)
-
-
-def interface(x, xhat, nuhat, omegahat, cert: AbstractionCertificate) -> np.ndarray:
-    """Refine an abstract input into the concrete one:
-
-    ``nu = K (x - P xhat) + Q xhat + Rtilde nuhat + S omegahat``.
-    """
-    x = np.asarray(x, dtype=float)
-    xhat = np.asarray(xhat, dtype=float)
-    nuhat = np.asarray(nuhat, dtype=float)
-    omegahat = np.asarray(omegahat, dtype=float)
-    return (
-        cert.K @ (x - cert.P @ xhat)
-        + cert.Q @ xhat
-        + cert.Rtilde @ nuhat
-        + cert.S @ omegahat
     )

@@ -1,6 +1,7 @@
 """Shared construction helpers for randomized test instances, dense oracles,
-the one-step expectation oracles of the closeness function with their Monte
-Carlo check, and a fresh interpreter for import checks."""
+the closeness function, the interface function and the one-step expectation
+oracles with their Monte Carlo check, and a fresh interpreter for import
+checks."""
 
 import dataclasses
 import os
@@ -20,11 +21,10 @@ from simcert.smallgain import build_gains, compose, find_mu
 from simcert.spsf import (
     AbstractionCandidate,
     AbstractionCertificate,
+    ConditionReport,
     SpsfConstants,
     compute_Rtilde,
     derive_constants,
-    evaluate_V,
-    interface,
     solve_structural,
     synthesize_MK,
 )
@@ -38,6 +38,34 @@ def step(s: LinearSubsystem, x, nu, omega, noise) -> np.ndarray:
         + s.D @ np.asarray(omega, dtype=float)
         + s.F @ np.asarray(noise, dtype=float)
     )
+
+
+def evaluate_V(x, xhat, M, P) -> float:
+    """Quadratic closeness function ``(x - P xhat)' M (x - P xhat)``."""
+    e = np.asarray(x, dtype=float) - np.asarray(P, dtype=float) @ np.asarray(xhat, dtype=float)
+    return float(e @ np.asarray(M, dtype=float) @ e)
+
+
+def interface(x, xhat, nuhat, omegahat, cert: AbstractionCertificate) -> np.ndarray:
+    """Refine an abstract input into the concrete one:
+
+    ``nu = K (x - P xhat) + Q xhat + Rtilde nuhat + S omegahat``.
+    """
+    x = np.asarray(x, dtype=float)
+    xhat = np.asarray(xhat, dtype=float)
+    nuhat = np.asarray(nuhat, dtype=float)
+    omegahat = np.asarray(omegahat, dtype=float)
+    return (
+        cert.K @ (x - cert.P @ xhat)
+        + cert.Q @ xhat
+        + cert.Rtilde @ nuhat
+        + cert.S @ omegahat
+    )
+
+
+def condition_values(report: ConditionReport) -> dict[str, float]:
+    """Each condition's residual, by condition name."""
+    return {c.name: c.value for c in report.checks}
 
 
 class DenseMonolith:
@@ -156,12 +184,14 @@ def diverging_project() -> ProjectFile:
     return dataclasses.replace(project, candidates=cands, certificates=certs)
 
 
-def certified_network(seed):
+def certified_network(seed, abstract_noise=False):
     """Random 2-4 subsystem interconnection with valid certificates and a
     feasible gain composition.
 
     Couplings are rescaled (halved) until the spectral-radius test passes,
-    so every returned instance admits a composed certificate.
+    so every returned instance admits a composed certificate.  With
+    ``abstract_noise`` every candidate gets a one-column ``Fhat``, which no
+    equality constrains; the other matrices are the same for either value.
     """
     rng = np.random.default_rng(seed)
     N = int(rng.integers(2, 5))
@@ -181,6 +211,8 @@ def certified_network(seed):
     }
     kappa = float(rng.uniform(0.6, 0.9))
     pi = float(rng.uniform(0.5, 1.5))
+    Fhat = [0.05 * rng.standard_normal((raw[i]["nhat"], 1)) if abstract_noise else None
+            for i in range(N)]
 
     scale = 1.0
     for _ in range(12):
@@ -196,7 +228,9 @@ def certified_network(seed):
             Ahat = 0.3 * np.eye(nhat)
             Bhat = np.eye(nhat)
             Dhat = np.zeros((nhat, 1))
-            cand = AbstractionCandidate.induced(s, P=P, Ahat=Ahat, Bhat=Bhat, Dhat=Dhat)
+            cand = AbstractionCandidate.induced(
+                s, P=P, Ahat=Ahat, Bhat=Bhat, Dhat=Dhat, Fhat=Fhat[i]
+            )
             M, K = synthesize_MK(s.A, s.B, s.output_matrix(), pi, kappa)
             sol = solve_structural(s, cand)
             Rt = compute_Rtilde(s.B, M, P, Bhat)
@@ -233,6 +267,41 @@ def omega_slices(subs, topo) -> dict[tuple[int, int], slice]:
             slices[src, tgt] = slice(row, row + rows)
             row += rows
     return slices
+
+
+def deviation_covariance(subs, topo, cands, certs, T) -> np.ndarray:
+    """Exact ``Cov(y_k - yhat_k)`` for ``k = 0 .. T``, shaped ``(T+1, r, r)``, of a
+    run from zero states with a zero abstract input.
+
+    Built in the error coordinates ``e_i = x_i - P_i xhat_i``: when the drift,
+    internal-input and output equalities hold, ``e_i+ = (A_i + B_i K_i) e_i +
+    D_i (omega_i - omegahat_i) + F_i w_i - P_i Fhat_i what_i`` with ``omega_i -
+    omegahat_i`` routed from ``C_int e`` of its sources and ``y - yhat = C_ext e``.
+    So ``Sigma_k+1 = Acl Sigma_k Acl' + W`` from ``Sigma_0 = 0``.  The noise
+    never enters: this is a reference for the simulator's draws.  Raises
+    ``AssertionError`` unless every equality holds to 1e-12.
+    """
+    residuals = []
+    for s, cand, cert in zip(subs, cands, certs):
+        P = cert.P
+        residuals += [s.A @ P - P @ cand.Ahat + s.B @ cert.Q, s.D - P @ cand.Dhat + s.B @ cert.S,
+                      s.C_ext @ P - cand.Chat_ext]
+        residuals += [C @ P - cand.Chat_int[j] for j, C in s.C_int.items()]
+    assert max(float(np.abs(r).max(initial=0.0)) for r in residuals) <= 1e-12
+    at = np.cumsum([0] + [s.n for s in subs])
+    Acl = block_diag(*(s.A + s.B @ cert.K for s, cert in zip(subs, certs)))
+    for (src, tgt), rows in omega_slices(subs, topo).items():
+        coupling = subs[tgt].D[:, rows] @ subs[src].C_int[tgt]
+        Acl[at[tgt] : at[tgt + 1], at[src] : at[src + 1]] += coupling
+    # the two noises are independent: F F' + (P Fhat)(P Fhat)' per subsystem
+    noise = [np.hstack([s.F, cert.P @ cand.Fhat]) for s, cand, cert in zip(subs, cands, certs)]
+    W = block_diag(*(G @ G.T for G in noise))
+    C = block_diag(*(s.C_ext for s in subs))
+    sigma, cov = np.zeros_like(Acl), []
+    for _ in range(T + 1):
+        cov.append(C @ sigma @ C.T)
+        sigma = Acl @ sigma @ Acl.T + W
+    return np.array(cov)
 
 
 def random_network(rng, n_subs=None):

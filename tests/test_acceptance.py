@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from helpers import (
     empirical_supermartingale_check,
+    evaluate_V,
     expected_decrease_bound,
     expected_V_next,
     identity_candidate,
+    interface,
     random_certified_instance,
 )
 
@@ -28,8 +30,6 @@ from simcert.spsf import (
     AbstractionCertificate,
     check_conditions,
     derive_constants,
-    evaluate_V,
-    interface,
     synthesize_MK,
 )
 

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
     certified_network,
+    deviation_covariance,
     empirical_supermartingale_check,
     fresh_python,
+    interface,
     omega_slices,
     random_certified_instance,
     step,
@@ -17,8 +19,7 @@ from helpers import (
 
 from simcert import montecarlo
 from simcert.bounds import BoundQuery, finite_horizon_bound
-
-from simcert.errors import DimensionMismatch, PolicyDimension
+from simcert.errors import DimensionMismatch
 from simcert.model import LinearSubsystem, Topology
 from simcert.montecarlo import (
     Deviations,
@@ -33,7 +34,7 @@ from simcert.reference import (
     reference_certificates,
     reference_subsystems,
 )
-from simcert.spsf import AbstractionCandidate, AbstractionCertificate, interface
+from simcert.spsf import AbstractionCandidate, AbstractionCertificate
 
 
 def test_step_examples(ref_parts):
@@ -67,9 +68,21 @@ def test_noiseless_matched_start_zero_deviation(ref_parts):
     assert np.all(samples.sup == 0.0)
 
 
+def _run_impulse(subs, topo, cands, certs, cfg, impulse):
+    """One trial of ``run_block`` on noise that is ``impulse`` (the rows ``[w; what]``)
+    at step 0 and zero after it."""
+    sim = _PairSimulator(subs, topo, cands, certs)
+    noise = np.zeros((cfg.horizon, sim.width - sim.w.start, sim.block))
+    noise[0, :, 0] = impulse
+    shape = (1, cfg.horizon + 1)
+    out = Deviations(np.zeros(1), np.empty((*shape, len(sim.y))), np.empty((*shape, len(sim.yh))))
+    sim.run_block(range(1), cfg, noise, out, np.empty((2, sim.width, sim.block)))
+    return out
+
+
 def test_geometric_decay_scalar_pair():
     s = LinearSubsystem(id=0, A=[[0.9]], B=[[1.0]], D=np.zeros((1, 0)),
-                        F=np.zeros((1, 1)), C_ext=[[1.0]])
+                        F=np.ones((1, 1)), C_ext=[[1.0]])
     cand = AbstractionCandidate.induced(
         s, P=[[1.0]], Ahat=[[0.9]], Bhat=[[1.0]], Dhat=np.zeros((1, 0))
     )
@@ -77,16 +90,12 @@ def test_geometric_decay_scalar_pair():
         M=[[1.0]], K=[[-0.4]], P=[[1.0]], Q=[[0.0]], S=np.zeros((1, 0)),
         Rtilde=[[1.0]], pi=0.5, kappa_hat=0.5,
     )
-    cfg = RunConfig(
-        horizon=6, trials=1, seed=0,
-        initial_concrete=np.array([1.0]), initial_abstract=np.array([0.0]),
-        record_trajectories=True,
-    )
-    res = simulate_pair([s], Topology(1), [cand], [cert], cfg)
-    assert len(res) == 1
+    cfg = RunConfig(horizon=7, trials=1, seed=0, record_trajectories=True)
+    res = _run_impulse([s], Topology(1), [cand], [cert], cfg, [1.0])
     devs = np.linalg.norm(res.outputs[0] - res.abstract_outputs[0], axis=1)
-    # error recursion e+ = (A + BK) e with A + BK = 0.5
-    for k in range(6):
+    # a unit kick at step 0, then the error recursion e+ = (A + BK) e with A + BK = 0.5
+    assert devs[:2].tolist() == [0.0, 1.0]
+    for k in range(1, 7):
         assert devs[k + 1] == pytest.approx(0.5 * devs[k], rel=1e-12)
     assert res.sup[0] == pytest.approx(1.0)
 
@@ -250,20 +259,16 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def _naive_pair_trial(subs, topo, cands, certs, cfg, trial, trajectories=False):
-    """Independent oracle: explicit per-subsystem routing and stepping.
+    """Independent oracle: explicit per-subsystem routing and stepping from zero
+    states with a zero abstract input.
 
     Returns the supremum deviation, and with ``trajectories`` also the stacked
     concrete and abstract outputs of every step.
     """
     abs_subs = [c.as_subsystem(i) for i, c in enumerate(cands)]
-
-    def per_subsystem(stacked, parts):
-        if stacked is None:
-            return [np.zeros(s.n) for s in parts]
-        return np.split(np.asarray(stacked, dtype=float), np.cumsum([s.n for s in parts])[:-1])
-
-    xs = per_subsystem(cfg.initial_concrete, subs)
-    xhs = per_subsystem(cfg.initial_abstract, abs_subs)
+    xs = [np.zeros(s.n) for s in subs]
+    xhs = [np.zeros(a.n) for a in abs_subs]
+    nuhats = [np.zeros(a.m) for a in abs_subs]
     noises = [
         noise_stream(cfg.seed, trial, s.id, abstract=False).standard_normal((cfg.horizon, s.q))
         for s in subs
@@ -282,11 +287,6 @@ def _naive_pair_trial(subs, topo, cands, certs, cfg, trial, trajectories=False):
         sup = max(sup, float(np.linalg.norm(y - yh)))
         if k == cfg.horizon:
             break
-        if cfg.abstract_policy is None:
-            nuhats = [np.zeros(a.m) for a in abs_subs]
-        else:
-            u = np.asarray(cfg.abstract_policy(k, np.concatenate(xhs)), dtype=float)
-            nuhats = np.split(u, np.cumsum([a.m for a in abs_subs])[:-1])
         omegas = [np.zeros(s.p) for s in subs]
         omegahats = [np.zeros(a.p) for a in abs_subs]
         for (src, tgt), rows in omega_slices(subs, topo).items():
@@ -324,9 +324,9 @@ def test_simulate_matches_naive_oracle_heterogeneous(seed):
 
 
 def test_blocked_simulation_matches_oracle_across_block_boundary():
-    # nonzero initial states, abstract noise on some subsystems and q = 0 on
-    # the others (concrete q = 0 on the last), and trials on both sides of the
-    # first block boundary; the second block holds only two rows
+    # abstract noise on some subsystems and q = 0 on the others (concrete
+    # q = 0 on the last), and trials on both sides of the first block
+    # boundary; the second block holds only two rows
     subs, topo, cands, certs, _ = certified_network(2104)
     rng = np.random.default_rng(17)
     subs[-1] = dataclasses.replace(subs[-1], F=np.zeros((subs[-1].n, 0)))
@@ -335,12 +335,7 @@ def test_blocked_simulation_matches_oracle_across_block_boundary():
         cands[i] = dataclasses.replace(cands[i], Fhat=noisy)
     assert {c.Fhat.shape[1] for c in cands} == {0, 2}
     block = _PairSimulator(subs, topo, cands, certs).block
-    cfg = RunConfig(
-        horizon=6, trials=block + 2, seed=31,
-        initial_concrete=0.1 * rng.standard_normal(sum(s.n for s in subs)),
-        initial_abstract=0.1 * rng.standard_normal(sum(c.nhat for c in cands)),
-        record_trajectories=True,
-    )
+    cfg = RunConfig(horizon=6, trials=block + 2, seed=31, record_trajectories=True)
     first = simulate_pair(subs, topo, cands, certs, cfg)
     assert len(first) == block + 2
     shape = (block + 2, cfg.horizon + 1)
@@ -348,9 +343,8 @@ def test_blocked_simulation_matches_oracle_across_block_boundary():
     for t in (0, block - 2, block - 1, block, block + 1):
         naive = _naive_pair_trial(subs, topo, cands, certs, cfg, t)
         assert first.sup[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
-        # the supremum is reached after stepping, so noise and coupling enter it
-        start_gap = np.linalg.norm(first.outputs[t, 0] - first.abstract_outputs[t, 0])
-        assert first.sup[t] > start_gap
+        # the abstract noise moves xhat, so Q xhat, S omegahat and Dhat omegahat enter
+        assert np.abs(first.abstract_outputs[t]).max() > 0
     again = simulate_pair(subs, topo, cands, certs, cfg)
     assert np.array_equal(first.sup, again.sup)
     assert np.array_equal(first.outputs, again.outputs)
@@ -392,12 +386,7 @@ def test_wide_internal_outputs_match_oracle():
     rng = np.random.default_rng(29)
     rows = {(0, 1): 2, (0, 2): 2, (1, 0): 2, (2, 1): 1}
     subs, topo, cands, certs = _random_pair_network(rng, [1, 3, 2], rows)
-    gain = 0.3 * rng.standard_normal((6, 6))
-    cfg = RunConfig(
-        horizon=6, trials=3, seed=5, abstract_policy=lambda k, xh: np.tanh(gain @ xh),
-        initial_concrete=rng.standard_normal(6), initial_abstract=rng.standard_normal(6),
-        record_trajectories=True,
-    )
+    cfg = RunConfig(horizon=6, trials=3, seed=5, record_trajectories=True)
     res = simulate_pair(subs, topo, cands, certs, cfg)
     for t in range(cfg.trials):
         sup, ys, yhs = _naive_pair_trial(subs, topo, cands, certs, cfg, t, trajectories=True)
@@ -418,8 +407,8 @@ def test_step_blocks_read_no_neighbour_state():
     abstract = [(rows, cols) for rows, cols, _ in sim.step_blocks if rows.start >= sim.n_tot]
     assert len(concrete) == len(abstract) == 4
     for (_, cols), (_, hat_cols), s, c in zip(concrete, abstract, subs, cands):
-        assert len(cols) <= s.n + s.p + c.nhat + c.Dhat.shape[1] + c.mhat + s.q
-        assert len(hat_cols) <= c.nhat + c.Dhat.shape[1] + c.mhat + c.Fhat.shape[1]
+        assert len(cols) <= s.n + s.p + c.nhat + c.Dhat.shape[1] + s.q
+        assert len(hat_cols) <= c.nhat + c.Dhat.shape[1] + c.Fhat.shape[1]
 
 
 def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
@@ -442,23 +431,12 @@ def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
         assert np.array_equal(shorter.abstract_outputs, longer.abstract_outputs[:trials])
 
 
-def test_policy_and_recording_match_oracle():
-    # a state-dependent policy, recorded trajectories, nonzero initial states
-    # and a noiseless concrete side, checked row by row
-    subs, topo, cands, certs, _ = certified_network(2101)
+def test_abstract_noise_and_recording_match_oracle():
+    # abstract noise on every candidate, recorded trajectories and a noiseless
+    # concrete side, checked row by row
+    subs, topo, cands, certs, _ = certified_network(2101, abstract_noise=True)
     subs[0] = dataclasses.replace(subs[0], F=np.zeros((subs[0].n, 0)))
-    rng = np.random.default_rng(23)
-    gain = rng.standard_normal((sum(c.mhat for c in cands), sum(c.nhat for c in cands)))
-
-    def policy(k, xh):
-        return np.tanh(gain @ xh) + 0.1 * k
-
-    cfg = RunConfig(
-        horizon=6, trials=3, seed=41, abstract_policy=policy,
-        initial_concrete=0.2 * rng.standard_normal(sum(s.n for s in subs)),
-        initial_abstract=0.2 * rng.standard_normal(sum(c.nhat for c in cands)),
-        record_trajectories=True,
-    )
+    cfg = RunConfig(horizon=6, trials=3, seed=41, record_trajectories=True)
     res = simulate_pair(subs, topo, cands, certs, cfg)
     assert len(res) == cfg.trials
     for t in range(cfg.trials):
@@ -558,25 +536,50 @@ def test_setup_memory_grows_with_edges():
     assert large <= 2.2 * peak(32)
 
 
-def test_policy_dimension_error(ref_parts):
-    subs, topo, cands, certs = ref_parts
-    cands = [cands[i] for i in range(4)]
-    cfg = RunConfig(horizon=3, trials=1, seed=0,
-                    abstract_policy=lambda k, xh: np.zeros(7))
-    with pytest.raises(PolicyDimension):
-        simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
+def _deviation_run(network, ref_parts, trials, T):
+    """Recorded deviations ``y - yhat`` of a ``trials``-trial run, shaped
+    ``(trials, T+1, r)``, and their exact covariances from the matrices alone."""
+    if network == "reference":
+        subs, topo, cands, certs = ref_parts
+        cands, certs = [cands[i] for i in range(4)], [certs[i] for i in range(4)]
+    else:
+        seed, noisy = network
+        subs, topo, cands, certs, _ = certified_network(seed, abstract_noise=noisy)
+    cov = deviation_covariance(subs, topo, cands, certs, T)
+    cfg = RunConfig(horizon=T, trials=trials, seed=7, record_trajectories=True)
+    res = simulate_pair(subs, topo, cands, certs, cfg)
+    return res.outputs - res.abstract_outputs, res.sup, cov
 
 
-def test_policy_drives_abstract_system(ref_parts):
-    subs, topo, cands, certs = ref_parts
-    cands = [cands[i] for i in range(4)]
-    certs_list = [certs[i] for i in range(4)]
-    quiet = RunConfig(horizon=4, trials=1, seed=0, record_trajectories=True)
-    driven = RunConfig(horizon=4, trials=1, seed=0, record_trajectories=True,
-                       abstract_policy=lambda k, xh: np.full(4, 0.5))
-    a = simulate_pair(subs, topo, cands, certs_list, quiet)
-    b = simulate_pair(subs, topo, cands, certs_list, driven)
-    assert not np.array_equal(a.abstract_outputs, b.abstract_outputs)
+# reference, or (certified_network seed, abstract noise)
+NETWORKS = {"reference": "reference", "random-900": (900, False), "random-2104": (2104, False),
+            "abstract-noise-2101": (2101, True), "abstract-noise-905": (905, True)}
+
+
+@pytest.mark.parametrize("network", NETWORKS.values(), ids=NETWORKS.keys())
+def test_deviation_second_moments_match_exact_covariance(ref_parts, network):
+    # the exact covariance comes from the matrices, not from any noise stream, so
+    # a keying defect that an oracle drawing through noise_stream shares shows here
+    n = 20_000
+    dy, _, cov = _deviation_run(network, ref_parts, n, T=6)
+    assert np.array_equal(dy[:, 0], np.zeros_like(dy[:, 0]))
+    var = np.diagonal(cov, axis1=1, axis2=2)[1:]
+    assert np.all(var > 0)
+    moment = (dy[:, 1:] ** 2).mean(axis=0)
+    # a zero-mean Gaussian's sample second moment has standard error sqrt(2/n) var
+    assert np.all(np.abs(moment - var) <= 5 * np.sqrt(2 / n) * var)
+
+
+@pytest.mark.parametrize("network", ["reference", (2101, True)],
+                         ids=["reference", "abstract-noise-2101"])
+def test_trials_are_independent_across_block_edges(ref_parts, network):
+    n = 20_000
+    dy, sup, cov = _deviation_run(network, ref_parts, n, T=6)
+    u = dy[:, -1] / np.sqrt(np.diagonal(cov[-1]))
+    for lag in (1, 255, 256, 257):
+        corr = (u[:-lag] * u[lag:]).mean(axis=0)
+        assert np.all(np.abs(corr) <= 5 / np.sqrt(n)), (lag, corr)
+    assert len(np.unique(sup)) == n
 
 
 @pytest.mark.parametrize("seed", range(900, 920))
@@ -642,30 +645,31 @@ def test_simulate_pair_rejects_bad_wiring(ref_parts):
 
 
 def test_abstract_internal_inputs_enter_concrete_step():
-    # a nonzero abstract state routes omegahat into the refined concrete input,
-    # which the zero-start oracle comparisons above never exercise
+    # with noise matrices F = I and Fhat = I, an impulse at step 0 puts both
+    # networks in arbitrary states, so the next step routes a nonzero omegahat
+    # into the refined concrete input, with Q xhat, and through a nonzero Dhat
+    # into the abstract step
     subs, topo, cands, certs, _ = certified_network(2101)
-    quiet = [
-        LinearSubsystem(id=s.id, A=s.A, B=s.B, D=s.D, F=np.zeros((s.n, 1)), C_ext=s.C_ext,
-                        C_int=dict(s.C_int))
-        for s in subs
-    ]
+    kicked = [dataclasses.replace(s, F=np.eye(s.n)) for s in subs]
+    cands = [dataclasses.replace(c, Fhat=np.eye(c.nhat), Dhat=c.Dhat + 0.5) for c in cands]
     abs_subs = [c.as_subsystem(i) for i, c in enumerate(cands)]
     rng = np.random.default_rng(5)
     xs = [rng.standard_normal(s.n) for s in subs]
     xhs = [rng.standard_normal(a.n) for a in abs_subs]
-    cfg = RunConfig(horizon=1, trials=1, seed=0, initial_concrete=np.concatenate(xs),
-                    initial_abstract=np.concatenate(xhs), record_trajectories=True)
-    res = simulate_pair(quiet, topo, cands, certs, cfg)
+    cfg = RunConfig(horizon=2, trials=1, seed=0, record_trajectories=True)
+    res = _run_impulse(kicked, topo, cands, certs, cfg, np.concatenate(xs + xhs))
 
     omegas = [np.zeros(s.p) for s in subs]
     omegahats = [np.zeros(a.p) for a in abs_subs]
     for (src, tgt), rows in omega_slices(subs, topo).items():
         omegas[tgt][rows] = subs[src].C_int[tgt] @ xs[src]
         omegahats[tgt][rows] = abs_subs[src].C_int[tgt] @ xhs[src]
-    expected = []
-    for i, s in enumerate(quiet):
-        nuhat = np.zeros(abs_subs[i].m)
+    expected, expected_hat = [], []
+    for i, (s, a) in enumerate(zip(kicked, abs_subs)):
+        nuhat = np.zeros(a.m)
         nu = interface(xs[i], xhs[i], nuhat, omegahats[i], certs[i])
-        expected.append(s.C_ext @ step(s, xs[i], nu, omegas[i], [0.0]))
-    assert np.allclose(res.outputs[0, 1], np.concatenate(expected), rtol=1e-12, atol=1e-14)
+        expected.append(s.C_ext @ step(s, xs[i], nu, omegas[i], np.zeros(s.q)))
+        expected_hat.append(a.C_ext @ step(a, xhs[i], nuhat, omegahats[i], np.zeros(a.q)))
+    assert np.allclose(res.outputs[0, 2], np.concatenate(expected), rtol=1e-12, atol=1e-14)
+    assert np.allclose(res.abstract_outputs[0, 2], np.concatenate(expected_hat),
+                       rtol=1e-12, atol=1e-14)

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
-from helpers import expected_V_next, omega_slices
+from helpers import evaluate_V, expected_V_next, interface, omega_slices
 
 from simcert.bounds import BoundQuery, finite_horizon_bound
 from simcert.errors import Infeasible, UnsupportedForm
 from simcert.model import Topology
 from simcert.reference import published_constants
 from simcert.smallgain import (
+    _is_irreducible,
     CompositionCertificate,
     GainDecomposition,
     build_gains,
     compose,
     find_mu,
 )
-from simcert.spsf import SpsfConstants, derive_constants, evaluate_V, interface
+from simcert.spsf import SpsfConstants, derive_constants
 
 RING = [(2, 0), (3, 1), (1, 2), (0, 3)]
 
@@ -104,6 +105,23 @@ def test_find_mu_reducible_chain():
     mu = find_mu(g)
     slack = mu @ (-g.Lambda + g.Delta)
     assert np.all(mu > 0) and np.all(slack < 0)
+
+
+@pytest.mark.parametrize("n", [5, 64, 100, 128])
+def test_irreducibility_of_rings_and_disjoint_cycles(n):
+    # an int64 power of the reachability matrix wrapped from about 100 subsystems
+    def ring(nodes):
+        G = np.zeros((n, n))
+        for i, j in zip(nodes, np.roll(nodes, -1)):
+            G[j, i] = 0.3
+        return G
+
+    assert _is_irreducible(ring(np.arange(n)))
+    half = n // 2
+    assert not _is_irreducible(ring(np.arange(half)) + ring(np.arange(half, n)))
+    chain = ring(np.arange(n))
+    chain[0, n - 1] = 0.0
+    assert not _is_irreducible(chain)
 
 
 def test_find_mu_near_boundary():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import qr, solve_discrete_are
 from helpers import (
+    condition_values,
+    evaluate_V,
     expected_decrease_bound,
     expected_V_next,
     identity_candidate,
+    interface,
     invertible,
     random_certified_instance,
     shrinkage_sweep_gain,
@@ -21,8 +24,6 @@ from simcert.spsf import (
     check_conditions,
     compute_Rtilde,
     derive_constants,
-    evaluate_V,
-    interface,
     solve_structural,
     stacked_outputs,
     synthesize_MK,
@@ -35,7 +36,7 @@ def test_check_reference_certificate_passes(ref_parts):
     subs, _, cands, certs = ref_parts
     report = check_conditions(subs[0], cands[0], certs[0])
     assert report.passed
-    values = report.values()
+    values = condition_values(report)
     assert values["internal input match"] < 1e-9
     assert values["drift match"] == 0.0
 
@@ -49,7 +50,7 @@ def test_check_published_S_fails_internal_match(ref_parts):
     )
     report = check_conditions(subs[0], cands[0], published)
     assert not report.passed
-    values = report.values()
+    values = condition_values(report)
     # ||0.001 * ones_25|| = 0.001 * 5 in the spectral norm
     assert values["internal input match"] == pytest.approx(0.005, rel=1e-9)
     failing = [c.name for c in report.checks if not c.passed]
@@ -70,7 +71,7 @@ def test_check_identity_abstraction_zero_residuals():
         M=M, K=K, P=np.eye(n), Q=np.zeros((n, n)), S=np.zeros((n, 2)),
         Rtilde=np.eye(n), pi=0.5, kappa_hat=0.5,
     )
-    values = check_conditions(s, cand, cert).values()
+    values = condition_values(check_conditions(s, cand, cert))
     assert values["drift match"] == 0.0
     assert values["internal input match"] == 0.0
     assert values["output match"] == 0.0
