@@ -7,9 +7,11 @@ through the per-subsystem interface functions.  (The analytic bound also covers
 a nonzero abstract input; no run simulates one.)  Noise comes from the
 counter-based Philox generator: each ``(seed, subsystem id, concrete/abstract)``
 side has one key, and a trial's draws are the counter range that its index
-selects within that side's stream.  Trials are stepped in blocks of a fixed
-width, so a trial's bits are a function of the run configuration and its trial
-index alone: the first ``t`` trials of a longer run equal a ``t``-trial run.  A
+selects within that side's stream.  One generator per side is positioned at
+each trial's counter, so the bits are those of a fresh generator there, and
+drawing is thread-safe.  Trials are stepped in blocks of a fixed width, so a
+trial's bits are a function of the run configuration and its trial index
+alone: the first ``t`` trials of a longer run equal a ``t``-trial run.  A
 run returns its per-trial deviations as arrays, trial ``t`` in row ``t``;
 :func:`violation_probability` reduces them to the empirical violation frequency
 and its exact one-sided confidence bound.
@@ -18,11 +20,11 @@ and its exact one-sided confidence bound.
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import model
 from .errors import DimensionMismatch, SchemaError
@@ -71,44 +73,41 @@ class Deviations:
         return len(self.sup)
 
 
-class _DerivedKey(ISeedSequence):
-    """Hands :class:`numpy.random.Philox` a key derived once, in place of a
-    seed sequence that would hash the seed again for every stream."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # Philox asks for exactly its key: two 64-bit words
-        return self.key
-
-
 @functools.lru_cache(maxsize=4096)
-def _side_key(seed: int, subsystem_id: int, abstract: bool) -> _DerivedKey:
-    """The Philox key of one (seed, subsystem, side), read-only: it is shared."""
-    seq = np.random.SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))
-    key = seq.generate_state(2, np.uint64)
-    key.flags.writeable = False
-    return _DerivedKey(key)
+def _side_generator(seed: int, subsystem_id: int, abstract: bool):
+    """The Philox generator of one (seed, subsystem, side), built once, its key
+    words and the lock that a call holds while it positions and draws."""
+    gen = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))))
+    # a lock of its own: a draw takes the generator's lock, which need not be reentrant
+    return gen, tuple(int(k) for k in gen.bit_generator.state["state"]["key"]), threading.Lock()
 
 
-def noise_stream(seed: int, trial: int, subsystem_id: int, abstract: bool) -> np.random.Generator:
-    """Deterministic substream for one (trial, subsystem, side) combination.
+def noise_stream(seed: int, trial: int, subsystem_id: int, abstract: bool, out: np.ndarray
+                 ) -> np.ndarray:
+    """Fill ``out`` with the standard normals of one (trial, subsystem, side) and return it.
 
-    The stream is the side's counter-based Philox generator, keyed by
-    ``SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))`` and
-    started at counter ``(0, trial, 0, 0)``: each trial owns a range of
-    ``2**64`` counter blocks of its side's stream, so distinct trials and
-    sides give statistically independent, parallel-safe streams.  Trial 0's
-    stream is the side's plain keyed Philox stream.  ``trial`` must satisfy
-    ``0 <= trial < 2**64``.
+    The draws are the side's counter-based Philox stream, keyed by
+    ``SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))``, from counter
+    ``(0, trial, 0, 0)``: each trial owns ``2**64`` counter blocks of its side's
+    stream, so distinct trials and sides give statistically independent
+    streams, and trial 0 starts the side's plain keyed stream.  Each call
+    positions the side's one cached generator at that counter, with an empty
+    output buffer, under the side's lock: the bits equal a fresh ``Philox``'s
+    there, whatever was drawn before, and concurrent calls are thread-safe.
+    ``trial`` must satisfy ``0 <= trial < 2**64``.
     """
     trial = operator.index(trial)
     if not 0 <= trial < 2**64:
         raise ValueError(f"trial must be in [0, 2**64): {trial}")
-    key, counter = _side_key(seed, subsystem_id, bool(abstract)), np.zeros(4, np.uint64)
-    counter[1] = trial
-    return np.random.Generator(np.random.Philox(key, counter=counter))
+    gen, key, lock = _side_generator(seed, subsystem_id, bool(abstract))
+    with lock:
+        # the trial's counter and an empty output buffer, as a fresh Philox starts
+        gen.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": (0, trial, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return gen.standard_normal(out=out)
 
 
 def _row_block(rows: slice, terms) -> tuple[slice, np.ndarray, np.ndarray]:
@@ -247,7 +246,7 @@ class _PairSimulator:
             if q:
                 draws = buffer[: cols * T * q].reshape(cols, T, q)
                 for row, trial in zip(draws, trials):
-                    noise_stream(cfg.seed, trial, sid, abstract).standard_normal(out=row)
+                    noise_stream(cfg.seed, trial, sid, abstract, row)
                 out[:, start : start + q, :cols] = draws.transpose(1, 2, 0)
 
     @np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite

@@ -1,5 +1,7 @@
 import dataclasses
 import decimal
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,9 +31,11 @@ from simcert.montecarlo import (
     simulate_pair,
     violation_probability,
 )
+from simcert.project import save_project
 from simcert.reference import (
     reference_candidates,
     reference_certificates,
+    reference_project,
     reference_subsystems,
 )
 from simcert.spsf import AbstractionCandidate, AbstractionCertificate
@@ -113,19 +117,19 @@ def test_determinism_same_seed(ref_parts):
 
 def test_noise_moments():
     n = 1_000_000
-    draws = noise_stream(20240809, 0, 0, abstract=False).standard_normal(n)
+    draws = noise_stream(20240809, 0, 0, abstract=False, out=np.empty(n))
     assert abs(draws.mean()) <= 4 / np.sqrt(n)
     assert abs(draws.var() - 1.0) <= 5 * np.sqrt(2.0 / n)
 
 
 def test_stream_isolation():
-    a = noise_stream(42, 3, 1, abstract=False).standard_normal(1000)
-    b = noise_stream(42, 3, 1, abstract=True).standard_normal(1000)
-    c = noise_stream(42, 4, 1, abstract=False).standard_normal(1000)
+    a = noise_stream(42, 3, 1, abstract=False, out=np.empty(1000))
+    b = noise_stream(42, 3, 1, abstract=True, out=np.empty(1000))
+    c = noise_stream(42, 4, 1, abstract=False, out=np.empty(1000))
     assert not set(a.tolist()) & set(b.tolist())
     assert not set(a.tolist()) & set(c.tolist())
     # identical keys reproduce the identical stream
-    again = noise_stream(42, 3, 1, abstract=False).standard_normal(1000)
+    again = noise_stream(42, 3, 1, abstract=False, out=np.empty(1000))
     assert np.array_equal(a, again)
 
 
@@ -136,26 +140,82 @@ def test_noise_stream_is_the_side_stream_at_the_trial_counter(abstract):
     side = np.random.SeedSequence(seed, spawn_key=(sid, int(abstract)))
     for trial in (0, 1, 255, 256, 10**6):
         expected = np.random.Generator(np.random.Philox(side, counter=[0, trial, 0, 0]))
-        got = noise_stream(seed, trial, sid, abstract)
-        assert np.array_equal(got.standard_normal(50), expected.standard_normal(50))
+        got = noise_stream(seed, trial, sid, abstract, np.empty(50))
+        assert np.array_equal(got, expected.standard_normal(50))
     plain = np.random.Generator(np.random.Philox(side))
-    assert np.array_equal(noise_stream(seed, 0, sid, abstract).standard_normal(50),
+    assert np.array_equal(noise_stream(seed, 0, sid, abstract, np.empty(50)),
                           plain.standard_normal(50))
     # the last trial's counter word must not pass through a float
     last = np.random.Generator(np.random.Philox(side, counter=(2**64 - 1) << 64))
-    assert np.array_equal(noise_stream(seed, 2**64 - 1, sid, abstract).standard_normal(50),
+    assert np.array_equal(noise_stream(seed, 2**64 - 1, sid, abstract, np.empty(50)),
                           last.standard_normal(50))
 
 
 def test_noise_stream_side_flag_forms_agree():
-    draws = [noise_stream(5, 7, 2, flag).standard_normal(20) for flag in (True, 1, np.True_)]
+    draws = [noise_stream(5, 7, 2, flag, np.empty(20)) for flag in (True, 1, np.True_)]
     assert all(np.array_equal(draws[0], d) for d in draws[1:])
 
 
 @pytest.mark.parametrize("trial", [-1, 2**64])
 def test_noise_stream_rejects_trial_out_of_range(trial):
     with pytest.raises(ValueError, match="trial"):
-        noise_stream(0, trial, 0, abstract=False)
+        noise_stream(0, trial, 0, abstract=False, out=np.empty(1))
+
+
+def test_noise_stream_ignores_earlier_draws():
+    # a side's generator is reused, so each call must start at its own counter
+    # with an empty buffer: lengths off a multiple of 4 leave a part-used Philox
+    # buffer behind, and a trial drawn again must repeat its bits
+    calls = [(3, 0, 1, False, 1), (3, 0, 1, False, 3), (3, 5, 1, False, 5),
+             (3, 0, 1, True, 4), (3, 5, 1, False, 50), (9, 5, 1, False, 3),
+             (3, 5, 1, True, 1), (3, 0, 1, False, 50), (3, 5, 1, False, 5),
+             (9, 2**64 - 1, 0, True, 3), (9, 5, 1, False, 4), (3, 1, 1, False, 5)]
+    for seed, trial, sid, abstract, n in calls:
+        side = np.random.SeedSequence(seed, spawn_key=(sid, int(abstract)))
+        # counter (0, trial, 0, 0) as one integer: a list would pass 2**64 - 1 through a float
+        fresh = np.random.Generator(np.random.Philox(side, counter=trial << 64))
+        got = noise_stream(seed, trial, sid, abstract, np.empty(n))
+        assert np.array_equal(got, fresh.standard_normal(n))
+
+
+def test_noise_stream_is_thread_safe():
+    # two threads drawing on one side at once get exactly the serial draws
+    seed, sid, abstract = 11, 2, True
+    jobs = [(trial, 1 + 37 * (trial % 5)) for trial in range(400)]
+    serial = [noise_stream(seed, t, sid, abstract, np.empty(n)) for t, n in jobs]
+    results = [[None] * len(jobs) for _ in range(2)]
+    start = threading.Barrier(2)
+
+    def work(k):
+        start.wait()
+        # one thread in order and one in reverse, so they draw different trials at once
+        for i in range(len(jobs))[:: 1 - 2 * k]:
+            t, n = jobs[i]
+            results[k][i] = noise_stream(seed, t, sid, abstract, np.empty(n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got in results:
+        assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+
+
+def test_noise_stream_bits_are_pinned():
+    # literal draws: a numpy change to Philox or its normal sampler fails here
+    assert noise_stream(0, 0, 0, False, np.empty(5)).tolist() == [
+        1.2918689310096432, -0.22764034777211475, 0.8700550434598191,
+        -1.2051051590528938, -0.6533087226018734]
+    assert noise_stream(7, 2**64 - 1, 3, True, np.empty(5)).tolist() == [
+        -0.24603495785211038, -0.07281647852798152, -0.4171743554890813,
+        0.8536237570882546, -0.9916711923951388]
 
 
 def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):
@@ -258,6 +318,16 @@ def test_import_leaves_scipy_stats_unloaded():
     assert fresh_python(code).strip() == "False"
 
 
+def test_import_leaves_numpy_random_unloaded(tmp_path):
+    if fresh_python("import sys, numpy; print('numpy.random' in sys.modules)").strip() == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    path = tmp_path / "net.json"
+    save_project(reference_project(), path)
+    code = ("import sys, simcert; simcert.load_project(sys.argv[1]); "
+            "print('numpy.random' in sys.modules)")
+    assert fresh_python(code, str(path)).strip() == "False"
+
+
 def _naive_pair_trial(subs, topo, cands, certs, cfg, trial, trajectories=False):
     """Independent oracle: explicit per-subsystem routing and stepping from zero
     states with a zero abstract input.
@@ -270,11 +340,11 @@ def _naive_pair_trial(subs, topo, cands, certs, cfg, trial, trajectories=False):
     xhs = [np.zeros(a.n) for a in abs_subs]
     nuhats = [np.zeros(a.m) for a in abs_subs]
     noises = [
-        noise_stream(cfg.seed, trial, s.id, abstract=False).standard_normal((cfg.horizon, s.q))
+        noise_stream(cfg.seed, trial, s.id, abstract=False, out=np.empty((cfg.horizon, s.q)))
         for s in subs
     ]
     noises_hat = [
-        noise_stream(cfg.seed, trial, a.id, abstract=True).standard_normal((cfg.horizon, a.q))
+        noise_stream(cfg.seed, trial, a.id, abstract=True, out=np.empty((cfg.horizon, a.q)))
         for a in abs_subs
     ]
     sup = 0.0
