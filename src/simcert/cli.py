@@ -81,20 +81,20 @@ def _all_constants(
     ]
 
 
-def _composition(constants, topology: Topology, mode: str, show: bool = False):
+def _composition(constants, topology: Topology, show: bool = False):
     """``(radius of Lambda^-1 Delta, composed certificate)``; ``show`` prints the stage.
 
     For every caller, a radius >= 1 prints one ``composition INFEASIBLE`` line
     and raises :class:`Infeasible`.
     """
-    gains = smallgain.build_gains(constants, topology, mode)
+    gains = smallgain.build_gains(constants, topology)
     radius = gains.radius
     if show:
         for name, m in (("Lambda", gains.Lambda), ("Delta", gains.Delta)):
             print(f"{name} =\n{np.array2string(m, precision=4, suppress_small=True)}")
-        print(f"spectral radius of Lambda^-1 Delta: {radius:.6f} (mode {mode})")
+        print(f"spectral radius of Lambda^-1 Delta: {radius:.6f}")
     if radius >= 1.0:
-        print(f"composition INFEASIBLE: spectral radius >= 1 (mode {mode})")
+        print("composition INFEASIBLE: spectral radius >= 1")
         raise Infeasible(f"spectral radius {radius:.6f} >= 1; no valid mu exists")
     composed = smallgain.compose(constants, gains, smallgain.find_mu(gains))
     if show:
@@ -211,11 +211,11 @@ def cmd_abstract(args) -> int:
 def cmd_compose(args) -> int:
     """Run the gain test and print the composed certificate constants."""
     project = load_project(args.project)
-    mode, output = args.degree_mode, args.output
+    output = args.output
     if output is not None:
         check_output(output)
     constants = _all_constants(project, args.tol)
-    radius, composed = _composition(constants, project.topology, mode, show=True)
+    radius, composed = _composition(constants, project.topology, show=True)
     if output is not None:
         doc = {
             "mu": [float(v) for v in composed.mu],
@@ -223,7 +223,6 @@ def cmd_compose(args) -> int:
             "kappa_hat": composed.kappa_hat,
             "rho_ext_coef": composed.rho_ext_coef,
             "psi": composed.psi,
-            "degree_mode": mode,
             "spectral_radius": radius,
             "constituents": [
                 {"subsystem": i, **dataclasses.asdict(c)} for i, c in enumerate(constants)
@@ -239,7 +238,7 @@ def cmd_bound(args) -> int:
     project = load_project(args.project)
     epsilon, horizon = args.epsilon, args.horizon
     constants = _all_constants(project, args.tol)
-    _, composed = _composition(constants, project.topology, args.degree_mode)
+    _, composed = _composition(constants, project.topology)
     offset, result = _bound(composed, epsilon, horizon, args.nuhat_sup)
     print(f"psi_hat = {offset:.6g}  branch = {result.branch}  clamped = {result.clamped}")
     print(f"P(sup deviation >= {epsilon:g} within T={horizon}) <= {_prob(result.probability)}")
@@ -261,13 +260,13 @@ def cmd_simulate(args) -> int:
     if args.csv is not None:
         check_output(args.csv)
     constants = _all_constants(project, args.tol)
-    return _simulate(project, constants, run, args.csv, args.degree_mode)
+    return _simulate(project, constants, run, args.csv)
 
 
-def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path, mode: str) -> int:
+def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path) -> int:
     """:func:`cmd_simulate` from the project's checked constants."""
     trials, seed, horizon, epsilon = run.trials, run.seed, run.horizon, run.epsilon
-    _, composed = _composition(constants, project.topology, mode)
+    _, composed = _composition(constants, project.topology)
     _, analytic = _bound(composed, epsilon, horizon)
 
     subs = project.subsystems
@@ -357,7 +356,7 @@ def cmd_paper_example(args) -> int:
     project = reference.reference_project()
     # --trials and --seed; the horizon and epsilon are the reference ones
     run = _run_settings(args, project.run)
-    tol, mode = args.tol, args.degree_mode
+    tol = args.tol
     if args.emit_project is not None:
         save_project(project, args.emit_project)
         print(f"reference project written to {args.emit_project}")
@@ -402,7 +401,7 @@ def cmd_paper_example(args) -> int:
         dataclasses.replace(published, rho_ext_coef=d.rho_ext_coef, psi=d.psi)
         for d in constants
     ]
-    radius, composed = _composition(merged, project.topology, mode, show=True)
+    radius, composed = _composition(merged, project.topology, show=True)
     _check_value("spectral_radius", radius, *exp["spectral_radius"], failures)
     _check_value("composed kappa_hat", composed.kappa_hat, *exp["composed_kappa_hat"], failures)
     _check_value("composed psi", composed.psi, *exp["composed_psi"], failures)
@@ -413,7 +412,7 @@ def cmd_paper_example(args) -> int:
     print(f"  closeness >= {_prob(result.probability, closeness=True)} over T={run.horizon}")
 
     print("\n== simulation ==")
-    if _simulate(project, constants, run, None, mode) != 0:
+    if _simulate(project, constants, run, None) != 0:
         failures.append("simulation soundness")
 
     elapsed = time.perf_counter() - t0
@@ -454,25 +453,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(name, command, help, project=True, gains=True):
+    def add_common(name, command, help, project=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=command)
         if project:
             p.add_argument("--project", required=True, help="project JSON file")
         p.add_argument("--tol", type=_nonnegative, default=1e-9, help="condition tolerance")
-        if gains:  # only the commands that build the gain matrices read it
-            p.add_argument(
-                "--degree-mode",
-                choices=list(smallgain.DEGREE_MODES),
-                default="in_degree",
-                help="edge gain scaling: realized fan-in or the conservative N-1",
-            )
         return p
 
-    add_common("check", cmd_check, "validate certificates", gains=False)
+    add_common("check", cmd_check, "validate certificates")
 
-    p = add_common("abstract", cmd_abstract, "complete a certificate for one subsystem",
-                   gains=False)
+    p = add_common("abstract", cmd_abstract, "complete a certificate for one subsystem")
     p.add_argument("--subsystem", type=int, required=True)
     p.add_argument("--pi", type=_positive, default=None)
     p.add_argument("--kappa-hat", type=_fraction, default=None)

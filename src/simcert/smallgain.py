@@ -9,7 +9,6 @@ composed constants emitted by :func:`compose`.
 """
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,18 +19,12 @@ from .model import Topology, _matrix
 from .spsf import SpsfConstants
 
 __all__ = [
-    "DEGREE_MODES",
     "GainDecomposition",
     "CompositionCertificate",
     "build_gains",
     "find_mu",
     "compose",
 ]
-
-# paper_N_minus_1 scales every edge gain by (N-1)**2 regardless of the actual
-# fan-in; in_degree counts only realized connections.
-DEGREE_MODES = ("in_degree", "paper_N_minus_1")
-
 
 @dataclass(frozen=True, eq=False)
 class GainDecomposition:
@@ -101,16 +94,18 @@ class CompositionCertificate:
             raise ValueError(f"composed kappa_hat out of (0,1): {self.kappa_hat}")
 
 
-def build_gains(
-    constants: Sequence[SpsfConstants], topo: Topology, mode: str = "in_degree"
-) -> GainDecomposition:
-    """Gain matrices induced by quadratic/linear certificate constants.
+def build_gains(constants: Sequence[SpsfConstants], topo: Topology) -> GainDecomposition:
+    """Gain matrices induced by quadratic/linear certificate constants:
+    ``lambda_i = kappa_hat_i``, and ``delta_ij = rho_int_coef_i`` on every edge
+    ``j -> i`` whatever the fan-in of ``i``.
 
-    With ``alpha(s) = s**2``, ``kappa(s) = kappa_hat s`` and quadratic
-    internal gain, the decomposition is ``lambda_i = kappa_hat_i`` and, per
-    edge ``j -> i``, ``delta_ij = rho_int_coef_i * d**2`` where ``d`` is
-    ``N - 1`` in mode ``paper_N_minus_1`` and the fan-in of subsystem ``i``
-    in mode ``in_degree``.
+    The internal input is stacked, each in-edge on its own rows, so by the
+    output match ``C_full,j P_j = Chat_full,j`` the squared ``||omega_i -
+    omegahat_i||`` is the sum over ``j -> i`` of ``||C_int,j->i (x_j - P_j
+    xhat_j)||**2``, and each term is at most ``V_j`` by the output bound ``M_j
+    >= C_full,j' C_full,j``.  The paper's fan-in factor ``d**2`` splits a
+    general class-K_inf gain, ``rho(sum s_j) <= sum rho(d s_j)``; quadratic
+    gains on a stacked norm do not need it.
 
     Raises
     ------
@@ -118,8 +113,6 @@ def build_gains(
         If some constants are not in the quadratic/linear normal form
         (``alpha_coef != 1``).
     """
-    if mode not in DEGREE_MODES:
-        raise ValueError(f"degree_mode must be one of {DEGREE_MODES}")
     n = topo.n_subsystems
     if len(constants) != n:
         raise ValueError(f"expected {n} constant sets, got {len(constants)}")
@@ -130,29 +123,20 @@ def build_gains(
             )
     lam = np.diag([c.kappa_hat for c in constants])
     delta = np.zeros((n, n))
-    fan_in = Counter(tgt for _, tgt in topo.pairs)
     for src, tgt in topo.pairs:
-        d = (n - 1) if mode == "paper_N_minus_1" else fan_in[tgt]
-        delta[tgt, src] = constants[tgt].rho_int_coef * d**2
+        delta[tgt, src] = constants[tgt].rho_int_coef
     return GainDecomposition(Lambda=lam, Delta=delta)
-
-
-def _is_irreducible(G: np.ndarray) -> bool:
-    # reachability along G > 0, squared ceil(log2 n) times to cover paths of up to n
-    # edges; each product is clipped to 0/1, where an integer matrix power would wrap
-    reach = np.eye(len(G), dtype=bool) | (G > 0)
-    for _ in range((len(G) - 1).bit_length()):
-        reach = (reach.astype(float) @ reach) > 0
-    return bool(reach.all())
 
 
 def find_mu(g: GainDecomposition) -> np.ndarray:
     """Positive weights with strictly negative slack ``mu' (-Lambda + Delta)``.
 
-    Uses the left Perron eigenvector ``w`` of ``Lambda^{-1} Delta`` (made
-    irreducible by an all-ones perturbation when needed) and returns
-    ``mu_i = w_i / lambda_i`` normalized to ``max(mu) = 1``:  then
-    ``mu'(-Lambda + Delta) = (rho - 1) w' < 0`` componentwise.
+    Uses the left eigenvector ``w`` of ``Lambda^{-1} Delta`` for its eigenvalue
+    of largest real part, the Perron root ``rho`` (on a ring every eigenvalue has
+    its modulus), and returns ``mu_i = w_i / lambda_i`` normalized to
+    ``max(mu) = 1``:  then ``mu'(-Lambda + Delta) = (rho - 1) w' < 0``.  Where
+    ``w`` is not positive (a reducible network), a small constant, from 1e-9 down,
+    is added to every entry of ``Lambda^{-1} Delta``.
 
     Raises
     ------
@@ -162,16 +146,14 @@ def find_mu(g: GainDecomposition) -> np.ndarray:
     rho = g.radius
     if rho >= 1.0:
         raise Infeasible(f"spectral radius {rho:.6f} >= 1; no valid mu exists")
-    n = g.n
     lam = np.diag(g.Lambda)
     if not np.any(g.Delta):
-        return np.ones(n)
+        return np.ones(g.n)
     G = np.linalg.solve(g.Lambda, g.Delta)
-    eps = 1e-9 if not _is_irreducible(G) else 0.0
+    eps = 0.0
     for _ in range(8):
-        Ge = G + eps * np.ones((n, n)) if eps else G
-        vals, vecs = np.linalg.eig(Ge.T)
-        w = np.real(vecs[:, np.argmax(np.abs(vals))])
+        vals, vecs = np.linalg.eig((G + eps).T)
+        w = np.real(vecs[:, np.argmax(vals.real)])
         if w.sum() < 0:
             w = -w
         mu = w / lam

@@ -295,8 +295,9 @@ def synthesize_MK(
         M = sum_k gamma**(2k) (A+BK)'**k (C'C + eps I) (A+BK)**k,
 
     evaluated as the fixed point of the associated discrete Lyapunov
-    equation; folding ``eps I`` into the generator gives both inequalities a
-    guaranteed positive margin.
+    equation.  The pair is returned once both margins are at least ``-tol *
+    max(1, ||M||)``: round-off can spend the positive margin that ``eps I``
+    gives, down to a decrease margin of -280 where ``||M|| = 1.1e13``.
 
     Raises
     ------

@@ -184,27 +184,29 @@ def diverging_project() -> ProjectFile:
     return dataclasses.replace(project, candidates=cands, certificates=certs)
 
 
-def certified_network(seed, abstract_noise=False):
+def certified_network(seed, abstract_noise=False, fan_in=1):
     """Random 2-4 subsystem interconnection with valid certificates and a
     feasible gain composition.
 
-    Couplings are rescaled (halved) until the spectral-radius test passes,
-    so every returned instance admits a composed certificate.  With
-    ``abstract_noise`` every candidate gets a one-column ``Fhat``, which no
-    equality constrains; the other matrices are the same for either value.
+    Subsystem ``i`` feeds ``i + 1, ..., i + fan_in`` (mod N), one row to each,
+    so every fan-in is ``fan_in``; N is raised to ``fan_in + 1`` where it is
+    drawn smaller.  Couplings are rescaled (halved) until the spectral-radius
+    test passes, so every returned instance admits a composed certificate.
+    With ``abstract_noise`` every candidate gets a one-column ``Fhat``, which
+    no equality constrains; the other matrices are the same for either value.
     """
     rng = np.random.default_rng(seed)
-    N = int(rng.integers(2, 5))
+    N = max(int(rng.integers(2, 5)), fan_in + 1)
     dims = [int(rng.integers(2, 5)) for _ in range(N)]
-    pairs = [(i, (i + 1) % N) for i in range(N)]  # ring keeps every in-degree 1
+    pairs = [(i, (i + k) % N) for i in range(N) for k in range(1, fan_in + 1)]
     raw = {
         i: dict(
             A=0.5 * rng.standard_normal((dims[i], dims[i])),
             B=invertible(rng, dims[i]),
-            D=rng.standard_normal((dims[i], 1)),
+            D=rng.standard_normal((dims[i], fan_in)),
             F=0.05 * rng.standard_normal((dims[i], 1)),
             C_ext=0.3 * rng.standard_normal((1, dims[i])),
-            C_int=0.3 * rng.standard_normal((1, dims[i])),
+            C_int=0.3 * rng.standard_normal((fan_in, dims[i])),
             nhat=int(rng.integers(1, min(3, dims[i]) + 1)),
         )
         for i in range(N)
@@ -222,12 +224,13 @@ def certified_network(seed, abstract_noise=False):
             n, nhat = dims[i], r["nhat"]
             s = LinearSubsystem(
                 id=i, A=r["A"], B=r["B"], D=scale * r["D"], F=r["F"],
-                C_ext=r["C_ext"], C_int={(i + 1) % N: scale * r["C_int"]},
+                C_ext=r["C_ext"],
+                C_int={(i + k) % N: scale * r["C_int"][k - 1 : k] for k in range(1, fan_in + 1)},
             )
             P = np.ones((n, nhat)) + 0.1 * np.arange(n * nhat).reshape(n, nhat)
             Ahat = 0.3 * np.eye(nhat)
             Bhat = np.eye(nhat)
-            Dhat = np.zeros((nhat, 1))
+            Dhat = np.zeros((nhat, fan_in))
             cand = AbstractionCandidate.induced(
                 s, P=P, Ahat=Ahat, Bhat=Bhat, Dhat=Dhat, Fhat=Fhat[i]
             )
@@ -243,7 +246,7 @@ def certified_network(seed, abstract_noise=False):
             cands.append(cand)
         topo = Topology.from_pairs(subs, pairs)
         constants = [derive_constants(subs[i], cands[i], certs[i]) for i in range(N)]
-        gains = build_gains(constants, topo, "in_degree")
+        gains = build_gains(constants, topo)
         if gains.radius < 0.9:
             mu = find_mu(gains)
             composed = compose(constants, gains, mu)

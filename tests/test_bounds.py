@@ -1,4 +1,6 @@
+import dataclasses
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ def test_high_threshold_bound_on_reference_is_exact(epsilon):
     # lost digits (1e5) and then all of them (1e8, where it gave 0 for 1e-17)
     project = reference_project()
     constants = cli._all_constants(project, 1e-9)
-    composed = cli._composition(constants, project.topology, "in_degree")[1]
+    composed = cli._composition(constants, project.topology)[1]
     offset, res = cli._bound(composed, epsilon, 10)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
@@ -43,18 +45,29 @@ def test_high_threshold_bound_on_reference_is_exact(epsilon):
 
 
 
-def _exact_bound(q):
-    """The two-case bound of ``q`` in 50-digit decimal arithmetic, clamped into [0, 1]."""
+def _exact_bound(q, clamp=True):
+    """The two-case bound of ``q`` in 50-digit decimal arithmetic, a float clamped
+    into [0, 1], or without ``clamp`` the unclamped Decimal.
+
+    The high threshold's ``1 - (1 - V0/a) (1 - y)**T``, ``y = psi_hat/a``, is
+    ``-expm1(t) + (V0/a) exp(t)`` with ``t = T log(1 - y)``; ``log(1 - y)`` and
+    ``-expm1(t)`` are summed as series where they would cancel (``y, -t < 1e-6``).
+    """
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        a = decimal.Decimal(q.alpha_coef) * decimal.Decimal(q.epsilon) ** 2
-        V0, ph, kh = (decimal.Decimal(v) for v in (q.V0, q.psi_hat, q.kappa_hat))
+        D = decimal.Decimal
+        a = D(q.alpha_coef) * D(q.epsilon) ** 2
+        V0, ph, kh = (D(v) for v in (q.V0, q.psi_hat, q.kappa_hat))
         if a >= ph / kh:
-            exact = 1 - (1 - V0 / a) * (1 - ph / a) ** q.T
+            y = ph / a
+            t = q.T * ((1 - y).ln() if y > D("1e-6") else -sum(y**k / k for k in range(1, 12)))
+            growth = (1 - t.exp() if -t > D("1e-6")
+                      else -sum(t**k / math.factorial(k) for k in range(1, 12)))
+            exact = growth + V0 / a * t.exp()
         else:
             decay = (1 - kh) ** q.T
             exact = V0 / a * decay + ph / (kh * a) * (1 - decay)
-        return float(min(max(exact, 0), 1))
+        return float(min(max(exact, 0), 1)) if clamp else exact
 
 
 @pytest.mark.parametrize("epsilon", [1e-160, 1e-200])  # a is subnormal, then 0
@@ -67,13 +80,34 @@ def test_underflowing_threshold_gives_the_limit(epsilon, V0, offset, T, limit):
     # reference network, where the two-case formula divided by zero
     project = reference_project()
     constants = cli._all_constants(project, 1e-9)
-    composed = cli._composition(constants, project.topology, "in_degree")[1]
+    composed = cli._composition(constants, project.topology)[1]
     q = BoundQuery(V0=V0, alpha_coef=composed.alpha_coef, epsilon=epsilon, T=T,
                    psi_hat=composed.psi if offset == "reference" else offset,
                    kappa_hat=composed.kappa_hat)
     res = finite_horizon_bound(q)
     assert res.probability == _exact_bound(q) == limit
     assert res.clamped == (limit == 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [1.4e154, 1e200, 1e300])
+@pytest.mark.parametrize("T", [1, 10, 10**6])
+@pytest.mark.parametrize("offset", [0.01, 1e300])
+def test_overflowing_threshold_bounds_from_above(epsilon, T, offset):
+    # a = alpha_coef * epsilon**2 overflows to inf from about epsilon = 1.4e154 on
+    # the reference network, where the bound came out as exactly 0
+    project = reference_project()
+    composed = cli._composition(cli._all_constants(project, 1e-9), project.topology)[1]
+    q = BoundQuery(V0=0.0, alpha_coef=composed.alpha_coef, epsilon=epsilon, T=T,
+                   psi_hat=offset, kappa_hat=composed.kappa_hat)
+    res = finite_horizon_bound(q)
+    exact = _exact_bound(q, clamp=False)
+    assert res.branch == "high_threshold" and not res.clamped
+    # never below the exact value, above it by a relative 1e-11 or two subnormal steps,
+    # and the smallest subnormal where the exact value underflows
+    assert decimal.Decimal(res.raw) >= exact > 0
+    assert res.raw <= float(exact) * (1 + 1e-11) + 2 * math.ulp(0.0)
+    # with no offset and V0 = 0 the bound is still exactly 0
+    assert finite_horizon_bound(dataclasses.replace(q, psi_hat=0.0)).raw == 0.0
 
 
 def test_zero_horizon():
@@ -178,6 +212,9 @@ def test_psi_hat_examples():
     assert psi_hat(2.0, 3.0, 1.0) == pytest.approx(19.0)
     assert psi_hat(0.0, 0.0, 0.0) == 0.0
     assert psi_hat(2.0, 1e200, 1.0) == float("inf")
+    # with no external gain the abstract input does not enter, however large
+    assert psi_hat(0.0, 1e155, 0.01) == psi_hat(0.0, 0.0, 0.01) == 0.01
+    assert psi_hat(0.0, float("inf"), 0.0) == 0.0
 
 
 def test_domain_errors():

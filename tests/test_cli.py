@@ -77,17 +77,25 @@ def test_compose_writes_composed_certificate(project_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["compose"], ["bound", "--epsilon", "1", "--horizon", "10"], ["simulate", "--trials", "50"],
-    ["paper-example"],
 ], ids=lambda command: command[0])
 def test_infeasible_network_reported_once(project_path, capsys, command):
-    # every command that composes reports a failed gain test with the same line
-    project = [] if command[0] == "paper-example" else ["--project", str(project_path)]
-    assert main([*command, *project, "--degree-mode", "paper_N_minus_1"]) == 1
-    out = capsys.readouterr().out
-    assert out.count("composition INFEASIBLE") == 1
-    assert "composition INFEASIBLE: spectral radius >= 1 (mode paper_N_minus_1)\n" in out
+    # every command that composes reports a failed gain test with the same line;
+    # doubling each D, Dhat and S keeps every certificate valid (the internal-input
+    # equality is linear in the three) and quadruples rho_int: radius 3.586941
+    doc = json.loads(project_path.read_text())
+    for group, key in (("subsystems", "D"), ("candidates", "Dhat"), ("certificates", "S")):
+        for entry in doc[group]:
+            entry[key] = [[2 * v for v in row] for row in entry[key]]
+    project_path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(project_path)]) == 0
+    capsys.readouterr()
+    assert main([*command, "--project", str(project_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("composition INFEASIBLE") == 1
+    assert "composition INFEASIBLE: spectral radius >= 1\n" in captured.out
+    assert "spectral radius 3.586941 >= 1" in captured.err
     for guarantee in ("probability", "analytic bound", "soundness"):
-        assert guarantee not in out
+        assert guarantee not in captured.out
 
 
 def test_bound_reference(project_path, capsys):
@@ -107,6 +115,30 @@ def test_bound_tiny_probability_is_not_printed_as_zero(project_path, capsys):
     out = capsys.readouterr().out
     assert "<= 1.000e-11\n" in out and "0.0000" not in out
 
+
+
+@pytest.mark.parametrize("epsilon", ["1.4e154", "1e200"])
+def test_overflowing_epsilon_keeps_a_positive_bound(project_path, capsys, epsilon):
+    # alpha_coef * epsilon**2 overflows from about 1.4e154: the bound came out as 0,
+    # printed as "<= 0.000" and "closeness ... >= 1.000"
+    project = ["--project", str(project_path), "--epsilon", epsilon]
+    assert main(["bound", *project, "--horizon", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "<= 0.000" not in out and ">= 1.000" not in out and ">= 0.9999\n" in out
+    assert main(["simulate", *project, "--trials", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "can confirm a bound of 0" not in out and "trials are needed" in out
+
+
+def test_nuhat_sup_does_not_enter_without_external_gain(project_path, capsys):
+    # rho_ext = 0 on the reference network: 0 * 1e155**2 was 0 * inf, a NaN offset
+    bound = ["bound", "--project", str(project_path), "--epsilon", "1", "--horizon", "10"]
+    outs = []
+    for nuhat_sup in ("0", "1e155"):
+        assert main([*bound, "--nuhat-sup", nuhat_sup]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "<= 0.09562\n" in outs[1]
 
 
 def test_underflowing_epsilon_gives_the_limit(project_path, capsys):
@@ -571,11 +603,15 @@ def test_tolerance_must_be_finite_and_nonnegative(project_path, capsys, tol):
     assert "probability" not in captured.out
 
 
-@pytest.mark.parametrize("command", [["check"], ["abstract", "--subsystem", "0"]])
-def test_degree_mode_only_where_gains_are_built(project_path, capsys, command):
-    # check and abstract build no gain matrix, so the flag would be silently ignored there
+@pytest.mark.parametrize("command", [
+    ["check"], ["abstract", "--subsystem", "0"], ["compose"],
+    ["bound", "--epsilon", "1", "--horizon", "10"], ["simulate"], ["paper-example"],
+], ids=lambda command: command[0])
+def test_every_command_rejects_degree_mode(project_path, capsys, command):
+    # every edge gain is rho_int of its target, whatever the fan-in: there is no mode
+    project = [] if command[0] == "paper-example" else ["--project", str(project_path)]
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--project", str(project_path), "--degree-mode", "in_degree"])
+        main([*command, *project, "--degree-mode", "in_degree"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --degree-mode" in capsys.readouterr().err
 

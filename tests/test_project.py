@@ -285,7 +285,7 @@ def test_compose_output_numbers(tmp_path, capsys):
         spsf.derive_constants(s, project.candidate_for(s.id), project.certificate_for(s.id))
         for s in project.subsystems
     ]
-    gains = smallgain.build_gains(constants, project.topology, "in_degree")
+    gains = smallgain.build_gains(constants, project.topology)
     radius = gains.radius
     mu = smallgain.find_mu(gains)
     composed = smallgain.compose(constants, gains, mu)
@@ -296,14 +296,13 @@ def test_compose_output_numbers(tmp_path, capsys):
         "kappa_hat": composed.kappa_hat,
         "rho_ext_coef": composed.rho_ext_coef,
         "psi": composed.psi,
-        "degree_mode": "in_degree",
         "spectral_radius": radius,
         "constituents": [
             {"subsystem": i, **dataclasses.asdict(c)} for i, c in enumerate(constants)
         ],
     }
     # "{", a line per field, a line per constituent, the constituents' "]" and "}"
-    assert len(out.read_text().splitlines()) == 1 + 8 + len(constants) + 2
+    assert len(out.read_text().splitlines()) == 1 + 7 + len(constants) + 2
 
 
 @pytest.mark.parametrize("key", ["candidates", "certificates"])

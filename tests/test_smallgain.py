@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from helpers import evaluate_V, expected_V_next, interface, omega_slices
+from helpers import certified_network, evaluate_V, expected_V_next, interface, omega_slices
 
 from simcert.bounds import BoundQuery, finite_horizon_bound
 from simcert.errors import Infeasible, UnsupportedForm
 from simcert.model import Topology
 from simcert.reference import published_constants
 from simcert.smallgain import (
-    _is_irreducible,
     CompositionCertificate,
     GainDecomposition,
     build_gains,
@@ -26,7 +25,7 @@ def _ring_topology(ref_parts):
 def test_build_gains_reference_in_degree(ref_parts):
     topo = _ring_topology(ref_parts)
     constants = [published_constants()] * 4
-    g = build_gains(constants, topo, "in_degree")
+    g = build_gains(constants, topo)
     assert np.allclose(np.diag(g.Lambda), 0.98)
     expected = np.zeros((4, 4))
     for tgt, src in [(0, 2), (1, 3), (2, 1), (3, 0)]:
@@ -36,14 +35,20 @@ def test_build_gains_reference_in_degree(ref_parts):
 
 def test_build_gains_empty_topology():
     constants = [published_constants()] * 3
-    g = build_gains(constants, Topology(3), "in_degree")
+    g = build_gains(constants, Topology(3))
     assert np.all(g.Delta == 0)
 
 
-def test_build_gains_N_minus_1(ref_parts):
-    topo = _ring_topology(ref_parts)
-    g = build_gains([published_constants()] * 4, topo, "paper_N_minus_1")
-    assert g.Delta.max() == pytest.approx(0.88 * 9, rel=1e-12)
+def test_build_gains_one_gain_per_edge():
+    # subsystem 0 is fed by 1, 2 and 3: each edge carries rho_int of 0, not 3**2 times it
+    subs, topo, cands, certs, _ = certified_network(5, fan_in=3)
+    constants = [derive_constants(s, c, k) for s, c, k in zip(subs, cands, certs)]
+    g = build_gains(constants, topo)
+    for src, tgt in topo.pairs:
+        assert g.Delta[tgt, src] == constants[tgt].rho_int_coef
+    assert np.count_nonzero(g.Delta) == len(topo.pairs) == 12
+    # the fan-in rule rho_int * d**2 gave a radius 9 times as large
+    assert GainDecomposition(g.Lambda, 9 * g.Delta).radius == pytest.approx(9 * g.radius)
 
 
 def test_build_gains_unsupported_form(ref_parts):
@@ -51,11 +56,11 @@ def test_build_gains_unsupported_form(ref_parts):
     bad = SpsfConstants(alpha_coef=2.0, kappa_hat=0.5, rho_int_coef=1.0,
                         rho_ext_coef=0.0, psi=0.0)
     with pytest.raises(UnsupportedForm):
-        build_gains([bad] * 4, topo, "in_degree")
+        build_gains([bad] * 4, topo)
 
 
 def test_spectral_radius_reference(ref_parts):
-    g = build_gains([published_constants()] * 4, _ring_topology(ref_parts), "in_degree")
+    g = build_gains([published_constants()] * 4, _ring_topology(ref_parts))
     assert g.radius == pytest.approx(0.88 / 0.98, abs=1e-12)
 
 
@@ -70,7 +75,7 @@ def test_spectral_radius_boundary():
 
 
 def test_find_mu_reference(ref_parts):
-    g = build_gains([published_constants()] * 4, _ring_topology(ref_parts), "in_degree")
+    g = build_gains([published_constants()] * 4, _ring_topology(ref_parts))
     mu = find_mu(g)
     assert np.allclose(mu, 1.0, atol=1e-9)
     slack = mu @ (-g.Lambda + g.Delta)
@@ -107,21 +112,35 @@ def test_find_mu_reducible_chain():
     assert np.all(mu > 0) and np.all(slack < 0)
 
 
+@pytest.mark.parametrize("n", [4, 64, 128])
+def test_find_mu_on_homogeneous_rings_needs_no_perturbation(n, monkeypatch):
+    # every eigenvalue of a ring's Lambda^-1 Delta has the Perron root's modulus;
+    # the largest modulus picked a non-real one, and only the perturbation gave mu > 0
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+    delta = np.zeros((n, n))
+    delta[(np.arange(n) + 1) % n, np.arange(n)] = 0.88
+    mu = find_mu(GainDecomposition(0.98 * np.eye(n), delta))
+    assert len(calls) == 1
+    assert np.max(np.abs(mu - 1.0)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [5, 64, 100, 128])
-def test_irreducibility_of_rings_and_disjoint_cycles(n):
-    # an int64 power of the reachability matrix wrapped from about 100 subsystems
+def test_find_mu_on_disjoint_cycles_and_chains(n):
+    # reducible networks: the unperturbed Perron vector has zero entries, and the
+    # fallback perturbation must still give a positive mu with negative slack
     def ring(nodes):
         G = np.zeros((n, n))
-        for i, j in zip(nodes, np.roll(nodes, -1)):
-            G[j, i] = 0.3
+        G[np.roll(nodes, -1), nodes] = 0.3
         return G
 
-    assert _is_irreducible(ring(np.arange(n)))
-    half = n // 2
-    assert not _is_irreducible(ring(np.arange(half)) + ring(np.arange(half, n)))
     chain = ring(np.arange(n))
     chain[0, n - 1] = 0.0
-    assert not _is_irreducible(chain)
+    half = n // 2
+    for delta in (ring(np.arange(half)) + ring(np.arange(half, n)), chain):
+        g = GainDecomposition(0.5 * np.eye(n), delta)
+        mu = find_mu(g)
+        assert np.all(mu > 0) and np.all(mu @ (-g.Lambda + g.Delta) < 0)
 
 
 def test_find_mu_near_boundary():
@@ -157,7 +176,7 @@ def test_compose_reference(ref_parts):
         SpsfConstants(1.0, p.kappa_hat, p.rho_int_coef, d.rho_ext_coef, d.psi)
         for p, d in zip([published_constants()] * 4, derived)
     ]
-    g = build_gains(published, topo, "in_degree")
+    g = build_gains(published, topo)
     mu = find_mu(g)
     comp = compose(published, g, mu)
     assert comp.kappa_hat == pytest.approx(0.1, abs=1e-9)
@@ -202,7 +221,7 @@ def _route_internal(subs, topo, states):
 
 def _reference_composition(subs, topo, cands, certs):
     derived = [derive_constants(subs[i], cands[i], certs[i]) for i in range(4)]
-    g = build_gains(derived, topo, "in_degree")
+    g = build_gains(derived, topo)
     mu = find_mu(g)
     return derived, compose(derived, g, mu)
 
@@ -248,7 +267,7 @@ def test_composed_supermartingale_one_step(ref_parts):
 def test_mu_scaling_invariance(ref_parts):
     subs, topo, cands, certs = ref_parts
     derived = [derive_constants(subs[i], cands[i], certs[i]) for i in range(4)]
-    g = build_gains(derived, topo, "in_degree")
+    g = build_gains(derived, topo)
     mu = find_mu(g)
     scale = 7.3
     comp1 = compose(derived, g, mu)
@@ -273,3 +292,54 @@ def test_composition_certificate_validation():
         CompositionCertificate(
             mu=np.array([1.0, -1.0]), alpha_coef=1.0, kappa_hat=0.5, rho_ext_coef=0.0, psi=0.0
         )
+
+
+def _composed_one_step_form(subs, topo, cands, certs, composed):
+    """``(Q, c)`` with ``z' Q z + c = sum_i mu_i (E[V_i+] - (1 - kappa_hat) V_i) - psi``.
+
+    ``z`` stacks every concrete state and then every abstract state, the
+    abstract input is zero and ``E[V_i+]`` is :func:`expected_V_next` at the
+    interface's input.  The form is exact in ``z``, so ``Q`` is read off by
+    polarization at the unit vectors and their pairwise sums.
+    """
+    N = len(subs)
+    abs_subs = [cands[i].as_subsystem(i) for i in range(N)]
+    sizes = [s.n for s in subs] + [c.nhat for c in cands]
+    cuts = np.cumsum(sizes)[:-1]
+
+    def f(z):
+        parts = np.split(z, cuts)
+        xs, xhs = parts[:N], parts[N:]
+        omegas = _route_internal(subs, topo, xs)
+        omegahats = _route_internal(abs_subs, topo, xhs)
+        total = -composed.psi
+        for i in range(N):
+            nuhat = np.zeros(cands[i].Bhat.shape[1])
+            nu = interface(xs[i], xhs[i], nuhat, omegahats[i], certs[i])
+            v_next = expected_V_next(xs[i], xhs[i], nu, nuhat, omegas[i], omegahats[i],
+                                     subs[i], cands[i], certs[i])
+            v = evaluate_V(xs[i], xhs[i], certs[i].M, certs[i].P)
+            total += composed.mu[i] * (v_next - (1.0 - composed.kappa_hat) * v)
+        return total
+
+    unit = np.eye(sum(sizes))
+    c = f(np.zeros(len(unit)))
+    diag = np.array([f(e) - c for e in unit])
+    Q = np.diag(diag)
+    for j in range(len(unit)):
+        for k in range(j):
+            Q[j, k] = Q[k, j] = (f(unit[j] + unit[k]) - diag[j] - diag[k] - c) / 2
+    return Q, c
+
+
+@pytest.mark.parametrize("seed, fan_in", [(s, 2 + s % 2) for s in range(8)])
+def test_composed_one_step_inequality_holds(seed, fan_in):
+    # with delta_ij = rho_int_i on every edge the composed V satisfies
+    # E[V+] <= (1 - kappa_hat) V + psi at every state pair: the form is <= 0
+    subs, topo, cands, certs, composed = certified_network(1000 + seed, fan_in=fan_in)
+    assert all(sum(t == i for _, t in topo.pairs) == fan_in for i in range(len(subs)))
+    Q, c = _composed_one_step_form(subs, topo, cands, certs, composed)
+    # the certificates hold to tol 1e-9 relative to ||M_i||; so does the form
+    scale = max(1.0, max(m * np.linalg.norm(k.M, 2) for m, k in zip(composed.mu, certs)))
+    assert np.linalg.eigvalsh(Q).max() <= 1e-9 * scale
+    assert c <= 1e-12 * scale
