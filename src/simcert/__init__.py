@@ -21,7 +21,6 @@ from .errors import (
     SchemaError,
     SimcertError,
     SingularGramWarning,
-    UnsupportedForm,
 )
 from .model import (
     Edge,

@@ -8,6 +8,7 @@ two-case expression evaluated by :func:`finite_horizon_bound`.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,66 +67,65 @@ class BoundResult:
 
 
 def psi_hat(rho_ext_coef: float, nuhat_sup: float, psi: float) -> float:
-    """Tight admissible offset ``rho_ext_coef * nuhat_sup**2 + psi``, whose first
-    term is 0 where ``rho_ext_coef = 0``, even if ``nuhat_sup**2`` overflows."""
+    """Tight admissible offset ``rho_ext_coef * nuhat_sup**2 + psi``, rounded up to a float;
+    its first term is 0 where ``rho_ext_coef = 0``, even if ``nuhat_sup**2`` overflows."""
     if nuhat_sup < 0:
         raise DomainError(f"nuhat_sup must be nonnegative: {nuhat_sup}")
-    return (rho_ext_coef * (nuhat_sup * nuhat_sup) if rho_ext_coef else 0.0) + psi
+    offset = (rho_ext_coef * (nuhat_sup * nuhat_sup) if rho_ext_coef else 0.0) + psi
+    if rho_ext_coef and offset < math.inf:  # the rounded product-sum may fall below the exact
+        from fractions import Fraction  # here, as it adds 3 ms to importing simcert
+        exact = Fraction(rho_ext_coef) * Fraction(nuhat_sup) ** 2 + Fraction(psi)
+        offset = float(min(exact, Fraction(sys.float_info.max)))
+        if Fraction(offset) < exact:
+            offset = math.nextafter(offset, math.inf)
+    return offset
 
 
 def finite_horizon_bound(q: BoundQuery) -> BoundResult:
     """Two-case supremum-deviation bound over ``0 <= k <= T``.
 
-    With ``a = alpha_coef * epsilon**2``:
+    With ``a = alpha_coef * epsilon**2``, ``x = V0/a`` and ``y = psi_hat/a``:
 
-    * high threshold (``a >= psi_hat / kappa_hat``):
-      ``1 - (1 - V0/a) (1 - psi_hat/a)**T``
-    * low threshold (``a < psi_hat / kappa_hat``):
-      ``(V0/a) (1-kappa_hat)**T + (psi_hat/(kappa_hat a)) (1 - (1-kappa_hat)**T)``
+    * high threshold (``y <= kappa_hat``): ``1 - (1 - x) (1 - y)**T``
+    * low threshold (``y > kappa_hat``): ``x (1-k)**T + (y/k) (1 - (1-k)**T)``, ``k = kappa_hat``
 
-    The branches agree exactly at the threshold.  The raw value can exceed 1
-    when ``V0 > a``; the reported probability is clamped.  Where ``a``
-    underflows below the normal floats, the bound is its limit at ``a -> 0``,
-    which bounds every ``a > 0``: 1 unless ``V0 = 0`` and ``psi_hat T = 0``.
-    Where ``a`` overflows, it is evaluated from logs, and rounded up.
+    The branches agree at the threshold, and each is the larger on its own side.
+    The raw value can exceed 1 when ``x > 1``; the probability is clamped.  ``x``
+    and ``y`` are evaluated from logs, so ``a`` is never formed, and the result is
+    never below the exact value, nor 0 unless ``V0 = 0`` and ``psi_hat T = 0``.
     """
-    a = q.alpha_coef * (q.epsilon * q.epsilon)  # where a float ** raises, * gives inf
-    branch = "high_threshold" if a >= q.psi_hat / q.kappa_hat else "low_threshold"
-    if a == math.inf:  # a has overflowed
-        branch, raw = _bound_from_logs(q)
-    elif a < np.finfo(float).tiny:  # a has underflowed: the limit, inf or 0
-        raw = math.inf if q.V0 > 0 or (q.psi_hat > 0 and q.T > 0) else 0.0
-    elif branch == "high_threshold":
-        if q.V0 < a:  # in logs, so that a bound far below 1e-16 does not cancel to 0
-            raw = -math.expm1(math.log1p(-q.V0 / a) + q.T * math.log1p(-q.psi_hat / a))
-        else:  # raw >= 1 here, and is clamped
-            raw = 1.0 - (1.0 - q.V0 / a) * (1.0 - q.psi_hat / a) ** q.T
+    log_alpha, log_eps, lk = (math.log(v) for v in (q.alpha_coef, q.epsilon, q.kappa_hat))
+    la = log_alpha + 2 * log_eps  # log a
+    lv, lp = (math.log(v) if v > 0 else -math.inf for v in (q.V0, q.psi_hat))
+    branch = "low_threshold" if lp - la > lk else "high_threshold"
+    # log, exp, log1p and expm1 err by under 2**-52 of their result, a sum or product by
+    # 2**-53: 2**-50 times the magnitudes of the logs in lx = log x, ly = log y and ly - lk,
+    # plus 2, covers every step's error but the last, which rounding up once covers
+    size = abs(log_alpha) + 2 * abs(log_eps) + 2
+    lx = lv - la + 2**-50 * (abs(lv) + size) if q.V0 > 0 else -math.inf
+    ly = lp - la + 2**-50 * (abs(lp) + abs(lk) + size) if q.psi_hat > 0 else -math.inf
+    if ly > lk:  # also where only the raise lifts y past kappa_hat, above which this is larger
+        t = q.T * math.log1p(-q.kappa_hat)  # log (1 - kappa_hat)**T, within 2**-51 of |t|
+        # log((1 - (1 - kappa_hat)**T) / kappa_hat) is in [0, |lk|], which bounds its error
+        lgy = ly + math.log(-math.expm1(t) / q.kappa_hat) if q.T else -math.inf
+        raw = _exp(float(np.logaddexp(lx + t * (1 - 2**-50), lgy)))
     else:
-        decay = (1.0 - q.kappa_hat) ** q.T
-        # 1 - decay, which cancels to 0 once kappa_hat is below the rounding unit
-        growth = -math.expm1(q.T * math.log1p(-q.kappa_hat))
-        raw = (q.V0 / a) * decay + (q.psi_hat / (q.kappa_hat * a)) * growth
+        lty = ly + math.log(q.T) * (1 + 2**-50) if q.T else -math.inf  # log(T y)
+        if max(lx, lty) < -40:  # x + T y, at most 1 + 1e-17 times 1 - (1-x)(1-y)**T
+            raw = math.exp(float(np.logaddexp(lx, lty)))
+        else:  # T log1p(-y) is -T y below e**-40, where y itself may be subnormal
+            tail = q.T * math.log1p(-math.exp(ly)) if ly > -40 else -_exp(lty)
+            head = math.log1p(-math.exp(lx)) if lx < 0 else -math.inf  # x >= 1 gives 1
+            raw = -math.expm1(head + tail)
+    if q.V0 > 0 or (q.psi_hat > 0 and q.T > 0):
+        raw = math.nextafter(raw, math.inf)
     prob = min(max(raw, 0.0), 1.0)
-    return BoundResult(probability=prob, raw=float(raw), branch=branch, clamped=prob != raw)
+    return BoundResult(probability=prob, raw=raw, branch=branch, clamped=prob != raw)
 
 
-def _bound_from_logs(q: BoundQuery) -> tuple[str, float]:
-    """Branch and raw bound where ``a = alpha_coef epsilon**2`` overflows, in ``x = V0/a``
-    and ``y = psi_hat/a`` formed from logs (the threshold is ``y <= kappa_hat``).  The
-    logs are raised by 1e-12, above their rounding error, and a positive result by one
-    ulp, so the bound is never below the exact value, nor 0 unless that is."""
-    log_a = math.log(q.alpha_coef) + 2 * math.log(q.epsilon) - 1e-12
-    lx, ly = (math.log(v) - log_a if v > 0 else -math.inf for v in (q.V0, q.psi_hat))
-    lty = ly + math.log(q.T) if q.T > 0 else -math.inf  # log(T y)
-    if ly > math.log(q.kappa_hat):
-        t = q.T * math.log1p(-q.kappa_hat)  # the log of (1 - kappa_hat)**T
-        raw = math.exp(lx + t) - math.exp(ly) / q.kappa_hat * math.expm1(t)
-        branch = "low_threshold"
-    elif max(lx, lty) < -40:  # x + T y, at most 1 + 1e-17 times 1 - (1-x)(1-y)**T
-        branch, raw = "high_threshold", math.exp(float(np.logaddexp(lx, lty)))
-    else:  # T log1p(-y) is -T y below e**-40, where y itself may be subnormal
-        tail = q.T * math.log1p(-math.exp(ly)) if ly > -40 else -math.exp(lty)
-        head = math.log1p(-math.exp(lx)) if lx < 0 else -math.inf  # x >= 1 gives 1
-        branch, raw = "high_threshold", -math.expm1(head + tail)
-    positive = q.V0 > 0 or (q.psi_hat > 0 and q.T > 0)
-    return branch, math.nextafter(raw, math.inf) if positive else raw
+def _exp(v: float) -> float:
+    """``e**v``, and inf past the float range, where ``math.exp`` raises."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf

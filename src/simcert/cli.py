@@ -19,6 +19,7 @@ import dataclasses
 import math
 import sys
 import time
+import warnings
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
@@ -532,7 +533,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: :func:`main`, each warning shown as one ``warning:`` line."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        sys.exit(main())
 
 
 if __name__ == "__main__":

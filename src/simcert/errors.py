@@ -21,10 +21,6 @@ class PreconditionViolated(SimcertError):
     """A result was requested whose hypotheses the certificate does not satisfy."""
 
 
-class UnsupportedForm(SimcertError):
-    """Certificate constants are not in the quadratic/linear form the gains need."""
-
-
 class SchemaError(SimcertError):
     """A project file is malformed or contains unresolvable references."""
 

@@ -67,9 +67,7 @@ def published_constants() -> SpsfConstants:
     gain.  The composition stage of the regression uses these values so the
     composed constants land exactly on the published figures.
     """
-    return SpsfConstants(
-        alpha_coef=1.0, kappa_hat=0.98, rho_int_coef=0.88, rho_ext_coef=0.0, psi=0.0025
-    )
+    return SpsfConstants(kappa_hat=0.98, rho_int_coef=0.88, rho_ext_coef=0.0, psi=0.0025)
 
 
 def reference_subsystems() -> tuple[LinearSubsystem, ...]:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Infeasible, UnsupportedForm
+from .errors import Infeasible
 from .model import Topology, _matrix
 from .spsf import SpsfConstants
 
@@ -106,21 +106,10 @@ def build_gains(constants: Sequence[SpsfConstants], topo: Topology) -> GainDecom
     >= C_full,j' C_full,j``.  The paper's fan-in factor ``d**2`` splits a
     general class-K_inf gain, ``rho(sum s_j) <= sum rho(d s_j)``; quadratic
     gains on a stacked norm do not need it.
-
-    Raises
-    ------
-    UnsupportedForm
-        If some constants are not in the quadratic/linear normal form
-        (``alpha_coef != 1``).
     """
     n = topo.n_subsystems
     if len(constants) != n:
         raise ValueError(f"expected {n} constant sets, got {len(constants)}")
-    for i, c in enumerate(constants):
-        if c.alpha_coef != 1.0:
-            raise UnsupportedForm(
-                f"subsystem {i}: alpha_coef must be 1 for the gain construction"
-            )
     lam = np.diag([c.kappa_hat for c in constants])
     delta = np.zeros((n, n))
     for src, tgt in topo.pairs:
@@ -184,7 +173,7 @@ def compose(
     kappa = float(np.min(slack / mu))
     return CompositionCertificate(
         mu=mu,
-        alpha_coef=float(min(w * c.alpha_coef for w, c in zip(mu, constants))),
+        alpha_coef=float(np.min(mu)),
         kappa_hat=kappa,
         rho_ext_coef=float(sum(w * c.rho_ext_coef for w, c in zip(mu, constants))),
         psi=float(sum(w * c.psi for w, c in zip(mu, constants))),

@@ -150,14 +150,12 @@ class AbstractionCertificate:
 class SpsfConstants:
     """Closed-form constants of the one-step decrease inequality.
 
-    ``alpha_coef`` scales the quadratic output lower bound ``alpha(s) =
-    alpha_coef * s**2``; the decrease rate is linear, ``kappa(s) =
-    kappa_hat * s``; the gain terms are quadratic with coefficients
-    ``rho_int_coef`` and ``rho_ext_coef``; ``psi`` is the additive noise
-    offset.
+    The output lower bound is ``alpha(s) = s**2``; the decrease rate is
+    linear, ``kappa(s) = kappa_hat * s``; the gain terms are quadratic with
+    coefficients ``rho_int_coef`` and ``rho_ext_coef``; ``psi`` is the
+    additive noise offset.
     """
 
-    alpha_coef: float
     kappa_hat: float
     rho_int_coef: float
     rho_ext_coef: float
@@ -166,7 +164,7 @@ class SpsfConstants:
     def __post_init__(self):
         if not 0.0 < self.kappa_hat < 1.0:
             raise ValueError(f"kappa_hat out of (0,1): {self.kappa_hat}")
-        for name in ("alpha_coef", "rho_int_coef", "rho_ext_coef", "psi"):
+        for name in ("rho_int_coef", "rho_ext_coef", "psi"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -447,7 +445,6 @@ def derive_constants(
     if not np.isfinite([*rho, psi]).all():
         raise DomainError(f"certificate constants are not finite: rho = {rho}, psi = {psi}")
     return SpsfConstants(
-        alpha_coef=1.0,
         kappa_hat=cert.kappa_hat,
         rho_int_coef=float(rho[0]),
         rho_ext_coef=float(rho[1]),

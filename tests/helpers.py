@@ -345,12 +345,17 @@ def random_network(rng, n_subs=None):
     return subs, pairs
 
 
-def fresh_python(code: str, *args: str) -> str:
-    """Standard output of ``code`` run in a new interpreter that imports this simcert."""
+def python_run(*argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` run in a new interpreter that imports this simcert."""
     src = str(Path(simcert.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this simcert."""
+    done = python_run("-c", code, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

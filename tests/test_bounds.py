@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simcert.bounds import BoundQuery, finite_horizon_bound, psi_hat
 from simcert import cli
@@ -49,24 +51,22 @@ def _exact_bound(q, clamp=True):
     """The two-case bound of ``q`` in 50-digit decimal arithmetic, a float clamped
     into [0, 1], or without ``clamp`` the unclamped Decimal.
 
-    The high threshold's ``1 - (1 - V0/a) (1 - y)**T``, ``y = psi_hat/a``, is
-    ``-expm1(t) + (V0/a) exp(t)`` with ``t = T log(1 - y)``; ``log(1 - y)`` and
-    ``-expm1(t)`` are summed as series where they would cancel (``y, -t < 1e-6``).
+    With ``r = y = psi_hat/a`` on the high threshold and ``r = kappa_hat`` on the
+    low one, and ``t = T log(1 - r)``, the bound is ``(V0/a) exp(t)`` plus
+    ``-expm1(t)``, times ``y/kappa_hat`` on the low threshold; ``log(1 - r)`` and
+    ``-expm1(t)`` are summed as series where they would cancel (``r, -t < 1e-6``).
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         D = decimal.Decimal
         a = D(q.alpha_coef) * D(q.epsilon) ** 2
         V0, ph, kh = (D(v) for v in (q.V0, q.psi_hat, q.kappa_hat))
-        if a >= ph / kh:
-            y = ph / a
-            t = q.T * ((1 - y).ln() if y > D("1e-6") else -sum(y**k / k for k in range(1, 12)))
-            growth = (1 - t.exp() if -t > D("1e-6")
-                      else -sum(t**k / math.factorial(k) for k in range(1, 12)))
-            exact = growth + V0 / a * t.exp()
-        else:
-            decay = (1 - kh) ** q.T
-            exact = V0 / a * decay + ph / (kh * a) * (1 - decay)
+        high = a >= ph / kh
+        r = ph / a if high else kh
+        t = q.T * ((1 - r).ln() if r > D("1e-6") else -sum(r**k / k for k in range(1, 12)))
+        growth = (1 - t.exp() if -t > D("1e-6")
+                  else -sum(t**k / math.factorial(k) for k in range(1, 12)))
+        exact = V0 / a * t.exp() + (growth if high else ph / (kh * a) * growth)
         return float(min(max(exact, 0), 1)) if clamp else exact
 
 
@@ -108,6 +108,39 @@ def test_overflowing_threshold_bounds_from_above(epsilon, T, offset):
     assert res.raw <= float(exact) * (1 + 1e-11) + 2 * math.ulp(0.0)
     # with no offset and V0 = 0 the bound is still exactly 0
     assert finite_horizon_bound(dataclasses.replace(q, psi_hat=0.0)).raw == 0.0
+
+
+@pytest.mark.parametrize("offset, least", [(2e-16, 2e-323), (1e-14, 1e-321)])
+def test_subnormal_ratio_keeps_the_bound(offset, least):
+    # at a = 1e308 the ratio psi_hat / a is subnormal: formed as a float it kept few
+    # bits, and the bound came out as 0 (exact 2e-323) and 9.9e-322 (exact 1e-321)
+    q = BoundQuery(V0=0.0, alpha_coef=1.0, epsilon=1e154, T=10, psi_hat=offset, kappa_hat=0.5)
+    raw = finite_horizon_bound(q).raw
+    assert raw >= least and decimal.Decimal(raw) >= _exact_bound(q, clamp=False)
+
+
+def _log_uniform(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(V0=st.just(0.0) | _log_uniform(-320, 300), alpha=_log_uniform(-300, 300),
+       epsilon=_log_uniform(-160, 160), offset=st.just(0.0) | _log_uniform(-320, 300),
+       T=st.integers(0, 10**6),
+       kappa_hat=_log_uniform(-300, -1) | st.floats(0, 1, exclude_min=True, exclude_max=True))
+# ties y = kappa_hat, where the raised y falls above kappa_hat: the high threshold's
+# formula at that y took log1p of -1, or fell below the low threshold's larger value
+@example(V0=0.0, alpha=1.0, epsilon=1.0, offset=1 - 2**-52, T=10, kappa_hat=1 - 2**-52)
+@example(V0=3.255633e-317, alpha=0.11312156664703327, epsilon=1.0, offset=0.05656078332351665,
+         T=10, kappa_hat=0.5)
+def test_bound_is_never_below_its_exact_value(V0, alpha, epsilon, offset, T, kappa_hat):
+    q = BoundQuery(V0=V0, alpha_coef=alpha, epsilon=epsilon, T=T, psi_hat=offset,
+                   kappa_hat=kappa_hat)
+    raw = finite_horizon_bound(q).raw
+    exact = _exact_bound(q, clamp=False)
+    # from x = V0/a >= 1 on the high threshold the raw bound is 1, rounded up, not above
+    assert decimal.Decimal(raw) >= min(exact, 1)
+    assert raw <= float(exact) * (1 + 1e-11) + 2 * math.ulp(0.0)
 
 
 def test_zero_horizon():
@@ -215,6 +248,20 @@ def test_psi_hat_examples():
     # with no external gain the abstract input does not enter, however large
     assert psi_hat(0.0, 1e155, 0.01) == psi_hat(0.0, 0.0, 0.01) == 0.01
     assert psi_hat(0.0, float("inf"), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("rho_ext, nuhat_sup, psi", [
+    (0.1, 0.3, 0.7), (3.0, 1e-5, 1e-20), (0.7, 1e150, 0.3), (2.0, 3.0, 1.0),
+    (1e40, 1e-170, 0.0),  # nuhat_sup**2 underflows to 0
+    (1.4954350870919408, 1.0964125470911845e154, 0.0),  # the largest float, but exactly above
+])
+def test_psi_hat_is_the_least_float_above_the_exact_offset(rho_ext, nuhat_sup, psi):
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.traps[decimal.Inexact] = 5000, True
+        D = decimal.Decimal
+        exact = D(rho_ext) * D(nuhat_sup) ** 2 + D(psi)
+    offset = psi_hat(rho_ext, nuhat_sup, psi)
+    assert D(math.nextafter(offset, 0.0)) < exact <= D(offset)
 
 
 def test_domain_errors():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import diverging_project, fresh_python
+from helpers import diverging_project, fresh_python, python_run
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +72,8 @@ def test_compose_writes_composed_certificate(project_path, tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["mu"] == pytest.approx([1.0, 1.0, 1.0, 1.0], abs=1e-9)
     assert len(doc["constituents"]) == 4
+    # a constituent's output bound is ||y - yhat||**2: it carries no alpha_coef
+    assert all("alpha_coef" not in c for c in doc["constituents"])
     assert 0 < doc["kappa_hat"] < 1
 
 
@@ -128,6 +130,19 @@ def test_overflowing_epsilon_keeps_a_positive_bound(project_path, capsys, epsilo
     assert main(["simulate", *project, "--trials", "5"]) == 0
     out = capsys.readouterr().out
     assert "can confirm a bound of 0" not in out and "trials are needed" in out
+
+
+def test_tiny_offset_keeps_a_positive_bound(project_path, capsys):
+    # every F at 1.4e-9 gives psi_hat = 1.96e-16, so at a = 1e308 psi_hat / a is
+    # subnormal: as a float ratio it rounded to 0, printed as "<= 0.000"
+    doc = json.loads(project_path.read_text())
+    for sub in doc["subsystems"]:
+        sub["F"] = [[1.4e-9 for _ in row] for row in sub["F"]]
+    project_path.write_text(json.dumps(doc))
+    argv = ["bound", "--project", str(project_path), "--epsilon", "1e154", "--horizon", "10"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "psi_hat = 1.96e-16 " in out and "<= 2.471e-323\n" in out and ">= 0.9999\n" in out
 
 
 def test_nuhat_sup_does_not_enter_without_external_gain(project_path, capsys):
@@ -469,9 +484,27 @@ def test_abstract_overflowing_gram_exits_1(project_path, tmp_path, capsys):
     output = tmp_path / "out.json"
     argv = ["abstract", "--project", str(project_path), "--subsystem", "0",
             "--output", str(output)]
-    assert main(argv) == 1
+    with pytest.warns(RankDeficientWarning):  # next to 1e308, the rest of B is negligible
+        assert main(argv) == 1
     assert "not finite" in capsys.readouterr().err
     assert not output.exists()
+
+
+def test_console_script_shows_each_warning_as_one_line(project_path, tmp_path):
+    # B with two equal columns: abstract warns twice, and the script printed each
+    # warning's source line and "warnings.warn(" after it
+    doc = json.loads(project_path.read_text())
+    for row in doc["subsystems"][0]["B"]:
+        row[1] = row[0]
+    project_path.write_text(json.dumps(doc))
+    done = python_run("-m", "simcert.cli", "abstract", "--project", str(project_path),
+                      "--subsystem", "0", "--output", str(tmp_path / "out.json"))
+    assert done.returncode == 1 and "certificate does NOT pass" in done.stderr
+    assert done.stderr.splitlines()[:2] == [
+        "warning: B lacks full column rank; returning minimum-norm Q, S",
+        "warning: B'MB is singular; using pseudo-inverse",
+    ]
+    assert "warnings.warn(" not in done.stderr and "Warning:" not in done.stderr
 
 
 def test_simulate_underpowered_is_inconclusive(project_path, capsys):

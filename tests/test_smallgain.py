@@ -3,7 +3,7 @@ import pytest
 from helpers import certified_network, evaluate_V, expected_V_next, interface, omega_slices
 
 from simcert.bounds import BoundQuery, finite_horizon_bound
-from simcert.errors import Infeasible, UnsupportedForm
+from simcert.errors import Infeasible
 from simcert.model import Topology
 from simcert.reference import published_constants
 from simcert.smallgain import (
@@ -49,14 +49,6 @@ def test_build_gains_one_gain_per_edge():
     assert np.count_nonzero(g.Delta) == len(topo.pairs) == 12
     # the fan-in rule rho_int * d**2 gave a radius 9 times as large
     assert GainDecomposition(g.Lambda, 9 * g.Delta).radius == pytest.approx(9 * g.radius)
-
-
-def test_build_gains_unsupported_form(ref_parts):
-    topo = _ring_topology(ref_parts)
-    bad = SpsfConstants(alpha_coef=2.0, kappa_hat=0.5, rho_int_coef=1.0,
-                        rho_ext_coef=0.0, psi=0.0)
-    with pytest.raises(UnsupportedForm):
-        build_gains([bad] * 4, topo)
 
 
 def test_spectral_radius_reference(ref_parts):
@@ -173,7 +165,7 @@ def test_compose_reference(ref_parts):
     subs, topo, cands, certs = ref_parts
     derived = [derive_constants(subs[i], cands[i], certs[i]) for i in range(4)]
     published = [
-        SpsfConstants(1.0, p.kappa_hat, p.rho_int_coef, d.rho_ext_coef, d.psi)
+        SpsfConstants(p.kappa_hat, p.rho_int_coef, d.rho_ext_coef, d.psi)
         for p, d in zip([published_constants()] * 4, derived)
     ]
     g = build_gains(published, topo)
@@ -186,7 +178,7 @@ def test_compose_reference(ref_parts):
 
 
 def test_compose_single_subsystem_passthrough():
-    c = SpsfConstants(1.0, 0.4, 0.7, 0.2, 0.003)
+    c = SpsfConstants(0.4, 0.7, 0.2, 0.003)
     g = GainDecomposition(np.diag([0.4]), np.zeros((1, 1)))
     mu = find_mu(g)
     comp = compose([c], g, mu)
@@ -197,7 +189,7 @@ def test_compose_single_subsystem_passthrough():
 
 
 def test_compose_two_subsystems_derived():
-    c = SpsfConstants(1.0, 0.5, 0.2, 0.0, 0.003)
+    c = SpsfConstants(0.5, 0.2, 0.0, 0.003)
     g = GainDecomposition(np.diag([0.5, 0.5]), np.array([[0.0, 0.2], [0.2, 0.0]]))
     mu = np.array([1.0, 1.0])
     comp = compose([c, c], g, mu)
@@ -206,7 +198,7 @@ def test_compose_two_subsystems_derived():
 
 
 def test_compose_rejects_bad_mu():
-    c = SpsfConstants(1.0, 0.5, 0.2, 0.0, 0.0)
+    c = SpsfConstants(0.5, 0.2, 0.0, 0.0)
     g = GainDecomposition(np.diag([0.5, 0.5]), np.array([[0.0, 0.6], [0.6, 0.0]]))
     with pytest.raises(Infeasible):
         compose([c, c], g, np.array([1.0, 1.0]))

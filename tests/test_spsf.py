@@ -267,7 +267,6 @@ def test_derive_constants_reference(ref_parts):
     assert c.rho_ext_coef == 0.0
     assert c.psi == pytest.approx(0.0025, abs=1e-12)
     assert c.kappa_hat == 0.98
-    assert c.alpha_coef == 1.0
 
 
 def test_derive_constants_noiseless():
