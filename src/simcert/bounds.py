@@ -8,7 +8,6 @@ two-case expression evaluated by :func:`finite_horizon_bound`.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +74,7 @@ def psi_hat(rho_ext_coef: float, nuhat_sup: float, psi: float) -> float:
     if rho_ext_coef and offset < math.inf:  # the rounded product-sum may fall below the exact
         from fractions import Fraction  # here, as it adds 3 ms to importing simcert
         exact = Fraction(rho_ext_coef) * Fraction(nuhat_sup) ** 2 + Fraction(psi)
-        offset = float(min(exact, Fraction(sys.float_info.max)))
+        offset = float(min(exact, Fraction(np.finfo(float).max)))
         if Fraction(offset) < exact:
             offset = math.nextafter(offset, math.inf)
     return offset
@@ -93,6 +92,8 @@ def finite_horizon_bound(q: BoundQuery) -> BoundResult:
     The raw value can exceed 1 when ``x > 1``; the probability is clamped.  ``x``
     and ``y`` are evaluated from logs, so ``a`` is never formed, and the result is
     never below the exact value, nor 0 unless ``V0 = 0`` and ``psi_hat T = 0``.
+    ``branch`` is the side of the unraised ``log y``, so a tie is ``high_threshold``;
+    the formula is the raised one's, which near a tie can be the low threshold's.
     """
     log_alpha, log_eps, lk = (math.log(v) for v in (q.alpha_coef, q.epsilon, q.kappa_hat))
     la = log_alpha + 2 * log_eps  # log a
@@ -109,14 +110,11 @@ def finite_horizon_bound(q: BoundQuery) -> BoundResult:
         # log((1 - (1 - kappa_hat)**T) / kappa_hat) is in [0, |lk|], which bounds its error
         lgy = ly + math.log(-math.expm1(t) / q.kappa_hat) if q.T else -math.inf
         raw = _exp(float(np.logaddexp(lx + t * (1 - 2**-50), lgy)))
-    else:
+    else:  # T log1p(-y) is -T y below e**-40, where y itself may be subnormal
         lty = ly + math.log(q.T) * (1 + 2**-50) if q.T else -math.inf  # log(T y)
-        if max(lx, lty) < -40:  # x + T y, at most 1 + 1e-17 times 1 - (1-x)(1-y)**T
-            raw = math.exp(float(np.logaddexp(lx, lty)))
-        else:  # T log1p(-y) is -T y below e**-40, where y itself may be subnormal
-            tail = q.T * math.log1p(-math.exp(ly)) if ly > -40 else -_exp(lty)
-            head = math.log1p(-math.exp(lx)) if lx < 0 else -math.inf  # x >= 1 gives 1
-            raw = -math.expm1(head + tail)
+        tail = q.T * math.log1p(-math.exp(ly)) if ly > -40 else -_exp(lty)
+        head = math.log1p(-math.exp(lx)) if lx < 0 else -math.inf  # x >= 1 gives 1
+        raw = -math.expm1(head + tail)
     if q.V0 > 0 or (q.psi_hat > 0 and q.T > 0):
         raw = math.nextafter(raw, math.inf)
     prob = min(max(raw, 0.0), 1.0)
