@@ -105,14 +105,18 @@ def finite_horizon_bound(q: BoundQuery) -> BoundResult:
     size = abs(log_alpha) + 2 * abs(log_eps) + 2
     lx = lv - la + 2**-50 * (abs(lv) + size) if q.V0 > 0 else -math.inf
     ly = lp - la + 2**-50 * (abs(lp) + abs(lk) + size) if q.psi_hat > 0 else -math.inf
+    try:  # rounded by at most 2**-53, which the raises below cover; inf past the float range
+        T = float(q.T)
+    except OverflowError:
+        T = math.inf
     if ly > lk:  # also where only the raise lifts y past kappa_hat, above which this is larger
-        t = q.T * math.log1p(-q.kappa_hat)  # log (1 - kappa_hat)**T, within 2**-51 of |t|
+        t = T * math.log1p(-q.kappa_hat)  # log (1 - kappa_hat)**T, within 2**-51 of |t|
         # log((1 - (1 - kappa_hat)**T) / kappa_hat) is in [0, |lk|], which bounds its error
         lgy = ly + math.log(-math.expm1(t) / q.kappa_hat) if q.T else -math.inf
         raw = _exp(float(np.logaddexp(lx + t * (1 - 2**-50), lgy)))
     else:  # T log1p(-y) is -T y below e**-40, where y itself may be subnormal
         lty = ly + math.log(q.T) * (1 + 2**-50) if q.T else -math.inf  # log(T y)
-        tail = q.T * math.log1p(-math.exp(ly)) if ly > -40 else -_exp(lty)
+        tail = T * math.log1p(-math.exp(ly)) if ly > -40 else -_exp(lty)
         head = math.log1p(-math.exp(lx)) if lx < 0 else -math.inf  # x >= 1 gives 1
         raw = -math.expm1(head + tail)
     if q.V0 > 0 or (q.psi_hat > 0 and q.T > 0):

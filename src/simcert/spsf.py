@@ -45,7 +45,6 @@ __all__ = [
     "SpsfConstants",
     "ConditionCheck",
     "ConditionReport",
-    "StructuralSolution",
     "check_conditions",
     "synthesize_MK",
     "solve_structural",
@@ -220,14 +219,11 @@ def _spec_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0]) if np.isfinite(m).all() else np.nan
 
 
-def stacked_outputs(s: LinearSubsystem, cand: AbstractionCandidate) -> tuple[np.ndarray, np.ndarray]:
-    """Stack concrete and abstract output blocks in matching order."""
-    if set(cand.Chat_int) != set(s.C_int):
-        raise DimensionMismatch(
-            f"candidate internal output keys {sorted(cand.Chat_int)} "
-            f"!= concrete keys {sorted(s.C_int)}"
-        )
-    return s.output_matrix(), cand.as_subsystem(s.id).output_matrix()
+def _margins(M, C, Abar, pi, kappa_hat) -> tuple[float, float, float]:
+    """Output-bound and decrease margins of ``M``, and their scale ``max(1, ||M||)``."""
+    out = _min_eig(M - C.T @ C)
+    dec = _min_eig((1.0 - kappa_hat) * M - (1.0 + pi) * Abar.T @ M @ Abar)
+    return out, dec, max(1.0, _spec_norm(M))
 
 
 # an overflow's inf or NaN fails its check, so numpy need not warn of it
@@ -244,20 +240,22 @@ def check_conditions(
     scaled by ``max(1, ||M||)``; equality residuals (spectral norms) must be
     ``<= tol``.  Nothing is raised: the report carries pass/fail per check.
     """
-    C_full, Chat_full = stacked_outputs(s, cand)
+    if set(cand.Chat_int) != set(s.C_int):
+        raise DimensionMismatch(
+            f"candidate internal output keys {sorted(cand.Chat_int)} "
+            f"!= concrete keys {sorted(s.C_int)}"
+        )
+    C_full, Chat_full = s.output_matrix(), cand.as_subsystem(s.id).output_matrix()
     M, K, P = cert.M, cert.K, cert.P
     n, nhat = s.n, cand.nhat
     if P.shape != (n, nhat):
         raise DimensionMismatch(f"P is {P.shape}, expected ({n}, {nhat})")
     if K.shape != (s.m, n):
         raise DimensionMismatch(f"K is {K.shape}, expected ({s.m}, {n})")
-    Abar = s.A + s.B @ K
-    scale = max(1.0, _spec_norm(M))
+    out_margin, dec_margin, scale = _margins(M, C_full, s.A + s.B @ K, cert.pi, cert.kappa_hat)
     eig_tol = tol * scale
 
     m_defect = max(_spec_norm(M - M.T), max(0.0, -_min_eig(M)))
-    out_margin = _min_eig(M - C_full.T @ C_full)
-    dec_margin = _min_eig((1.0 - cert.kappa_hat) * M - (1.0 + cert.pi) * Abar.T @ M @ Abar)
     drift_res = _spec_norm(s.A @ P - P @ cand.Ahat + s.B @ cert.Q)
     internal_res = _spec_norm(s.D - P @ cand.Dhat + s.B @ cert.S)
     output_res = _spec_norm(C_full @ P - Chat_full)
@@ -338,13 +336,9 @@ def synthesize_MK(
         # evaluated by a backward-stable direct solve
         W = _sym(C.T @ C + eps * np.eye(n))
         M = _sym(solve_discrete_lyapunov(G.T, W, method="bilinear"))
-        # never hand back a failing pair: verify at the caller's tolerance
-        scale = max(1.0, _spec_norm(M))
-        ok = _min_eig(M - C.T @ C) >= -tol * scale and (
-            _min_eig((1.0 - kappa_hat) * M - (1.0 + pi) * Abar.T @ M @ Abar)
-            >= -tol * scale
-        )
-        if ok:
+        # never hand back a failing pair: verify at the caller's tolerance (NaN fails)
+        out, dec, scale = _margins(M, C, Abar, pi, kappa_hat)
+        if out >= -tol * scale and dec >= -tol * scale:
             return M, K
         eps *= 1e4
     raise Infeasible("certificate margins lost to round-off")
@@ -356,38 +350,30 @@ def _spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-@dataclass(frozen=True, eq=False)
-class StructuralSolution:
-    Q: np.ndarray
-    S: np.ndarray
-    drift_residual: float
-    internal_residual: float
+def solve_structural(
+    s: LinearSubsystem, cand: AbstractionCandidate, M, K, pi: float, kappa_hat: float
+) -> AbstractionCertificate:
+    """Complete ``(M, K, pi, kappa_hat)`` into the certificate of ``s`` and ``cand``.
 
-
-def solve_structural(s: LinearSubsystem, cand: AbstractionCandidate) -> StructuralSolution:
-    """Least-squares ``Q`` and ``S`` for the structural equalities.
-
-    Solves ``B Q = P Ahat - A P`` and ``B S = P Dhat - D`` in the
-    minimum-norm least-squares sense and reports the attained residual norms;
-    certificate validity requires them to be numerically zero.
+    ``P`` is the candidate's; ``Q`` and ``S`` solve ``B Q = P Ahat - A P`` and
+    ``B S = P Dhat - D`` in the minimum-norm least-squares sense, and ``Rtilde``
+    is :func:`compute_Rtilde`.  Certificate validity requires the attained
+    residuals to be numerically zero; :func:`check_conditions` reports them as
+    "drift match" and "internal input match".
 
     Warns with :class:`RankDeficientWarning` when ``B`` lacks full column
     rank (the solution is then non-unique).
     """
     P = cand.P
-    rhs_q = P @ cand.Ahat - s.A @ P
-    rhs_s = P @ cand.Dhat - s.D
     if np.linalg.matrix_rank(s.B) < s.m:
         warnings.warn(
             "B lacks full column rank; returning minimum-norm Q, S", RankDeficientWarning
         )
-    Q = np.linalg.lstsq(s.B, rhs_q, rcond=None)[0]
-    S = np.linalg.lstsq(s.B, rhs_s, rcond=None)[0]
-    return StructuralSolution(
-        Q=Q,
-        S=S,
-        drift_residual=_spec_norm(s.B @ Q - rhs_q),
-        internal_residual=_spec_norm(s.B @ S - rhs_s),
+    Q = np.linalg.lstsq(s.B, P @ cand.Ahat - s.A @ P, rcond=None)[0]
+    S = np.linalg.lstsq(s.B, P @ cand.Dhat - s.D, rcond=None)[0]
+    Rtilde = compute_Rtilde(s.B, M, P, cand.Bhat)
+    return AbstractionCertificate(
+        M=M, K=K, P=P, Q=Q, S=S, Rtilde=Rtilde, pi=pi, kappa_hat=kappa_hat
     )
 
 

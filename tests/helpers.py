@@ -23,7 +23,6 @@ from simcert.spsf import (
     AbstractionCertificate,
     ConditionReport,
     SpsfConstants,
-    compute_Rtilde,
     derive_constants,
     solve_structural,
     synthesize_MK,
@@ -153,12 +152,7 @@ def random_certified_instance(rng, n_max=10, nhat_max=3, with_abstract_noise=Fal
     pi = float(rng.uniform(0.3, 1.5))
     kappa_hat = float(rng.uniform(0.2, 0.9))
     M, K = synthesize_MK(s.A, s.B, s.output_matrix(), pi, kappa_hat)
-    sol = solve_structural(s, cand)
-    Rtilde = compute_Rtilde(s.B, M, P, Bhat)
-    cert = AbstractionCertificate(
-        M=M, K=K, P=P, Q=sol.Q, S=sol.S, Rtilde=Rtilde, pi=pi, kappa_hat=kappa_hat
-    )
-    return s, cand, cert
+    return s, cand, solve_structural(s, cand, M, K, pi, kappa_hat)
 
 
 def identity_candidate(s: LinearSubsystem) -> AbstractionCandidate:
@@ -171,16 +165,17 @@ def identity_candidate(s: LinearSubsystem) -> AbstractionCandidate:
 def diverging_project() -> ProjectFile:
     """The reference project with unstable, noisy abstractions ``Ahat = 3``, ``Fhat = 1``.
 
-    ``Q`` is re-solved from the structural equalities, so every certificate
-    still passes its check, but the abstract states grow like ``3**k``: past
-    a few hundred steps the deviations overflow to ``inf`` and then ``nan``.
+    Each certificate is completed again from its ``M``, ``K``, ``pi`` and
+    ``kappa_hat``, so it still passes its check, but the abstract states grow
+    like ``3**k``: past a few hundred steps the deviations overflow to ``inf``
+    and then ``nan``.
     """
     project = reference_project()
     cands, certs = {}, {}
     for s in project.subsystems:
         cands[s.id] = dataclasses.replace(project.candidates[s.id], Ahat=[[3.0]], Fhat=[[1.0]])
-        Q = solve_structural(s, cands[s.id]).Q
-        certs[s.id] = dataclasses.replace(project.certificates[s.id], Q=Q)
+        c = project.certificates[s.id]
+        certs[s.id] = solve_structural(s, cands[s.id], c.M, c.K, c.pi, c.kappa_hat)
     return dataclasses.replace(project, candidates=cands, certificates=certs)
 
 
@@ -235,13 +230,7 @@ def certified_network(seed, abstract_noise=False, fan_in=1):
                 s, P=P, Ahat=Ahat, Bhat=Bhat, Dhat=Dhat, Fhat=Fhat[i]
             )
             M, K = synthesize_MK(s.A, s.B, s.output_matrix(), pi, kappa)
-            sol = solve_structural(s, cand)
-            Rt = compute_Rtilde(s.B, M, P, Bhat)
-            certs.append(
-                AbstractionCertificate(
-                    M=M, K=K, P=P, Q=sol.Q, S=sol.S, Rtilde=Rt, pi=pi, kappa_hat=kappa
-                )
-            )
+            certs.append(solve_structural(s, cand, M, K, pi, kappa))
             subs.append(s)
             cands.append(cand)
         topo = Topology.from_pairs(subs, pairs)

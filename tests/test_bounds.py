@@ -133,6 +133,9 @@ def _log_uniform(low, high):
 @example(V0=0.0, alpha=1.0, epsilon=1.0, offset=1 - 2**-52, T=10, kappa_hat=1 - 2**-52)
 @example(V0=3.255633e-317, alpha=0.11312156664703327, epsilon=1.0, offset=0.05656078332351665,
          T=10, kappa_hat=0.5)
+# horizons past the float range, which count as infinite where T itself enters
+@example(V0=0.0, alpha=1.0, epsilon=1e200, offset=0.01, T=10**400, kappa_hat=0.5)
+@example(V0=1e-300, alpha=1.0, epsilon=1.0, offset=0.9, T=2**1024 - 1, kappa_hat=0.5)
 def test_bound_is_never_below_its_exact_value(V0, alpha, epsilon, offset, T, kappa_hat):
     q = BoundQuery(V0=V0, alpha_coef=alpha, epsilon=epsilon, T=T, psi_hat=offset,
                    kappa_hat=kappa_hat)

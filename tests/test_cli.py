@@ -165,6 +165,17 @@ def test_underflowing_epsilon_gives_the_limit(project_path, capsys):
     assert "analytic bound: 1.000 (branch low_threshold)\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("horizon, epsilon, printed", [
+    (10**400, "1", "<= 1.000\n"), (10**400, "1e200", "<= 0.009951\n"),
+    (2**1024 - 1, "1", "<= 1.000\n"), (2**1024 - 1, "1e200", "<= 1.798e-94\n"),
+], ids=["1e400-1", "1e400-1e200", "2^1024-1-1", "2^1024-1-1e200"])
+def test_horizon_past_the_float_range(project_path, capsys, horizon, epsilon, printed):
+    # a T that float() cannot convert counts as infinite; at epsilon 1e200 only log T enters
+    argv = ["bound", "--project", str(project_path), "--epsilon", epsilon]
+    assert main([*argv, "--horizon", str(horizon)]) == 0
+    assert printed in capsys.readouterr().out
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.floats(0.0, 1.0))
 @example(0.0)
@@ -217,6 +228,10 @@ def test_abstract_rewrites_certificate(project_path, tmp_path, capsys):
     updated = load_project(out_path)
     cert = updated.certificates[0]
     assert cert.pi == 0.99 and cert.kappa_hat == 0.98
+    # the report carries the structural residuals; no second copy is printed
+    out = capsys.readouterr().out
+    assert out.startswith("subsystem 0:\ncondition ") and "structural residuals" not in out
+    assert out.count("drift match") == 1 and out.count("internal input match") == 1
 
 
 def test_abstract_synthesizes_when_missing(project_path, tmp_path, capsys):
@@ -411,7 +426,9 @@ def test_simulate_bad_project_epsilon_exits_2(project_path, capsys, epsilon):
     ["--trials", "1000000000000000"],
     ["--trials", "100000000000000000000"],
     ["--trials", "10", "--horizon", "100000000000000"],
-], ids=["trials-past-memory", "trials-past-max-dimension", "horizon-past-memory"])
+    ["--trials", "10", "--horizon", str(10**400)],
+], ids=["trials-past-memory", "trials-past-max-dimension", "horizon-past-memory",
+        "horizon-past-float-range"])
 def test_oversized_run_exits_2(project_path, capsys, flags):
     # each size is past the 128 TiB address space: allocation fails at once
     # under any overcommit setting, before a step is taken

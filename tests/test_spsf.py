@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     shrinkage_sweep_gain,
 )
 
+from simcert import spsf
 from simcert.errors import Infeasible, RankDeficientWarning, SingularGramWarning
 from simcert.model import LinearSubsystem
 from simcert.spsf import (
@@ -25,7 +27,6 @@ from simcert.spsf import (
     compute_Rtilde,
     derive_constants,
     solve_structural,
-    stacked_outputs,
     synthesize_MK,
 )
 
@@ -127,6 +128,14 @@ def test_synthesize_infeasible():
         synthesize_MK([[2.0]], [[0.0]], [[1.0]], pi=1.0, kappa_hat=0.5)
 
 
+@pytest.mark.parametrize("margins", [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0)])
+def test_synthesize_never_returns_a_nan_margin(monkeypatch, margins):
+    # each margin is tested on its own: min(out, dec) would let a NaN decrease margin pass
+    monkeypatch.setattr(spsf, "_margins", lambda *args: margins)
+    with pytest.raises(Infeasible, match="round-off"):
+        synthesize_MK([[2.0]], [[1.0]], [[1.0]], pi=1.0, kappa_hat=0.5)
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_shrinkage_closed_form_matches_sweep(seed):
     # one radius of A, scaled by (1 - eta), picks the gain the per-eta radii picked, bit for bit
@@ -203,13 +212,41 @@ def test_synthesize_random_passes_conditions(seed):
     assert check_conditions(s, cand, cert, tol=1e-9).passed
 
 
+def _assert_completes(s, cand, cert):
+    """``solve_structural`` from ``cert``'s M, K, pi and kappa_hat gives lstsq's Q and S
+    and compute_Rtilde's Rtilde bitwise, P = cand.P, and the rest passed through."""
+    rebuilt = solve_structural(s, cand, cert.M, cert.K, cert.pi, cert.kappa_hat)
+    P = cand.P
+    Q = np.linalg.lstsq(s.B, P @ cand.Ahat - s.A @ P, rcond=None)[0]
+    S = np.linalg.lstsq(s.B, P @ cand.Dhat - s.D, rcond=None)[0]
+    assert np.array_equal(rebuilt.Q, Q) and np.array_equal(rebuilt.S, S)
+    assert np.array_equal(rebuilt.Rtilde, compute_Rtilde(s.B, cert.M, P, cand.Bhat))
+    assert np.array_equal(rebuilt.P, P)
+    assert np.array_equal(rebuilt.M, cert.M) and np.array_equal(rebuilt.K, cert.K)
+    assert (rebuilt.pi, rebuilt.kappa_hat) == (cert.pi, cert.kappa_hat)
+
+
+def test_solve_structural_completes_reference(ref_parts):
+    subs, _, cands, certs = ref_parts
+    for i in range(4):
+        _assert_completes(subs[i], cands[i], certs[i])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solve_structural_completes_random(seed):
+    s, cand, cert = random_certified_instance(np.random.default_rng(300 + seed))
+    _assert_completes(s, cand, cert)
+
+
 def test_solve_structural_reference(ref_parts):
-    subs, _, cands, _ = ref_parts
-    sol = solve_structural(subs[0], cands[0])
-    assert np.array_equal(sol.Q, ONES)
-    assert np.max(np.abs(sol.S - (-0.004) * ONES)) < 1e-12
-    assert sol.drift_residual < 1e-12
-    assert sol.internal_residual < 1e-12
+    subs, _, cands, certs = ref_parts
+    c = certs[0]
+    cert = solve_structural(subs[0], cands[0], c.M, c.K, c.pi, c.kappa_hat)
+    assert np.array_equal(cert.Q, ONES)
+    assert np.max(np.abs(cert.S - (-0.004) * ONES)) < 1e-12
+    values = condition_values(check_conditions(subs[0], cands[0], cert))
+    assert values["drift match"] < 1e-12
+    assert values["internal input match"] < 1e-12
 
 
 def test_solve_structural_identity_candidate():
@@ -219,9 +256,9 @@ def test_solve_structural_identity_candidate():
         id=0, A=rng.standard_normal((n, n)), B=rng.standard_normal((n, n)),
         D=rng.standard_normal((n, 1)), F=np.zeros((n, 1)), C_ext=np.ones((1, n)),
     )
-    sol = solve_structural(s, identity_candidate(s))
-    assert np.max(np.abs(sol.Q)) < 1e-12
-    assert np.max(np.abs(sol.S)) < 1e-12
+    cert = solve_structural(s, identity_candidate(s), np.eye(n), np.zeros((n, n)), 0.5, 0.5)
+    assert np.max(np.abs(cert.Q)) < 1e-12
+    assert np.max(np.abs(cert.S)) < 1e-12
 
 
 def test_solve_structural_rank_deficient_warns():
@@ -232,8 +269,11 @@ def test_solve_structural_rank_deficient_warns():
     cand = AbstractionCandidate.induced(
         s, P=np.eye(2), Ahat=np.eye(2), Bhat=np.eye(2), Dhat=np.zeros((2, 1))
     )
-    with pytest.warns(RankDeficientWarning):
-        solve_structural(s, cand)
+    # B = 0: the least-squares Q, S are non-unique, then the Gram matrix B'MB is singular
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_structural(s, cand, np.eye(2), np.zeros((2, 2)), 0.5, 0.5)
+    assert [w.category for w in caught] == [RankDeficientWarning, SingularGramWarning]
 
 
 def test_compute_Rtilde_reference(ref_parts):
@@ -398,7 +438,7 @@ def test_expected_V_next_reference_error_form(ref_parts):
 def test_lower_bound_property(ref_parts):
     subs, _, cands, certs = ref_parts
     s, cand, cert = subs[0], cands[0], certs[0]
-    C_full, Chat_full = stacked_outputs(s, cand)
+    C_full, Chat_full = s.output_matrix(), cand.as_subsystem(s.id).output_matrix()
     rng = np.random.default_rng(6)
     X = rng.standard_normal((10_000, 25))
     Xh = rng.standard_normal((10_000, 1))
@@ -413,7 +453,7 @@ def test_lower_bound_property(ref_parts):
 def test_lower_bound_property_random_instances(with_noise):
     rng = np.random.default_rng(7)
     s, cand, cert = random_certified_instance(rng, with_abstract_noise=with_noise)
-    C_full, Chat_full = stacked_outputs(s, cand)
+    C_full, Chat_full = s.output_matrix(), cand.as_subsystem(s.id).output_matrix()
     X = rng.standard_normal((2000, s.n))
     Xh = rng.standard_normal((2000, cand.nhat))
     gaps = np.einsum("ij,ij->i", X @ C_full.T - Xh @ Chat_full.T,
