@@ -7,9 +7,10 @@ through the per-subsystem interface functions.  (The analytic bound also covers
 a nonzero abstract input; no run simulates one.)  Noise comes from the
 counter-based Philox generator: each ``(seed, subsystem id, concrete/abstract)``
 side has one key, and a trial's draws are the counter range that its index
-selects within that side's stream.  One generator per side is positioned at
-each trial's counter, so the bits are those of a fresh generator there, and
-drawing is thread-safe.  Trials are stepped in blocks of a fixed width, so a
+selects within that side's stream.  Each side caches one generator, one state
+record and one lock; a trial's call rewrites only the record's counter and
+assigns it, so the bits are those of a fresh generator there, and drawing is
+thread-safe.  Trials are stepped in blocks of a fixed width, so a
 trial's bits are a function of the run configuration and its trial index
 alone: the first ``t`` trials of a longer run equal a ``t``-trial run.  A
 run returns its per-trial deviations as arrays, trial ``t`` in row ``t``;
@@ -42,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Horizon, trial count and seed of a run, and whether it records trajectories."""
+    """Horizon (>= 0), trial count (>= 1) and seed (>= 0) of a run, all integers,
+    and whether it records trajectories."""
 
     horizon: int
     trials: int
@@ -50,10 +52,14 @@ class RunConfig:
     record_trajectories: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1: {self.trials}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0: {self.horizon}")
+        for name, low in (("horizon", 0), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                ok = operator.index(value) >= low
+            except TypeError:
+                raise TypeError(f"{name} must be an integer: {value!r}") from None
+            if not ok:
+                raise ValueError(f"{name} must be >= {low}: {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +81,17 @@ class Deviations:
 
 @functools.lru_cache(maxsize=4096)
 def _side_generator(seed: int, subsystem_id: int, abstract: bool):
-    """The Philox generator of one (seed, subsystem, side), built once, its key
-    words and the lock that a call holds while it positions and draws."""
+    """What one (seed, subsystem, side) caches, built once: its Philox generator,
+    the state record that positions it (key, counter slot, empty output buffer)
+    and the lock that a call holds while it positions and draws."""
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))))
+    key = tuple(int(k) for k in gen.bit_generator.state["state"]["key"])
+    # an empty output buffer, as a fresh Philox starts; a call sets only the counter
+    record = {"bit_generator": "Philox", "state": {"counter": None, "key": key},
+              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     # a lock of its own: a draw takes the generator's lock, which need not be reentrant
-    return gen, tuple(int(k) for k in gen.bit_generator.state["state"]["key"]), threading.Lock()
+    return gen, record, threading.Lock()
 
 
 def noise_stream(seed: int, trial: int, subsystem_id: int, abstract: bool, out: np.ndarray
@@ -91,22 +102,20 @@ def noise_stream(seed: int, trial: int, subsystem_id: int, abstract: bool, out: 
     ``SeedSequence(seed, spawn_key=(subsystem_id, int(abstract)))``, from counter
     ``(0, trial, 0, 0)``: each trial owns ``2**64`` counter blocks of its side's
     stream, so distinct trials and sides give statistically independent
-    streams, and trial 0 starts the side's plain keyed stream.  Each call
-    positions the side's one cached generator at that counter, with an empty
-    output buffer, under the side's lock: the bits equal a fresh ``Philox``'s
-    there, whatever was drawn before, and concurrent calls are thread-safe.
-    ``trial`` must satisfy ``0 <= trial < 2**64``.
+    streams, and trial 0 starts the side's plain keyed stream.  A side caches
+    its generator, its state record and its lock; under the lock, each call
+    writes the trial's counter into the record and assigns the record, which
+    positions the generator there with an empty output buffer.  The bits equal
+    a fresh ``Philox``'s at that counter, whatever was drawn before, and
+    concurrent calls are thread-safe.  ``trial`` must satisfy ``0 <= trial < 2**64``.
     """
     trial = operator.index(trial)
     if not 0 <= trial < 2**64:
         raise ValueError(f"trial must be in [0, 2**64): {trial}")
-    gen, key, lock = _side_generator(seed, subsystem_id, bool(abstract))
+    gen, record, lock = _side_generator(seed, subsystem_id, bool(abstract))
     with lock:
-        # the trial's counter and an empty output buffer, as a fresh Philox starts
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": (0, trial, 0, 0), "key": key},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        record["state"]["counter"] = (0, trial, 0, 0)
+        gen.bit_generator.state = record
         return gen.standard_normal(out=out)
 
 

@@ -179,33 +179,55 @@ def test_noise_stream_ignores_earlier_draws():
 
 
 def test_noise_stream_is_thread_safe():
-    # two threads drawing on one side at once get exactly the serial draws
-    seed, sid, abstract = 11, 2, True
+    # two threads drawing at once, on one side or on two sides of one seed,
+    # get exactly the serial draws
+    seed = 11
     jobs = [(trial, 1 + 37 * (trial % 5)) for trial in range(400)]
-    serial = [noise_stream(seed, t, sid, abstract, np.empty(n)) for t, n in jobs]
-    results = [[None] * len(jobs) for _ in range(2)]
-    start = threading.Barrier(2)
+    for sides in (((2, True), (2, True)), ((2, True), (2, False))):
+        serial = [[noise_stream(seed, t, *side, np.empty(n)) for t, n in jobs] for side in sides]
+        results = [[None] * len(jobs) for _ in range(2)]
+        start = threading.Barrier(2)
 
-    def work(k):
-        start.wait()
-        # one thread in order and one in reverse, so they draw different trials at once
-        for i in range(len(jobs))[:: 1 - 2 * k]:
-            t, n = jobs[i]
-            results[k][i] = noise_stream(seed, t, sid, abstract, np.empty(n))
+        def work(k):
+            start.wait()
+            # one thread in order and one in reverse, so they draw different trials at once
+            for i in range(len(jobs))[:: 1 - 2 * k]:
+                t, n = jobs[i]
+                results[k][i] = noise_stream(seed, t, *sides[k], np.empty(n))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    for got in results:
-        assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for got, want in zip(results, serial):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_failed_draw_leaves_the_side_exact():
+    # a side's state record is reused: an out that numpy refuses after the
+    # record is assigned must not leave a half-positioned generator behind
+    seed, sid, abstract = 13, 1, False
+    side = np.random.SeedSequence(seed, spawn_key=(sid, int(abstract)))
+    read_only = np.empty(7)
+    read_only.flags.writeable = False
+    bad = [(np.empty(7, dtype=np.float32), TypeError),
+           (np.empty(14)[::2], ValueError),
+           (read_only, ValueError)]
+    for trial, (out, error) in enumerate(bad):
+        noise_stream(seed, trial, sid, abstract, np.empty(3))  # leaves a part-used buffer
+        with pytest.raises(error):
+            noise_stream(seed, trial, sid, abstract, out)
+        for nxt in (trial, trial + 1):
+            fresh = np.random.Generator(np.random.Philox(side, counter=nxt << 64))
+            got = noise_stream(seed, nxt, sid, abstract, np.empty(7))
+            assert np.array_equal(got, fresh.standard_normal(7))
 
 
 def test_noise_stream_bits_are_pinned():
@@ -219,30 +241,59 @@ def test_noise_stream_bits_are_pinned():
 
 
 def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):
-    # a key is derived once per noisy side, not per trial, while every trial
-    # still builds one stream per noisy side
+    # a key and a generator are built once per noisy side and process, not per
+    # trial, while every trial still builds one stream per noisy side
     subs, topo, cands, certs = ref_parts
     cands = [cands[i] for i in range(4)]
     noisy_sides = sum(1 for s in subs if s.q > 0) + sum(1 for c in cands if c.Fhat.shape[1])
     assert noisy_sides > 0
-    seed_sequence, stream = np.random.SeedSequence, montecarlo.noise_stream
-    built, streams = [], []
+    seed_sequence, philox, stream = np.random.SeedSequence, np.random.Philox, montecarlo.noise_stream
+    built, generators, streams = [], [], []
 
     def counting_seed_sequence(*args, **kwargs):
         built.append(args)
         return seed_sequence(*args, **kwargs)
+
+    def counting_philox(*args, **kwargs):
+        generators.append(args)
+        return philox(*args, **kwargs)
 
     def counting_stream(*args, **kwargs):
         streams.append(args)
         return stream(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
     monkeypatch.setattr(montecarlo, "noise_stream", counting_stream)
     cfg = RunConfig(horizon=4, trials=300, seed=8191)
     samples = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
     assert len(samples) == cfg.trials
     assert len(built) <= noisy_sides
+    assert len(generators) <= noisy_sides
     assert len(streams) == cfg.trials * noisy_sides
+    # a second run in the same process reuses every side's generator and record
+    del built[:], generators[:], streams[:]
+    again = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
+    assert np.array_equal(again.sup, samples.sup)
+    assert not built and not generators
+    assert len(streams) == cfg.trials * noisy_sides
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("seed", -1, ValueError), ("seed", 1.5, TypeError), ("trials", 2.5, TypeError),
+    ("trials", 0, ValueError), ("horizon", 3.0, TypeError), ("horizon", -1, ValueError),
+])
+def test_run_config_rejects_what_a_run_cannot_use(field, value, error):
+    # unchecked, a negative seed fails only at the first noisy draw, inside numpy,
+    # and a noiseless network never draws
+    settings = dict(horizon=3, trials=2, seed=0) | {field: value}
+    with pytest.raises(error, match=field):
+        RunConfig(**settings)
+
+
+def test_run_config_takes_integer_types():
+    cfg = RunConfig(horizon=np.int64(3), trials=np.uint8(2), seed=2**70)
+    assert (cfg.horizon, cfg.trials, cfg.seed) == (3, 2, 2**70)
 
 
 def test_violation_probability_examples():
