@@ -6,7 +6,7 @@ All matrices are nested row-major arrays of numbers (vectors are ``n x 1``).
 Subsystem ids double as list positions.  Fields marked * are optional.
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "subsystems": [
         {"id": 0,
          "A": [[...]], "B": [[...]], "D": [[...]], "F": [[...]],
@@ -23,26 +23,31 @@ Subsystem ids double as list positions.  Fields marked * are optional.
       "candidates": [                // * reduced models, one per subsystem
         {"subsystem": 0, "P": [[...]],
          "Ahat": [[...]], "Bhat": [[...]], "Dhat": [[...]],
-         "Fhat": [[...]]*,           // default: noiseless (zero columns)
-         "Chat_ext": [[...]]*,       // default: C_ext P
-         "Chat_int": {"j": [[...]]}* // default: C_int[j] P
+         "Fhat": [[...]]*            // default: noiseless (zero columns)
         }, ...
       ],
-      "certificates": [              // * witnesses, one per subsystem
-        {"subsystem": 0,
-         "M": [[...]], "K": [[...]], "P": [[...]],
-         "Q": [[...]], "S": [[...]], "Rtilde": [[...]],
+      "certificates": [              // * witnesses, one per subsystem;
+        {"subsystem": 0,             //   each needs its subsystem's candidate
+         "M": [[...]], "K": [[...]],
          "pi": 0.99, "kappa_hat": 0.98,
-         "note": "..."*
+         "note": "..."*              // a string
         }, ...
       ],
       "run": {"horizon": 10, "trials": 1000, "seed": 0, "epsilon": 1.0}*
     }
 
 Each subsystem has at most one candidate and one certificate, each peer at
-most one ``C_int`` or ``Chat_int`` block, and each object a key once: a
-duplicate (peers ``"1"`` and ``"01"``, or ``"pi"`` twice) is a :class:`SchemaError`.
+most one ``C_int`` block, and each object a key once: a duplicate (peers
+``"1"`` and ``"01"``, or ``"pi"`` twice) is a :class:`SchemaError`.
 Loaded matrices are read-only arrays, each built once from its JSON list.
+
+A file stores only what cannot be derived.  The loader derives the rest: a
+candidate's output blocks are ``Chat_ext = C_ext P`` and ``Chat_int[j] =
+C_int[j] P``, and a certificate is :func:`~simcert.spsf.solve_structural` of
+its candidate and ``(M, K, pi, kappa_hat)``, which gives ``P``, ``Q``, ``S``
+and ``Rtilde``.  Version 1 files, which also stored those blocks, still load:
+each stored block must equal its derived value to within ``1e-9 * max(1,
+max|derived|)`` entrywise, or the load fails naming the subsystem and field.
 
 Floats are written with full precision, so save/load round-trips bit-exactly.
 :func:`dumps` writes a line per top-level field and per entry of a list of
@@ -62,11 +67,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
 from .model import LinearSubsystem, Topology, validate_subsystem
-from .spsf import AbstractionCandidate, AbstractionCertificate
+from .spsf import AbstractionCandidate, AbstractionCertificate, solve_structural
 
 __all__ = ["SCHEMA_VERSION", "RunDefaults", "ProjectFile", "load_project", "save_project", "dumps"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -166,23 +171,19 @@ def _matrices(entry: dict, names, where: str) -> dict[str, np.ndarray]:
 
 
 _SUBSYSTEM_MATRICES = ("A", "B", "D", "F", "C_ext")
-_CANDIDATE_MATRICES = ("P", "Ahat", "Bhat", "Dhat", "Fhat", "Chat_ext")
-_CERTIFICATE_MATRICES = ("M", "K", "P", "Q", "S", "Rtilde")
+_CANDIDATE_MATRICES = ("P", "Ahat", "Bhat", "Dhat", "Fhat")
+_CERTIFICATE_MATRICES = ("M", "K")
 
-# Rows and columns of every candidate and certificate matrix, named by the
-# dimensions of its subsystem (n, m, p, r) and of its candidate (nhat, mhat, qhat).
+# Rows and columns of every stored candidate and certificate matrix, named by the
+# dimensions of its subsystem (n, m, p) and of its candidate (nhat, mhat, qhat).
 _SHAPES = {
     "P": ("n", "nhat"),
     "Ahat": ("nhat", "nhat"),
     "Bhat": ("nhat", "mhat"),
     "Dhat": ("nhat", "p"),
     "Fhat": ("nhat", "qhat"),
-    "Chat_ext": ("r", "nhat"),
     "M": ("n", "n"),
     "K": ("m", "n"),
-    "Q": ("m", "nhat"),
-    "S": ("m", "p"),
-    "Rtilde": ("m", "mhat"),
 }
 
 
@@ -196,11 +197,32 @@ def _check_shapes(where: str, mats: dict[str, np.ndarray], dims: dict[str, int])
             )
 
 
+def _check_derived(where: str, sid: int, entry: dict, derived: dict) -> None:
+    """Refuse a stored copy of a derived matrix, or of a block map, that differs from it."""
+    def close(stored, want) -> bool:  # a NaN in either fails
+        tol = 1e-9 * max(1.0, np.abs(want).max(initial=0.0))
+        return stored.shape == want.shape and np.abs(stored - want).max(initial=0.0) <= tol
+
+    for name, want in derived.items():
+        if entry.get(name) is None:
+            continue
+        if isinstance(want, Mapping):
+            stored = _int_keyed(entry[name], f"{where}.{name}")
+            ok = set(stored) == set(want) and all(close(stored[j], want[j]) for j in want)
+        else:
+            ok = close(_as_matrix(entry[name], f"{where}.{name}"), want)
+        if not ok:
+            raise SchemaError(
+                f"{where}.{name}: the stored value for subsystem {sid} differs from the "
+                "one derived from the rest of the project"
+            )
+
+
 def project_from_dict(doc: dict) -> ProjectFile:
     if not isinstance(doc, dict):
         raise SchemaError("project root must be an object")
     version = _require(doc, "schema_version", "project")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise SchemaError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     raw_subs = _require(doc, "subsystems", "project")
@@ -247,47 +269,42 @@ def project_from_dict(doc: dict) -> ProjectFile:
                 raise SchemaError(f"{key}[{seen[sid]}] and {where} both name subsystem {sid}")
             seen[sid] = pos
             s = subsystems[sid]
-            yield where, s, entry, {"n": s.n, "m": s.m, "p": s.p, "r": s.r}
+            yield where, s, entry, {"n": s.n, "m": s.m, "p": s.p}
 
     candidates: dict[int, AbstractionCandidate] = {}
     for where, s, entry, dims in entries("candidates"):
         mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where)
-        # an absent optional field takes its default in `induced`, built only then
-        mats.update(
-            (name, _as_matrix(entry[name], f"{where}.{name}"))
-            for name in ("Fhat", "Chat_ext") if entry.get(name) is not None
-        )
-        nhat = dims["nhat"] = mats["Ahat"].shape[0]
+        # an absent Fhat takes its default in `induced`, built only then
+        if entry.get("Fhat") is not None:
+            mats["Fhat"] = _as_matrix(entry["Fhat"], f"{where}.Fhat")
+        dims["nhat"] = mats["Ahat"].shape[0]
         dims["mhat"] = mats["Bhat"].shape[1]
         dims["qhat"] = mats["Fhat"].shape[1] if "Fhat" in mats else 0
         _check_shapes(where, mats, dims)
-        chat_int = entry.get("Chat_int")
-        if chat_int is not None:
-            chat_int = _int_keyed(chat_int, f"{where}.Chat_int")
-            if set(chat_int) != set(s.C_int) or any(
-                blk.shape != (s.C_int[j].shape[0], nhat) for j, blk in chat_int.items()
-            ):
-                raise SchemaError(
-                    f"{where}.Chat_int: needs one block of C_int[j] rows x {nhat} "
-                    f"for each peer j in {sorted(s.C_int)}"
-                )
-        candidates[s.id] = AbstractionCandidate.induced(s, **mats, Chat_int=chat_int)
+        cand = candidates[s.id] = AbstractionCandidate.induced(s, **mats)
+        if entry.get("Chat_ext") is not None or entry.get("Chat_int") is not None:
+            abstract = cand.as_subsystem(s)
+            _check_derived(where, s.id, entry,
+                           {"Chat_ext": abstract.C_ext, "Chat_int": abstract.C_int})
 
     certificates: dict[int, AbstractionCertificate] = {}
     notes: dict[int, str] = {}
     for where, s, entry, dims in entries("certificates"):
+        if s.id not in candidates:
+            raise SchemaError(f"{where}: subsystem {s.id} has no candidate to derive it from")
         mats = _matrices(entry, _CERTIFICATE_MATRICES, where)
-        cand = candidates.get(s.id)
-        dims["nhat"] = cand.nhat if cand else mats["P"].shape[1]
-        dims["mhat"] = cand.mhat if cand else mats["Rtilde"].shape[1]
         _check_shapes(where, mats, dims)
-        certificates[s.id] = AbstractionCertificate(
-            **mats,
+        cert = certificates[s.id] = solve_structural(
+            s, candidates[s.id], **mats,
             pi=_number(_require(entry, "pi", where), f"{where}.pi", float),
             kappa_hat=_number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float),
         )
+        _check_derived(where, s.id, entry,
+                       {name: getattr(cert, name) for name in ("P", "Q", "S", "Rtilde")})
         if "note" in entry:
-            notes[s.id] = str(entry["note"])
+            if not isinstance(entry["note"], str):
+                raise SchemaError(f"{where}.note: expected a string, got {entry['note']!r}")
+            notes[s.id] = entry["note"]
 
     run = None
     if doc.get("run") is not None:
@@ -312,26 +329,19 @@ def _save_matrices(obj, names) -> dict[str, list]:
     return {name: getattr(obj, name).tolist() for name in names}
 
 
-def _save_blocks(blocks: Mapping[int, np.ndarray]) -> dict[str, list]:
-    return {str(j): m.tolist() for j, m in sorted(blocks.items())}
-
-
 def project_to_dict(project: ProjectFile) -> dict:
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "subsystems": [
-            {"id": s.id, **_save_matrices(s, _SUBSYSTEM_MATRICES), "C_int": _save_blocks(s.C_int)}
+            {"id": s.id, **_save_matrices(s, _SUBSYSTEM_MATRICES),
+             "C_int": {str(j): m.tolist() for j, m in sorted(s.C_int.items())}}
             for s in project.subsystems
         ],
         "topology": {"edges": [list(pair) for pair in project.topology.pairs]},
     }
     if project.candidates:
         doc["candidates"] = [
-            {
-                "subsystem": sid,
-                **_save_matrices(c, _CANDIDATE_MATRICES),
-                "Chat_int": _save_blocks(c.Chat_int),
-            }
+            {"subsystem": sid, **_save_matrices(c, _CANDIDATE_MATRICES)}
             for sid, c in sorted(project.candidates.items())
         ]
     if project.certificates:

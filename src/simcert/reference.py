@@ -10,14 +10,14 @@ tolerances.
 One published value is knowingly inconsistent: the internal input matching
 forces ``S = -0.004 * ones`` (``B S = P Dhat - D`` with ``Dhat = 0.096``),
 while the published figure is ``-0.003 * ones``, off by 0.001 per row.  The
-fixture embeds the recomputed value; reports must flag the difference.
+fixture derives the recomputed value; reports must flag the difference.
 """
 
 import numpy as np
 
 from .model import LinearSubsystem, Topology
-from .project import ProjectFile, RunDefaults
-from .spsf import AbstractionCandidate, AbstractionCertificate, SpsfConstants
+from .project import SCHEMA_VERSION, ProjectFile, RunDefaults
+from .spsf import AbstractionCandidate, AbstractionCertificate, SpsfConstants, solve_structural
 
 __all__ = [
     "N_SUBSYSTEMS",
@@ -107,24 +107,19 @@ def reference_candidates() -> dict[int, AbstractionCandidate]:
 
 
 def reference_certificates() -> dict[int, AbstractionCertificate]:
+    """Each subsystem's certificate, completed from ``M = I``, ``K = -0.95 I``,
+    ``pi = 0.99`` and ``kappa_hat = 0.98``: ``Q = Rtilde = 1`` and ``S = -0.004``."""
     n = STATE_DIM
-    ones_col = np.ones((n, 1))
-    cert = dict(
-        M=np.eye(n),
-        K=-0.95 * np.eye(n),
-        P=ones_col,
-        Q=ones_col,
-        S=S_RECOMPUTED_COEF * ones_col,
-        Rtilde=ones_col,
-        pi=0.99,
-        kappa_hat=0.98,
-    )
-    return {i: AbstractionCertificate(**cert) for i in range(N_SUBSYSTEMS)}
+    cands = reference_candidates()
+    return {
+        s.id: solve_structural(s, cands[s.id], np.eye(n), -0.95 * np.eye(n), 0.99, 0.98)
+        for s in reference_subsystems()
+    }
 
 
 def reference_project() -> ProjectFile:
     return ProjectFile(
-        schema_version=1,
+        schema_version=SCHEMA_VERSION,
         subsystems=reference_subsystems(),
         topology=reference_topology(),
         candidates=reference_candidates(),

@@ -100,7 +100,7 @@ def build_gains(constants: Sequence[SpsfConstants], topo: Topology) -> GainDecom
     ``j -> i`` whatever the fan-in of ``i``.
 
     The internal input is stacked, each in-edge on its own rows, so by the
-    output match ``C_full,j P_j = Chat_full,j`` the squared ``||omega_i -
+    abstract output map ``Chat_full,j = C_full,j P_j`` the squared ``||omega_i -
     omegahat_i||`` is the sum over ``j -> i`` of ``||C_int,j->i (x_j - P_j
     xhat_j)||**2``, and each term is at most ``V_j`` by the output bound ``M_j
     >= C_full,j' C_full,j``.  The paper's fan-in factor ``d**2`` splits a

@@ -1,7 +1,7 @@
 """Shared construction helpers for randomized test instances, dense oracles,
 the closeness function, the interface function and the one-step expectation
-oracles with their Monte Carlo check, and a fresh interpreter for import
-checks."""
+oracles with their Monte Carlo check, the version 1 form of a project, and a
+fresh interpreter for import checks."""
 
 import dataclasses
 import os
@@ -15,7 +15,7 @@ from scipy.linalg import block_diag
 
 import simcert
 from simcert.model import InterconnectedSystem, LinearSubsystem, Topology
-from simcert.project import ProjectFile
+from simcert.project import ProjectFile, project_to_dict
 from simcert.reference import reference_project
 from simcert.smallgain import build_gains, compose, find_mu
 from simcert.spsf import (
@@ -179,6 +179,23 @@ def diverging_project() -> ProjectFile:
     return dataclasses.replace(project, candidates=cands, certificates=certs)
 
 
+def v1_document(project: ProjectFile) -> dict:
+    """``project`` as a schema version 1 document, which also stored every block
+    that version 2 derives: each candidate's ``Chat_ext`` and ``Chat_int``, and
+    each certificate's ``P``, ``Q``, ``S`` and ``Rtilde``."""
+    doc = project_to_dict(project)
+    doc["schema_version"] = 1
+    for entry in doc.get("candidates", []):
+        sid = entry["subsystem"]
+        abstract = project.candidates[sid].as_subsystem(project.subsystems[sid])
+        entry["Chat_ext"] = abstract.C_ext.tolist()
+        entry["Chat_int"] = {str(j): b.tolist() for j, b in sorted(abstract.C_int.items())}
+    for entry in doc.get("certificates", []):
+        cert = project.certificates[entry["subsystem"]]
+        entry.update((name, getattr(cert, name).tolist()) for name in ("P", "Q", "S", "Rtilde"))
+    return doc
+
+
 def certified_network(seed, abstract_noise=False, fan_in=1):
     """Random 2-4 subsystem interconnection with valid certificates and a
     feasible gain composition.
@@ -265,10 +282,11 @@ def deviation_covariance(subs, topo, cands, certs, T) -> np.ndarray:
     """Exact ``Cov(y_k - yhat_k)`` for ``k = 0 .. T``, shaped ``(T+1, r, r)``, of a
     run from zero states with a zero abstract input.
 
-    Built in the error coordinates ``e_i = x_i - P_i xhat_i``: when the drift,
-    internal-input and output equalities hold, ``e_i+ = (A_i + B_i K_i) e_i +
-    D_i (omega_i - omegahat_i) + F_i w_i - P_i Fhat_i what_i`` with ``omega_i -
-    omegahat_i`` routed from ``C_int e`` of its sources and ``y - yhat = C_ext e``.
+    Built in the error coordinates ``e_i = x_i - P_i xhat_i``: when the drift
+    and internal-input equalities hold, ``e_i+ = (A_i + B_i K_i) e_i + D_i
+    (omega_i - omegahat_i) + F_i w_i - P_i Fhat_i what_i`` with ``omega_i -
+    omegahat_i`` routed from ``C_int e`` of its sources and ``y - yhat = C_ext e``,
+    since the abstract output map is ``C P``.
     So ``Sigma_k+1 = Acl Sigma_k Acl' + W`` from ``Sigma_0 = 0``.  The noise
     never enters: this is a reference for the simulator's draws.  Raises
     ``AssertionError`` unless every equality holds to 1e-12.
@@ -276,9 +294,7 @@ def deviation_covariance(subs, topo, cands, certs, T) -> np.ndarray:
     residuals = []
     for s, cand, cert in zip(subs, cands, certs):
         P = cert.P
-        residuals += [s.A @ P - P @ cand.Ahat + s.B @ cert.Q, s.D - P @ cand.Dhat + s.B @ cert.S,
-                      s.C_ext @ P - cand.Chat_ext]
-        residuals += [C @ P - cand.Chat_int[j] for j, C in s.C_int.items()]
+        residuals += [s.A @ P - P @ cand.Ahat + s.B @ cert.Q, s.D - P @ cand.Dhat + s.B @ cert.S]
     assert max(float(np.abs(r).max(initial=0.0)) for r in residuals) <= 1e-12
     at = np.cumsum([0] + [s.n for s in subs])
     Acl = block_diag(*(s.A + s.B @ cert.K for s, cert in zip(subs, certs)))

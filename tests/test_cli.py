@@ -82,10 +82,11 @@ def test_compose_writes_composed_certificate(project_path, tmp_path, capsys):
 ], ids=lambda command: command[0])
 def test_infeasible_network_reported_once(project_path, capsys, command):
     # every command that composes reports a failed gain test with the same line;
-    # doubling each D, Dhat and S keeps every certificate valid (the internal-input
-    # equality is linear in the three) and quadruples rho_int: radius 3.586941
+    # doubling each D and Dhat doubles the derived S with them, keeps every certificate
+    # valid (the internal-input equality is linear in the three) and quadruples rho_int,
+    # which depends on D alone: radius 3.586941
     doc = json.loads(project_path.read_text())
-    for group, key in (("subsystems", "D"), ("candidates", "Dhat"), ("certificates", "S")):
+    for group, key in (("subsystems", "D"), ("candidates", "Dhat")):
         for entry in doc[group]:
             entry[key] = [[2 * v for v in row] for row in entry[key]]
     project_path.write_text(json.dumps(doc))

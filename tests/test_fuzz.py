@@ -1,18 +1,21 @@
 """Mutated project files never crash the command line.
 
-Every mutation of the bundled project must end in exit code 0, 1 or 2: a
-result, an analytic or soundness failure, or an input error.  A Python
-exception escaping ``main`` fails the test.
+Every mutation of the bundled project, in its saved form and in its schema
+version 1 form, must end in exit code 0, 1 or 2: a result, an analytic or
+soundness failure, or an input error.  A Python exception escaping ``main``
+fails the test.
 """
 
 import copy
 import json
 
 import pytest
+from helpers import v1_document
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from simcert.cli import main
+from simcert.project import project_from_dict
 
 COMMANDS = (
     ["check"],
@@ -30,9 +33,11 @@ VALUES = st.one_of(
 
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
+    """The emitted project, as saved and in its version 1 form."""
     path = tmp_path_factory.mktemp("fuzz") / "net.json"
     assert main(["paper-example", "--trials", "30", "--emit-project", str(path)]) == 0
-    return json.loads(path.read_text())
+    doc = json.loads(path.read_text())
+    return doc, v1_document(project_from_dict(doc))
 
 
 def _mutate(data, doc) -> None:
@@ -61,10 +66,11 @@ def _mutate(data, doc) -> None:
 )
 @given(data=st.data())
 def test_mutated_project_never_crashes(emitted, tmp_path, data):
-    doc = json.loads(json.dumps(emitted))
-    for _ in range(data.draw(st.integers(1, 3))):
-        _mutate(data, doc)
-    path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(doc))
-    for command in COMMANDS:
-        assert main([command[0], "--project", str(path), *command[1:]]) in (0, 1, 2)
+    for form in emitted:
+        doc = json.loads(json.dumps(form))
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, doc)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            assert main([command[0], "--project", str(path), *command[1:]]) in (0, 1, 2)

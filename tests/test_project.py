@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import certified_network, random_network
+from helpers import certified_network, random_network, v1_document
 from simcert import smallgain, spsf
 from simcert.cli import main
 from simcert.errors import SchemaError, SimcertError
@@ -63,9 +63,11 @@ def test_missing_schema_version(ref_project):
 
 def test_unknown_schema_version(ref_project):
     doc = project_to_dict(ref_project)
-    doc["schema_version"] = 99
-    with pytest.raises(SchemaError):
-        project_from_dict(doc)
+    # True and 1.0 compare equal to 1, yet only the integers 1 and 2 are versions
+    for version in (99, 0, True, 1.0, "2"):
+        doc["schema_version"] = version
+        with pytest.raises(SchemaError, match="unsupported schema_version"):
+            project_from_dict(doc)
 
 
 def test_bad_certificate_reference(ref_project):
@@ -110,7 +112,7 @@ def test_repeated_edge_exits_2(ref_project, tmp_path, capsys):
 @pytest.mark.parametrize("seed", range(6))
 def test_routing_survives_save_and_load(tmp_path, seed):
     subs, pairs = random_network(np.random.default_rng(seed))
-    project = ProjectFile(1, tuple(subs), Topology.from_pairs(subs, pairs))
+    project = ProjectFile(2, tuple(subs), Topology.from_pairs(subs, pairs))
     save_project(project, tmp_path / "net.json")
     loaded = load_project(tmp_path / "net.json")
     before = assemble_interconnection(project.subsystems, project.topology).in_edges
@@ -120,34 +122,31 @@ def test_routing_survives_save_and_load(tmp_path, seed):
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(edges, loaded_edges))
 
 
-def _without_optional_fields(project) -> dict:
+def _without_Fhat(project) -> dict:
     doc = project_to_dict(project)
     for cand in doc["candidates"]:
-        for name in ("Fhat", "Chat_ext", "Chat_int"):
-            del cand[name]
+        del cand["Fhat"]
     return doc
 
 
 def test_candidate_defaults(ref_project):
-    loaded = project_from_dict(_without_optional_fields(ref_project))
-    cand = loaded.candidates[0]
-    s = loaded.subsystems[0]
-    assert np.array_equal(cand.Chat_ext, s.C_ext @ cand.P)
-    assert set(cand.Chat_int) == set(s.C_int)
-    assert cand.Fhat.shape == (1, 0)
-    # on the reference ring and on a random one, absent fields are bitwise `induced`'s
-    for project in (loaded, project_from_dict(_without_optional_fields(_ring_project()))):
+    loaded = project_from_dict(_without_Fhat(ref_project))
+    assert loaded.candidates[0].Fhat.shape == (1, 0)
+    # on the reference ring and on a random one, an absent Fhat is bitwise `induced`'s,
+    # and the abstract output blocks are C P
+    for project in (loaded, project_from_dict(_without_Fhat(_ring_project()))):
         for s in project.subsystems:
             got = project.candidates[s.id]
             want = AbstractionCandidate.induced(
                 s, P=got.P, Ahat=got.Ahat, Bhat=got.Bhat, Dhat=got.Dhat
             )
-            for name in ("Fhat", "Chat_ext"):
-                assert getattr(got, name).shape == getattr(want, name).shape
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert set(got.Chat_int) == set(want.Chat_int) == set(s.C_int)
-            for j in want.Chat_int:
-                assert got.Chat_int[j].tobytes() == want.Chat_int[j].tobytes()
+            assert got.Fhat.shape == want.Fhat.shape
+            assert got.Fhat.tobytes() == want.Fhat.tobytes()
+            abstract = got.as_subsystem(s)
+            assert abstract.C_ext.tobytes() == (s.C_ext @ got.P).tobytes()
+            assert set(abstract.C_int) == set(s.C_int)
+            for j, C in s.C_int.items():
+                assert abstract.C_int[j].tobytes() == (C @ got.P).tobytes()
 
 
 def test_not_json(tmp_path):
@@ -169,7 +168,8 @@ def _set(doc, path, value):
     doc[last] = value
 
 
-# each entry is one malformed field; all must be refused at load with exit 2
+# each entry is one malformed field; all must be refused at load with exit 2.
+# Those of _V1_ONLY name a field that only a version 1 file stores.
 LOADER_DEFECTS = {
     "nan-matrix-entry": (("subsystems", 0, "A", 0, 0), float("nan")),
     "inf-matrix-entry": (("certificates", 0, "M", 0, 0), float("inf")),
@@ -197,9 +197,13 @@ LOADER_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("path, value", LOADER_DEFECTS.values(), ids=LOADER_DEFECTS.keys())
-def test_malformed_field_exits_2(ref_project, tmp_path, capsys, path, value):
-    doc = project_to_dict(ref_project)
+_V1_ONLY = ("wrong-shape-Q", "wrong-shape-Chat_ext", "Chat_int-peer")
+
+
+@pytest.mark.parametrize("name", LOADER_DEFECTS)
+def test_malformed_field_exits_2(ref_project, tmp_path, capsys, name):
+    path, value = LOADER_DEFECTS[name]
+    doc = v1_document(ref_project) if name in _V1_ONLY else project_to_dict(ref_project)
     _set(doc, path, value)
     with pytest.raises(SchemaError):
         project_from_dict(doc)
@@ -213,7 +217,7 @@ def _ring_project(seed=3) -> ProjectFile:
     """A certified random ring, with full-precision floats everywhere."""
     subs, topo, cands, certs, _ = certified_network(seed)
     return ProjectFile(
-        schema_version=1,
+        schema_version=2,
         subsystems=tuple(subs),
         topology=topo,
         candidates=dict(enumerate(cands)),
@@ -317,7 +321,7 @@ def test_duplicate_entry_rejected(ref_project, key):
 
 @pytest.mark.parametrize("path", [("subsystems", 0, "C_int"), ("candidates", 0, "Chat_int")])
 def test_duplicate_peer_key_rejected(ref_project, path):
-    doc = project_to_dict(ref_project)
+    doc = v1_document(ref_project)
     blocks = doc[path[0]][path[1]][path[2]]
     (peer,) = blocks
     blocks["0" + peer] = blocks[peer]
@@ -353,20 +357,9 @@ def test_duplicate_json_key_exits_2(ref_project, tmp_path, capsys):
 
 def test_present_optional_fields_are_used_as_written(ref_project):
     doc = project_to_dict(ref_project)
-    rng = np.random.default_rng(5)
     cand = doc["candidates"][0]
-    nhat = len(cand["Ahat"])
-    written = {
-        "Fhat": rng.standard_normal((nhat, 2)).tolist(),
-        "Chat_ext": rng.standard_normal(np.shape(cand["Chat_ext"])).tolist(),
-        "Chat_int": {j: rng.standard_normal(np.shape(b)).tolist()
-                     for j, b in cand["Chat_int"].items()},
-    }
-    cand.update(written)
-    got = project_from_dict(doc).candidates[0]
-    assert got.Fhat.tolist() == written["Fhat"]
-    assert got.Chat_ext.tolist() == written["Chat_ext"]
-    assert {str(j): b.tolist() for j, b in got.Chat_int.items()} == written["Chat_int"]
+    cand["Fhat"] = np.random.default_rng(5).standard_normal((len(cand["Ahat"]), 2)).tolist()
+    assert project_from_dict(doc).candidates[0].Fhat.tolist() == cand["Fhat"]
 
 
 def test_loaded_arrays_are_read_only(ref_project):
@@ -375,7 +368,7 @@ def test_loaded_arrays_are_read_only(ref_project):
     for s in loaded.subsystems:
         arrays += [s.A, s.B, s.D, s.F, s.C_ext, *s.C_int.values()]
     for c in loaded.candidates.values():
-        arrays += [c.P, c.Ahat, c.Bhat, c.Dhat, c.Fhat, c.Chat_ext, *c.Chat_int.values()]
+        arrays += [c.P, c.Ahat, c.Bhat, c.Dhat, c.Fhat]
     for c in loaded.certificates.values():
         arrays += [c.M, c.K, c.P, c.Q, c.S, c.Rtilde]
     for arr in arrays:
@@ -392,13 +385,99 @@ def test_writable_arrays_are_copied():
     block = base.copy()
     s = LinearSubsystem(id=0, **given, C_int={1: block})
     cand = AbstractionCandidate(
-        Ahat=given["A"], Bhat=given["B"], Dhat=view, Fhat=given["F"], Chat_ext=given["C_ext"],
-        Chat_int={1: block}, P=base,
+        Ahat=given["A"], Bhat=given["B"], Dhat=view, Fhat=given["F"], P=base
     )
     for arr in [*given.values(), block, base]:
         if arr.flags.writeable:
             arr[...] = 7.0  # `base` last: it also changes `view`
     for held in [s.A, s.B, s.D, s.F, s.C_ext, s.C_int[1],
-                 cand.Ahat, cand.Bhat, cand.Dhat, cand.Fhat, cand.Chat_ext, cand.Chat_int[1],
-                 cand.P]:
+                 cand.Ahat, cand.Bhat, cand.Dhat, cand.Fhat, cand.P]:
         assert np.array_equal(held, np.eye(2))
+
+
+_DERIVED_FIELDS = [("candidates", "Chat_ext"), ("candidates", "Chat_int"),
+                   ("certificates", "P"), ("certificates", "Q"), ("certificates", "S"),
+                   ("certificates", "Rtilde")]
+
+
+def test_saved_file_holds_no_derived_key(ref_project, tmp_path):
+    path = tmp_path / "net.json"
+    save_project(ref_project, path)
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 2
+    for group, name in _DERIVED_FIELDS:
+        assert all(name not in entry for entry in doc[group])
+    assert set(doc["candidates"][0]) == {"subsystem", "P", "Ahat", "Bhat", "Dhat", "Fhat"}
+    assert set(doc["certificates"][0]) == {"subsystem", "M", "K", "pi", "kappa_hat", "note"}
+
+
+def _constants(project):
+    return [spsf.derive_constants(s, project.candidate_for(s.id), project.certificate_for(s.id))
+            for s in project.subsystems]
+
+
+@pytest.mark.parametrize("seed, fan_in, noise",
+                         [(900, 1, False), (2104, 2, False), (2101, 1, True)])
+def test_save_load_reproduces_certificates_bitwise(tmp_path, seed, fan_in, noise):
+    subs, topo, cands, certs, _ = certified_network(seed, abstract_noise=noise, fan_in=fan_in)
+    project = ProjectFile(2, tuple(subs), topo, dict(enumerate(cands)), dict(enumerate(certs)))
+    save_project(project, tmp_path / "net.json")
+    loaded = load_project(tmp_path / "net.json")
+    for sid, cert in project.certificates.items():
+        got = loaded.certificates[sid]
+        for name in ("M", "K", "P", "Q", "S", "Rtilde"):
+            assert getattr(got, name).tobytes() == getattr(cert, name).tobytes()
+        assert (got.pi, got.kappa_hat) == (cert.pi, cert.kappa_hat)
+    assert _constants(loaded) == _constants(project)
+    # and the version 1 form of the same network loads to the same constants
+    assert _constants(project_from_dict(v1_document(project))) == _constants(project)
+
+
+def test_version_1_file_loads_to_same_constants(ref_project, tmp_path, capsys):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(v1_document(ref_project)))
+    assert _constants(load_project(path)) == _constants(ref_project)
+    assert main(["check", "--project", str(path)]) == 0
+    assert "all certificates pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("group, name", _DERIVED_FIELDS, ids=[n for _, n in _DERIVED_FIELDS])
+def test_hand_edited_derived_field_exits_2(ref_project, tmp_path, capsys, group, name):
+    # a version 1 block is compared with its derived value, never swapped for it silently:
+    # half the tolerance 1e-9 * max(1, max|derived|) loads, twice it is refused
+    for scale, code in ((0.5e-9, 0), (2e-9, 2)):
+        doc = v1_document(ref_project)
+        entry = doc[group][1]
+        block = entry[name] if name != "Chat_int" else next(iter(entry[name].values()))
+        block[0][0] += scale * max(1.0, np.abs(block).max())
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--project", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"error: {group}[1].{name}: ")
+            assert "subsystem 1 differs from the one derived" in err
+
+
+def test_certificate_without_candidate_exits_2(ref_project, tmp_path, capsys):
+    doc = project_to_dict(ref_project)
+    del doc["candidates"][2]
+    with pytest.raises(SchemaError, match=r"certificates\[2\]: subsystem 2 has no candidate"):
+        project_from_dict(doc)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(path)]) == 2
+    assert "has no candidate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("note", [None, [1, 2], 3.5, {"text": "x"}])
+def test_non_string_note_exits_2(ref_project, tmp_path, capsys, note):
+    # a non-string note was printed as its repr and saved back as that text
+    doc = project_to_dict(ref_project)
+    doc["certificates"][0]["note"] = note
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: certificates[0].note: expected a string, got {note!r}\n"
+    )

@@ -226,7 +226,7 @@ def test_composed_lower_bound(ref_parts):
         xs = [rng.standard_normal(25) for _ in range(4)]
         xhs = [rng.standard_normal(1) for _ in range(4)]
         y = np.concatenate([subs[i].C_ext @ xs[i] for i in range(4)])
-        yh = np.concatenate([cands[i].Chat_ext @ xhs[i] for i in range(4)])
+        yh = np.concatenate([cands[i].as_subsystem(subs[i]).C_ext @ xhs[i] for i in range(4)])
         v = sum(comp.mu[i] * evaluate_V(xs[i], xhs[i], certs[i].M, certs[i].P) for i in range(4))
         assert comp.alpha_coef * float((y - yh) @ (y - yh)) <= v + 1e-9
 
@@ -235,7 +235,7 @@ def test_composed_supermartingale_one_step(ref_parts):
     subs, topo, cands, certs = ref_parts
     derived, comp = _reference_composition(subs, topo, cands, certs)
     rng = np.random.default_rng(22)
-    abs_subs = [cands[i].as_subsystem(i) for i in range(4)]
+    abs_subs = [cands[i].as_subsystem(subs[i]) for i in range(4)]
     for _ in range(1000):
         xs = [rng.standard_normal(25) for _ in range(4)]
         xhs = [rng.standard_normal(1) for _ in range(4)]
@@ -295,7 +295,7 @@ def _composed_one_step_form(subs, topo, cands, certs, composed):
     polarization at the unit vectors and their pairwise sums.
     """
     N = len(subs)
-    abs_subs = [cands[i].as_subsystem(i) for i in range(N)]
+    abs_subs = [cands[i].as_subsystem(subs[i]) for i in range(N)]
     sizes = [s.n for s in subs] + [c.nhat for c in cands]
     cuts = np.cumsum(sizes)[:-1]
 
