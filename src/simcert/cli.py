@@ -48,14 +48,11 @@ __all__ = [
 # test, mu and composed constants, or the infeasible report) -> _bound.
 
 
-def _check_reports(project: ProjectFile, tol: float, ids) -> dict:
-    """Condition report of each listed subsystem's certificate, keyed by id."""
-    return {
-        sid: spsf.check_conditions(
-            project.subsystems[sid], project.candidate_for(sid), project.certificate_for(sid), tol
-        )
-        for sid in ids
-    }
+def _per_certificate(fn, project: ProjectFile, ids, *rest) -> dict:
+    """``fn(s, candidate, certificate, *rest)`` by id; copies that hold one certificate share."""
+    call = spsf._shared(fn, hint=lambda args: id(args[2]))
+    return {sid: call(project.subsystems[sid], project.candidate_for(sid),
+                      project.certificate_for(sid), *rest) for sid in ids}
 
 
 def _all_constants(
@@ -67,19 +64,17 @@ def _all_constants(
     failing certificate stops the pipeline before any guarantee is formed.
     ``reports`` passes on the checks already made at ``tol``, keyed by id.
     """
+    ids = [s.id for s in project.subsystems]
     if reports is None:
-        reports = _check_reports(project, tol, [s.id for s in project.subsystems])
-    failed = [s.id for s in project.subsystems if not reports[s.id].passed]
+        reports = _per_certificate(spsf.check_conditions, project, ids, tol)
+    failed = [sid for sid in ids if not reports[sid].passed]
     for sid in failed:
         report = reports[sid]
         reasons = [c.name for c in report.checks if not c.passed] + list(report.violations)
         print(f"certificate of subsystem {sid} fails its pre-check: {'; '.join(reasons)}")
     if failed:
         raise PreconditionViolated("a certificate fails its conditions; no guarantee printed")
-    return [
-        spsf.derive_constants(s, project.candidate_for(s.id), project.certificate_for(s.id))
-        for s in project.subsystems
-    ]
+    return list(_per_certificate(spsf.derive_constants, project, ids).values())
 
 
 def _composition(constants, topology: Topology, show: bool = False):
@@ -138,7 +133,8 @@ def cmd_check(args) -> int:
     project = load_project(args.project)
     if not project.certificates:
         raise SchemaError("project contains no certificates to check")
-    return _print_reports(project, _check_reports(project, args.tol, sorted(project.certificates)))
+    ids = sorted(project.certificates)
+    return _print_reports(project, _per_certificate(spsf.check_conditions, project, ids, args.tol))
 
 
 def _print_reports(project: ProjectFile, reports: dict) -> int:
@@ -360,7 +356,7 @@ def cmd_paper_example(args) -> int:
     failures: list[str] = []
 
     print("== certificate check ==")
-    reports = _check_reports(project, tol, sorted(project.certificates))
+    reports = _per_certificate(spsf.check_conditions, project, sorted(project.certificates), tol)
     if _print_reports(project, reports) != 0:
         failures.append("certificate check")
 

@@ -45,9 +45,10 @@ A file stores only what cannot be derived.  The loader derives the rest: a
 candidate's output blocks are ``Chat_ext = C_ext P`` and ``Chat_int[j] =
 C_int[j] P``, and a certificate is :func:`~simcert.spsf.solve_structural` of
 its candidate and ``(M, K, pi, kappa_hat)``, which gives ``P``, ``Q``, ``S``
-and ``Rtilde``.  Version 1 files, which also stored those blocks, still load:
-each stored block must equal its derived value to within ``1e-9 * max(1,
-max|derived|)`` entrywise, or the load fails naming the subsystem and field.
+and ``Rtilde``; identical entries share one derivation per load, and one check
+and constant set per command.  Version 1 files, which also stored those blocks,
+still load: each stored block must equal its derived value to within ``1e-9 *
+max(1, max|derived|)`` entrywise, or the load fails naming the subsystem and field.
 
 Floats are written with full precision, so save/load round-trips bit-exactly.
 :func:`dumps` writes a line per top-level field and per entry of a list of
@@ -67,7 +68,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
 from .model import LinearSubsystem, Topology, validate_subsystem
-from .spsf import AbstractionCandidate, AbstractionCertificate, solve_structural
+from .spsf import AbstractionCandidate, AbstractionCertificate, _shared, solve_structural
 
 __all__ = ["SCHEMA_VERSION", "RunDefaults", "ProjectFile", "load_project", "save_project", "dumps"]
 
@@ -289,15 +290,17 @@ def project_from_dict(doc: dict) -> ProjectFile:
 
     certificates: dict[int, AbstractionCertificate] = {}
     notes: dict[int, str] = {}
+    # entries that share their M, as copies do, share one derivation per distinct input
+    derive = _shared(solve_structural, hint=lambda args: args[2].tobytes())
     for where, s, entry, dims in entries("certificates"):
         if s.id not in candidates:
             raise SchemaError(f"{where}: subsystem {s.id} has no candidate to derive it from")
         mats = _matrices(entry, _CERTIFICATE_MATRICES, where)
         _check_shapes(where, mats, dims)
-        cert = certificates[s.id] = solve_structural(
-            s, candidates[s.id], **mats,
-            pi=_number(_require(entry, "pi", where), f"{where}.pi", float),
-            kappa_hat=_number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float),
+        cert = certificates[s.id] = derive(
+            s, candidates[s.id], mats["M"], mats["K"],
+            _number(_require(entry, "pi", where), f"{where}.pi", float),
+            _number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float),
         )
         _check_derived(where, s.id, entry,
                        {name: getattr(cert, name) for name in ("P", "Q", "S", "Rtilde")})

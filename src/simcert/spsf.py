@@ -26,7 +26,7 @@ with the closed-form coefficients produced by :func:`derive_constants`.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -213,9 +213,9 @@ def check_conditions(
 ) -> ConditionReport:
     """Evaluate all certificate conditions and report their numerical slack.
 
-    Matrix-inequality margins (minimum eigenvalues) must be ``>= -tol``
-    scaled by ``max(1, ||M||)``; equality residuals (spectral norms) must be
-    ``<= tol``.  Nothing is raised: the report carries pass/fail per check.
+    Matrix-inequality margins (minimum eigenvalues) must be ``>= -tol`` scaled by
+    ``max(1, ||M||)``, equality residuals (spectral norms) ``<= tol``, and ``cert.P``
+    must be ``cand.P`` bit for bit.  Nothing is raised: the report carries pass/fail.
     """
     M, K, P, C_full = cert.M, cert.K, cert.P, s.output_matrix()
     n, nhat = s.n, cand.nhat
@@ -237,12 +237,38 @@ def check_conditions(
         ConditionCheck("drift match", drift_res, tol, drift_res <= tol),
         ConditionCheck("internal input match", internal_res, tol, internal_res <= tol),
     )
-    violations = []
+    lift = P.shape == cand.P.shape and P.tobytes() == cand.P.tobytes()
+    violations = [] if lift else ["the certificate's P is not the candidate's lift, bit for bit"]
     if not 0.0 < cert.kappa_hat < 1.0:
         violations.append(f"kappa_hat out of (0,1): {cert.kappa_hat}")
     if cert.pi <= 0.0:
         violations.append(f"pi must be positive: {cert.pi}")
     return ConditionReport(tol=tol, checks=checks, violations=tuple(violations))
+
+
+def _input_key(s: LinearSubsystem, cand: AbstractionCandidate, *rest) -> tuple:
+    """Shapes and bytes of ``s.A, B, D, F``, its output map, each field or value of the rest."""
+    items = [s.A, s.B, s.D, s.F, s.output_matrix()]
+    for x in (cand, *rest):
+        items += [getattr(x, f.name) for f in fields(x)] if is_dataclass(x) else [x]
+    arrays = [np.asarray(x, dtype=float) for x in items]
+    return tuple(a.shape for a in arrays), b"".join([a.tobytes() for a in arrays])
+
+
+def _shared(fn, hint):
+    """``fn``, called once per distinct :func:`_input_key` among the calls through the returned
+    function whose ``hash(hint(args))`` repeats; a first call is keyed only once repeated."""
+    firsts, memo = {}, {}  # firsts: hint -> [its first call's args (None once keyed), result]
+    def call(*args):
+        h = hash(hint(args))
+        if h not in firsts:
+            firsts[h] = [args, fn(*args)]
+            return firsts[h][1]
+        if firsts[h][0] is not None:
+            memo[_input_key(*firsts[h][0])], firsts[h][0] = firsts[h][1], None
+        key = _input_key(*args)
+        return memo[key] if key in memo else memo.setdefault(key, fn(*args))
+    return call
 
 
 def synthesize_MK(

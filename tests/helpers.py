@@ -1,9 +1,10 @@
 """Shared construction helpers for randomized test instances, dense oracles,
 the closeness function, the interface function and the one-step expectation
-oracles with their Monte Carlo check, the version 1 form of a project, and a
-fresh interpreter for import checks."""
+oracles with their Monte Carlo check, the version 1 form of a project, a ring
+of reference copies, and a fresh interpreter for import checks."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -194,6 +195,22 @@ def v1_document(project: ProjectFile) -> dict:
         cert = project.certificates[entry["subsystem"]]
         entry.update((name, getattr(cert, name).tolist()) for name in ("P", "Q", "S", "Rtilde"))
     return doc
+
+
+def ring_document(n: int) -> dict:
+    """A ring ``i -> i+1 mod n`` of copies of reference subsystem 0, each with the
+    reference candidate (given ``Fhat = 0.01``) and certificate, as a project
+    document whose copies share no list."""
+    ref = project_to_dict(reference_project())
+    sub, cand, cert = (ref[key][0] for key in ("subsystems", "candidates", "certificates"))
+    (row,) = sub["C_int"].values()
+    return json.loads(json.dumps({
+        "schema_version": ref["schema_version"],
+        "subsystems": [{**sub, "id": i, "C_int": {str((i + 1) % n): row}} for i in range(n)],
+        "topology": {"edges": [[i, (i + 1) % n] for i in range(n)]},
+        "candidates": [{**cand, "subsystem": i, "Fhat": [[0.01]]} for i in range(n)],
+        "certificates": [{**cert, "subsystem": i} for i in range(n)],
+    }))
 
 
 def certified_network(seed, abstract_noise=False, fan_in=1):

@@ -1,4 +1,6 @@
+import collections
 import csv
+import dataclasses
 import json
 import warnings
 from decimal import Decimal
@@ -6,15 +8,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import diverging_project, fresh_python, python_run
+from helpers import certified_network, diverging_project, fresh_python, python_run, ring_document
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simcert import cli, montecarlo, smallgain, spsf
 from simcert.cli import main
-from simcert.errors import RankDeficientWarning
+from simcert.errors import RankDeficientWarning, SingularGramWarning
 from simcert.montecarlo import RunConfig, simulate_pair
-from simcert.project import load_project, save_project
+from simcert.project import ProjectFile, RunDefaults, load_project, project_from_dict, save_project
 from simcert.reference import reference_project
 
 
@@ -720,3 +722,130 @@ print({SCIPY_MODULES})
 def test_moved_scipy_imports_resolve(project_path):
     loaded = json.loads(fresh_python(SCIPY_USERS, str(project_path)))
     assert "scipy.linalg" in loaded and "scipy.special" not in loaded
+
+
+# Identical subsystems share one derivation, check and constant set.  Each field a
+# result may read, by the list of the document that holds it; "C_int" is the ring row.
+RING_FIELDS = {
+    "subsystems": ("A", "B", "D", "F", "C_ext", "C_int"),
+    "candidates": ("P", "Ahat", "Bhat", "Dhat", "Fhat"),
+    "certificates": ("M", "K", "pi", "kappa_hat"),
+}
+
+
+def _certificate_bits(c: spsf.AbstractionCertificate) -> list:
+    arrays = (c.M, c.K, c.P, c.Q, c.S, c.Rtilde)
+    return [(a.shape, a.tobytes()) for a in arrays] + [repr(c.pi), repr(c.kappa_hat)]
+
+
+@pytest.mark.parametrize(
+    "group, field", [(group, field) for group, names in RING_FIELDS.items() for field in names]
+)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(sid=st.integers(0, 3), at=st.integers(0, 10**6), up=st.booleans())
+def test_distinct_subsystems_are_never_merged(group, field, sid, at, up):
+    # one entry of one copy moved by one ulp gives that copy its own results, and
+    # every copy's results equal those of direct per-subsystem calls, float for float
+    doc = ring_document(4)
+    holder = doc[group][sid]
+    if field == "C_int":
+        holder, field = holder["C_int"], next(iter(holder["C_int"]))
+    toward = np.inf if up else -np.inf
+    if isinstance(holder[field], list):
+        rows = holder[field]
+        i, j = divmod(at % (len(rows) * len(rows[0])), len(rows[0]))
+        rows[i][j] = float(np.nextafter(rows[i][j], toward))
+    else:
+        holder[field] = float(np.nextafter(holder[field], toward))
+
+    project = project_from_dict(doc)
+    reports = cli._per_certificate(spsf.check_conditions, project, range(4), 1e-9)
+    constants = cli._all_constants(project, 1e-9, reports)
+    for k, (s, entry) in enumerate(zip(project.subsystems, doc["certificates"])):
+        cand = project.candidates[k]
+        direct = spsf.solve_structural(
+            s, cand, np.array(entry["M"]), np.array(entry["K"]), entry["pi"], entry["kappa_hat"]
+        )
+        assert _certificate_bits(project.certificates[k]) == _certificate_bits(direct)
+        assert repr(reports[k]) == repr(spsf.check_conditions(s, cand, direct, 1e-9))
+        assert repr(constants[k]) == repr(spsf.derive_constants(s, cand, direct))
+    others = [k for k in range(4) if k != sid]
+    for results in (project.certificates, reports, constants):
+        assert all(results[sid] is not results[k] for k in others)
+        assert results[others[0]] is results[others[1]] is results[others[2]]
+
+    # one certificate object held by every copy: still one result per distinct input
+    cert = project.certificates[others[0]]
+    held = dataclasses.replace(project, certificates=dict.fromkeys(range(4), cert))
+    reports = cli._per_certificate(spsf.check_conditions, held, range(4), 1e-9)
+    constants = cli._per_certificate(spsf.derive_constants, held, range(4))
+    for k, s in enumerate(project.subsystems):
+        assert repr(reports[k]) == repr(spsf.check_conditions(s, project.candidates[k], cert, 1e-9))
+        assert repr(constants[k]) == repr(spsf.derive_constants(s, project.candidates[k], cert))
+    if group != "certificates":
+        assert all(reports[sid] is not reports[k] for k in others)
+
+
+def test_each_distinct_subsystem_is_analysed_once_per_load_and_command(
+    tmp_path, capsys, monkeypatch
+):
+    # nothing is kept between loads or commands: a second one repeats the work
+    path = tmp_path / "ring.json"
+    doc = ring_document(8)
+    path.write_text(json.dumps(doc))
+    calls = collections.Counter()
+    for name in ("compute_Rtilde", "check_conditions", "derive_constants"):
+        fn = getattr(spsf, name)
+        monkeypatch.setattr(spsf, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    load_project(path)
+    assert calls == {"compute_Rtilde": 1}
+    load_project(path)
+    assert calls == {"compute_Rtilde": 2}
+
+    # copy 5 with its noise doubled is a second distinct subsystem
+    doc["subsystems"][5]["F"] = [[2 * v for v in row] for row in doc["subsystems"][5]["F"]]
+    path.write_text(json.dumps(doc))
+    for run in (1, 2):
+        calls.clear()
+        assert main(["check", "--project", str(path)]) == 0
+        assert calls == {"compute_Rtilde": 2, "check_conditions": 2}
+    calls.clear()
+    assert main(["compose", "--project", str(path)]) == 0
+    assert calls == {"compute_Rtilde": 2, "check_conditions": 2, "derive_constants": 2}
+    assert "result: all certificates pass" in capsys.readouterr().out
+
+
+def test_subsystems_without_copies_are_never_keyed(tmp_path, monkeypatch):
+    # the load keys only entries that share their M, and a command only subsystems
+    # that share one certificate object; everything else is analysed directly
+    keyed = []
+    key = spsf._input_key
+    monkeypatch.setattr(spsf, "_input_key", lambda *a: keyed.append(a) or key(*a))
+    subs, topo, cands, certs, _ = certified_network(7)
+    path = tmp_path / "distinct.json"
+    save_project(ProjectFile(2, tuple(subs), topo, dict(enumerate(cands)),
+                             dict(enumerate(certs)), run=RunDefaults()), path)
+    assert main(["compose", "--project", str(path)]) == 0
+    assert not keyed
+
+    # copies that differ in F keep one M: the load keys them and gives each its own
+    # certificate, which the command then analyses directly
+    doc = ring_document(4)
+    for k, s in enumerate(doc["subsystems"]):
+        s["F"] = [[(k + 1) * v for v in row] for row in s["F"]]
+    path.write_text(json.dumps(doc))
+    load_project(path)
+    assert len(keyed) == 4
+    assert main(["compose", "--project", str(path)]) == 0
+    assert len(keyed) == 8
+
+
+def test_derivation_warning_comes_once_per_distinct_subsystem():
+    doc = ring_document(6)
+    for s in doc["subsystems"]:
+        for row in s["B"]:
+            row[1] = row[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        project_from_dict(doc)
+    assert [type(w.message) for w in caught] == [RankDeficientWarning, SingularGramWarning]

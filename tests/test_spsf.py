@@ -77,6 +77,21 @@ def test_check_identity_abstraction_zero_residuals():
     assert values["internal input match"] == 0.0
 
 
+def test_check_certificate_with_another_lift_fails(ref_parts):
+    # with P = 0 every row holds, but V = x'Mx then says nothing of the candidate's
+    # outputs C P xhat: the certificate's P must be the candidate's, bit for bit
+    subs, _, cands, certs = ref_parts
+    zeros = np.zeros((25, 1))
+    other = dataclasses.replace(certs[0], P=zeros, Q=zeros, S=-subs[0].D, Rtilde=zeros)
+    report = check_conditions(subs[0], cands[0], other)
+    assert all(c.passed for c in report.checks) and not report.passed
+    assert report.violations == ("the certificate's P is not the candidate's lift, bit for bit",)
+    P = cands[0].P.copy()
+    assert check_conditions(subs[0], cands[0], dataclasses.replace(certs[0], P=P)).passed
+    P[3, 0] = np.nextafter(1.0, 2.0)
+    assert not check_conditions(subs[0], cands[0], dataclasses.replace(certs[0], P=P)).passed
+
+
 def test_check_kappa_domain_violation(ref_parts):
     subs, _, cands, certs = ref_parts
     c = certs[0]
