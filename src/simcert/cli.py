@@ -49,8 +49,8 @@ __all__ = [
 
 
 def _per_certificate(fn, project: ProjectFile, ids, *rest) -> dict:
-    """``fn(s, candidate, certificate, *rest)`` by id; copies that hold one certificate share."""
-    call = spsf._shared(fn, hint=lambda args: id(args[2]))
+    """``fn(s, candidate, certificate, *rest)`` by id, once per distinct input: copies share."""
+    call = spsf._shared(fn)
     return {sid: call(project.subsystems[sid], project.candidate_for(sid),
                       project.certificate_for(sid), *rest) for sid in ids}
 

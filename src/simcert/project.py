@@ -38,15 +38,21 @@ Subsystem ids double as list positions.  Fields marked * are optional.
 
 Each subsystem has at most one candidate and one certificate, each peer at
 most one ``C_int`` block, and each object a key once: a duplicate (peers
-``"1"`` and ``"01"``, or ``"pi"`` twice) is a :class:`SchemaError`.
-Loaded matrices are read-only arrays, each built once from its JSON list.
+``"1"`` and ``"01"``, or ``"pi"`` twice) is a :class:`SchemaError`, and so is
+a file that is not UTF-8 or that nests past the parser's recursion limit.
+
+Identical copies are one array from load to save.  The bit-identical matrices
+of one load are one read-only array (``-0.0`` and ``0.0`` differ), whose
+finiteness is checked once.  Derivations, checks and constant sets are keyed
+by the identity of the arrays they read, so copies share one of each per load
+or command.  A save converts and encodes each distinct array once and writes
+the bytes that per-copy encoding would.
 
 A file stores only what cannot be derived.  The loader derives the rest: a
 candidate's output blocks are ``Chat_ext = C_ext P`` and ``Chat_int[j] =
 C_int[j] P``, and a certificate is :func:`~simcert.spsf.solve_structural` of
 its candidate and ``(M, K, pi, kappa_hat)``, which gives ``P``, ``Q``, ``S``
-and ``Rtilde``; identical entries share one derivation per load, and one check
-and constant set per command.  Version 1 files, which also stored those blocks,
+and ``Rtilde``.  Version 1 files, which also stored those blocks,
 still load: each stored block must equal its derived value to within ``1e-9 *
 max(1, max|derived|)`` entrywise, or the load fails naming the subsystem and field.
 
@@ -108,17 +114,20 @@ class ProjectFile:
         return self.certificates[sub_id]
 
 
-def _as_matrix(obj, where: str) -> np.ndarray:
+def _as_matrix(obj, where: str, table: dict) -> np.ndarray:
     try:
         arr = np.array(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: not a numeric matrix ({exc})") from exc
     if arr.ndim != 2:
         raise SchemaError(f"{where}: expected a nested (2-D) array, got ndim={arr.ndim}")
+    key = (arr.shape, arr.tobytes())  # -0.0 and 0.0 differ here, though equal as lists
+    if key in table:
+        return table[key]
     if not np.isfinite(arr).all():
         raise SchemaError(f"{where}: entries must be finite")
     arr.setflags(write=False)  # owned and read-only: the dataclasses keep it uncopied
-    return arr
+    return table.setdefault(key, arr)
 
 
 def _number(value, where: str, kind: type):
@@ -134,7 +143,7 @@ def _number(value, where: str, kind: type):
     return out
 
 
-def _int_keyed(obj, where: str) -> dict[int, np.ndarray]:
+def _int_keyed(obj, where: str, table: dict) -> dict[int, np.ndarray]:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object keyed by peer index")
     out = {}
@@ -146,7 +155,7 @@ def _int_keyed(obj, where: str) -> dict[int, np.ndarray]:
         if key in out:
             first = next(k0 for k0 in obj if int(k0) == key)
             raise SchemaError(f"{where}: keys {first!r} and {k!r} both name peer {key}")
-        out[key] = _as_matrix(v, f"{where}[{k}]")
+        out[key] = _as_matrix(v, f"{where}[{k}]", table)
     return out
 
 
@@ -167,8 +176,8 @@ def _list(obj, where: str) -> list:
     return obj
 
 
-def _matrices(entry: dict, names, where: str) -> dict[str, np.ndarray]:
-    return {name: _as_matrix(_require(entry, name, where), f"{where}.{name}") for name in names}
+def _matrices(entry: dict, names, where: str, table: dict) -> dict[str, np.ndarray]:
+    return {n: _as_matrix(_require(entry, n, where), f"{where}.{n}", table) for n in names}
 
 
 _SUBSYSTEM_MATRICES = ("A", "B", "D", "F", "C_ext")
@@ -198,7 +207,7 @@ def _check_shapes(where: str, mats: dict[str, np.ndarray], dims: dict[str, int])
             )
 
 
-def _check_derived(where: str, sid: int, entry: dict, derived: dict) -> None:
+def _check_derived(where: str, sid: int, entry: dict, derived: dict, table: dict) -> None:
     """Refuse a stored copy of a derived matrix, or of a block map, that differs from it."""
     def close(stored, want) -> bool:  # a NaN in either fails
         tol = 1e-9 * max(1.0, np.abs(want).max(initial=0.0))
@@ -208,10 +217,10 @@ def _check_derived(where: str, sid: int, entry: dict, derived: dict) -> None:
         if entry.get(name) is None:
             continue
         if isinstance(want, Mapping):
-            stored = _int_keyed(entry[name], f"{where}.{name}")
+            stored = _int_keyed(entry[name], f"{where}.{name}", table)
             ok = set(stored) == set(want) and all(close(stored[j], want[j]) for j in want)
         else:
-            ok = close(_as_matrix(entry[name], f"{where}.{name}"), want)
+            ok = close(_as_matrix(entry[name], f"{where}.{name}", table), want)
         if not ok:
             raise SchemaError(
                 f"{where}.{name}: the stored value for subsystem {sid} differs from the "
@@ -226,6 +235,7 @@ def project_from_dict(doc: dict) -> ProjectFile:
     if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise SchemaError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
+    table: dict = {}  # (shape, bytes) -> the read-only array that all copies share
     raw_subs = _require(doc, "subsystems", "project")
     if not isinstance(raw_subs, list) or not raw_subs:
         raise SchemaError("subsystems must be a nonempty list")
@@ -237,8 +247,8 @@ def project_from_dict(doc: dict) -> ProjectFile:
             raise SchemaError(f"{where}: id must equal list position ({sid} != {pos})")
         s = LinearSubsystem(
             id=sid,
-            **_matrices(entry, _SUBSYSTEM_MATRICES, where),
-            C_int=_int_keyed(entry.get("C_int", {}), f"{where}.C_int"),
+            **_matrices(entry, _SUBSYSTEM_MATRICES, where, table),
+            C_int=_int_keyed(entry.get("C_int", {}), f"{where}.C_int", table),
         )
         problems = validate_subsystem(s)
         if problems:
@@ -274,28 +284,27 @@ def project_from_dict(doc: dict) -> ProjectFile:
 
     candidates: dict[int, AbstractionCandidate] = {}
     for where, s, entry, dims in entries("candidates"):
-        mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where)
-        # an absent Fhat takes its default in `induced`, built only then
-        if entry.get("Fhat") is not None:
-            mats["Fhat"] = _as_matrix(entry["Fhat"], f"{where}.Fhat")
+        mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where, table)
         dims["nhat"] = mats["Ahat"].shape[0]
         dims["mhat"] = mats["Bhat"].shape[1]
-        dims["qhat"] = mats["Fhat"].shape[1] if "Fhat" in mats else 0
+        fhat = entry.get("Fhat")  # absent: noiseless, `induced`'s zero columns, one per nhat
+        mats["Fhat"] = _as_matrix(
+            np.zeros((dims["nhat"], 0)) if fhat is None else fhat, f"{where}.Fhat", table)
+        dims["qhat"] = mats["Fhat"].shape[1]
         _check_shapes(where, mats, dims)
         cand = candidates[s.id] = AbstractionCandidate.induced(s, **mats)
         if entry.get("Chat_ext") is not None or entry.get("Chat_int") is not None:
             abstract = cand.as_subsystem(s)
             _check_derived(where, s.id, entry,
-                           {"Chat_ext": abstract.C_ext, "Chat_int": abstract.C_int})
+                           {"Chat_ext": abstract.C_ext, "Chat_int": abstract.C_int}, table)
 
     certificates: dict[int, AbstractionCertificate] = {}
     notes: dict[int, str] = {}
-    # entries that share their M, as copies do, share one derivation per distinct input
-    derive = _shared(solve_structural, hint=lambda args: args[2].tobytes())
+    derive = _shared(solve_structural)  # copies hold one set of arrays: one derivation
     for where, s, entry, dims in entries("certificates"):
         if s.id not in candidates:
             raise SchemaError(f"{where}: subsystem {s.id} has no candidate to derive it from")
-        mats = _matrices(entry, _CERTIFICATE_MATRICES, where)
+        mats = _matrices(entry, _CERTIFICATE_MATRICES, where, table)
         _check_shapes(where, mats, dims)
         cert = certificates[s.id] = derive(
             s, candidates[s.id], mats["M"], mats["K"],
@@ -303,7 +312,7 @@ def project_from_dict(doc: dict) -> ProjectFile:
             _number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float),
         )
         _check_derived(where, s.id, entry,
-                       {name: getattr(cert, name) for name in ("P", "Q", "S", "Rtilde")})
+                       {name: getattr(cert, name) for name in ("P", "Q", "S", "Rtilde")}, table)
         if "note" in entry:
             if not isinstance(entry["note"], str):
                 raise SchemaError(f"{where}.note: expected a string, got {entry['note']!r}")
@@ -328,30 +337,32 @@ def project_from_dict(doc: dict) -> ProjectFile:
     )
 
 
-def _save_matrices(obj, names) -> dict[str, list]:
-    return {name: getattr(obj, name).tolist() for name in names}
-
-
 def project_to_dict(project: ProjectFile) -> dict:
+    """``project`` as a document; entries that hold one array share its list."""
+    lists: dict[int, list] = {}  # id of an array, which the project keeps alive -> its list
+    def as_list(a: np.ndarray) -> list:
+        return lists[id(a)] if id(a) in lists else lists.setdefault(id(a), a.tolist())
+    def save_matrices(obj, names) -> dict[str, list]:
+        return {name: as_list(getattr(obj, name)) for name in names}
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "subsystems": [
-            {"id": s.id, **_save_matrices(s, _SUBSYSTEM_MATRICES),
-             "C_int": {str(j): m.tolist() for j, m in sorted(s.C_int.items())}}
+            {"id": s.id, **save_matrices(s, _SUBSYSTEM_MATRICES),
+             "C_int": {str(j): as_list(m) for j, m in sorted(s.C_int.items())}}
             for s in project.subsystems
         ],
         "topology": {"edges": [list(pair) for pair in project.topology.pairs]},
     }
     if project.candidates:
         doc["candidates"] = [
-            {"subsystem": sid, **_save_matrices(c, _CANDIDATE_MATRICES)}
+            {"subsystem": sid, **save_matrices(c, _CANDIDATE_MATRICES)}
             for sid, c in sorted(project.candidates.items())
         ]
     if project.certificates:
         doc["certificates"] = [
             {
                 "subsystem": sid,
-                **_save_matrices(c, _CERTIFICATE_MATRICES),
+                **save_matrices(c, _CERTIFICATE_MATRICES),
                 "pi": c.pi,
                 "kappa_hat": c.kappa_hat,
                 **({"note": project.notes[sid]} if sid in project.notes else {}),
@@ -376,12 +387,12 @@ def _unique_keys(pairs: list) -> dict:
 def load_project(path) -> ProjectFile:
     """Parse a project file; raises :class:`SchemaError` on any defect."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return project_from_dict(doc)
 
@@ -408,11 +419,19 @@ def open_output(path):
 
 
 def dumps(doc: dict) -> str:
-    """JSON text of ``doc``: a line per top-level field and per entry of a list of objects."""
+    """JSON text of ``doc``: a line per top-level field and per entry of a list of objects,
+    written field by field, each distinct key or value once, in the C encoder's bytes."""
     encode = json.JSONEncoder(allow_nan=False).encode  # the C encoder: no indent
+    texts: dict[int, str] = {}  # id of a key or value, which doc keeps alive -> its text
+    def text(v) -> str:
+        return texts[id(v)] if id(v) in texts else texts.setdefault(id(v), encode(v))
+    def entry(obj: dict) -> str:  # a key that is not a string is the encoder's to convert
+        if all(isinstance(k, str) for k in obj):
+            return "{" + ", ".join(f"{text(k)}: {text(v)}" for k, v in obj.items()) + "}"
+        return encode(obj)
     try:
         lines = [
-            f" {encode(key)}: [\n  " + ",\n  ".join(map(encode, value)) + "\n ]"
+            f" {encode(key)}: [\n  " + ",\n  ".join(map(entry, value)) + "\n ]"
             if isinstance(value, list) and value and all(isinstance(v, dict) for v in value)
             else f" {encode(key)}: {encode(value)}"
             for key, value in doc.items()

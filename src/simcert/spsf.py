@@ -25,8 +25,9 @@ function: with the concrete input refined by the interface function
 with the closed-form coefficients produced by :func:`derive_constants`.
 """
 
+import struct
 import warnings
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -247,27 +248,22 @@ def check_conditions(
 
 
 def _input_key(s: LinearSubsystem, cand: AbstractionCandidate, *rest) -> tuple:
-    """Shapes and bytes of ``s.A, B, D, F``, its output map, each field or value of the rest."""
-    items = [s.A, s.B, s.D, s.F, s.output_matrix()]
+    """Ids of the arrays of ``s`` (output blocks in stacked order) and of the rest; float bits."""
+    items = [s.A, s.B, s.D, s.F, *(b for _, b in sorted({**s.C_int, s.id: s.C_ext}.items()))]
     for x in (cand, *rest):
-        items += [getattr(x, f.name) for f in fields(x)] if is_dataclass(x) else [x]
-    arrays = [np.asarray(x, dtype=float) for x in items]
-    return tuple(a.shape for a in arrays), b"".join([a.tobytes() for a in arrays])
+        items += vars(x).values() if is_dataclass(x) else [x]  # a dataclass: its fields
+    return tuple(id(x) if isinstance(x, np.ndarray) else struct.pack("d", x) for x in items)
 
 
-def _shared(fn, hint):
+def _shared(fn):
     """``fn``, called once per distinct :func:`_input_key` among the calls through the returned
-    function whose ``hash(hint(args))`` repeats; a first call is keyed only once repeated."""
-    firsts, memo = {}, {}  # firsts: hint -> [its first call's args (None once keyed), result]
+    function; the memo keeps the arguments it keyed, so no keyed id is reused while it lives."""
+    memo = {}  # key -> (args, result)
     def call(*args):
-        h = hash(hint(args))
-        if h not in firsts:
-            firsts[h] = [args, fn(*args)]
-            return firsts[h][1]
-        if firsts[h][0] is not None:
-            memo[_input_key(*firsts[h][0])], firsts[h][0] = firsts[h][1], None
         key = _input_key(*args)
-        return memo[key] if key in memo else memo.setdefault(key, fn(*args))
+        if key not in memo:
+            memo[key] = args, fn(*args)
+        return memo[key][1]
     return call
 
 

@@ -1,7 +1,8 @@
 """Shared construction helpers for randomized test instances, dense oracles,
 the closeness function, the interface function and the one-step expectation
-oracles with their Monte Carlo check, the version 1 form of a project, a ring
-of reference copies, and a fresh interpreter for import checks."""
+oracles with their Monte Carlo check, the version 1 form of a project, the
+whole-entry JSON writer, a ring of reference copies, and a fresh interpreter for
+import checks."""
 
 import dataclasses
 import json
@@ -195,6 +196,19 @@ def v1_document(project: ProjectFile) -> dict:
         cert = project.certificates[entry["subsystem"]]
         entry.update((name, getattr(cert, name).tolist()) for name in ("P", "Q", "S", "Rtilde"))
     return doc
+
+
+def whole_entry_dumps(doc: dict) -> str:
+    """:func:`simcert.project.dumps` as an oracle: each entry of a list of objects is
+    encoded whole, by one call of the C encoder."""
+    encode = json.JSONEncoder(allow_nan=False).encode
+    lines = [
+        f" {encode(key)}: [\n  " + ",\n  ".join(map(encode, value)) + "\n ]"
+        if isinstance(value, list) and value and all(isinstance(v, dict) for v in value)
+        else f" {encode(key)}: {encode(value)}"
+        for key, value in doc.items()
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def ring_document(n: int) -> dict:

@@ -815,29 +815,114 @@ def test_each_distinct_subsystem_is_analysed_once_per_load_and_command(
     assert "result: all certificates pass" in capsys.readouterr().out
 
 
-def test_subsystems_without_copies_are_never_keyed(tmp_path, monkeypatch):
-    # the load keys only entries that share their M, and a command only subsystems
-    # that share one certificate object; everything else is analysed directly
-    keyed = []
+def test_every_call_is_keyed_by_identity(tmp_path, monkeypatch):
+    # the load and each command key every call, by the ids of its arrays and the bits
+    # of its floats, never by the bytes of a matrix
+    keys = []
     key = spsf._input_key
-    monkeypatch.setattr(spsf, "_input_key", lambda *a: keyed.append(a) or key(*a))
+    monkeypatch.setattr(spsf, "_input_key", lambda *a: keys.append(key(*a)) or keys[-1])
     subs, topo, cands, certs, _ = certified_network(7)
     path = tmp_path / "distinct.json"
     save_project(ProjectFile(2, tuple(subs), topo, dict(enumerate(cands)),
                              dict(enumerate(certs)), run=RunDefaults()), path)
     assert main(["compose", "--project", str(path)]) == 0
-    assert not keyed
+    # four distinct subsystems: a derivation at load, a check and a constant set each
+    assert len(keys) == len(set(keys)) == 3 * len(subs) == 12
+    assert all(type(x) is int or (type(x) is bytes and len(x) == 8) for k in keys for x in k)
 
-    # copies that differ in F keep one M: the load keys them and gives each its own
-    # certificate, which the command then analyses directly
+    # copies that differ in F keep one M array: each copy is keyed, and gets its own
+    # certificate, report and constants
     doc = ring_document(4)
     for k, s in enumerate(doc["subsystems"]):
         s["F"] = [[(k + 1) * v for v in row] for row in s["F"]]
     path.write_text(json.dumps(doc))
-    load_project(path)
-    assert len(keyed) == 4
-    assert main(["compose", "--project", str(path)]) == 0
-    assert len(keyed) == 8
+    keys.clear()
+    project = load_project(path)
+    assert len(keys) == len(set(keys)) == 4
+    assert len({id(c.M) for c in project.certificates.values()}) == 1
+    assert len({id(c) for c in project.certificates.values()}) == 4
+    keys.clear()
+    assert main(["compose", "--project", str(path)]) == 0  # its load, checks and constants
+    assert len(keys) == len(set(keys)) == 12
+
+
+def test_copies_hold_one_array_per_matrix():
+    project = project_from_dict(ring_document(4))
+    groups = [
+        (project.subsystems, ("A", "B", "D", "F", "C_ext")),
+        (list(project.candidates.values()), ("P", "Ahat", "Bhat", "Dhat", "Fhat")),
+        (list(project.certificates.values()), ("M", "K", "P", "Q", "S", "Rtilde")),
+    ]
+    for objs, names in groups:
+        for name in names:
+            arrays = [getattr(o, name) for o in objs]
+            assert all(a is arrays[0] for a in arrays), name
+            assert not arrays[0].flags.writeable
+    rows = [next(iter(s.C_int.values())) for s in project.subsystems]
+    assert all(r is rows[0] for r in rows)
+    # an absent Fhat is one array per nhat too
+    doc = ring_document(4)
+    for c in doc["candidates"]:
+        del c["Fhat"]
+    fhats = [c.Fhat for c in project_from_dict(doc).candidates.values()]
+    assert fhats[0].shape == (1, 0) and all(f is fhats[0] for f in fhats)
+
+
+def test_output_blocks_are_keyed_in_stacked_order():
+    # with C_ext unlike the ring row, the last copy stacks [row; C_ext] and the others
+    # [C_ext; row]: the same two arrays, but another output map, so another input
+    doc = ring_document(4)
+    for s in doc["subsystems"]:
+        s["C_ext"] = [[2 * v for v in row] for row in s["C_ext"]]
+    project = project_from_dict(doc)
+    reports = cli._per_certificate(spsf.check_conditions, project, range(4), 1e-9)
+    assert reports[0] is reports[1] is reports[2] and reports[3] is not reports[0]
+    for k, s in enumerate(project.subsystems):
+        cand, cert = project.candidates[k], project.certificates[k]
+        assert repr(reports[k]) == repr(spsf.check_conditions(s, cand, cert, 1e-9))
+
+
+def test_negative_zero_copy_keeps_its_own_array(tmp_path):
+    # -0.0 == 0.0, so equal nested lists would merge this copy; its bits differ, so its
+    # arrays, certificate and report are its own
+    doc = ring_document(4)
+    M = doc["certificates"][2]["M"]
+    i, j = next((i, j) for i, row in enumerate(M) for j, v in enumerate(row) if v == 0.0)
+    assert not np.signbit(M[i][j])
+    M[i][j] = -0.0
+    assert doc["certificates"][2]["M"] == doc["certificates"][0]["M"]
+    project = project_from_dict(doc)
+    certs = project.certificates
+    assert np.signbit(certs[2].M[i, j]) and not np.signbit(certs[0].M[i, j])
+    assert certs[2].M is not certs[0].M and certs[2] is not certs[0]
+    assert certs[0] is certs[1] is certs[3]
+    reports = cli._per_certificate(spsf.check_conditions, project, range(4), 1e-9)
+    assert reports[2] is not reports[0] and reports[0] is reports[1] is reports[3]
+    assert all(r.passed for r in reports.values())
+
+    # a save keeps the sign: the copy reads back with its own array
+    path = tmp_path / "ring.json"
+    save_project(project, path)
+    again = load_project(path).certificates
+    assert np.signbit(again[2].M[i, j]) and again[2].M is not again[0].M
+
+
+def test_non_utf8_project_exits_2(tmp_path, capsys):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b'{"schema_version": 2, "note": "\xd0\x00\xff"}')
+    assert main(["check", "--project", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path} is not valid JSON: 'utf-8' codec can't decode" in err
+
+
+def test_deeply_nested_project_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["check", "--project", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path} is not valid JSON: maximum recursion depth exceeded" in err
 
 
 def test_derivation_warning_comes_once_per_distinct_subsystem():

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import certified_network, random_network, v1_document
+from helpers import (
+    certified_network, random_network, ring_document, v1_document, whole_entry_dumps,
+)
 from simcert import smallgain, spsf
 from simcert.cli import main
 from simcert.errors import SchemaError, SimcertError
@@ -12,6 +14,7 @@ from simcert.model import LinearSubsystem, Topology, assemble_interconnection
 from simcert.project import (
     ProjectFile,
     RunDefaults,
+    dumps,
     load_project,
     project_from_dict,
     project_to_dict,
@@ -266,6 +269,32 @@ def test_one_line_per_entry(tmp_path):
         assert [json.loads(line.rstrip(",")) for line in entries] == doc[key]
         assert lines[at + 1 + len(doc[key])].strip().startswith("]")
     assert json.loads(path.read_text()) == doc
+
+
+def test_save_writes_the_bytes_of_whole_entry_encoding(ref_project, tmp_path):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(ring_document(8)))
+    noted = dataclasses.replace(
+        _ring_project(), notes={0: "first", 2: "Grüße, ∑ and \"quotes\""}, run=RunDefaults(seed=4)
+    )
+    projects = [ref_project, load_project(ring), project_from_dict(v1_document(ref_project)), noted]
+    for project in projects:
+        doc = project_to_dict(project)
+        assert dumps(doc) == whole_entry_dumps(doc)
+    # copies that hold one array share one list in the document
+    doc = project_to_dict(projects[1])
+    assert all(s["A"] is doc["subsystems"][0]["A"] for s in doc["subsystems"])
+
+    out = tmp_path / "composed.json"
+    assert main(["compose", "--project", str(ring), "--output", str(out)]) == 0
+    assert out.read_text() == whole_entry_dumps(json.loads(out.read_text()))
+
+    # entries that share one list object, an empty entry, a non-string key and a nested
+    # object in an entry
+    row = [[0.1, -0.0], [5e-324, 1e308]]
+    doc = {"a": [{"M": row, "x": 1}, {"M": row, "y": None}, {}, {1: row, "z": {"w": row}}],
+           "b": [], "c": row}
+    assert dumps(doc) == whole_entry_dumps(doc)
 
 
 def test_non_finite_value_is_not_written(ref_project, tmp_path):
