@@ -302,30 +302,41 @@ def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path) -> in
     return 1
 
 
+_CSV_CHUNK = 64  # trials formatted by one ``%`` call
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
 def _write_csv(path, samples: montecarlo.Deviations) -> None:
     """One row per trial and step; the deviation is computed as ``samples.sup`` is.
 
-    Trials are formatted 16 at a time, so the memory this takes beyond the
-    samples stays small however many trials the run has.
+    Each cell is ``repr`` of its Python float.  Trials are formatted
+    :data:`_CSV_CHUNK` at a time, each chunk by one ``%`` call on one trial's
+    row template repeated, so the memory this takes beyond the samples stays
+    small however many trials the run has.  Cells are formatted with ``%s``,
+    which is ``repr`` for a float; a cell whose bits are ``+0.0`` (every
+    ``k = 0`` row, and every ``yhat`` of a noiseless abstraction) is given as
+    ``"0.0"``, its ``repr``, which skips the float formatting.
     """
     outputs, abstract_outputs = samples.outputs, samples.abstract_outputs
+    steps = outputs.shape[1]
     header = (
         ["trial", "k"]
         + [f"y{i}" for i in range(outputs.shape[2])]
         + [f"yhat{i}" for i in range(abstract_outputs.shape[2])]
         + ["deviation"]
     )
+    cells = ",%s" * (len(header) - 2)
+    template = "".join(f"%d,{k}{cells}\n" for k in range(steps))
     with open_output(path) as fh:
         fh.write(",".join(header) + "\n")
-        for at in range(0, len(samples), 16):
-            y, yh = outputs[at : at + 16], abstract_outputs[at : at + 16]
-            deviation = np.linalg.norm(y - yh, axis=2)
-            rows = np.concatenate([y, yh, deviation[:, :, None]], axis=2).tolist()
-            fh.writelines(
-                f"{trial},{k},{','.join(map(repr, row))}\n"
-                for trial, trial_rows in enumerate(rows, at)
-                for k, row in enumerate(trial_rows)
-            )
+        for at in range(0, len(samples), _CSV_CHUNK):
+            y, yh = outputs[at : at + _CSV_CHUNK], abstract_outputs[at : at + _CSV_CHUNK]
+            values = np.concatenate([y, yh, np.linalg.norm(y - yh, axis=2)[:, :, None]], axis=2)
+            fields = np.empty((len(y), steps, 1 + values.shape[2]), dtype=object)
+            fields[:, :, 0] = np.arange(at, at + len(y))[:, None]
+            fields[:, :, 1:] = values  # Python floats
+            fields[:, :, 1:][values.view(np.int64) == 0] = "0.0"  # +0.0; -0.0 keeps its float
+            fh.write((template * len(y)) % tuple(fields.ravel().tolist()))
 
 
 def _check_value(label: str, got: float, expected: float, tol: float, failures: list) -> None:

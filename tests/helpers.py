@@ -1,8 +1,8 @@
 """Shared construction helpers for randomized test instances, dense oracles,
 the closeness function, the interface function and the one-step expectation
 oracles with their Monte Carlo check, the version 1 form of a project, the
-whole-entry JSON writer, a ring of reference copies, and a fresh interpreter for
-import checks."""
+whole-entry JSON writer, the row-by-row trajectory CSV writer, a ring of reference
+copies, and a fresh interpreter for import checks."""
 
 import dataclasses
 import json
@@ -17,7 +17,8 @@ from scipy.linalg import block_diag
 
 import simcert
 from simcert.model import InterconnectedSystem, LinearSubsystem, Topology
-from simcert.project import ProjectFile, project_to_dict
+from simcert.montecarlo import Deviations
+from simcert.project import ProjectFile, open_output, project_to_dict
 from simcert.reference import reference_project
 from simcert.smallgain import build_gains, compose, find_mu
 from simcert.spsf import (
@@ -209,6 +210,34 @@ def whole_entry_dumps(doc: dict) -> str:
         for key, value in doc.items()
     ]
     return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def row_by_row_csv(path, samples: Deviations) -> None:
+    """:func:`simcert.cli._write_csv` as an oracle: each row is formatted on its own,
+    ``repr`` of each cell joined by commas.
+
+    One row per trial and step; the deviation is computed as ``samples.sup`` is.
+    Trials are formatted 16 at a time, so the memory this takes beyond the
+    samples stays small however many trials the run has.
+    """
+    outputs, abstract_outputs = samples.outputs, samples.abstract_outputs
+    header = (
+        ["trial", "k"]
+        + [f"y{i}" for i in range(outputs.shape[2])]
+        + [f"yhat{i}" for i in range(abstract_outputs.shape[2])]
+        + ["deviation"]
+    )
+    with open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for at in range(0, len(samples), 16):
+            y, yh = outputs[at : at + 16], abstract_outputs[at : at + 16]
+            deviation = np.linalg.norm(y - yh, axis=2)
+            rows = np.concatenate([y, yh, deviation[:, :, None]], axis=2).tolist()
+            fh.writelines(
+                f"{trial},{k},{','.join(map(repr, row))}\n"
+                for trial, trial_rows in enumerate(rows, at)
+                for k, row in enumerate(trial_rows)
+            )
 
 
 def ring_document(n: int) -> dict:

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import certified_network, diverging_project, fresh_python, python_run, ring_document
+from helpers import (
+    certified_network, diverging_project, fresh_python, python_run, ring_document, row_by_row_csv,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -570,6 +572,70 @@ def test_csv_deviation_matches_sup_deviation(ref_project, tmp_path):
             worst[trial] = max(worst.get(trial, 0.0), float(row["deviation"]))
     assert len(samples) == cfg.trials
     assert worst == dict(enumerate(samples.sup.tolist()))
+
+
+def _noisy_reference() -> ProjectFile:
+    """The reference project with abstract noise ``Fhat = 0.01``: no ``yhat`` cell is 0."""
+    project = reference_project()
+    cands = {sid: dataclasses.replace(c, Fhat=np.array([[0.01]]))
+             for sid, c in project.candidates.items()}
+    certs = {sid: spsf.solve_structural(s, cands[sid], c.M, c.K, c.pi, c.kappa_hat)
+             for (sid, c), s in zip(project.certificates.items(), project.subsystems)}
+    return dataclasses.replace(project, candidates=cands, certificates=certs)
+
+
+def _recorded(project, trials, horizon, seed=0):
+    subs = project.subsystems
+    return simulate_pair(
+        subs, project.topology, [project.candidate_for(s.id) for s in subs],
+        [project.certificate_for(s.id) for s in subs],
+        RunConfig(horizon=horizon, trials=trials, seed=seed, record_trajectories=True),
+    )
+
+
+def _assert_csv_matches_oracle(samples, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_csv(got, samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_by_row_csv(want, samples)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "noisy, trials, horizon",
+    [(False, 300, 10), (True, 300, 10), (False, 5, 0), (True, 1, 3), (False, 63, 2),
+     (False, 64, 2), (True, 65, 2), (False, 257, 1)],
+)
+def test_csv_bytes_equal_row_by_row_writer(ref_project, tmp_path, noisy, trials, horizon):
+    project = _noisy_reference() if noisy else ref_project
+    _assert_csv_matches_oracle(_recorded(project, trials, horizon), tmp_path)
+
+
+def test_csv_special_values_equal_row_by_row_writer(tmp_path):
+    cells = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05, 123.0, -2.5]
+    rng = np.random.default_rng(7)
+    outputs = rng.choice(cells, size=(70, 3, 3))
+    abstract = rng.choice(cells, size=(70, 3, 3))
+    outputs[0], abstract[0] = 0.0, -0.0  # deviation 0.0 from signed zeros
+    samples = montecarlo.Deviations(np.zeros(70), outputs, abstract)
+    _assert_csv_matches_oracle(samples, tmp_path)
+    text = (tmp_path / "got.csv").read_text()
+    for cell in ("0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "1e-05", "123.0"):
+        assert f",{cell}," in text or f",{cell}\n" in text
+
+
+def test_csv_of_diverging_run_warns_nothing(tmp_path, capsys):
+    # the CSV's deviations overflow as the run's do, under the same errstate
+    path, out = tmp_path / "diverging.json", tmp_path / "div.csv"
+    save_project(diverging_project(), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--project", str(path), "--trials", "20", "--seed", "1",
+                     "--horizon", "700", "--csv", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out, newline="") as fh:
+        values = [cell for row in list(csv.reader(fh))[1:] for cell in row[2:]]
+    assert {v for v in values if not np.isfinite(float(v))} == {"nan", "inf", "-inf"}
 
 
 @pytest.mark.parametrize(

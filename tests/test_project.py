@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -510,3 +511,67 @@ def test_non_string_note_exits_2(ref_project, tmp_path, capsys, note):
     assert capsys.readouterr().err == (
         f"error: certificates[0].note: expected a string, got {note!r}\n"
     )
+
+
+def _with_F(doc, entries) -> dict:
+    """``doc`` with the column ``F`` of subsystem 0 starting with ``entries``."""
+    for row, value in zip(doc["subsystems"][0]["F"], entries):
+        row[0] = value
+    return doc
+
+
+def _setting(path, value):
+    return lambda doc: _set(doc, path, value) or doc
+
+
+# each defect sets one matrix entry, or a whole matrix, to a value that is not a number
+NON_NUMBER_ENTRIES = {
+    "string": (lambda doc: _with_F(doc, ["1.5"]), "subsystems[0].F"),
+    "all-boolean": (_setting(("subsystems", 1, "D"), [[True]] * 25), "subsystems[1].D"),
+    "true-among-numbers": (lambda doc: _with_F(doc, [0.5, True]), "subsystems[0].F[1][0]"),
+    "false-among-numbers": (_setting(("certificates", 1, "M", 3, 2), False),
+                            "certificates[1].M[3][2]"),
+}
+
+
+@pytest.mark.parametrize("name", NON_NUMBER_ENTRIES)
+def test_non_number_matrix_entry_exits_2(tmp_path, capsys, name):
+    edit, field = NON_NUMBER_ENTRIES[name]
+    doc = edit(ring_document(2))
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("name", ["string", "all-boolean"])
+def test_non_number_matrix_refused_from_a_document(name):
+    # numpy infers a string or an all-boolean matrix as no number
+    edit, field = NON_NUMBER_ENTRIES[name]
+    with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: every entry must be a number"):
+        project_from_dict(edit(ring_document(2)))
+
+
+def test_integer_entries_load_as_floats(tmp_path):
+    entries = [3, 2**63 + 1, 2**70, -(2**64) - 5, 0.5]  # int64, uint64 and past both
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(_with_F(ring_document(2), entries)))
+    F = load_project(path).subsystems[0].F
+    assert F.dtype == np.float64
+    assert F[: len(entries), 0].tolist() == [float(v) for v in entries]
+    doc = ring_document(2)
+    doc["subsystems"][1]["F"] = [[1] * len(row) for row in doc["subsystems"][1]["F"]]
+    path.write_text(json.dumps(doc))  # an all-integer matrix infers as int64
+    F = load_project(path).subsystems[1].F
+    assert F.dtype == np.float64 and (F == 1.0).all()
+
+
+@pytest.mark.parametrize("text", ["true", "false"])
+def test_boolean_words_in_a_string_load(tmp_path, text):
+    # the words make the load look for booleans; a string that spells one is none
+    doc = ring_document(2)
+    doc["certificates"][0]["note"] = f"{text}, as checked"
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    assert load_project(path).notes[0] == f"{text}, as checked"
