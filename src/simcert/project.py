@@ -2,14 +2,16 @@
 
 Project file schema (JSON)
 --------------------------
-All matrices are nested row-major arrays of numbers (vectors are ``n x 1``).
-Subsystem ids double as list positions.  Fields marked * are optional.
+A matrix is a nested row-major list of numbers (vectors are ``n x 1``) or the
+index of one in ``arrays``.  Subsystem ids double as list positions.  Fields
+marked * are optional.
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
+      "arrays": [[[...]], ...]*,     // matrices that fields name by index
       "subsystems": [
         {"id": 0,
-         "A": [[...]], "B": [[...]], "D": [[...]], "F": [[...]],
+         "A": 0, "B": [[...]], "D": [[...]], "F": [[...]],  // an index or inline
          "C_ext": [[...]],
          "C_int": {"<peer index>": [[...]], ...}*   // absent peer => zero block
         }, ...
@@ -41,12 +43,10 @@ most one ``C_int`` block, and each object a key once: a duplicate (peers
 ``"1"`` and ``"01"``, or ``"pi"`` twice) is a :class:`SchemaError`, and so is
 a file that is not UTF-8 or that nests past the parser's recursion limit.
 
-Identical copies are one array from load to save.  The bit-identical matrices
-of one load are one read-only array (``-0.0`` and ``0.0`` differ), whose
-finiteness is checked once.  Derivations, checks and constant sets are keyed
-by the identity of the arrays they read, so copies share one of each per load
-or command.  A save converts and encodes each distinct array once and writes
-the bytes that per-copy encoding would.
+A save writes each distinct matrix once, as an ``arrays`` entry keyed by shape
+and bits (``-0.0`` and ``0.0`` differ).  A load makes each entry, or inline
+matrix as in version 1 and 2 files, one read-only array shared by every field
+with its bits, and so by the derivations, checks and constants keyed by identity.
 
 A file stores only what cannot be derived.  The loader derives the rest: a
 candidate's output blocks are ``Chat_ext = C_ext P`` and ``Chat_int[j] =
@@ -58,8 +58,8 @@ max(1, max|derived|)`` entrywise, or the load fails naming the subsystem and fie
 
 Floats are written with full precision, so save/load round-trips bit-exactly.
 :func:`dumps` writes a line per top-level field and per entry of a list of
-objects, so a diff names the entry that changed; older files, indented a
-space per level, load unchanged.  A non-finite number is never written.
+objects or matrices, so a diff names the entry that changed; older files,
+indented a space per level, load unchanged.  A non-finite number is never written.
 """
 
 import json
@@ -78,7 +78,7 @@ from .spsf import AbstractionCandidate, AbstractionCertificate, _shared, solve_s
 
 __all__ = ["SCHEMA_VERSION", "RunDefaults", "ProjectFile", "load_project", "save_project", "dumps"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,18 @@ _JSON_TYPES = {str: "string", bool: "boolean", type(None): "null", dict: "object
 
 
 def _as_matrix(obj, where: str, table: dict) -> np.ndarray:
-    """``obj`` as a read-only float matrix, the table's array if one holds its bits.
+    """``obj`` as a read-only float matrix, the table's array if one holds its bits;
+    an integer is an index into ``arrays``, whose entries the table holds by position.
 
     numpy infers the dtype, so a string or an all-boolean matrix is no number;
     integers past int64 infer as objects and convert here.  A boolean among
     numbers infers as a number: :func:`load_project` refuses those first.
     """
+    if type(obj) is int:
+        if obj not in table:  # negative or past the end
+            size = sum(type(k) is int for k in table)
+            raise SchemaError(f"{where}: index {obj} is not in arrays ({size} entries)")
+        return table[obj]
     try:
         arr = np.array(obj)
         if arr.dtype.kind != "f":
@@ -248,10 +254,14 @@ def project_from_dict(doc: dict) -> ProjectFile:
     if not isinstance(doc, dict):
         raise SchemaError("project root must be an object")
     version = _require(doc, "schema_version", "project")
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
-    table: dict = {}  # (shape, bytes) -> the read-only array that all copies share
+    table: dict = {}  # (shape, bytes) -> the read-only array all copies share; i -> arrays[i]
+    for pos, entry in enumerate(_list(_require(doc, "arrays", "project", []), "arrays")):
+        if type(entry) is int:  # an entry is a matrix, never an index
+            raise SchemaError(f"arrays[{pos}]: expected a nested (2-D) array, got {entry}")
+        table[pos] = _as_matrix(entry, f"arrays[{pos}]", table)
     raw_subs = _require(doc, "subsystems", "project")
     if not isinstance(raw_subs, list) or not raw_subs:
         raise SchemaError("subsystems must be a nonempty list")
@@ -303,12 +313,12 @@ def project_from_dict(doc: dict) -> ProjectFile:
         mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where, table)
         dims["nhat"] = mats["Ahat"].shape[0]
         dims["mhat"] = mats["Bhat"].shape[1]
-        fhat = entry.get("Fhat")  # absent: noiseless, `induced`'s zero columns, one per nhat
+        fhat = entry.get("Fhat")  # absent: noiseless, a zero column count (the least psi)
         mats["Fhat"] = _as_matrix(
             np.zeros((dims["nhat"], 0)) if fhat is None else fhat, f"{where}.Fhat", table)
         dims["qhat"] = mats["Fhat"].shape[1]
         _check_shapes(where, mats, dims)
-        cand = candidates[s.id] = AbstractionCandidate.induced(s, **mats)
+        cand = candidates[s.id] = AbstractionCandidate(**mats)
         if entry.get("Chat_ext") is not None or entry.get("Chat_int") is not None:
             abstract = cand.as_subsystem(s)
             _check_derived(where, s.id, entry,
@@ -354,17 +364,23 @@ def project_from_dict(doc: dict) -> ProjectFile:
 
 
 def project_to_dict(project: ProjectFile) -> dict:
-    """``project`` as a document; entries that hold one array share its list."""
-    lists: dict[int, list] = {}  # id of an array, which the project keeps alive -> its list
-    def as_list(a: np.ndarray) -> list:
-        return lists[id(a)] if id(a) in lists else lists.setdefault(id(a), a.tolist())
-    def save_matrices(obj, names) -> dict[str, list]:
-        return {name: as_list(getattr(obj, name)) for name in names}
+    """``project`` as a document whose fields name each matrix by its index in ``arrays``."""
+    arrays: list = []  # each distinct matrix once, in order of first reference
+    index: dict = {}  # (shape, bytes), as the load interns -> position in arrays
+    def ref(a: np.ndarray) -> int:
+        key = (a.shape, a.tobytes())
+        if key not in index:
+            index[key] = len(arrays)
+            arrays.append(a.tolist())
+        return index[key]
+    def save_matrices(obj, names) -> dict[str, int]:
+        return {name: ref(getattr(obj, name)) for name in names}
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
+        "arrays": arrays,  # filled as the entries below are built
         "subsystems": [
             {"id": s.id, **save_matrices(s, _SUBSYSTEM_MATRICES),
-             "C_int": {str(j): as_list(m) for j, m in sorted(s.C_int.items())}}
+             "C_int": {str(j): ref(m) for j, m in sorted(s.C_int.items())}}
             for s in project.subsystems
         ],
         "topology": {"edges": [list(pair) for pair in project.topology.pairs]},
@@ -400,16 +416,6 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
-def _spells_boolean(data: bytes) -> bool:
-    """Whether the JSON text ``data`` holds ``true`` or ``false`` (in a string too): the
-    five bytes up to each ``e`` are compared in numpy, a third of the time of two
-    substring searches.  A word ending before byte 4 is a bare root, which no project is."""
-    text = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(text[4:] == ord("e")) + 4
-    words = np.stack([text[ends - k] for k in range(4, -1, -1)], axis=1)
-    return bool(((words[:, 1:] == list(b"true")).all(1) | (words == list(b"false")).all(1)).any())
-
-
 def _boolean_at(obj) -> str | None:
     """Where the first ``true`` or ``false`` in the JSON value ``obj`` is, as
     ``.key[index]...``, or None: no field of a project is boolean, and numpy
@@ -438,7 +444,7 @@ def load_project(path) -> ProjectFile:
     try:
         doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
         # the walk recurses as deep as the parser did, so it shares the RecursionError
-        at = _boolean_at(doc) if _spells_boolean(data) else None
+        at = _boolean_at(doc) if b"true" in data or b"false" in data else None
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if at is not None:
@@ -468,20 +474,13 @@ def open_output(path):
 
 
 def dumps(doc: dict) -> str:
-    """JSON text of ``doc``: a line per top-level field and per entry of a list of objects,
-    written field by field, each distinct key or value once, in the C encoder's bytes."""
+    """JSON text of ``doc``: a line per top-level field and per entry of a list of objects
+    or matrices, each written by one call of the C encoder."""
     encode = json.JSONEncoder(allow_nan=False).encode  # the C encoder: no indent
-    texts: dict[int, str] = {}  # id of a key or value, which doc keeps alive -> its text
-    def text(v) -> str:
-        return texts[id(v)] if id(v) in texts else texts.setdefault(id(v), encode(v))
-    def entry(obj: dict) -> str:  # a key that is not a string is the encoder's to convert
-        if all(isinstance(k, str) for k in obj):
-            return "{" + ", ".join(f"{text(k)}: {text(v)}" for k, v in obj.items()) + "}"
-        return encode(obj)
     try:
         lines = [
-            f" {encode(key)}: [\n  " + ",\n  ".join(map(entry, value)) + "\n ]"
-            if isinstance(value, list) and value and all(isinstance(v, dict) for v in value)
+            f" {encode(key)}: [\n  " + ",\n  ".join(map(encode, value)) + "\n ]"
+            if isinstance(value, list) and value and all(isinstance(v, (dict, list)) for v in value)
             else f" {encode(key)}: {encode(value)}"
             for key, value in doc.items()
         ]

@@ -96,13 +96,12 @@ def reference_topology() -> Topology:
 
 
 def reference_candidates() -> dict[int, AbstractionCandidate]:
-    subs = reference_subsystems()
     P = np.ones((STATE_DIM, 1))
     return {
-        s.id: AbstractionCandidate.induced(
-            s, P=P, Ahat=[[2.0]], Bhat=[[1.0]], Dhat=[[0.096]]
+        i: AbstractionCandidate(
+            P=P, Ahat=[[2.0]], Bhat=[[1.0]], Dhat=[[0.096]], Fhat=np.zeros((1, 0))
         )
-        for s in subs
+        for i in range(N_SUBSYSTEMS)
     }
 
 

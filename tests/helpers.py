@@ -1,8 +1,8 @@
 """Shared construction helpers for randomized test instances, dense oracles,
 the closeness function, the interface function and the one-step expectation
-oracles with their Monte Carlo check, the version 1 form of a project, the
-whole-entry JSON writer, the row-by-row trajectory CSV writer, a ring of reference
-copies, and a fresh interpreter for import checks."""
+oracles with their Monte Carlo check, the inline and version 1 forms of a
+project document, the whole-entry JSON writer, the row-by-row trajectory CSV
+writer, a ring of reference copies, and a fresh interpreter for import checks."""
 
 import dataclasses
 import json
@@ -182,11 +182,33 @@ def diverging_project() -> ProjectFile:
     return dataclasses.replace(project, candidates=cands, certificates=certs)
 
 
+def inline(doc: dict) -> dict:
+    """``doc`` in its index-free form, a version 2 document: each matrix field that
+    holds an index into ``arrays`` holds its own copy of that entry, and ``arrays``
+    goes, so a fixture can edit one field's matrix in place."""
+    out = json.loads(json.dumps(doc))  # a copy to edit
+    arrays = out.pop("arrays", [])
+    out["schema_version"] = 2
+
+    def fill(entry: dict, names) -> None:
+        entry.update((n, arrays[entry[n]]) for n in names if type(entry.get(n)) is int)
+
+    for sub in out["subsystems"]:
+        fill(sub, ("A", "B", "D", "F", "C_ext"))
+        fill(sub.get("C_int", {}), list(sub.get("C_int", {})))
+    for entry in out.get("candidates", []):
+        fill(entry, ("P", "Ahat", "Bhat", "Dhat", "Fhat"))
+    for entry in out.get("certificates", []):
+        fill(entry, ("M", "K"))
+    return json.loads(json.dumps(out))  # every field its own lists
+
+
 def v1_document(project: ProjectFile) -> dict:
-    """``project`` as a schema version 1 document, which also stored every block
-    that version 2 derives: each candidate's ``Chat_ext`` and ``Chat_int``, and
-    each certificate's ``P``, ``Q``, ``S`` and ``Rtilde``."""
-    doc = project_to_dict(project)
+    """``project`` as a schema version 1 document, built from its inline form, since no
+    version 1 file held indices.  Version 1 also stored every block that later
+    versions derive: each candidate's ``Chat_ext`` and ``Chat_int``, and each
+    certificate's ``P``, ``Q``, ``S`` and ``Rtilde``."""
+    doc = inline(project_to_dict(project))
     doc["schema_version"] = 1
     for entry in doc.get("candidates", []):
         sid = entry["subsystem"]
@@ -200,12 +222,12 @@ def v1_document(project: ProjectFile) -> dict:
 
 
 def whole_entry_dumps(doc: dict) -> str:
-    """:func:`simcert.project.dumps` as an oracle: each entry of a list of objects is
-    encoded whole, by one call of the C encoder."""
+    """:func:`simcert.project.dumps` as an oracle: each entry of a list of objects or
+    of matrices is encoded whole, by one call of the C encoder."""
     encode = json.JSONEncoder(allow_nan=False).encode
     lines = [
         f" {encode(key)}: [\n  " + ",\n  ".join(map(encode, value)) + "\n ]"
-        if isinstance(value, list) and value and all(isinstance(v, dict) for v in value)
+        if isinstance(value, list) and value and all(isinstance(v, (dict, list)) for v in value)
         else f" {encode(key)}: {encode(value)}"
         for key, value in doc.items()
     ]
@@ -242,9 +264,9 @@ def row_by_row_csv(path, samples: Deviations) -> None:
 
 def ring_document(n: int) -> dict:
     """A ring ``i -> i+1 mod n`` of copies of reference subsystem 0, each with the
-    reference candidate (given ``Fhat = 0.01``) and certificate, as a project
-    document whose copies share no list."""
-    ref = project_to_dict(reference_project())
+    reference candidate (given ``Fhat = 0.01``) and certificate, as an inline
+    project document whose copies share no list."""
+    ref = inline(project_to_dict(reference_project()))
     sub, cand, cert = (ref[key][0] for key in ("subsystems", "candidates", "certificates"))
     (row,) = sub["C_int"].values()
     return json.loads(json.dumps({

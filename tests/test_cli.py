@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
-    certified_network, diverging_project, fresh_python, python_run, ring_document, row_by_row_csv,
+    certified_network, diverging_project, fresh_python, inline, python_run, ring_document,
+    row_by_row_csv,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -89,7 +90,7 @@ def test_infeasible_network_reported_once(project_path, capsys, command):
     # doubling each D and Dhat doubles the derived S with them, keeps every certificate
     # valid (the internal-input equality is linear in the three) and quadruples rho_int,
     # which depends on D alone: radius 3.586941
-    doc = json.loads(project_path.read_text())
+    doc = inline(json.loads(project_path.read_text()))
     for group, key in (("subsystems", "D"), ("candidates", "Dhat")):
         for entry in doc[group]:
             entry[key] = [[2 * v for v in row] for row in entry[key]]
@@ -140,7 +141,7 @@ def test_overflowing_epsilon_keeps_a_positive_bound(project_path, capsys, epsilo
 def test_tiny_offset_keeps_a_positive_bound(project_path, capsys):
     # every F at 1.4e-9 gives psi_hat = 1.96e-16, so at a = 1e308 psi_hat / a is
     # subnormal: as a float ratio it rounded to 0, printed as "<= 0.000"
-    doc = json.loads(project_path.read_text())
+    doc = inline(json.loads(project_path.read_text()))
     for sub in doc["subsystems"]:
         sub["F"] = [[1.4e-9 for _ in row] for row in sub["F"]]
     project_path.write_text(json.dumps(doc))
@@ -500,7 +501,7 @@ def test_abstract_failing_certificate_not_written(project_path, capsys, field, v
 def test_abstract_overflowing_gram_exits_1(project_path, tmp_path, capsys):
     # B'MB overflows, so Rtilde is undefined: the command must stop before any
     # factorisation of the non-finite Gram matrix (a pseudo-inverse never returns)
-    doc = json.loads(project_path.read_text())
+    doc = inline(json.loads(project_path.read_text()))
     doc["subsystems"][0]["B"][0][0] = 1e308
     project_path.write_text(json.dumps(doc))
     output = tmp_path / "out.json"
@@ -515,7 +516,7 @@ def test_abstract_overflowing_gram_exits_1(project_path, tmp_path, capsys):
 def test_console_script_shows_each_warning_as_one_line(project_path, tmp_path):
     # B with two equal columns: abstract warns twice, and the script printed each
     # warning's source line and "warnings.warn(" after it
-    doc = json.loads(project_path.read_text())
+    doc = inline(json.loads(project_path.read_text()))
     for row in doc["subsystems"][0]["B"]:
         row[1] = row[0]
     project_path.write_text(json.dumps(doc))
@@ -701,7 +702,7 @@ def test_rejected_inputs_raise_no_runtime_warning(project_path, tmp_path, capsys
         warnings.simplefilter("error", RuntimeWarning)
         for command in commands:
             assert main([command[0], "--project", str(broken), *command[1:]]) == 1
-        doc = json.loads(project_path.read_text())
+        doc = inline(json.loads(project_path.read_text()))
         doc["subsystems"][0]["B"][0][0] = 1e308
         project_path.write_text(json.dumps(doc))
         assert main(["abstract", "--project", str(project_path), "--subsystem", "0"]) == 1

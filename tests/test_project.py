@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    certified_network, random_network, ring_document, v1_document, whole_entry_dumps,
+    certified_network, inline, random_network, ring_document, v1_document, whole_entry_dumps,
 )
 from simcert import smallgain, spsf
 from simcert.cli import main
@@ -50,7 +50,7 @@ def test_round_trip_preserves_matrices(ref_project, tmp_path):
 
 def test_round_trip_random_floats(ref_project, tmp_path):
     # full-precision decimal serialization survives awkward values
-    doc = project_to_dict(ref_project)
+    doc = inline(project_to_dict(ref_project))
     doc["subsystems"][0]["A"][0][0] = 0.1 + 0.2  # 0.30000000000000004
     doc["subsystems"][0]["A"][0][1] = 1e-300
     loaded = project_from_dict(json.loads(json.dumps(doc)))
@@ -67,7 +67,7 @@ def test_missing_schema_version(ref_project):
 
 def test_unknown_schema_version(ref_project):
     doc = project_to_dict(ref_project)
-    # True and 1.0 compare equal to 1, yet only the integers 1 and 2 are versions
+    # True and 1.0 compare equal to 1, yet only the integers 1, 2 and 3 are versions
     for version in (99, 0, True, 1.0, "2"):
         doc["schema_version"] = version
         with pytest.raises(SchemaError, match="unsupported schema_version"):
@@ -198,23 +198,43 @@ LOADER_DEFECTS = {
     "topology-not-object": (("topology",), []),
     "run-not-object": (("run",), 5),
     "candidates-not-a-list": (("candidates",), 5),
+    # a field's index into arrays; a callable value is computed from the saved document
+    "negative-index": (("certificates", 0, "M"), -1),
+    "index-past-the-end": (("certificates", 0, "M"), lambda doc: len(doc["arrays"])),
+    "fractional-index": (("certificates", 0, "K"), 0.5),
+    "index-of-a-wrong-shape": (("certificates", 0, "M"), lambda doc: doc["candidates"][0]["Ahat"]),
+    "arrays-not-a-list": (("arrays",), {"0": [[1.0]]}),
+    "arrays-entry-not-a-matrix": (("arrays", 1), 0),
 }
 
 
 _V1_ONLY = ("wrong-shape-Q", "wrong-shape-Chat_ext", "Chat_int-peer")
+# these edit an entry of a matrix, so they edit the document's inline form
+_INLINE = ("nan-matrix-entry", "inf-matrix-entry", "huge-int-entry")
+# the message of each index defect, which names the field; the reference project
+# saves 10 distinct matrices
+_INDEX_ERRORS = {
+    "negative-index": "certificates[0].M: index -1 is not in arrays (10 entries)",
+    "index-past-the-end": "certificates[0].M: index 10 is not in arrays (10 entries)",
+    "fractional-index": "certificates[0].K: expected a nested (2-D) array, got ndim=0",
+    "index-of-a-wrong-shape": "certificates[0].M is 1x1, expected 25x25 (n x n)",
+    "arrays-not-a-list": "arrays must be a list",
+    "arrays-entry-not-a-matrix": "arrays[1]: expected a nested (2-D) array, got 0",
+}
 
 
 @pytest.mark.parametrize("name", LOADER_DEFECTS)
 def test_malformed_field_exits_2(ref_project, tmp_path, capsys, name):
     path, value = LOADER_DEFECTS[name]
     doc = v1_document(ref_project) if name in _V1_ONLY else project_to_dict(ref_project)
-    _set(doc, path, value)
+    doc = inline(doc) if name in _INLINE else doc
+    _set(doc, path, value(doc) if callable(value) else value)
     with pytest.raises(SchemaError):
         project_from_dict(doc)
     target = tmp_path / "net.json"
     target.write_text(json.dumps(doc))
     assert main(["bound", "--project", str(target), "--epsilon", "1", "--horizon", "10"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: " + _INDEX_ERRORS.get(name, ""))
 
 
 def _ring_project(seed=3) -> ProjectFile:
@@ -233,7 +253,7 @@ def _ring_project(seed=3) -> ProjectFile:
 
 # float repr round-trips exactly, so equal JSON text means bitwise-equal numbers
 def _bits(project) -> str:
-    return json.dumps(project_to_dict(project))
+    return json.dumps(inline(project_to_dict(project)))
 
 
 AWKWARD_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
@@ -241,7 +261,7 @@ AWKWARD_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
 
 def test_indented_layout_loads_bitwise_equal(tmp_path):
     project = _ring_project()
-    doc = project_to_dict(project)
+    doc = inline(project_to_dict(project))
     A = doc["subsystems"][0]["A"]  # at least 2 x 2
     A[0][0], A[0][1], A[1][0], A[1][1] = AWKWARD_FLOATS
     old, new, again = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "again.json"
@@ -264,7 +284,7 @@ def test_one_line_per_entry(tmp_path):
     save_project(project, path)
     doc = project_to_dict(project)
     lines = path.read_text().splitlines()
-    for key in ("subsystems", "candidates", "certificates"):
+    for key in ("arrays", "subsystems", "candidates", "certificates"):
         at = lines.index(f' "{key}": [')
         entries = lines[at + 1 : at + 1 + len(doc[key])]
         assert [json.loads(line.rstrip(",")) for line in entries] == doc[key]
@@ -282,9 +302,12 @@ def test_save_writes_the_bytes_of_whole_entry_encoding(ref_project, tmp_path):
     for project in projects:
         doc = project_to_dict(project)
         assert dumps(doc) == whole_entry_dumps(doc)
-    # copies that hold one array share one list in the document
+        # no two entries of arrays are equal, also where the project holds equal
+        # matrices as separate arrays
+        assert len({json.dumps(a) for a in doc["arrays"]}) == len(doc["arrays"])
+    # copies that hold one array share one index in the document
     doc = project_to_dict(projects[1])
-    assert all(s["A"] is doc["subsystems"][0]["A"] for s in doc["subsystems"])
+    assert all(s["A"] == doc["subsystems"][0]["A"] for s in doc["subsystems"])
 
     out = tmp_path / "composed.json"
     assert main(["compose", "--project", str(ring), "--output", str(out)]) == 0
@@ -386,7 +409,7 @@ def test_duplicate_json_key_exits_2(ref_project, tmp_path, capsys):
 
 
 def test_present_optional_fields_are_used_as_written(ref_project):
-    doc = project_to_dict(ref_project)
+    doc = inline(project_to_dict(ref_project))
     cand = doc["candidates"][0]
     cand["Fhat"] = np.random.default_rng(5).standard_normal((len(cand["Ahat"]), 2)).tolist()
     assert project_from_dict(doc).candidates[0].Fhat.tolist() == cand["Fhat"]
@@ -434,7 +457,7 @@ def test_saved_file_holds_no_derived_key(ref_project, tmp_path):
     path = tmp_path / "net.json"
     save_project(ref_project, path)
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     for group, name in _DERIVED_FIELDS:
         assert all(name not in entry for entry in doc[group])
     assert set(doc["candidates"][0]) == {"subsystem", "P", "Ahat", "Bhat", "Dhat", "Fhat"}
@@ -461,6 +484,14 @@ def test_save_load_reproduces_certificates_bitwise(tmp_path, seed, fan_in, noise
     assert _constants(loaded) == _constants(project)
     # and the version 1 form of the same network loads to the same constants
     assert _constants(project_from_dict(v1_document(project))) == _constants(project)
+    # a version 1 and a version 2 (inline) document each load bitwise equal to their
+    # version 3 save, with equal constants
+    for doc in (v1_document(project), inline(project_to_dict(project))):
+        first = project_from_dict(doc)
+        save_project(first, tmp_path / "v3.json")
+        again = load_project(tmp_path / "v3.json")
+        assert _bits(again) == _bits(first) == json.dumps(inline(project_to_dict(project)))
+        assert _constants(again) == _constants(first) == _constants(project)
 
 
 def test_version_1_file_loads_to_same_constants(ref_project, tmp_path, capsys):
