@@ -130,6 +130,9 @@ def _as_matrix(obj, where: str, table: dict) -> np.ndarray:
             size = sum(type(k) is int for k in table)
             raise SchemaError(f"{where}: index {obj} is not in arrays ({size} entries)")
         return table[obj]
+    if not isinstance(obj, (list, np.ndarray)):
+        raise SchemaError(f"{where}: expected a matrix or an integer index into arrays, "
+                          f"got {obj!r}")
     try:
         arr = np.array(obj)
         if arr.dtype.kind != "f":
@@ -259,8 +262,8 @@ def project_from_dict(doc: dict) -> ProjectFile:
 
     table: dict = {}  # (shape, bytes) -> the read-only array all copies share; i -> arrays[i]
     for pos, entry in enumerate(_list(_require(doc, "arrays", "project", []), "arrays")):
-        if type(entry) is int:  # an entry is a matrix, never an index
-            raise SchemaError(f"arrays[{pos}]: expected a nested (2-D) array, got {entry}")
+        if not isinstance(entry, (list, np.ndarray)):  # an entry is a matrix, never an index
+            raise SchemaError(f"arrays[{pos}]: expected a nested (2-D) array, got {entry!r}")
         table[pos] = _as_matrix(entry, f"arrays[{pos}]", table)
     raw_subs = _require(doc, "subsystems", "project")
     if not isinstance(raw_subs, list) or not raw_subs:

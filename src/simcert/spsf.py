@@ -267,6 +267,39 @@ def _shared(fn):
     return call
 
 
+_SWEEPS = 64  # doubling sweeps of either iteration: 2**64 terms of its series
+
+
+def _dare(A, G):
+    """Stabilizing ``X = A'XA - A'XB (I + B'XB)^-1 B'XA + I`` for ``G = BB'``, by doubling."""
+    I = np.eye(A.shape[0])
+    H = I
+    for _ in range(_SWEEPS):
+        WA, WG = np.hsplit(np.linalg.solve(I + G @ H, np.hstack([A, G])), 2)
+        H, H_prev = H + A.T @ H @ WA, H
+        G, A = G + A @ WG @ A.T, A @ WA
+        if not np.isfinite(H).all():
+            raise np.linalg.LinAlgError("the Riccati doubling diverged")
+        if np.max(np.abs(H - H_prev)) <= 1e-15 * np.max(np.abs(H)):
+            return H
+    raise np.linalg.LinAlgError(f"the Riccati doubling did not converge in {_SWEEPS} sweeps")
+
+
+def _stein(G, W):
+    """Symmetric ``M = G'MG + W`` for Schur-stable ``G``: squared Smith, one residual pass."""
+    def series(X):
+        A = G
+        for _ in range(_SWEEPS):
+            X, X_prev, A = _sym(X + A.T @ X @ A), X, A @ A
+            if np.array_equal(X, X_prev):
+                break
+        return X
+    M = series(W)
+    return M + series(W + G.T @ M @ G - M)
+
+
+# an overflow's inf or NaN ends as Infeasible: the doubling raises, a margin fails
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize_MK(
     A, B, C, pi: float, kappa_hat: float, *, tol: float = 1e-9
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -277,23 +310,23 @@ def synthesize_MK(
     ``K`` is the uniform shrinkage ``-eta B^-1 A`` when ``B`` is square and
     invertible; its loop ``(1 - eta) A`` needs ``rho(A)`` once, not per ``eta``.
     Otherwise, or if round-off spoils that loop, ``K`` is the optimal regulator
-    gain of the gamma-scaled pair.  ``M`` is then the scaled Lyapunov series
+    gain of the gamma-scaled pair, from the Riccati solution that the
+    structure-preserving doubling iteration reaches once a sweep changes it by at
+    most ``1e-15`` of its largest entry.  ``M`` is then the scaled Lyapunov series
 
         M = sum_k gamma**(2k) (A+BK)'**k (C'C + eps I) (A+BK)**k,
 
-    evaluated as the fixed point of the associated discrete Lyapunov
-    equation.  The pair is returned once both margins are at least ``-tol *
+    summed by the squared Smith iteration until a sweep leaves it bitwise
+    unchanged, then once more on the residual.  Either iteration stops after 64
+    sweeps.  The pair is returned once both margins are at least ``-tol *
     max(1, ||M||)``: round-off can spend the positive margin that ``eps I``
-    gives, down to a decrease margin of -280 where ``||M|| = 1.1e13``.
+    gives, down to a decrease margin of -93 where ``||M|| = 1.2e13``.
 
     Raises
     ------
     Infeasible
         If no gain renders the scaled closed loop Schur stable.
     """
-    # scipy loads here, not at import: only synthesis calls it
-    from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
-
     A = _matrix(A, "A")
     B = _matrix(B, "B")
     C = _matrix(C, "C")
@@ -312,21 +345,19 @@ def synthesize_MK(
         K = -eta * np.linalg.solve(B, A)
     if K is None or not gamma * _spectral_radius(A + B @ K) <= 0.9:
         try:
-            X = solve_discrete_are(gamma * A, gamma * B, np.eye(n), np.eye(m))
+            X = _dare(gamma * A, gamma**2 * B @ B.T)
             K = -np.linalg.solve(np.eye(m) + gamma**2 * B.T @ X @ B, gamma**2 * B.T @ X @ A)
         except Exception as exc:
             raise Infeasible(f"no stabilizing gain found: {exc}") from exc
-        if gamma * _spectral_radius(A + B @ K) >= 1.0:
+        if not gamma * _spectral_radius(A + B @ K) < 1.0:  # NaN: an overflowed loop
             raise Infeasible("scaled closed loop is not Schur stable")
 
     G = gamma * (A + B @ K)
     Abar = A + B @ K
     eps = 1e-8 * _spec_norm(C.T @ C) + 1e-12
     for _ in range(3):
-        # M = sum_k G'**k (C'C + eps I) G**k, i.e. M = G'MG + C'C + eps I,
-        # evaluated by a backward-stable direct solve
-        W = _sym(C.T @ C + eps * np.eye(n))
-        M = _sym(solve_discrete_lyapunov(G.T, W, method="bilinear"))
+        # M = sum_k G'**k (C'C + eps I) G**k, i.e. M = G'MG + C'C + eps I
+        M = _stein(G, _sym(C.T @ C + eps * np.eye(n)))
         # never hand back a failing pair: verify at the caller's tolerance (NaN fails)
         out, dec, scale = _margins(M, C, Abar, pi, kappa_hat)
         if out >= -tol * scale and dec >= -tol * scale:
@@ -338,7 +369,7 @@ def synthesize_MK(
 def _spectral_radius(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    return float(np.max(np.abs(np.linalg.eigvals(m)))) if np.isfinite(m).all() else np.nan
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed Q or S fails its match check

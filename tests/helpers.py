@@ -1,8 +1,8 @@
 """Shared construction helpers for randomized test instances, dense oracles,
 the closeness function, the interface function and the one-step expectation
 oracles with their Monte Carlo check, the inline and version 1 forms of a
-project document, the whole-entry JSON writer, the row-by-row trajectory CSV
-writer, a ring of reference copies, and a fresh interpreter for import checks."""
+project document, the row-by-row trajectory CSV writer, a ring of reference
+copies, and a fresh interpreter for import checks."""
 
 import dataclasses
 import json
@@ -219,19 +219,6 @@ def v1_document(project: ProjectFile) -> dict:
         cert = project.certificates[entry["subsystem"]]
         entry.update((name, getattr(cert, name).tolist()) for name in ("P", "Q", "S", "Rtilde"))
     return doc
-
-
-def whole_entry_dumps(doc: dict) -> str:
-    """:func:`simcert.project.dumps` as an oracle: each entry of a list of objects or
-    of matrices is encoded whole, by one call of the C encoder."""
-    encode = json.JSONEncoder(allow_nan=False).encode
-    lines = [
-        f" {encode(key)}: [\n  " + ",\n  ".join(map(encode, value)) + "\n ]"
-        if isinstance(value, list) and value and all(isinstance(v, (dict, list)) for v in value)
-        else f" {encode(key)}: {encode(value)}"
-        for key, value in doc.items()
-    ]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def row_by_row_csv(path, samples: Deviations) -> None:

@@ -5,9 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (
-    certified_network, inline, random_network, ring_document, v1_document, whole_entry_dumps,
-)
+from helpers import certified_network, inline, random_network, ring_document, v1_document
 from simcert import smallgain, spsf
 from simcert.cli import main
 from simcert.errors import SchemaError, SimcertError
@@ -202,6 +200,7 @@ LOADER_DEFECTS = {
     "negative-index": (("certificates", 0, "M"), -1),
     "index-past-the-end": (("certificates", 0, "M"), lambda doc: len(doc["arrays"])),
     "fractional-index": (("certificates", 0, "K"), 0.5),
+    "string-index": (("certificates", 0, "K"), "3"),
     "index-of-a-wrong-shape": (("certificates", 0, "M"), lambda doc: doc["candidates"][0]["Ahat"]),
     "arrays-not-a-list": (("arrays",), {"0": [[1.0]]}),
     "arrays-entry-not-a-matrix": (("arrays", 1), 0),
@@ -216,7 +215,10 @@ _INLINE = ("nan-matrix-entry", "inf-matrix-entry", "huge-int-entry")
 _INDEX_ERRORS = {
     "negative-index": "certificates[0].M: index -1 is not in arrays (10 entries)",
     "index-past-the-end": "certificates[0].M: index 10 is not in arrays (10 entries)",
-    "fractional-index": "certificates[0].K: expected a nested (2-D) array, got ndim=0",
+    "fractional-index": "certificates[0].K: expected a matrix or an integer index into arrays, "
+                        "got 0.5",
+    "string-index": "certificates[0].K: expected a matrix or an integer index into arrays, "
+                    "got '3'",
     "index-of-a-wrong-shape": "certificates[0].M is 1x1, expected 25x25 (n x n)",
     "arrays-not-a-list": "arrays must be a list",
     "arrays-entry-not-a-matrix": "arrays[1]: expected a nested (2-D) array, got 0",
@@ -292,7 +294,51 @@ def test_one_line_per_entry(tmp_path):
     assert json.loads(path.read_text()) == doc
 
 
+# the writer's layout, written out by hand: a list of matrices, a list of objects, an
+# empty list, a scalar field, and objects on one line, with non-ASCII text escaped
+SMALL_DOCUMENT = {
+    "schema_version": 3,
+    "arrays": [[[0.1, -0.0]], [[5e-324], [1e308]]],
+    "subsystems": [{"id": 0, "A": 0, "C_int": {"1": 1}}, {"id": 1, "A": 1}],
+    "candidates": [],
+    "notes": {"0": 'Grüße, "quoted"'},
+    "run": {"seed": 4, "epsilon": None},
+}
+SMALL_TEXT = r"""{
+ "schema_version": 3,
+ "arrays": [
+  [[0.1, -0.0]],
+  [[5e-324], [1e+308]]
+ ],
+ "subsystems": [
+  {"id": 0, "A": 0, "C_int": {"1": 1}},
+  {"id": 1, "A": 1}
+ ],
+ "candidates": [],
+ "notes": {"0": "Gr\u00fc\u00dfe, \"quoted\""},
+ "run": {"seed": 4, "epsilon": null}
+}
+"""
+
+
+def _assert_one_line_each(text: str, doc: dict) -> None:
+    """``text`` holds ``doc`` with a line per top-level field and per entry of a
+    nonempty list of objects or matrices, between that field's ``[`` and ``]`` lines."""
+    lines = iter(text.splitlines())
+    assert next(lines) == "{"
+    for key, value in doc.items():
+        head = next(lines).rstrip(",")
+        if isinstance(value, list) and value and all(isinstance(v, (dict, list)) for v in value):
+            assert head == f" {json.dumps(key)}: ["
+            assert [json.loads(next(lines).rstrip(",")) for _ in value] == value
+            assert next(lines).rstrip(",") == " ]"
+        else:
+            assert json.loads("{" + head + "}") == {key: value}
+    assert next(lines) == "}" and next(lines, None) is None
+
+
 def test_save_writes_the_bytes_of_whole_entry_encoding(ref_project, tmp_path):
+    assert dumps(SMALL_DOCUMENT) == SMALL_TEXT
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps(ring_document(8)))
     noted = dataclasses.replace(
@@ -301,7 +347,8 @@ def test_save_writes_the_bytes_of_whole_entry_encoding(ref_project, tmp_path):
     projects = [ref_project, load_project(ring), project_from_dict(v1_document(ref_project)), noted]
     for project in projects:
         doc = project_to_dict(project)
-        assert dumps(doc) == whole_entry_dumps(doc)
+        assert json.loads(dumps(doc)) == doc
+        _assert_one_line_each(dumps(doc), doc)
         # no two entries of arrays are equal, also where the project holds equal
         # matrices as separate arrays
         assert len({json.dumps(a) for a in doc["arrays"]}) == len(doc["arrays"])
@@ -311,14 +358,16 @@ def test_save_writes_the_bytes_of_whole_entry_encoding(ref_project, tmp_path):
 
     out = tmp_path / "composed.json"
     assert main(["compose", "--project", str(ring), "--output", str(out)]) == 0
-    assert out.read_text() == whole_entry_dumps(json.loads(out.read_text()))
+    _assert_one_line_each(out.read_text(), json.loads(out.read_text()))
 
     # entries that share one list object, an empty entry, a non-string key and a nested
-    # object in an entry
+    # object in an entry; JSON keys are strings
     row = [[0.1, -0.0], [5e-324, 1e308]]
     doc = {"a": [{"M": row, "x": 1}, {"M": row, "y": None}, {}, {1: row, "z": {"w": row}}],
            "b": [], "c": row}
-    assert dumps(doc) == whole_entry_dumps(doc)
+    as_json = json.loads(json.dumps(doc))
+    assert json.loads(dumps(doc)) == as_json
+    _assert_one_line_each(dumps(doc), as_json)
 
 
 def test_non_finite_value_is_not_written(ref_project, tmp_path):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import qr, solve_discrete_are
+from scipy.linalg import qr, solve_discrete_are, solve_discrete_lyapunov
 from helpers import (
     condition_values,
     evaluate_V,
@@ -20,7 +20,9 @@ from simcert import spsf
 from simcert.errors import Infeasible, RankDeficientWarning, SingularGramWarning
 from simcert.model import LinearSubsystem
 from simcert.spsf import (
+    _dare,
     _spec_norm,
+    _stein,
     AbstractionCandidate,
     AbstractionCertificate,
     check_conditions,
@@ -175,18 +177,40 @@ def test_shrinkage_overflowed_radius_takes_eta_one():
     assert K.tobytes() == swept.tobytes() == (-1.0 * np.linalg.solve(B, A)).tobytes()
 
 
-def test_shrinkage_lost_to_round_off_falls_back_to_regulator():
-    # with cond(B) = 1e10 and ||A|| ~ 1e6, round-off in B^-1 A keeps gamma rho(A + BK) above
-    # 0.9 on the whole grid, so the regulator gain is used, as when the sweep found none
-    rng = np.random.default_rng(3)
-    U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    A, B = 1e6 * rng.standard_normal((2, 2)), U @ np.diag([1.0, 1e-10]) @ U.T
-    assert shrinkage_sweep_gain(A, B, 0.99, 0.98) is None
-    _, K = synthesize_MK(A, B, np.eye(2), pi=0.99, kappa_hat=0.98)
+def _spoiled_shrinkage(name):
+    if name == "cond-1e10":
+        # ||A|| ~ 1e6 and cond(B) = 1e10: round-off in B^-1 A keeps gamma rho(A + BK)
+        # above 0.9 on the whole grid
+        rng = np.random.default_rng(3)
+        U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        return 1e6 * rng.standard_normal((2, 2)), U @ np.diag([1.0, 1e-10]) @ U.T
+    # gamma rho(A) = 1.8 picks eta = 0.5 at 0.9 exactly, and round-off lifts the loop's
+    # radius just above 0.9; the Riccati problem is well conditioned
+    rng = np.random.default_rng(7)
+    A, B = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    return A * 1.8 / (np.sqrt((1.0 + 0.99) / (1.0 - 0.98)) * spsf._spectral_radius(A)), B
+
+
+@pytest.mark.parametrize("name", ["cond-1e10", "tie-at-eta-half"])
+def test_shrinkage_lost_to_round_off_falls_back_to_regulator(name):
+    A, B = _spoiled_shrinkage(name)
+    if name == "cond-1e10":
+        assert shrinkage_sweep_gain(A, B, 0.99, 0.98) is None
+        # the Riccati solution is ~1e25 here, and I + gamma^2 B'XB is singular in floats
+        with pytest.raises(Infeasible, match="no stabilizing gain found: Singular matrix"):
+            synthesize_MK(A, B, np.eye(2), pi=0.99, kappa_hat=0.98)
+        return
     gamma = np.sqrt((1.0 + 0.99) / (1.0 - 0.98))
+    assert gamma * spsf._spectral_radius(A) <= 1.8
+    assert gamma * spsf._spectral_radius(A - 0.5 * B @ np.linalg.solve(B, A)) > 0.9
+    M, K = synthesize_MK(A, B, np.eye(2), pi=0.99, kappa_hat=0.98)
     X = solve_discrete_are(gamma * A, gamma * B, np.eye(2), np.eye(2))
-    G = np.linalg.solve(np.eye(2) + gamma**2 * B.T @ X @ B, gamma**2 * B.T @ X @ A)
-    assert K.tobytes() == (-G).tobytes()
+    regulator = -np.linalg.solve(np.eye(2) + gamma**2 * B.T @ X @ B, gamma**2 * B.T @ X @ A)
+    np.testing.assert_allclose(K, regulator, rtol=1e-9, atol=0)
+    s = LinearSubsystem(id=0, A=A, B=B, D=np.zeros((2, 1)), F=np.zeros((2, 1)), C_ext=np.eye(2))
+    cert = AbstractionCertificate(M=M, K=K, P=np.eye(2), Q=np.zeros((2, 2)), S=np.zeros((2, 1)),
+                                  Rtilde=np.eye(2), pi=0.99, kappa_hat=0.98)
+    assert check_conditions(s, identity_candidate(s), cert).passed
 
 
 def test_singular_regulator_gain_is_infeasible():
@@ -204,6 +228,47 @@ def test_singular_regulator_gain_is_infeasible():
 def test_synthesize_infinite_gamma_infeasible():
     with np.errstate(invalid="ignore"), pytest.raises(Infeasible):
         synthesize_MK(np.diag([0.5, 2.0]), np.eye(2), np.eye(2), pi=np.inf, kappa_hat=0.5)
+
+
+# an unstabilizable input, an infinite gamma, an A whose Riccati doubling overflows, and
+# one whose shrinkage gain B^-1 A overflows, so that its loop's radius is NaN
+OVERFLOWING = {
+    "unstabilizable": ([[2.0]], [[0.0]], 1.0),
+    "infinite-gamma": (np.diag([0.5, 2.0]), np.eye(2), np.inf),
+    "overflowing-A": (np.full((2, 2), 1e200), [[0.0], [1.0]], 1.0),
+    "overflowing-shrinkage": (np.full((2, 2), 1e305), [[1e-5, 2e-5], [3e-5, 4e-5]], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_synthesize_overflow_is_infeasible_without_warnings(name):
+    A, B, pi = OVERFLOWING[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Infeasible):
+            synthesize_MK(A, B, np.eye(len(A)), pi=pi, kappa_hat=0.5)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_riccati_doubling_matches_scipy(seed):
+    rng = np.random.default_rng(400 + seed)
+    n = 1 + seed % 8
+    A = rng.uniform(0.5, 2.0) * rng.standard_normal((n, n)) / np.sqrt(n)
+    B = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    want = solve_discrete_are(A, B, np.eye(n), np.eye(B.shape[1]))
+    np.testing.assert_allclose(_dare(A, B @ B.T), want, rtol=0, atol=1e-9 * abs(want).max())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_squared_smith_matches_scipy(seed):
+    rng = np.random.default_rng(500 + seed)
+    n = 1 + seed % 8
+    G = rng.standard_normal((n, n))
+    G *= rng.uniform(0.1, 0.95) / spsf._spectral_radius(G)
+    C = rng.standard_normal((int(rng.integers(1, 4)), n))
+    W = C.T @ C + 1e-3 * np.eye(n)
+    want = solve_discrete_lyapunov(G.T, W)
+    np.testing.assert_allclose(_stein(G, W), want, rtol=0, atol=1e-9 * abs(want).max())
 
 
 @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (6, 6)])
