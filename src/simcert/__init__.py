@@ -31,7 +31,6 @@ from .model import (
     validate_subsystem,
 )
 from .montecarlo import (
-    Deviations,
     RunConfig,
     ViolationEstimate,
     noise_stream,

@@ -16,7 +16,9 @@ The project file format is documented in :mod:`simcert.project`.
 
 import argparse
 import dataclasses
+import functools
 import math
+import os
 import sys
 import time
 import warnings
@@ -263,21 +265,17 @@ def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path) -> in
     _, analytic = _bound(composed, epsilon, horizon)
 
     subs = project.subsystems
-    cfg = montecarlo.RunConfig(
-        horizon=horizon, trials=trials, seed=seed, record_trajectories=csv_path is not None
+    run_trials = functools.partial(
+        montecarlo.simulate_pair, subs, project.topology,
+        [project.candidate_for(s.id) for s in subs], [project.certificate_for(s.id) for s in subs],
+        montecarlo.RunConfig(horizon=horizon, trials=trials, seed=seed),
     )
-    samples = montecarlo.simulate_pair(
-        subs,
-        project.topology,
-        [project.candidate_for(s.id) for s in subs],
-        [project.certificate_for(s.id) for s in subs],
-        cfg,
-    )
-    est = montecarlo.violation_probability(samples, epsilon)
-
-    if csv_path is not None:
-        _write_csv(csv_path, samples)
+    if csv_path is None:
+        sup = run_trials()
+    else:
+        sup = _write_csv(csv_path, run_trials)
         print(f"trajectories written to {csv_path}")
+    est = montecarlo.violation_probability(sup, epsilon)
 
     p = analytic.probability
     print(f"trials={trials} seed={seed} horizon={horizon} epsilon={epsilon:g}")
@@ -305,38 +303,47 @@ def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path) -> in
 _CSV_CHUNK = 64  # trials formatted by one ``%`` call
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
-def _write_csv(path, samples: montecarlo.Deviations) -> None:
-    """One row per trial and step; the deviation is computed as ``samples.sup`` is.
+def _write_csv(path, run):
+    """Return ``run(each_block)``, writing each block of trials it hands out to ``path``.
 
-    Each cell is ``repr`` of its Python float.  Trials are formatted
-    :data:`_CSV_CHUNK` at a time, each chunk by one ``%`` call on one trial's
-    row template repeated, so the memory this takes beyond the samples stays
-    small however many trials the run has.  Cells are formatted with ``%s``,
-    which is ``repr`` for a float; a cell whose bits are ``+0.0`` (every
-    ``k = 0`` row, and every ``yhat`` of a noiseless abstraction) is given as
-    ``"0.0"``, its ``repr``, which skips the float formatting.
+    A run that raises leaves no file at ``path``, since a CSV cut off between chunks
+    reads as a complete shorter run; a device, FIFO or symlink there is left as it is.
     """
-    outputs, abstract_outputs = samples.outputs, samples.abstract_outputs
-    steps = outputs.shape[1]
-    header = (
-        ["trial", "k"]
-        + [f"y{i}" for i in range(outputs.shape[2])]
-        + [f"yhat{i}" for i in range(abstract_outputs.shape[2])]
-        + ["deviation"]
-    )
-    cells = ",%s" * (len(header) - 2)
-    template = "".join(f"%d,{k}{cells}\n" for k in range(steps))
-    with open_output(path) as fh:
+    fh = None
+    try:
+        with open_output(path) as fh:
+            return run(functools.partial(_write_block, fh))
+    except BaseException:
+        if fh is not None and os.path.isfile(path) and not os.path.islink(path):
+            os.unlink(path)
+        raise
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
+def _write_block(fh, trials: range, y: np.ndarray, yh: np.ndarray) -> None:
+    """The CSV rows of a block of trials, after the header when the block is the first.
+
+    One row per trial and step; the deviation is computed as the run's supremum is.
+    Trials are formatted :data:`_CSV_CHUNK` at a time, each chunk by one ``%`` call
+    on one trial's row template repeated.  A cell is ``%s`` of its Python float, its
+    ``repr``; a cell whose bits are ``+0.0`` (every ``k = 0`` row, and every ``yhat``
+    of a noiseless abstraction) is given as ``"0.0"``, which skips the float formatting.
+    """
+    steps = y.shape[1]
+    if not trials.start:
+        header = ["trial", "k", *(f"y{i}" for i in range(y.shape[2])),
+                  *(f"yhat{i}" for i in range(yh.shape[2])), "deviation"]
         fh.write(",".join(header) + "\n")
-        for at in range(0, len(samples), _CSV_CHUNK):
-            y, yh = outputs[at : at + _CSV_CHUNK], abstract_outputs[at : at + _CSV_CHUNK]
-            values = np.concatenate([y, yh, np.linalg.norm(y - yh, axis=2)[:, :, None]], axis=2)
-            fields = np.empty((len(y), steps, 1 + values.shape[2]), dtype=object)
-            fields[:, :, 0] = np.arange(at, at + len(y))[:, None]
-            fields[:, :, 1:] = values  # Python floats
-            fields[:, :, 1:][values.view(np.int64) == 0] = "0.0"  # +0.0; -0.0 keeps its float
-            fh.write((template * len(y)) % tuple(fields.ravel().tolist()))
+    cells = ",%s" * (y.shape[2] + yh.shape[2] + 1)
+    template = "".join(f"%d,{k}{cells}\n" for k in range(steps))
+    for at in range(0, len(y), _CSV_CHUNK):
+        ys, yhs = y[at : at + _CSV_CHUNK], yh[at : at + _CSV_CHUNK]
+        values = np.concatenate([ys, yhs, np.linalg.norm(ys - yhs, axis=2)[:, :, None]], axis=2)
+        fields = np.empty((len(ys), steps, 1 + values.shape[2]), dtype=object)
+        fields[:, :, 0] = np.arange(trials.start + at, trials.start + at + len(ys))[:, None]
+        fields[:, :, 1:] = values  # Python floats
+        fields[:, :, 1:][values.view(np.int64) == 0] = "0.0"  # +0.0; -0.0 keeps its float
+        fh.write((template * len(ys)) % tuple(fields.ravel().tolist()))
 
 
 def _check_value(label: str, got: float, expected: float, tol: float, failures: list) -> None:

@@ -13,7 +13,7 @@ assigns it, so the bits are those of a fresh generator there, and drawing is
 thread-safe.  Trials are stepped in blocks of a fixed width, so a
 trial's bits are a function of the run configuration and its trial index
 alone: the first ``t`` trials of a longer run equal a ``t``-trial run.  A
-run returns its per-trial deviations as arrays, trial ``t`` in row ``t``;
+run returns its per-trial supremum deviations, trial ``t`` in row ``t``;
 :func:`violation_probability` reduces them to the empirical violation frequency
 and its exact one-sided confidence bound.
 """
@@ -34,7 +34,6 @@ from .spsf import AbstractionCandidate, AbstractionCertificate
 
 __all__ = [
     "RunConfig",
-    "Deviations",
     "ViolationEstimate",
     "noise_stream",
     "simulate_pair",
@@ -43,13 +42,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Horizon (>= 0), trial count (>= 1) and seed (>= 0) of a run, all integers,
-    and whether it records trajectories."""
+    """Horizon (>= 0), trial count (>= 1) and seed (>= 0) of a run, all integers."""
 
     horizon: int
     trials: int
     seed: int
-    record_trajectories: bool = False
 
     def __post_init__(self):
         for name, low in (("horizon", 0), ("trials", 1), ("seed", 0)):
@@ -60,23 +57,6 @@ class RunConfig:
                 raise TypeError(f"{name} must be an integer: {value!r}") from None
             if not ok:
                 raise ValueError(f"{name} must be >= {low}: {value}")
-
-
-@dataclass(frozen=True, eq=False)
-class Deviations:
-    """Supremum output deviation of every trial, trial ``t`` in row ``t``.
-
-    ``sup`` has shape ``(trials,)``.  When the run records trajectories,
-    ``outputs`` and ``abstract_outputs`` hold the concrete and abstract
-    external outputs, shaped ``(trials, T+1, r)``; otherwise they are ``None``.
-    """
-
-    sup: np.ndarray
-    outputs: np.ndarray | None = None
-    abstract_outputs: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.sup)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -255,19 +235,16 @@ class _PairSimulator:
                 out[:, start : start + q, :cols] = draws.transpose(1, 2, 0)
 
     @np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
-    def run_block(
-        self, trials: range, cfg: RunConfig, noise: np.ndarray, out: Deviations, pair: np.ndarray
-    ) -> None:
+    def run_block(self, trials: range, cfg: RunConfig, noise: np.ndarray, pair: np.ndarray,
+                  sup: np.ndarray, outputs: tuple | None = None) -> None:
         """Step ``trials`` (at most :attr:`block`) together from zero states, one per column,
-        on ``noise`` shaped like :meth:`_noise` writes it, folding each step's deviations
-        into their rows of ``out`` as it is taken; ``pair`` holds the two pair columns,
-        ``(2, width, block)``."""
+        on ``noise`` shaped like :meth:`_noise` writes it and the two pair columns ``pair``,
+        ``(2, width, block)``, folding each step's deviations into ``sup``, the block's rows,
+        as it is taken, and its outputs into ``outputs = (y, yh)``, each ``(block, T+1, r)``."""
         T, cols = cfg.horizon, len(trials)
         # two pair columns in turn: a step reads one and writes the other's state
         pair.fill(0.0)
         z, nxt = pair
-        rows = slice(trials.start, trials.stop)
-        sup = out.sup[rows]
         for k in range(T + 1):
             if k:
                 z[self.w.start :] = noise[k - 1]
@@ -277,8 +254,8 @@ class _PairSimulator:
             # the whole width, so that a column's sum does not depend on the trial count
             y, yh = z[self.y], z[self.yh]
             np.maximum(sup, np.linalg.norm(y - yh, axis=0)[:cols], out=sup)
-            if out.outputs is not None:
-                out.outputs[rows, k], out.abstract_outputs[rows, k] = y[:, :cols].T, yh[:, :cols].T
+            if outputs is not None:
+                outputs[0][:cols, k], outputs[1][:cols, k] = y[:, :cols].T, yh[:, :cols].T
 
 
 def simulate_pair(
@@ -287,33 +264,37 @@ def simulate_pair(
     candidates: Sequence[AbstractionCandidate],
     certificates: Sequence[AbstractionCertificate],
     cfg: RunConfig,
-) -> Deviations:
-    """Run all trials of the coupled pair and collect their deviations.
+    each_block=None,
+) -> np.ndarray:
+    """Run all trials of the coupled pair; return their ``(trials,)`` supremum deviations.
 
     ``candidates`` and ``certificates`` are in subsystem order; the abstract
     network is the candidates wired by ``topology``.  Both networks start from
     zero states, and the abstract input is zero.  Concrete and abstract
     noises are fully independent.  Results are bitwise-reproducible for a
     fixed config: every trial consumes only its own substreams, and trials
-    are stepped in blocks of a fixed size.
+    are stepped in blocks of a fixed size.  ``each_block(trials, y, yh)``, if
+    given, gets each block's ``range`` of trials and their concrete and abstract
+    outputs, ``(len(trials), T+1, r)`` views of a buffer the next block reuses.
     """
     sim = _PairSimulator(subsystems, topology, candidates, certificates)
     n, T, b = cfg.trials, cfg.horizon, sim.block
     # every array is sized before the first step (numpy: ValueError past the address space)
     try:
-        out = Deviations(np.zeros(n))  # run_block folds each step's deviations into sup
-        if cfg.record_trajectories:
-            y, yh = np.empty((n, T + 1, len(sim.y))), np.empty((n, T + 1, len(sim.yh)))
-            out = Deviations(out.sup, y, yh)
-        # a block's noise and two pair columns, reused by the next block
+        sup = np.zeros(n)  # run_block folds each step's deviations into it
+        # a block's noise, two pair columns and, for a consumer, outputs, reused by the next block
         noise, pair = np.empty((T, sim.width - sim.w.start, b)), np.empty((2, sim.width, b))
+        outputs = None if each_block is None else (
+            np.empty((b, T + 1, len(sim.y))), np.empty((b, T + 1, len(sim.yh))))
     except (MemoryError, ValueError) as exc:
         raise SchemaError(f"trials={n} and horizon={T} cannot be allocated: {exc}") from None
     for start in range(0, n, b):
         trials = range(n)[start : start + b]
         sim._noise(cfg, trials, noise)
-        sim.run_block(trials, cfg, noise, out, pair)
-    return out
+        sim.run_block(trials, cfg, noise, pair, sup[start : start + b], outputs)
+        if outputs is not None:
+            each_block(trials, outputs[0][: len(trials)], outputs[1][: len(trials)])
+    return sup
 
 
 @dataclass(frozen=True)
@@ -326,13 +307,14 @@ class ViolationEstimate:
     upper95: float
 
 
-def violation_probability(samples: Deviations, epsilon: float) -> ViolationEstimate:
-    """Fraction of trials with ``sup deviation >= epsilon`` or non-finite, plus
-    its exact (Clopper-Pearson) one-sided 95% upper confidence bound, rounded up."""
-    n = len(samples)
+def violation_probability(sup: np.ndarray, epsilon: float) -> ViolationEstimate:
+    """Fraction of trials whose supremum deviation in ``sup`` is ``>= epsilon`` or
+    non-finite, plus its exact (Clopper-Pearson) one-sided 95% upper confidence
+    bound, rounded up."""
+    n = len(sup)
     if not n:
-        raise ValueError("samples must be nonempty")
-    x = int(np.count_nonzero(~(samples.sup < epsilon)))
+        raise ValueError("sup must be nonempty")
+    x = int(np.count_nonzero(~(sup < epsilon)))
     return ViolationEstimate(violations=x, trials=n, estimate=x / n, upper95=_upper95(x, n))
 
 

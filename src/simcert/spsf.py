@@ -308,8 +308,10 @@ def synthesize_MK(
     The decrease condition is equivalent to Schur stability of the scaled
     closed loop ``gamma (A + BK)`` with ``gamma = sqrt((1+pi)/(1-kappa_hat))``.
     ``K`` is the uniform shrinkage ``-eta B^-1 A`` when ``B`` is square and
-    invertible; its loop ``(1 - eta) A`` needs ``rho(A)`` once, not per ``eta``.
-    Otherwise, or if round-off spoils that loop, ``K`` is the optimal regulator
+    invertible, at the first grid ``eta`` with ``gamma rho(A) (1 - eta) <= 0.9``:
+    its loop ``(1 - eta) A`` needs ``rho(A)`` once, not per ``eta``.  Otherwise,
+    or if round-off lifts that loop above 0.9 (at a grid tie, where a per-``eta``
+    sweep goes on to the next ``eta``), ``K`` is the optimal regulator
     gain of the gamma-scaled pair, from the Riccati solution that the
     structure-preserving doubling iteration reaches once a sweep changes it by at
     most ``1e-15`` of its largest entry.  ``M`` is then the scaled Lyapunov series

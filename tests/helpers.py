@@ -1,8 +1,8 @@
 """Shared construction helpers for randomized test instances, dense oracles,
 the closeness function, the interface function and the one-step expectation
 oracles with their Monte Carlo check, the inline and version 1 forms of a
-project document, the row-by-row trajectory CSV writer, a ring of reference
-copies, and a fresh interpreter for import checks."""
+project document, a run's recorded outputs, the row-by-row trajectory CSV
+writer, a ring of reference copies, and a fresh interpreter for import checks."""
 
 import dataclasses
 import json
@@ -17,7 +17,7 @@ from scipy.linalg import block_diag
 
 import simcert
 from simcert.model import InterconnectedSystem, LinearSubsystem, Topology
-from simcert.montecarlo import Deviations
+from simcert.montecarlo import simulate_pair
 from simcert.project import ProjectFile, open_output, project_to_dict
 from simcert.reference import reference_project
 from simcert.smallgain import build_gains, compose, find_mu
@@ -221,15 +221,28 @@ def v1_document(project: ProjectFile) -> dict:
     return doc
 
 
-def row_by_row_csv(path, samples: Deviations) -> None:
-    """:func:`simcert.cli._write_csv` as an oracle: each row is formatted on its own,
-    ``repr`` of each cell joined by commas.
+def recorded_run(subs, topo, cands, certs, cfg):
+    """``(sup, y, yhat)`` of a run: :func:`simulate_pair`'s result, and every block's
+    concrete and abstract outputs copied as it is handed out and joined, each
+    shaped ``(trials, T+1, r)``."""
+    blocks = []
 
-    One row per trial and step; the deviation is computed as ``samples.sup`` is.
-    Trials are formatted 16 at a time, so the memory this takes beyond the
-    samples stays small however many trials the run has.
+    def keep(trials, y, yh):
+        assert trials.start == sum(len(b[0]) for b in blocks)  # blocks come in order
+        blocks.append((y.copy(), yh.copy()))
+
+    sup = simulate_pair(subs, topo, cands, certs, cfg, each_block=keep)
+    return sup, *(np.concatenate(side) for side in zip(*blocks))
+
+
+def row_by_row_csv(path, outputs, abstract_outputs) -> None:
+    """:func:`simcert.cli._write_block` over a whole run as an oracle: each row is
+    formatted on its own, ``repr`` of each cell joined by commas.
+
+    ``outputs`` and ``abstract_outputs`` are a run's concrete and abstract
+    outputs, shaped ``(trials, T+1, r)``.  One row per trial and step; the
+    deviation is computed as the run's supremum is.
     """
-    outputs, abstract_outputs = samples.outputs, samples.abstract_outputs
     header = (
         ["trial", "k"]
         + [f"y{i}" for i in range(outputs.shape[2])]
@@ -238,7 +251,7 @@ def row_by_row_csv(path, samples: Deviations) -> None:
     )
     with open_output(path) as fh:
         fh.write(",".join(header) + "\n")
-        for at in range(0, len(samples), 16):
+        for at in range(0, len(outputs), 16):
             y, yh = outputs[at : at + 16], abstract_outputs[at : at + 16]
             deviation = np.linalg.norm(y - yh, axis=2)
             rows = np.concatenate([y, yh, deviation[:, :, None]], axis=2).tolist()

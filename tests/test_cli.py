@@ -1,7 +1,11 @@
 import collections
 import csv
 import dataclasses
+import functools
 import json
+import os
+import stat
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -9,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
-    certified_network, diverging_project, fresh_python, inline, python_run, ring_document,
-    row_by_row_csv,
+    certified_network, diverging_project, fresh_python, inline, python_run, recorded_run,
+    ring_document, row_by_row_csv,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -562,17 +566,17 @@ def test_csv_deviation_matches_sup_deviation(ref_project, tmp_path):
     subs = ref_project.subsystems
     cands = [ref_project.candidate_for(s.id) for s in subs]
     certs = [ref_project.certificate_for(s.id) for s in subs]
-    cfg = RunConfig(horizon=10, trials=500, seed=0, record_trajectories=True)
-    samples = simulate_pair(subs, ref_project.topology, cands, certs, cfg)
+    run = functools.partial(simulate_pair, subs, ref_project.topology, cands, certs,
+                            RunConfig(horizon=10, trials=500, seed=0))
     path = tmp_path / "traj.csv"
-    cli._write_csv(path, samples)
+    sup = cli._write_csv(path, run)
     worst: dict[int, float] = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             trial = int(row["trial"])
             worst[trial] = max(worst.get(trial, 0.0), float(row["deviation"]))
-    assert len(samples) == cfg.trials
-    assert worst == dict(enumerate(samples.sup.tolist()))
+    assert len(sup) == 500
+    assert worst == dict(enumerate(sup.tolist()))
 
 
 def _noisy_reference() -> ProjectFile:
@@ -585,20 +589,20 @@ def _noisy_reference() -> ProjectFile:
     return dataclasses.replace(project, candidates=cands, certificates=certs)
 
 
-def _recorded(project, trials, horizon, seed=0):
+def _run(project, trials, horizon, seed=0):
+    """The run's arguments of :func:`simulate_pair`, in order."""
     subs = project.subsystems
-    return simulate_pair(
-        subs, project.topology, [project.candidate_for(s.id) for s in subs],
-        [project.certificate_for(s.id) for s in subs],
-        RunConfig(horizon=horizon, trials=trials, seed=seed, record_trajectories=True),
-    )
+    return (subs, project.topology, [project.candidate_for(s.id) for s in subs],
+            [project.certificate_for(s.id) for s in subs],
+            RunConfig(horizon=horizon, trials=trials, seed=seed))
 
 
-def _assert_csv_matches_oracle(samples, tmp_path):
+def _assert_csv_matches_oracle(run, outputs, abstract_outputs, tmp_path):
+    """The CSV that ``cli._write_csv`` writes of ``run`` is the oracle's of its outputs."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    cli._write_csv(got, samples)
+    cli._write_csv(got, run)
     with np.errstate(over="ignore", invalid="ignore"):
-        row_by_row_csv(want, samples)
+        row_by_row_csv(want, outputs, abstract_outputs)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -608,8 +612,10 @@ def _assert_csv_matches_oracle(samples, tmp_path):
      (False, 64, 2), (True, 65, 2), (False, 257, 1)],
 )
 def test_csv_bytes_equal_row_by_row_writer(ref_project, tmp_path, noisy, trials, horizon):
-    project = _noisy_reference() if noisy else ref_project
-    _assert_csv_matches_oracle(_recorded(project, trials, horizon), tmp_path)
+    args = _run(_noisy_reference() if noisy else ref_project, trials, horizon)
+    _, outputs, abstract_outputs = recorded_run(*args)
+    _assert_csv_matches_oracle(functools.partial(simulate_pair, *args), outputs,
+                               abstract_outputs, tmp_path)
 
 
 def test_csv_special_values_equal_row_by_row_writer(tmp_path):
@@ -618,11 +624,90 @@ def test_csv_special_values_equal_row_by_row_writer(tmp_path):
     outputs = rng.choice(cells, size=(70, 3, 3))
     abstract = rng.choice(cells, size=(70, 3, 3))
     outputs[0], abstract[0] = 0.0, -0.0  # deviation 0.0 from signed zeros
-    samples = montecarlo.Deviations(np.zeros(70), outputs, abstract)
-    _assert_csv_matches_oracle(samples, tmp_path)
+    def run(each_block):  # one block of 70 trials: two full chunks and a short one
+        each_block(range(70), outputs, abstract)
+
+    _assert_csv_matches_oracle(run, outputs, abstract, tmp_path)
     text = (tmp_path / "got.csv").read_text()
     for cell in ("0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "1e-05", "123.0"):
         assert f",{cell}," in text or f",{cell}\n" in text
+
+
+def test_unallocatable_csv_run_leaves_no_file(project_path, tmp_path, capsys):
+    # the CSV is opened before the run allocates its arrays; the failed run removes it
+    path = tmp_path / "out.csv"
+    argv = ["simulate", "--project", str(project_path), "--trials", "1000000000000000",
+            "--csv", str(path)]
+    assert main(argv) == 2
+    assert "cannot be allocated" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_csv_write_error_in_second_block_leaves_no_file(project_path, tmp_path, capsys,
+                                                        monkeypatch):
+    # a CSV cut off at a block's end reads as a complete shorter run
+    path, sizes = tmp_path / "out.csv", []
+    write = cli._write_block
+
+    def full_disk(fh, trials, y, yh):
+        if trials.start:
+            sizes.append(path.stat().st_size)
+            raise OSError(28, "No space left on device")
+        write(fh, trials, y, yh)
+
+    monkeypatch.setattr(cli, "_write_block", full_disk)
+    assert main(["simulate", "--project", str(project_path), "--trials", "300",
+                 "--csv", str(path)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert sizes[0] > 0 and not path.exists()
+
+
+@pytest.mark.parametrize("symlink", [False, True], ids=["file", "symlink"])
+def test_interrupted_csv_run_leaves_no_file(project_path, tmp_path, monkeypatch, symlink):
+    # only a regular file that the writer opened is removed, never a link or its target
+    path, target, sizes = tmp_path / "out.csv", tmp_path / "target.csv", []
+    if symlink:
+        target.write_text("")
+        path.symlink_to(target)
+    stream = montecarlo.noise_stream
+
+    def interrupted(seed, trial, *args):
+        if trial == 256:  # the second block's first draw, after the first block's rows
+            sizes.append(path.stat().st_size)
+            raise KeyboardInterrupt
+        return stream(seed, trial, *args)
+
+    monkeypatch.setattr(montecarlo, "noise_stream", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--project", str(project_path), "--trials", "300", "--csv", str(path)])
+    assert sizes[0] > 0
+    assert path.is_symlink() and target.is_file() if symlink else not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_csv_to_full_device_exits_2_and_keeps_the_device(project_path, capsys):
+    assert main(["simulate", "--project", str(project_path), "--trials", "300",
+                 "--csv", "/dev/full"]) == 2
+    assert "cannot write /dev/full" in capsys.readouterr().err
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
+def test_csv_run_memory_does_not_grow_with_trials(project_path, tmp_path, capsys):
+    # rows are written block by block as the run goes, so ten times the trials
+    # add only the (trials,) supremum array: whole-run trajectories would add
+    # 2 * 2304 * (T+1) * 4 doubles, 1.6 MB
+    argv = ["simulate", "--project", str(project_path), "--csv", str(tmp_path / "out.csv")]
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--trials", str(trials)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(256)  # warm-up: caches and one-time allocations
+    assert peak(2560) - peak(256) < 0.25 * 2**20
 
 
 def test_csv_of_diverging_run_warns_nothing(tmp_path, capsys):

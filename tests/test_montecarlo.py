@@ -16,6 +16,7 @@ from helpers import (
     interface,
     omega_slices,
     random_certified_instance,
+    recorded_run,
     step,
 )
 
@@ -24,7 +25,6 @@ from simcert.bounds import BoundQuery, finite_horizon_bound
 from simcert.errors import DimensionMismatch
 from simcert.model import LinearSubsystem, Topology
 from simcert.montecarlo import (
-    Deviations,
     RunConfig,
     _PairSimulator,
     noise_stream,
@@ -68,20 +68,21 @@ def test_noiseless_matched_start_zero_deviation(ref_parts):
     quiet, topo, cands, certs = _noiseless_reference(ref_parts)
     cfg = RunConfig(horizon=8, trials=5, seed=1)
     samples = simulate_pair(quiet, topo, cands, certs, cfg)
-    assert len(samples) == cfg.trials and samples.sup.shape == (cfg.trials,)
-    assert np.all(samples.sup == 0.0)
+    assert samples.shape == (cfg.trials,)
+    assert np.all(samples == 0.0)
 
 
 def _run_impulse(subs, topo, cands, certs, cfg, impulse):
-    """One trial of ``run_block`` on noise that is ``impulse`` (the rows ``[w; what]``)
-    at step 0 and zero after it."""
+    """``(sup, y, yhat)`` of one trial of ``run_block`` on noise that is ``impulse``
+    (the rows ``[w; what]``) at step 0 and zero after it."""
     sim = _PairSimulator(subs, topo, cands, certs)
     noise = np.zeros((cfg.horizon, sim.width - sim.w.start, sim.block))
     noise[0, :, 0] = impulse
-    shape = (1, cfg.horizon + 1)
-    out = Deviations(np.zeros(1), np.empty((*shape, len(sim.y))), np.empty((*shape, len(sim.yh))))
-    sim.run_block(range(1), cfg, noise, out, np.empty((2, sim.width, sim.block)))
-    return out
+    shape = (sim.block, cfg.horizon + 1)
+    outputs = np.empty((*shape, len(sim.y))), np.empty((*shape, len(sim.yh)))
+    sup = np.zeros(1)
+    sim.run_block(range(1), cfg, noise, np.empty((2, sim.width, sim.block)), sup, outputs)
+    return sup[0], outputs[0][0], outputs[1][0]
 
 
 def test_geometric_decay_scalar_pair():
@@ -94,25 +95,24 @@ def test_geometric_decay_scalar_pair():
         M=[[1.0]], K=[[-0.4]], P=[[1.0]], Q=[[0.0]], S=np.zeros((1, 0)),
         Rtilde=[[1.0]], pi=0.5, kappa_hat=0.5,
     )
-    cfg = RunConfig(horizon=7, trials=1, seed=0, record_trajectories=True)
-    res = _run_impulse([s], Topology(1), [cand], [cert], cfg, [1.0])
-    devs = np.linalg.norm(res.outputs[0] - res.abstract_outputs[0], axis=1)
+    cfg = RunConfig(horizon=7, trials=1, seed=0)
+    sup, y, yh = _run_impulse([s], Topology(1), [cand], [cert], cfg, [1.0])
+    devs = np.linalg.norm(y - yh, axis=1)
     # a unit kick at step 0, then the error recursion e+ = (A + BK) e with A + BK = 0.5
     assert devs[:2].tolist() == [0.0, 1.0]
     for k in range(1, 7):
         assert devs[k + 1] == pytest.approx(0.5 * devs[k], rel=1e-12)
-    assert res.sup[0] == pytest.approx(1.0)
+    assert sup == pytest.approx(1.0)
 
 
 def test_determinism_same_seed(ref_parts):
     subs, topo, cands, certs = ref_parts
     cands = [cands[i] for i in range(4)]
-    cfg = RunConfig(horizon=5, trials=20, seed=77, record_trajectories=True)
-    a = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
-    b = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
-    assert len(a) == len(b) == cfg.trials
-    assert np.array_equal(a.sup, b.sup)
-    assert np.array_equal(a.outputs, b.outputs)
+    cfg = RunConfig(horizon=5, trials=20, seed=77)
+    a = recorded_run(subs, topo, cands, [certs[i] for i in range(4)], cfg)
+    b = recorded_run(subs, topo, cands, [certs[i] for i in range(4)], cfg)
+    assert len(a[0]) == len(b[0]) == cfg.trials
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_noise_moments():
@@ -274,7 +274,7 @@ def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):
     # a second run in the same process reuses every side's generator and record
     del built[:], generators[:], streams[:]
     again = simulate_pair(subs, topo, cands, [certs[i] for i in range(4)], cfg)
-    assert np.array_equal(again.sup, samples.sup)
+    assert np.array_equal(again, samples)
     assert not built and not generators
     assert len(streams) == cfg.trials * noisy_sides
 
@@ -297,25 +297,22 @@ def test_run_config_takes_integer_types():
 
 
 def test_violation_probability_examples():
-    def mk(vals):
-        return Deviations(sup=np.array(vals))
-
-    zero = violation_probability(mk([0.0] * 100), 1.0)
+    zero = violation_probability(np.zeros(100), 1.0)
     assert zero.estimate == 0.0
     assert zero.upper95 == pytest.approx(1 - 0.05 ** (1 / 100), rel=1e-9)
-    assert violation_probability(mk([2.0] * 10), 1.0).estimate == 1.0
-    assert violation_probability(mk([0.5, 1.5]), 1.0).estimate == 0.5
+    assert violation_probability(np.full(10, 2.0), 1.0).estimate == 1.0
+    assert violation_probability(np.array([0.5, 1.5]), 1.0).estimate == 0.5
 
 
 def test_non_finite_deviation_counts_as_violation():
     # a diverging run overflows to inf, then inf - inf gives nan; neither is
     # "within epsilon"
-    est = violation_probability(Deviations(sup=np.array([np.nan, np.inf, 0.0, 2.0])), 1.0)
+    est = violation_probability(np.array([np.nan, np.inf, 0.0, 2.0]), 1.0)
     assert (est.violations, est.trials) == (3, 4)
 
 
 def _cp_upper(x, n):
-    return violation_probability(Deviations(sup=(np.arange(n) < x) * 2.0), 1.0).upper95
+    return violation_probability((np.arange(n) < x) * 2.0, 1.0).upper95
 
 
 def _binomial_tail(n, x, p):
@@ -430,7 +427,7 @@ def test_simulate_matches_naive_oracle(ref_parts):
     fast = simulate_pair(subs, topo, cands, certs_list, cfg)
     for t in range(4):
         naive = _naive_pair_trial(subs, topo, cands, certs_list, cfg, t)
-        assert fast.sup[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
+        assert fast[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("seed", [2101, 2104])
@@ -441,7 +438,7 @@ def test_simulate_matches_naive_oracle_heterogeneous(seed):
     fast = simulate_pair(subs, topo, cands, certs, cfg)
     for t in range(3):
         naive = _naive_pair_trial(subs, topo, cands, certs, cfg, t)
-        assert fast.sup[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
+        assert fast[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
 
 
 def test_blocked_simulation_matches_oracle_across_block_boundary():
@@ -456,20 +453,18 @@ def test_blocked_simulation_matches_oracle_across_block_boundary():
         cands[i] = dataclasses.replace(cands[i], Fhat=noisy)
     assert {c.Fhat.shape[1] for c in cands} == {0, 2}
     block = _PairSimulator(subs, topo, cands, certs).block
-    cfg = RunConfig(horizon=6, trials=block + 2, seed=31, record_trajectories=True)
-    first = simulate_pair(subs, topo, cands, certs, cfg)
-    assert len(first) == block + 2
+    cfg = RunConfig(horizon=6, trials=block + 2, seed=31)
+    sup, outputs, abstract_outputs = first = recorded_run(subs, topo, cands, certs, cfg)
+    assert len(sup) == block + 2
     shape = (block + 2, cfg.horizon + 1)
-    assert first.outputs.shape[:2] == first.abstract_outputs.shape[:2] == shape
+    assert outputs.shape[:2] == abstract_outputs.shape[:2] == shape
     for t in (0, block - 2, block - 1, block, block + 1):
         naive = _naive_pair_trial(subs, topo, cands, certs, cfg, t)
-        assert first.sup[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
+        assert sup[t] == pytest.approx(naive, rel=1e-12, abs=1e-14)
         # the abstract noise moves xhat, so Q xhat, S omegahat and Dhat omegahat enter
-        assert np.abs(first.abstract_outputs[t]).max() > 0
-    again = simulate_pair(subs, topo, cands, certs, cfg)
-    assert np.array_equal(first.sup, again.sup)
-    assert np.array_equal(first.outputs, again.outputs)
-    assert np.array_equal(first.abstract_outputs, again.abstract_outputs)
+        assert np.abs(abstract_outputs[t]).max() > 0
+    again = recorded_run(subs, topo, cands, certs, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 
@@ -507,13 +502,13 @@ def test_wide_internal_outputs_match_oracle():
     rng = np.random.default_rng(29)
     rows = {(0, 1): 2, (0, 2): 2, (1, 0): 2, (2, 1): 1}
     subs, topo, cands, certs = _random_pair_network(rng, [1, 3, 2], rows)
-    cfg = RunConfig(horizon=6, trials=3, seed=5, record_trajectories=True)
-    res = simulate_pair(subs, topo, cands, certs, cfg)
+    cfg = RunConfig(horizon=6, trials=3, seed=5)
+    res_sup, outputs, abstract_outputs = recorded_run(subs, topo, cands, certs, cfg)
     for t in range(cfg.trials):
         sup, ys, yhs = _naive_pair_trial(subs, topo, cands, certs, cfg, t, trajectories=True)
-        assert res.outputs[t] == pytest.approx(ys, rel=1e-12, abs=1e-14)
-        assert res.abstract_outputs[t] == pytest.approx(yhs, rel=1e-12, abs=1e-14)
-        assert res.sup[t] == pytest.approx(sup, rel=1e-12, abs=1e-14)
+        assert outputs[t] == pytest.approx(ys, rel=1e-12, abs=1e-14)
+        assert abstract_outputs[t] == pytest.approx(yhs, rel=1e-12, abs=1e-14)
+        assert res_sup[t] == pytest.approx(sup, rel=1e-12, abs=1e-14)
 
 
 def test_step_blocks_read_no_neighbour_state():
@@ -540,16 +535,15 @@ def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
     certs = [certs[i] for i in range(4)]
 
     def run(trials):
-        cfg = RunConfig(horizon=10, trials=trials, seed=3, record_trajectories=True)
-        return simulate_pair(subs, topo, cands, certs, cfg)
+        return recorded_run(subs, topo, cands, certs, RunConfig(horizon=10, trials=trials, seed=3))
 
     longer = run(1000)
     for trials in (400, 257):
         shorter = run(trials)
-        assert len(shorter) == trials
-        assert np.array_equal(shorter.sup, longer.sup[:trials])
-        assert np.array_equal(shorter.outputs, longer.outputs[:trials])
-        assert np.array_equal(shorter.abstract_outputs, longer.abstract_outputs[:trials])
+        assert len(shorter[0]) == trials
+        # sup, then the concrete and the abstract outputs
+        for short, long in zip(shorter, longer):
+            assert np.array_equal(short, long[:trials])
 
 
 def test_abstract_noise_and_recording_match_oracle():
@@ -557,19 +551,19 @@ def test_abstract_noise_and_recording_match_oracle():
     # concrete side, checked row by row
     subs, topo, cands, certs, _ = certified_network(2101, abstract_noise=True)
     subs[0] = dataclasses.replace(subs[0], F=np.zeros((subs[0].n, 0)))
-    cfg = RunConfig(horizon=6, trials=3, seed=41, record_trajectories=True)
-    res = simulate_pair(subs, topo, cands, certs, cfg)
-    assert len(res) == cfg.trials
+    cfg = RunConfig(horizon=6, trials=3, seed=41)
+    res_sup, res_outputs, res_abstract_outputs = recorded_run(subs, topo, cands, certs, cfg)
+    assert len(res_sup) == cfg.trials
     for t in range(cfg.trials):
         sup, ys, yhs = _naive_pair_trial(subs, topo, cands, certs, cfg, t, trajectories=True)
-        outputs, abstract_outputs = res.outputs[t], res.abstract_outputs[t]
+        outputs, abstract_outputs = res_outputs[t], res_abstract_outputs[t]
         assert outputs.shape == ys.shape and abstract_outputs.shape == yhs.shape
         for k in range(cfg.horizon + 1):
             assert outputs[k] == pytest.approx(ys[k], rel=1e-12, abs=1e-14)
             assert abstract_outputs[k] == pytest.approx(yhs[k], rel=1e-12, abs=1e-14)
-        assert res.sup[t] == pytest.approx(sup, rel=1e-12, abs=1e-14)
+        assert res_sup[t] == pytest.approx(sup, rel=1e-12, abs=1e-14)
         devs = np.linalg.norm(outputs - abstract_outputs, axis=1)
-        assert res.sup[t] == devs.max()
+        assert res_sup[t] == devs.max()
 
 
 def _reference_ring(N):
@@ -600,13 +594,11 @@ def test_recording_leaves_sup_unchanged(ref_parts, network):
         cands, certs = [cands[i] for i in range(4)], [certs[i] for i in range(4)]
     else:
         subs, topo, cands, certs, _ = certified_network(2104)
-    runs = [
-        simulate_pair(subs, topo, cands, certs,
-                      RunConfig(horizon=9, trials=300, seed=13, record_trajectories=record))
-        for record in (False, True)
-    ]
-    assert runs[0].outputs is None and runs[1].outputs.shape[:2] == (300, 10)
-    assert runs[0].sup.tobytes() == runs[1].sup.tobytes()
+    cfg = RunConfig(horizon=9, trials=300, seed=13)
+    plain = simulate_pair(subs, topo, cands, certs, cfg)
+    recorded, outputs, _ = recorded_run(subs, topo, cands, certs, cfg)
+    assert outputs.shape[:2] == (300, 10)
+    assert plain.tobytes() == recorded.tobytes()
 
 
 def test_run_memory_grows_with_horizon_only_through_noise(ref_parts):
@@ -667,9 +659,9 @@ def _deviation_run(network, ref_parts, trials, T):
         seed, noisy = network
         subs, topo, cands, certs, _ = certified_network(seed, abstract_noise=noisy)
     cov = deviation_covariance(subs, topo, cands, certs, T)
-    cfg = RunConfig(horizon=T, trials=trials, seed=7, record_trajectories=True)
-    res = simulate_pair(subs, topo, cands, certs, cfg)
-    return res.outputs - res.abstract_outputs, res.sup, cov
+    sup, outputs, abstract_outputs = recorded_run(
+        subs, topo, cands, certs, RunConfig(horizon=T, trials=trials, seed=7))
+    return outputs - abstract_outputs, sup, cov
 
 
 # reference, or (certified_network seed, abstract noise)
@@ -761,8 +753,8 @@ def test_abstract_internal_inputs_enter_concrete_step():
     rng = np.random.default_rng(5)
     xs = [rng.standard_normal(s.n) for s in subs]
     xhs = [rng.standard_normal(a.n) for a in abs_subs]
-    cfg = RunConfig(horizon=2, trials=1, seed=0, record_trajectories=True)
-    res = _run_impulse(kicked, topo, cands, certs, cfg, np.concatenate(xs + xhs))
+    cfg = RunConfig(horizon=2, trials=1, seed=0)
+    _, y, yh = _run_impulse(kicked, topo, cands, certs, cfg, np.concatenate(xs + xhs))
 
     omegas = [np.zeros(s.p) for s in subs]
     omegahats = [np.zeros(a.p) for a in abs_subs]
@@ -775,6 +767,6 @@ def test_abstract_internal_inputs_enter_concrete_step():
         nu = interface(xs[i], xhs[i], nuhat, omegahats[i], certs[i])
         expected.append(s.C_ext @ step(s, xs[i], nu, omegas[i], np.zeros(s.q)))
         expected_hat.append(a.C_ext @ step(a, xhs[i], nuhat, omegahats[i], np.zeros(a.q)))
-    assert np.allclose(res.outputs[0, 2], np.concatenate(expected), rtol=1e-12, atol=1e-14)
-    assert np.allclose(res.abstract_outputs[0, 2], np.concatenate(expected_hat),
+    assert np.allclose(y[2], np.concatenate(expected), rtol=1e-12, atol=1e-14)
+    assert np.allclose(yh[2], np.concatenate(expected_hat),
                        rtol=1e-12, atol=1e-14)

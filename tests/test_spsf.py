@@ -154,7 +154,10 @@ def test_synthesize_never_returns_a_nan_margin(monkeypatch, margins):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_shrinkage_closed_form_matches_sweep(seed):
-    # one radius of A, scaled by (1 - eta), picks the gain the per-eta radii picked, bit for bit
+    # one radius of A, scaled by (1 - eta), picks the gain the per-eta radii picked, bit for
+    # bit, except at a grid tie: there round-off lifts the first feasible eta's loop above
+    # 0.9, synthesize_MK falls back to the regulator and the sweep goes on to the next eta
+    # (test_shrinkage_lost_to_round_off_falls_back_to_regulator[tie-at-eta-half])
     rng = np.random.default_rng(300 + seed)
     n = 1 + seed % 5
     A = rng.uniform(0.2, 4.0) * rng.standard_normal((n, n))
