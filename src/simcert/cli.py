@@ -306,16 +306,19 @@ _CSV_CHUNK = 64  # trials formatted by one ``%`` call
 def _write_csv(path, run):
     """Return ``run(each_block)``, writing each block of trials it hands out to ``path``.
 
-    A run that raises leaves no file at ``path``, since a CSV cut off between chunks
-    reads as a complete shorter run; a device, FIFO or symlink there is left as it is.
+    A run that raises leaves no rows at ``path``, since a CSV cut off between chunks reads as
+    a complete shorter run: a file is removed, a symlink's file emptied, a device or FIFO kept.
     """
     fh = None
     try:
         with open_output(path) as fh:
             return run(functools.partial(_write_block, fh))
     except BaseException:
-        if fh is not None and os.path.isfile(path) and not os.path.islink(path):
-            os.unlink(path)
+        if fh is not None and os.path.isfile(path):  # follows a symlink
+            if os.path.islink(path):
+                os.truncate(path, 0)
+            else:
+                os.unlink(path)
         raise
 
 

@@ -46,7 +46,8 @@ a file that is not UTF-8 or that nests past the parser's recursion limit.
 A save writes each distinct matrix once, as an ``arrays`` entry keyed by shape
 and bits (``-0.0`` and ``0.0`` differ).  A load makes each entry, or inline
 matrix as in version 1 and 2 files, one read-only array shared by every field
-with its bits, and so by the derivations, checks and constants keyed by identity.
+with its bits, and so by the derivations, checks and constants keyed by identity;
+candidate entries that name the same arrays, for equal ``(n, m, p)``, are one candidate.
 
 A file stores only what cannot be derived.  The loader derives the rest: a
 candidate's output blocks are ``Chat_ext = C_ext P`` and ``Chat_int[j] =
@@ -312,16 +313,19 @@ def project_from_dict(doc: dict) -> ProjectFile:
             yield where, s, entry, {"n": s.n, "m": s.m, "p": s.p}
 
     candidates: dict[int, AbstractionCandidate] = {}
+    built: dict = {}  # (n, m, p) and the ids of a candidate's arrays -> the one candidate
     for where, s, entry, dims in entries("candidates"):
         mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where, table)
-        dims["nhat"] = mats["Ahat"].shape[0]
-        dims["mhat"] = mats["Bhat"].shape[1]
+        dims.update(nhat=mats["Ahat"].shape[0], mhat=mats["Bhat"].shape[1])
         fhat = entry.get("Fhat")  # absent: noiseless, a zero column count (the least psi)
         mats["Fhat"] = _as_matrix(
             np.zeros((dims["nhat"], 0)) if fhat is None else fhat, f"{where}.Fhat", table)
         dims["qhat"] = mats["Fhat"].shape[1]
-        _check_shapes(where, mats, dims)
-        cand = candidates[s.id] = AbstractionCandidate(**mats)
+        key = (*dims.values(), *map(id, mats.values()))  # the table keeps every id in use
+        if key not in built:
+            _check_shapes(where, mats, dims)
+            built[key] = AbstractionCandidate(**mats)
+        cand = candidates[s.id] = built[key]
         if entry.get("Chat_ext") is not None or entry.get("Chat_int") is not None:
             abstract = cand.as_subsystem(s)
             _check_derived(where, s.id, entry,

@@ -59,13 +59,18 @@ class GainDecomposition:
         return self.Lambda.shape[0]
 
     @functools.cached_property
-    def radius(self) -> float:
-        """Spectral radius of ``Lambda^{-1} Delta``, solved once (the matrices are read-only)
-        by a dense eigensolver: they are tiny and often permutation-like, where iterative
-        schemes stall."""
+    def _spectrum(self):
+        """``G = Lambda^{-1} Delta`` and the eigenpairs of ``G'`` by one dense ``eig``: tiny,
+        often permutation-like matrices stall iterative schemes."""
         G = np.linalg.solve(self.Lambda, self.Delta)
         # a ratio that overflowed belongs to a gain far above 1
-        return float(np.max(np.abs(np.linalg.eigvals(G)))) if np.isfinite(G).all() else np.inf
+        return (G, *np.linalg.eig(G.T)) if np.isfinite(G).all() else (G, np.array([np.inf]), None)
+
+    @property
+    def radius(self) -> float:
+        """Spectral radius of ``Lambda^{-1} Delta``, from the eigensolve that also gives
+        :func:`find_mu` its first weights."""
+        return float(np.max(np.abs(self._spectrum[1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +128,10 @@ def find_mu(g: GainDecomposition) -> np.ndarray:
     Uses the left eigenvector ``w`` of ``Lambda^{-1} Delta`` for its eigenvalue
     of largest real part, the Perron root ``rho`` (on a ring every eigenvalue has
     its modulus), and returns ``mu_i = w_i / lambda_i`` normalized to
-    ``max(mu) = 1``:  then ``mu'(-Lambda + Delta) = (rho - 1) w' < 0``.  Where
-    ``w`` is not positive (a reducible network), a small constant, from 1e-9 down,
-    is added to every entry of ``Lambda^{-1} Delta``.
+    ``max(mu) = 1``:  then ``mu'(-Lambda + Delta) = (rho - 1) w' < 0``.  The first
+    try takes ``w`` from the eigensolve that gave :attr:`GainDecomposition.radius`.
+    Where ``w`` is not positive (a reducible network), each retry adds a small
+    constant, from 1e-9 down, to every entry of ``Lambda^{-1} Delta`` and solves again.
 
     Raises
     ------
@@ -138,10 +144,11 @@ def find_mu(g: GainDecomposition) -> np.ndarray:
     lam = np.diag(g.Lambda)
     if not np.any(g.Delta):
         return np.ones(g.n)
-    G = np.linalg.solve(g.Lambda, g.Delta)
+    G, vals, vecs = g._spectrum  # the unperturbed try reuses the radius's eigenpairs
     eps = 0.0
     for _ in range(8):
-        vals, vecs = np.linalg.eig((G + eps).T)
+        if eps:
+            vals, vecs = np.linalg.eig((G + eps).T)
         w = np.real(vecs[:, np.argmax(vals.real)])
         if w.sum() < 0:
             w = -w

@@ -27,6 +27,7 @@ with the closed-form coefficients produced by :func:`derive_constants`.
 
 import struct
 import warnings
+import weakref
 from dataclasses import dataclass, is_dataclass
 
 import numpy as np
@@ -247,12 +248,26 @@ def check_conditions(
     return ConditionReport(tol=tol, checks=checks, violations=tuple(violations))
 
 
+def _named(items) -> tuple:
+    return tuple(id(v) if isinstance(v, np.ndarray) else struct.pack("d", v) for v in items)
+
+
+_key_parts = weakref.WeakKeyDictionary()  # a dataclass object -> its part of a key, while it lives
+
+
 def _input_key(s: LinearSubsystem, cand: AbstractionCandidate, *rest) -> tuple:
-    """Ids of the arrays of ``s`` (output blocks in stacked order) and of the rest; float bits."""
-    items = [s.A, s.B, s.D, s.F, *(b for _, b in sorted({**s.C_int, s.id: s.C_ext}.items()))]
-    for x in (cand, *rest):
-        items += vars(x).values() if is_dataclass(x) else [x]  # a dataclass: its fields
-    return tuple(id(x) if isinstance(x, np.ndarray) else struct.pack("d", x) for x in items)
+    """Ids of the arrays of ``s`` (output blocks in stacked order) and of the rest; float bits.
+    A dataclass, like ``cand``, stands for its fields, and is named once: its part of the key
+    goes with it, and a copy, pickle or ``dataclasses.replace`` of it is named anew."""
+    key = ()
+    for x in (s, cand, *rest):
+        part = _key_parts.get(x) if is_dataclass(x) else _named([x])
+        if part is None:
+            blocks = (b for _, b in sorted({**s.C_int, s.id: s.C_ext}.items()))
+            items = [s.A, s.B, s.D, s.F, *blocks] if x is s else vars(x).values()
+            part = _key_parts[x] = _named(items)
+        key += part
+    return key
 
 
 def _shared(fn):

@@ -554,10 +554,11 @@ def test_version_1_file_loads_to_same_constants(ref_project, tmp_path, capsys):
 @pytest.mark.parametrize("group, name", _DERIVED_FIELDS, ids=[n for _, n in _DERIVED_FIELDS])
 def test_hand_edited_derived_field_exits_2(ref_project, tmp_path, capsys, group, name):
     # a version 1 block is compared with its derived value, never swapped for it silently:
-    # half the tolerance 1e-9 * max(1, max|derived|) loads, twice it is refused
+    # half the tolerance 1e-9 * max(1, max|derived|) loads, twice it is refused.  The
+    # copies load as one candidate object, and copy 2's block is still checked on its own
     for scale, code in ((0.5e-9, 0), (2e-9, 2)):
         doc = v1_document(ref_project)
-        entry = doc[group][1]
+        entry = doc[group][2]
         block = entry[name] if name != "Chat_int" else next(iter(entry[name].values()))
         block[0][0] += scale * max(1.0, np.abs(block).max())
         path = tmp_path / "v1.json"
@@ -565,8 +566,11 @@ def test_hand_edited_derived_field_exits_2(ref_project, tmp_path, capsys, group,
         assert main(["check", "--project", str(path)]) == code
         err = capsys.readouterr().err
         if code:
-            assert err.startswith(f"error: {group}[1].{name}: ")
-            assert "subsystem 1 differs from the one derived" in err
+            assert err.startswith(f"error: {group}[2].{name}: ")
+            assert "subsystem 2 differs from the one derived" in err
+        else:
+            cands = list(load_project(path).candidates.values())
+            assert all(c is cands[0] for c in cands)
 
 
 def test_certificate_without_candidate_exits_2(ref_project, tmp_path, capsys):
