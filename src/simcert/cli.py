@@ -141,10 +141,10 @@ def cmd_check(args) -> int:
 
 def _print_reports(project: ProjectFile, reports: dict) -> int:
     """Print each certificate's condition report; 0 iff all pass."""
-    all_pass = True
+    all_pass, texts = True, {}  # id of a report -> its text: copies share one report
     for sid, report in reports.items():
         print(f"subsystem {sid}:")
-        print(report.render())
+        print(texts.get(id(report)) or texts.setdefault(id(report), report.render()))
         if sid in project.notes:
             print(f"note: {project.notes[sid]}")
         print()

@@ -215,8 +215,8 @@ class _PairSimulator:
         self.block = 256
 
     def _noise(self, cfg: RunConfig, trials: range, out: np.ndarray) -> None:
-        """Write the draws of a block of trials into ``out``, shaped
-        ``(T, q_tot + qhat_tot, block)`` like the rows ``[w; what]`` of ``z``.
+        """Write the draws of a block of trials into ``out``, ``(T, q_tot + qhat_tot, c)``
+        with ``c >= len(trials)``, like the rows ``[w; what]`` of ``z``.
 
         Every trial draws its own substreams, whatever block it runs in, into
         its row of one side's buffer; the columns past the block's trials are
@@ -240,14 +240,15 @@ class _PairSimulator:
         """Step ``trials`` (at most :attr:`block`) together from zero states, one per column,
         on ``noise`` shaped like :meth:`_noise` writes it and the two pair columns ``pair``,
         ``(2, width, block)``, folding each step's deviations into ``sup``, the block's rows,
-        as it is taken, and its outputs into ``outputs = (y, yh)``, each ``(block, T+1, r)``."""
+        as it is taken, and its outputs into ``outputs = (y, yh)``, each ``(c, T+1, r)``.
+        The noise rows of the pair columns past ``noise``'s ``c`` columns stay zero."""
         T, cols = cfg.horizon, len(trials)
         # two pair columns in turn: a step reads one and writes the other's state
         pair.fill(0.0)
         z, nxt = pair
         for k in range(T + 1):
             if k:
-                z[self.w.start :] = noise[k - 1]
+                z[self.w.start :, : noise.shape[2]] = noise[k - 1]
                 _apply(self.step_blocks, z, nxt)
                 z, nxt = nxt, z
             _apply(self.output_blocks, z, z)
@@ -283,9 +284,10 @@ def simulate_pair(
     try:
         sup = np.zeros(n)  # run_block folds each step's deviations into it
         # a block's noise, two pair columns and, for a consumer, outputs, reused by the next block
-        noise, pair = np.empty((T, sim.width - sim.w.start, b)), np.empty((2, sim.width, b))
+        c = min(n, b)  # noise and output columns: a run of fewer trials than a block holds fewer
+        noise, pair = np.empty((T, sim.width - sim.w.start, c)), np.empty((2, sim.width, b))
         outputs = None if each_block is None else (
-            np.empty((b, T + 1, len(sim.y))), np.empty((b, T + 1, len(sim.yh))))
+            np.empty((c, T + 1, len(sim.y))), np.empty((c, T + 1, len(sim.yh))))
     except (MemoryError, ValueError) as exc:
         raise SchemaError(f"trials={n} and horizon={T} cannot be allocated: {exc}") from None
     for start in range(0, n, b):

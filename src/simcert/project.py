@@ -206,6 +206,15 @@ def _matrices(entry: dict, names, where: str, table: dict) -> dict[str, np.ndarr
     return {n: _as_matrix(_require(entry, n, where), f"{where}.{n}", table) for n in names}
 
 
+def _entry_key(entry: dict, names, types: tuple):
+    """``entry``'s values of ``names`` if of the ``types`` (indices into ``arrays``, then floats)
+    and no float is zero, which ``-0.0`` equals; else a new object, which no key equals."""
+    key = tuple(map(entry.get, names))
+    if tuple(map(type, key)) == types and 0.0 not in key[types.count(int) :]:
+        return key
+    return object()
+
+
 _SUBSYSTEM_MATRICES = ("A", "B", "D", "F", "C_ext")
 _CANDIDATE_MATRICES = ("P", "Ahat", "Bhat", "Dhat", "Fhat")
 _CERTIFICATE_MATRICES = ("M", "K")
@@ -269,17 +278,18 @@ def project_from_dict(doc: dict) -> ProjectFile:
     raw_subs = _require(doc, "subsystems", "project")
     if not isinstance(raw_subs, list) or not raw_subs:
         raise SchemaError("subsystems must be a nonempty list")
+    resolved: dict = {}  # an indexed entry's key, one length per kind -> the first one's result
     subsystems = []
     for pos, entry in enumerate(raw_subs):
         where = f"subsystems[{pos}]"
         sid = _number(_require(entry, "id", where), f"{where}.id", int)
         if sid != pos:
             raise SchemaError(f"{where}: id must equal list position ({sid} != {pos})")
-        s = LinearSubsystem(
-            id=sid,
-            **_matrices(entry, _SUBSYSTEM_MATRICES, where, table),
-            C_int=_int_keyed(entry.get("C_int", {}), f"{where}.C_int", table),
-        )
+        key = _entry_key(entry, _SUBSYSTEM_MATRICES, (int,) * 5)
+        if key not in resolved:
+            resolved[key] = _matrices(entry, _SUBSYSTEM_MATRICES, where, table)
+        s = LinearSubsystem(id=sid, **resolved[key],
+                            C_int=_int_keyed(entry.get("C_int", {}), f"{where}.C_int", table))
         problems = validate_subsystem(s)
         if problems:
             raise SchemaError(f"{where}: " + "; ".join(problems))
@@ -315,17 +325,20 @@ def project_from_dict(doc: dict) -> ProjectFile:
     candidates: dict[int, AbstractionCandidate] = {}
     built: dict = {}  # (n, m, p) and the ids of a candidate's arrays -> the one candidate
     for where, s, entry, dims in entries("candidates"):
-        mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where, table)
-        dims.update(nhat=mats["Ahat"].shape[0], mhat=mats["Bhat"].shape[1])
-        fhat = entry.get("Fhat")  # absent: noiseless, a zero column count (the least psi)
-        mats["Fhat"] = _as_matrix(
-            np.zeros((dims["nhat"], 0)) if fhat is None else fhat, f"{where}.Fhat", table)
-        dims["qhat"] = mats["Fhat"].shape[1]
-        key = (*dims.values(), *map(id, mats.values()))  # the table keeps every id in use
-        if key not in built:
-            _check_shapes(where, mats, dims)
-            built[key] = AbstractionCandidate(**mats)
-        cand = candidates[s.id] = built[key]
+        indexed = (_entry_key(entry, _CANDIDATE_MATRICES, (int,) * 5), *dims.values())
+        if indexed not in resolved:
+            mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where, table)
+            dims.update(nhat=mats["Ahat"].shape[0], mhat=mats["Bhat"].shape[1])
+            fhat = entry.get("Fhat")  # absent: noiseless, a zero column count (the least psi)
+            mats["Fhat"] = _as_matrix(
+                np.zeros((dims["nhat"], 0)) if fhat is None else fhat, f"{where}.Fhat", table)
+            dims["qhat"] = mats["Fhat"].shape[1]
+            key = (*dims.values(), *map(id, mats.values()))  # the table keeps every id in use
+            if key not in built:
+                _check_shapes(where, mats, dims)
+                built[key] = AbstractionCandidate(**mats)
+            resolved[indexed] = built[key]
+        cand = candidates[s.id] = resolved[indexed]
         if entry.get("Chat_ext") is not None or entry.get("Chat_int") is not None:
             abstract = cand.as_subsystem(s)
             _check_derived(where, s.id, entry,
@@ -337,15 +350,19 @@ def project_from_dict(doc: dict) -> ProjectFile:
     for where, s, entry, dims in entries("certificates"):
         if s.id not in candidates:
             raise SchemaError(f"{where}: subsystem {s.id} has no candidate to derive it from")
-        mats = _matrices(entry, _CERTIFICATE_MATRICES, where, table)
-        _check_shapes(where, mats, dims)
-        cert = certificates[s.id] = derive(
-            s, candidates[s.id], mats["M"], mats["K"],
-            _number(_require(entry, "pi", where), f"{where}.pi", float),
-            _number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float),
-        )
-        _check_derived(where, s.id, entry,
-                       {name: getattr(cert, name) for name in ("P", "Q", "S", "Rtilde")}, table)
+        # the certificate reads the entry, the candidate and the subsystem's arrays
+        key = (_entry_key(entry, ("M", "K", "pi", "kappa_hat"), (int, int, float, float)),
+               id(candidates[s.id]), *map(id, (s.A, s.B, s.D, s.F, s.C_ext)))
+        if key not in resolved:
+            mats = _matrices(entry, _CERTIFICATE_MATRICES, where, table)
+            _check_shapes(where, mats, dims)
+            resolved[key] = derive(s, candidates[s.id], mats["M"], mats["K"],
+                _number(_require(entry, "pi", where), f"{where}.pi", float),
+                _number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float))
+        cert = certificates[s.id] = resolved[key]
+        if entry.keys() & {"P", "Q", "S", "Rtilde"}:  # blocks that version 1 also stored
+            _check_derived(where, s.id, entry,
+                           {name: getattr(cert, name) for name in ("P", "Q", "S", "Rtilde")}, table)
         if "note" in entry:
             if not isinstance(entry["note"], str):
                 raise SchemaError(f"{where}.note: expected a string, got {entry['note']!r}")
@@ -359,27 +376,21 @@ def project_from_dict(doc: dict) -> ProjectFile:
             for f in fields(RunDefaults)
         })
 
-    return ProjectFile(
-        schema_version=SCHEMA_VERSION,
-        subsystems=subsystems,
-        topology=topology,
-        candidates=candidates,
-        certificates=certificates,
-        notes=notes,
-        run=run,
-    )
+    return ProjectFile(SCHEMA_VERSION, subsystems, topology, candidates, certificates, notes, run)
 
 
 def project_to_dict(project: ProjectFile) -> dict:
     """``project`` as a document whose fields name each matrix by its index in ``arrays``."""
     arrays: list = []  # each distinct matrix once, in order of first reference
-    index: dict = {}  # (shape, bytes), as the load interns -> position in arrays
+    index: dict = {}  # (shape, bytes), as the load interns, and an array's id -> position
     def ref(a: np.ndarray) -> int:
-        key = (a.shape, a.tobytes())
-        if key not in index:
-            index[key] = len(arrays)
-            arrays.append(a.tolist())
-        return index[key]
+        if id(a) not in index:  # the project keeps each array alive, so no id is reused
+            key = (a.shape, a.tobytes())
+            if key not in index:
+                index[key] = len(arrays)
+                arrays.append(a.tolist())
+            index[id(a)] = index[key]
+        return index[id(a)]
     def save_matrices(obj, names) -> dict[str, int]:
         return {name: ref(getattr(obj, name)) for name in names}
     doc: dict = {

@@ -24,6 +24,7 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import simcert.project
 from simcert import cli, montecarlo, smallgain, spsf
 from simcert.cli import main
 from simcert.errors import RankDeficientWarning, SingularGramWarning
@@ -1013,6 +1014,97 @@ def test_every_call_is_keyed_by_identity(tmp_path, monkeypatch):
     keys.clear()
     assert main(["compose", "--project", str(path)]) == 0  # its load, checks and constants
     assert len(keys) == len(set(keys)) == 12
+
+
+def _indexed_ring(n: int) -> dict:
+    """``ring_document(n)`` as its version 3 save: every copy's fields name the same arrays."""
+    return project_to_dict(project_from_dict(ring_document(n)))
+
+
+@pytest.mark.parametrize("group, pos, field, value, message", [
+    ("subsystems", 37, "C_int", lambda doc: {"37": doc["subsystems"][37]["C_int"]["38"]},
+     "subsystems[37]: C_int contains self block 37"),
+    ("certificates", 40, "subsystem", lambda doc: 39,
+     "certificates[39] and certificates[40] both name subsystem 39"),
+    ("certificates", 50, "K", lambda doc: doc["subsystems"][0]["C_ext"],  # a 1x25 array
+     "certificates[50].K is 1x25, expected 25x25 (m x n)"),
+], ids=["self-block", "subsystem-named-twice", "K-of-another-shape"])
+def test_per_copy_checks_name_the_copy(tmp_path, capsys, group, pos, field, value, message):
+    # a copy whose entry repeats an earlier one resolves through the load's memo, yet
+    # what can differ between copies is still checked entry by entry
+    doc = _indexed_ring(64)
+    doc[group][pos][field] = value(doc)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_each_distinct_indexed_entry_is_resolved_once_per_load(monkeypatch):
+    # a repeated certificate entry skips its shape check and derivation; copies that
+    # differ in F are distinct subsystems, and each derives its own certificate
+    doc = ring_document(64)
+    copies = _indexed_ring(64)
+    for k, s in enumerate(doc["subsystems"]):
+        s["F"] = [[(k + 1) * v for v in row] for row in s["F"]]
+    distinct = project_to_dict(project_from_dict(doc))
+    calls = collections.Counter()
+    shapes, rtilde = simcert.project._check_shapes, spsf.compute_Rtilde
+    monkeypatch.setattr(simcert.project, "_check_shapes",
+                        lambda where, *a: calls.update([where.split("[")[0]]) or shapes(where, *a))
+    monkeypatch.setattr(spsf, "compute_Rtilde",
+                        lambda *a: calls.update(["compute_Rtilde"]) or rtilde(*a))
+    project_from_dict(copies)
+    assert calls == {"candidates": 1, "certificates": 1, "compute_Rtilde": 1}
+    calls.clear()
+    certificates = project_from_dict(distinct).certificates
+    assert calls == {"candidates": 1, "certificates": 64, "compute_Rtilde": 64}
+    assert len({id(c) for c in certificates.values()}) == 64
+
+
+def test_indexed_ring_prints_and_saves_what_the_inline_ring_does(tmp_path, capsys, monkeypatch):
+    # the load's memo changes no printed number and no saved byte; the copies share
+    # one report, which check renders once and abstract once
+    renders, render = [], spsf.ConditionReport.render
+    monkeypatch.setattr(spsf.ConditionReport, "render",
+                        lambda self: renders.append(self) or render(self))
+    inline_doc = ring_document(64)
+    results = {}
+    for name, doc in (("inline", inline_doc), ("indexed", _indexed_ring(64))):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}_out.json"
+        path.write_text(json.dumps(doc))
+        printed, rendered = [], []
+        for argv in (["check"], ["compose"], ["bound", "--epsilon", "1", "--horizon", "10"],
+                     ["abstract", "--subsystem", "5", "--output", str(out)]):
+            renders.clear()
+            assert main([argv[0], "--project", str(path), *argv[1:]]) == 0
+            printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
+            rendered.append(len(renders))
+        assert rendered == [1, 0, 0, 1]
+        results[name] = printed, out.read_bytes()
+    assert results["inline"] == results["indexed"]
+
+    # a save keys each array object once, by its bytes: 10 on the ring's 64 copies
+    class Counted(np.ndarray):
+        def tobytes(self, *args):
+            keyed.append(self)
+            return super().tobytes(*args)
+
+    def counted(a):  # one counting view per array object; the view keeps its array alive
+        return views.setdefault(id(a), a.view(Counted))
+
+    keyed, views = [], {}
+    project = project_from_dict(inline_doc)
+    for obj in {id(o): o for o in (*project.subsystems, *project.candidates.values(),
+                                   *project.certificates.values())}.values():
+        for name, value in vars(obj).items():
+            if isinstance(value, np.ndarray):
+                object.__setattr__(obj, name, counted(value))
+            elif name == "C_int":
+                object.__setattr__(obj, name, {j: counted(m) for j, m in value.items()})
+    doc = project_to_dict(project)
+    assert len(keyed) == len({id(a) for a in keyed}) == len(doc["arrays"]) == 10
+    assert doc == _indexed_ring(64)
 
 
 def test_key_parts_live_and_die_with_their_object():

@@ -601,24 +601,35 @@ def test_recording_leaves_sup_unchanged(ref_parts, network):
     assert plain.tobytes() == recorded.tobytes()
 
 
-def test_run_memory_grows_with_horizon_only_through_noise(ref_parts):
-    # deviations are reduced as the steps run, so of a block's arrays only
-    # the noise block, (T, q_tot, 256), grows with the horizon
+def _horizon_growth(ref_parts, trials: int) -> tuple[int, int]:
+    """``(traced peak growth from T = 10 to 400, q_tot + qhat_tot)`` of a reference run."""
     subs, topo, cands, certs = ref_parts
     cands, certs = [cands[i] for i in range(4)], [certs[i] for i in range(4)]
     sim = _PairSimulator(subs, topo, cands, certs)
-    q_tot = sim.width - sim.w.start
 
     def peak(T):
         tracemalloc.start()
         try:
-            simulate_pair(subs, topo, cands, certs, RunConfig(horizon=T, trials=256, seed=1))
+            simulate_pair(subs, topo, cands, certs, RunConfig(horizon=T, trials=trials, seed=1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     long = peak(400)  # first, so one-time allocations count against the longer run
-    assert long - peak(10) <= 1.5 * (400 - 10) * q_tot * sim.block * 8
+    return long - peak(10), sim.width - sim.w.start
+
+
+def test_run_memory_grows_with_horizon_only_through_noise(ref_parts):
+    # deviations are reduced as the steps run, so of a block's arrays only
+    # the noise block, (T, q_tot, 256), grows with the horizon
+    growth, q_tot = _horizon_growth(ref_parts, 256)
+    assert growth <= 1.5 * (400 - 10) * q_tot * 256 * 8
+
+
+def test_single_trial_run_holds_one_column_of_noise(ref_parts):
+    # a run of one trial draws (T, q_tot, 1): its noise is not sized to a whole block
+    growth, q_tot = _horizon_growth(ref_parts, 1)
+    assert growth <= 1.5 * (400 - 10) * q_tot * 8
 
 
 def test_step_operators_grow_with_edges():
