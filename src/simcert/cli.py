@@ -539,10 +539,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """The console script: :func:`main`, each warning shown as one ``warning:`` line."""
+    """The console script: :func:`main`, each warning shown as one ``warning:`` line; a
+    reader that closes stdout early ends it with exit 1 and nothing on stderr."""
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        sys.exit(main())
+        try:
+            code = main()
+            sys.stdout.flush()  # a closed pipe raises here, not in the flush at shutdown
+        except BrokenPipeError:  # stdout at devnull, so that flush cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

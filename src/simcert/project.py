@@ -39,13 +39,14 @@ marked * are optional.
     }
 
 Each subsystem has at most one candidate and one certificate, each peer at
-most one ``C_int`` block, and each object a key once: a duplicate (peers
-``"1"`` and ``"01"``, or ``"pi"`` twice) is a :class:`SchemaError`, and so is
-a file that is not UTF-8 or that nests past the parser's recursion limit.
+most one ``C_int`` block, and each object a key once and no key but the above:
+a duplicate (peers ``"1"`` and ``"01"``, or ``"pi"`` twice) or an unknown key
+is a :class:`SchemaError`, and so is a file that is not UTF-8 or that nests
+past the parser's recursion limit.
 
 A save writes each distinct matrix once, as an ``arrays`` entry keyed by shape
 and bits (``-0.0`` and ``0.0`` differ).  A load makes each entry, or inline
-matrix as in version 1 and 2 files, one read-only array shared by every field
+matrix as in version 2 files, one read-only array shared by every field
 with its bits, and so by the derivations, checks and constants keyed by identity;
 candidate entries that name the same arrays, for equal ``(n, m, p)``, are one candidate.
 
@@ -53,9 +54,7 @@ A file stores only what cannot be derived.  The loader derives the rest: a
 candidate's output blocks are ``Chat_ext = C_ext P`` and ``Chat_int[j] =
 C_int[j] P``, and a certificate is :func:`~simcert.spsf.solve_structural` of
 its candidate and ``(M, K, pi, kappa_hat)``, which gives ``P``, ``Q``, ``S``
-and ``Rtilde``.  Version 1 files, which also stored those blocks,
-still load: each stored block must equal its derived value to within ``1e-9 *
-max(1, max|derived|)`` entrywise, or the load fails naming the subsystem and field.
+and ``Rtilde``.  Version 1 files also stored those blocks and are refused.
 
 Floats are written with full precision, so save/load round-trips bit-exactly.
 :func:`dumps` writes a line per top-level field and per entry of a list of
@@ -185,15 +184,20 @@ def _int_keyed(obj, where: str, table: dict) -> dict[int, np.ndarray]:
     return out
 
 
-def _require(obj, key: str, where: str, default=None):
-    """``obj[key]`` of a JSON object; ``default`` (when not None) stands in for an absent key."""
+def _object(obj, where: str, kind: str) -> dict:
+    """``obj`` if a JSON object that holds only the fields of ``kind``."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    if key in obj:
-        return obj[key]
-    if default is None:
+    if not obj.keys() <= _FIELDS[kind]:  # a subset test allocates nothing
+        key = next(k for k in obj if k not in _FIELDS[kind])
+        raise SchemaError(f"{where}: unknown field {key!r}")
+    return obj
+
+
+def _require(obj: dict, key: str, where: str):
+    if key not in obj:
         raise SchemaError(f"{where}: missing required field {key!r}")
-    return default
+    return obj[key]
 
 
 def _list(obj, where: str) -> list:
@@ -218,6 +222,16 @@ def _entry_key(entry: dict, names, types: tuple):
 _SUBSYSTEM_MATRICES = ("A", "B", "D", "F", "C_ext")
 _CANDIDATE_MATRICES = ("P", "Ahat", "Bhat", "Dhat", "Fhat")
 _CERTIFICATE_MATRICES = ("M", "K")
+# The fields each object may hold, named by its key in the root, so a field the save
+# writes is one the load knows; ``C_int``'s keys are peer indices.
+_FIELDS = {
+    "subsystems": {"id", *_SUBSYSTEM_MATRICES, "C_int"},
+    "topology": {"edges"},
+    "candidates": {"subsystem", *_CANDIDATE_MATRICES},
+    "certificates": {"subsystem", *_CERTIFICATE_MATRICES, "pi", "kappa_hat", "note"},
+    "run": {f.name for f in fields(RunDefaults)},
+}
+_FIELDS["project"] = {"schema_version", "arrays", *_FIELDS}
 
 # Rows and columns of every stored candidate and certificate matrix, named by the
 # dimensions of its subsystem (n, m, p) and of its candidate (nhat, mhat, qhat).
@@ -242,36 +256,16 @@ def _check_shapes(where: str, mats: dict[str, np.ndarray], dims: dict[str, int])
             )
 
 
-def _check_derived(where: str, sid: int, entry: dict, derived: dict, table: dict) -> None:
-    """Refuse a stored copy of a derived matrix, or of a block map, that differs from it."""
-    def close(stored, want) -> bool:  # a NaN in either fails
-        tol = 1e-9 * max(1.0, np.abs(want).max(initial=0.0))
-        return stored.shape == want.shape and np.abs(stored - want).max(initial=0.0) <= tol
-
-    for name, want in derived.items():
-        if entry.get(name) is None:
-            continue
-        if isinstance(want, Mapping):
-            stored = _int_keyed(entry[name], f"{where}.{name}", table)
-            ok = set(stored) == set(want) and all(close(stored[j], want[j]) for j in want)
-        else:
-            ok = close(_as_matrix(entry[name], f"{where}.{name}", table), want)
-        if not ok:
-            raise SchemaError(
-                f"{where}.{name}: the stored value for subsystem {sid} differs from the "
-                "one derived from the rest of the project"
-            )
-
-
 def project_from_dict(doc: dict) -> ProjectFile:
-    if not isinstance(doc, dict):
-        raise SchemaError("project root must be an object")
-    version = _require(doc, "schema_version", "project")
-    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
+    version = _require(_object(doc, "project", "project"), "schema_version", "project")
+    if version == 1 and type(version) is int:
+        raise SchemaError("schema_version 1 is refused: delete the derived blocks (a candidate's "
+                          "Chat_*, a certificate's P, Q, S, Rtilde) and set schema_version to 3")
+    if type(version) is not int or not 2 <= version <= SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     table: dict = {}  # (shape, bytes) -> the read-only array all copies share; i -> arrays[i]
-    for pos, entry in enumerate(_list(_require(doc, "arrays", "project", []), "arrays")):
+    for pos, entry in enumerate(_list(doc.get("arrays", []), "arrays")):
         if not isinstance(entry, (list, np.ndarray)):  # an entry is a matrix, never an index
             raise SchemaError(f"arrays[{pos}]: expected a nested (2-D) array, got {entry!r}")
         table[pos] = _as_matrix(entry, f"arrays[{pos}]", table)
@@ -282,6 +276,7 @@ def project_from_dict(doc: dict) -> ProjectFile:
     subsystems = []
     for pos, entry in enumerate(raw_subs):
         where = f"subsystems[{pos}]"
+        entry = _object(entry, where, "subsystems")
         sid = _number(_require(entry, "id", where), f"{where}.id", int)
         if sid != pos:
             raise SchemaError(f"{where}: id must equal list position ({sid} != {pos})")
@@ -296,8 +291,8 @@ def project_from_dict(doc: dict) -> ProjectFile:
         subsystems.append(s)
     subsystems = tuple(subsystems)
 
-    pairs = _list(_require(_require(doc, "topology", "project"), "edges", "topology", []),
-                  "topology.edges")
+    edges = _object(_require(doc, "topology", "project"), "topology", "topology").get("edges", [])
+    pairs = _list(edges, "topology.edges")
     for e in pairs:
         if not (isinstance(e, list) and len(e) == 2):
             raise SchemaError(f"topology.edges entries must be [from, to] pairs, got {e!r}")
@@ -311,8 +306,9 @@ def project_from_dict(doc: dict) -> ProjectFile:
     def entries(key: str):
         """``(where, subsystem, entry, its dimensions)`` per entry of an optional list."""
         seen: dict[int, int] = {}  # subsystem -> list position of its entry
-        for pos, entry in enumerate(_list(_require(doc, key, "project", []), key)):
+        for pos, entry in enumerate(_list(doc.get(key, []), key)):
             where = f"{key}[{pos}]"
+            entry = _object(entry, where, key)
             sid = _number(_require(entry, "subsystem", where), f"{where}.subsystem", int)
             if not 0 <= sid < len(subsystems):
                 raise SchemaError(f"{where}: unknown subsystem {sid}")
@@ -338,11 +334,7 @@ def project_from_dict(doc: dict) -> ProjectFile:
                 _check_shapes(where, mats, dims)
                 built[key] = AbstractionCandidate(**mats)
             resolved[indexed] = built[key]
-        cand = candidates[s.id] = resolved[indexed]
-        if entry.get("Chat_ext") is not None or entry.get("Chat_int") is not None:
-            abstract = cand.as_subsystem(s)
-            _check_derived(where, s.id, entry,
-                           {"Chat_ext": abstract.C_ext, "Chat_int": abstract.C_int}, table)
+        candidates[s.id] = resolved[indexed]
 
     certificates: dict[int, AbstractionCertificate] = {}
     notes: dict[int, str] = {}
@@ -359,10 +351,7 @@ def project_from_dict(doc: dict) -> ProjectFile:
             resolved[key] = derive(s, candidates[s.id], mats["M"], mats["K"],
                 _number(_require(entry, "pi", where), f"{where}.pi", float),
                 _number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float))
-        cert = certificates[s.id] = resolved[key]
-        if entry.keys() & {"P", "Q", "S", "Rtilde"}:  # blocks that version 1 also stored
-            _check_derived(where, s.id, entry,
-                           {name: getattr(cert, name) for name in ("P", "Q", "S", "Rtilde")}, table)
+        certificates[s.id] = resolved[key]
         if "note" in entry:
             if not isinstance(entry["note"], str):
                 raise SchemaError(f"{where}.note: expected a string, got {entry['note']!r}")
@@ -370,11 +359,9 @@ def project_from_dict(doc: dict) -> ProjectFile:
 
     run = None
     if doc.get("run") is not None:
-        run = RunDefaults(**{
-            f.name: _number(_require(doc["run"], f.name, "run", f.default), f"run.{f.name}",
-                            type(f.default))
-            for f in fields(RunDefaults)
-        })
+        given = _object(doc["run"], "run", "run")
+        run = RunDefaults(**{f.name: _number(given.get(f.name, f.default), f"run.{f.name}",
+                                             type(f.default)) for f in fields(RunDefaults)})
 
     return ProjectFile(SCHEMA_VERSION, subsystems, topology, candidates, certificates, notes, run)
 

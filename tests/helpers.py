@@ -1,8 +1,8 @@
 """Shared construction helpers for randomized test instances, dense oracles,
 the closeness function, the interface function and the one-step expectation
-oracles with their Monte Carlo check, the inline and version 1 forms of a
-project document, a run's recorded outputs, the row-by-row trajectory CSV
-writer, a ring of reference copies, and a fresh interpreter for import checks."""
+oracles with their Monte Carlo check, the inline form of a project document, a
+run's recorded outputs, the row-by-row trajectory CSV writer, a ring of
+reference copies, and a fresh interpreter for import checks."""
 
 import dataclasses
 import json
@@ -201,24 +201,6 @@ def inline(doc: dict) -> dict:
     for entry in out.get("certificates", []):
         fill(entry, ("M", "K"))
     return json.loads(json.dumps(out))  # every field its own lists
-
-
-def v1_document(project: ProjectFile) -> dict:
-    """``project`` as a schema version 1 document, built from its inline form, since no
-    version 1 file held indices.  Version 1 also stored every block that later
-    versions derive: each candidate's ``Chat_ext`` and ``Chat_int``, and each
-    certificate's ``P``, ``Q``, ``S`` and ``Rtilde``."""
-    doc = inline(project_to_dict(project))
-    doc["schema_version"] = 1
-    for entry in doc.get("candidates", []):
-        sid = entry["subsystem"]
-        abstract = project.candidates[sid].as_subsystem(project.subsystems[sid])
-        entry["Chat_ext"] = abstract.C_ext.tolist()
-        entry["Chat_int"] = {str(j): b.tolist() for j, b in sorted(abstract.C_int.items())}
-    for entry in doc.get("certificates", []):
-        cert = project.certificates[entry["subsystem"]]
-        entry.update((name, getattr(cert, name).tolist()) for name in ("P", "Q", "S", "Rtilde"))
-    return doc
 
 
 def recorded_run(subs, topo, cands, certs, cfg):
@@ -432,12 +414,17 @@ def random_network(rng, n_subs=None):
     return subs, pairs
 
 
-def python_run(*argv: str) -> subprocess.CompletedProcess:
-    """``python *argv`` run in a new interpreter that imports this simcert."""
+def python_env(**extra: str) -> dict:
+    """The environment of a new interpreter that imports this simcert, with ``extra`` set."""
     src = str(Path(simcert.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
-                          timeout=120)
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def python_run(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """``python *argv`` run in a new interpreter that imports this simcert, with ``env`` set."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=python_env(**env), timeout=120)
 
 
 def fresh_python(code: str, *args: str) -> str:

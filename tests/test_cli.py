@@ -9,6 +9,8 @@ import os
 import pickle
 import stat
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -18,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
-    certified_network, diverging_project, fresh_python, inline, python_run, recorded_run,
-    ring_document, row_by_row_csv,
+    certified_network, diverging_project, fresh_python, inline, python_env, python_run,
+    recorded_run, ring_document, row_by_row_csv,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -369,7 +371,7 @@ def test_full_workflow_on_custom_project(tmp_path, capsys):
         }
 
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "subsystems": [sub(0, 1), sub(1, 0)],
         "topology": {"edges": [[0, 1], [1, 0]]},
         "candidates": [
@@ -543,6 +545,28 @@ def test_console_script_shows_each_warning_as_one_line(project_path, tmp_path):
         "warning: B'MB is singular; using pseudo-inverse",
     ]
     assert "warnings.warn(" not in done.stderr and "Warning:" not in done.stderr
+
+
+def test_console_script_exits_1_when_stdout_closes(tmp_path):
+    # a reader that left after the first line (`simcert check ... | head -1`) got a
+    # BrokenPipeError traceback.  A ring of 2,048 copies prints about 1 MB of reports,
+    # past a pipe's capacity, so the run is still writing when the read end closes
+    doc, n = project_to_dict(project_from_dict(ring_document(2))), 2048
+    (block,) = doc["subsystems"][0]["C_int"].values()
+    doc["subsystems"] = [{**doc["subsystems"][0], "id": i, "C_int": {str((i + 1) % n): block}}
+                         for i in range(n)]
+    doc["topology"]["edges"] = [[i, (i + 1) % n] for i in range(n)]
+    for key in ("candidates", "certificates"):
+        doc[key] = [{**doc[key][0], "subsystem": i} for i in range(n)]
+    path, err = tmp_path / "ring.json", tmp_path / "err.txt"
+    path.write_text(json.dumps(doc))
+    with open(err, "w") as stderr:
+        argv = [sys.executable, "-m", "simcert.cli", "check", "--project", str(path)]
+        run = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=python_env())
+        assert run.stdout.readline() == b"subsystem 0:\n"
+        run.stdout.close()
+        assert run.wait(timeout=120) == 1
+    assert err.read_text() == ""
 
 
 def test_simulate_underpowered_is_inconclusive(project_path, capsys):

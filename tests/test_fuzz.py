@@ -1,21 +1,20 @@
 """Mutated project files never crash the command line.
 
-Every mutation of the bundled project, in its saved (version 3) form, in its
-inline form and in its schema version 1 form, must end in exit code 0, 1 or 2:
-a result, an analytic or soundness failure, or an input error.  A Python
-exception escaping ``main`` fails the test.
+Every mutation of the bundled project, in its saved (version 3) form and in its
+inline (version 2) form, must end in exit code 0, 1 or 2: a result, an analytic
+or soundness failure, or an input error.  A Python exception escaping ``main``
+fails the test.
 """
 
 import copy
 import json
 
 import pytest
-from helpers import inline, v1_document
+from helpers import inline
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from simcert.cli import main
-from simcert.project import project_from_dict
 
 COMMANDS = (
     ["check"],
@@ -33,11 +32,11 @@ VALUES = st.one_of(
 
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
-    """The emitted project, as saved, in its inline form and in its version 1 form."""
+    """The emitted project, as saved and in its inline form."""
     path = tmp_path_factory.mktemp("fuzz") / "net.json"
     assert main(["paper-example", "--trials", "30", "--emit-project", str(path)]) == 0
     doc = json.loads(path.read_text())
-    return doc, inline(doc), v1_document(project_from_dict(doc))
+    return doc, inline(doc)
 
 
 def _mutate(data, doc) -> None:

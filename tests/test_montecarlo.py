@@ -15,6 +15,7 @@ from helpers import (
     fresh_python,
     interface,
     omega_slices,
+    python_run,
     random_certified_instance,
     recorded_run,
     step,
@@ -238,6 +239,37 @@ def test_noise_stream_bits_are_pinned():
     assert noise_stream(7, 2**64 - 1, 3, True, np.empty(5)).tolist() == [
         -0.24603495785211038, -0.07281647852798152, -0.4171743554890813,
         0.8536237570882546, -0.9916711923951388]
+
+
+def _numpy_blas() -> str:
+    """The name of the BLAS that numpy was built with, or ``unknown``."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        return "unknown"
+
+
+def test_reference_csv_agrees_across_blas_kernels(tmp_path):
+    # the CSV's bits depend on the BLAS kernel, whose summation order the stepping
+    # products follow; on every kernel the values agree to a few ulps and the
+    # violation counts are equal
+    blas = _numpy_blas()
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS, whose kernel OPENBLAS_CORETYPE picks")
+    net = tmp_path / "net.json"
+    save_project(reference_project(), net)
+    runs = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        csv = tmp_path / "run.csv"
+        done = python_run("-m", "simcert.cli", "simulate", "--project", str(net), "--trials",
+                          "2000", "--horizon", "10", "--seed", "0", "--csv", str(csv), **kernel)
+        assert done.returncode == 0, done.stderr
+        runs.append(np.loadtxt(csv, delimiter=",", skiprows=1))
+    np.testing.assert_allclose(runs[1], runs[0], rtol=1e-9, atol=0)
+    for rows in runs:
+        sup = rows[:, -1].reshape(2000, 11).max(axis=1)  # the deviation column, per trial
+        counts = [violation_probability(sup, eps).violations for eps in (1.0, 0.1, 0.08)]
+        assert counts == [0, 97, 758]
 
 
 def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):

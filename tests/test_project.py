@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import certified_network, inline, random_network, ring_document, v1_document
+from helpers import certified_network, inline, random_network, ring_document
 from simcert import smallgain, spsf
 from simcert.cli import main
 from simcert.errors import SchemaError, SimcertError
@@ -65,7 +67,8 @@ def test_missing_schema_version(ref_project):
 
 def test_unknown_schema_version(ref_project):
     doc = project_to_dict(ref_project)
-    # True and 1.0 compare equal to 1, yet only the integers 1, 2 and 3 are versions
+    # only the integers 2 and 3 are versions; True and 1.0 compare equal to 1, yet are no
+    # version 1, whose refusal says how to make the file current
     for version in (99, 0, True, 1.0, "2"):
         doc["schema_version"] = version
         with pytest.raises(SchemaError, match="unsupported schema_version"):
@@ -170,16 +173,12 @@ def _set(doc, path, value):
     doc[last] = value
 
 
-# each entry is one malformed field; all must be refused at load with exit 2.
-# Those of _V1_ONLY name a field that only a version 1 file stores.
+# each entry is one malformed field; all must be refused at load with exit 2
 LOADER_DEFECTS = {
     "nan-matrix-entry": (("subsystems", 0, "A", 0, 0), float("nan")),
     "inf-matrix-entry": (("certificates", 0, "M", 0, 0), float("inf")),
     "nan-string-entry": (("candidates", 0, "Bhat"), [["nan"]]),
     "huge-int-entry": (("subsystems", 0, "F", 0, 0), 10**400),
-    "wrong-shape-Q": (("certificates", 0, "Q"), [[1.0]]),
-    "wrong-shape-Chat_ext": (("candidates", 0, "Chat_ext"), [[1.0, 2.0]]),
-    "Chat_int-peer": (("candidates", 0, "Chat_int"), {"2": [[1.0]]}),
     "A-1x1-B-25-rows": (("subsystems", 0, "A"), [[0.5]]),
     "string-pi": (("certificates", 0, "pi"), "0.99"),
     "null-kappa_hat": (("certificates", 0, "kappa_hat"), None),
@@ -207,7 +206,6 @@ LOADER_DEFECTS = {
 }
 
 
-_V1_ONLY = ("wrong-shape-Q", "wrong-shape-Chat_ext", "Chat_int-peer")
 # these edit an entry of a matrix, so they edit the document's inline form
 _INLINE = ("nan-matrix-entry", "inf-matrix-entry", "huge-int-entry")
 # the message of each index defect, which names the field; the reference project
@@ -228,7 +226,7 @@ _INDEX_ERRORS = {
 @pytest.mark.parametrize("name", LOADER_DEFECTS)
 def test_malformed_field_exits_2(ref_project, tmp_path, capsys, name):
     path, value = LOADER_DEFECTS[name]
-    doc = v1_document(ref_project) if name in _V1_ONLY else project_to_dict(ref_project)
+    doc = project_to_dict(ref_project)
     doc = inline(doc) if name in _INLINE else doc
     _set(doc, path, value(doc) if callable(value) else value)
     with pytest.raises(SchemaError):
@@ -344,7 +342,8 @@ def test_save_writes_the_bytes_of_whole_entry_encoding(ref_project, tmp_path):
     noted = dataclasses.replace(
         _ring_project(), notes={0: "first", 2: "Grüße, ∑ and \"quotes\""}, run=RunDefaults(seed=4)
     )
-    projects = [ref_project, load_project(ring), project_from_dict(v1_document(ref_project)), noted]
+    inline_ref = project_from_dict(inline(project_to_dict(ref_project)))
+    projects = [ref_project, load_project(ring), inline_ref, noted]
     for project in projects:
         doc = project_to_dict(project)
         assert json.loads(dumps(doc)) == doc
@@ -421,10 +420,9 @@ def test_duplicate_entry_rejected(ref_project, key):
         project_from_dict(doc)
 
 
-@pytest.mark.parametrize("path", [("subsystems", 0, "C_int"), ("candidates", 0, "Chat_int")])
-def test_duplicate_peer_key_rejected(ref_project, path):
-    doc = v1_document(ref_project)
-    blocks = doc[path[0]][path[1]][path[2]]
+def test_duplicate_peer_key_rejected(ref_project):
+    doc = inline(project_to_dict(ref_project))
+    blocks = doc["subsystems"][0]["C_int"]
     (peer,) = blocks
     blocks["0" + peer] = blocks[peer]
     with pytest.raises(SchemaError, match=f"keys '{peer}' and '0{peer}' both name peer {peer}"):
@@ -531,46 +529,108 @@ def test_save_load_reproduces_certificates_bitwise(tmp_path, seed, fan_in, noise
             assert getattr(got, name).tobytes() == getattr(cert, name).tobytes()
         assert (got.pi, got.kappa_hat) == (cert.pi, cert.kappa_hat)
     assert _constants(loaded) == _constants(project)
-    # and the version 1 form of the same network loads to the same constants
-    assert _constants(project_from_dict(v1_document(project))) == _constants(project)
-    # a version 1 and a version 2 (inline) document each load bitwise equal to their
-    # version 3 save, with equal constants
-    for doc in (v1_document(project), inline(project_to_dict(project))):
-        first = project_from_dict(doc)
-        save_project(first, tmp_path / "v3.json")
-        again = load_project(tmp_path / "v3.json")
-        assert _bits(again) == _bits(first) == json.dumps(inline(project_to_dict(project)))
-        assert _constants(again) == _constants(first) == _constants(project)
+    # a version 2 (inline) document loads bitwise equal to its version 3 save, with
+    # equal constants
+    first = project_from_dict(inline(project_to_dict(project)))
+    save_project(first, tmp_path / "v3.json")
+    again = load_project(tmp_path / "v3.json")
+    assert _bits(again) == _bits(first) == json.dumps(inline(project_to_dict(project)))
+    assert _constants(again) == _constants(first) == _constants(project)
 
 
-def test_version_1_file_loads_to_same_constants(ref_project, tmp_path, capsys):
+VERSION_1_REFUSED = ("error: schema_version 1 is refused: delete the derived blocks (a candidate's "
+                     "Chat_*, a certificate's P, Q, S, Rtilde) and set schema_version to 3\n")
+
+
+def test_version_1_file_is_refused(ref_project, tmp_path, capsys):
+    # version 1 also stored the blocks that later versions derive, which are never read:
+    # such a file is refused with what to do, and doing it gives a file that loads
+    doc = inline(project_to_dict(ref_project))
+    doc["schema_version"] = 1
+    for group, name in _DERIVED_FIELDS:
+        for entry in doc[group]:
+            entry[name] = {"1": [[0.0]]} if name == "Chat_int" else [[0.0]]
     path = tmp_path / "v1.json"
-    path.write_text(json.dumps(v1_document(ref_project)))
-    assert _constants(load_project(path)) == _constants(ref_project)
-    assert main(["check", "--project", str(path)]) == 0
-    assert "all certificates pass" in capsys.readouterr().out
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(path)]) == 2
+    assert capsys.readouterr().err == VERSION_1_REFUSED
+    for group, name in _DERIVED_FIELDS:
+        for entry in doc[group]:
+            del entry[name]
+    doc["schema_version"] = 3
+    assert _constants(project_from_dict(doc)) == _constants(ref_project)
 
 
 @pytest.mark.parametrize("group, name", _DERIVED_FIELDS, ids=[n for _, n in _DERIVED_FIELDS])
 def test_hand_edited_derived_field_exits_2(ref_project, tmp_path, capsys, group, name):
-    # a version 1 block is compared with its derived value, never swapped for it silently:
-    # half the tolerance 1e-9 * max(1, max|derived|) loads, twice it is refused.  The
-    # copies load as one candidate object, and copy 2's block is still checked on its own
-    for scale, code in ((0.5e-9, 0), (2e-9, 2)):
-        doc = v1_document(ref_project)
-        entry = doc[group][2]
-        block = entry[name] if name != "Chat_int" else next(iter(entry[name].values()))
-        block[0][0] += scale * max(1.0, np.abs(block).max())
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(doc))
-        assert main(["check", "--project", str(path)]) == code
-        err = capsys.readouterr().err
+    # a derived block is never read: stored in a version 3 entry, it is an unknown field
+    doc = project_to_dict(ref_project)
+    doc[group][2][name] = [[0.0]]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {group}[2]: unknown field '{name}'\n"
+
+
+# the fields of each object of a project file, as its schema states them
+SCHEMA_FIELDS = {
+    "project": {"schema_version", "arrays", "subsystems", "topology", "candidates",
+                "certificates", "run"},
+    "subsystems": {"id", "A", "B", "D", "F", "C_ext", "C_int"},
+    "topology": {"edges"},
+    "candidates": {"subsystem", "P", "Ahat", "Bhat", "Dhat", "Fhat"},
+    "certificates": {"subsystem", "M", "K", "pi", "kappa_hat", "note"},
+    "run": {"horizon", "trials", "seed", "epsilon"},
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(SCHEMA_FIELDS)), pos=st.integers(0, 3), data=st.data(),
+       value=st.one_of(st.none(), st.integers(), st.text(), st.just([[0.5]])))
+def test_unknown_field_exits_2(ref_project, tmp_path, capsys, kind, pos, data, value):
+    # a key outside the schema, added to any object of a saved project, is refused with
+    # its object and its name, whatever it holds; the reference project has 4 subsystems
+    key = data.draw(st.text(max_size=8).filter(lambda k: k not in SCHEMA_FIELDS[kind]))
+    doc = project_to_dict(ref_project)
+    if kind == "project":
+        target, where = doc, "project"
+    elif kind in ("topology", "run"):
+        target, where = doc[kind], kind
+    else:
+        target, where = doc[kind][pos], f"{kind}[{pos}]"
+    target[key] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--project", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {where}: unknown field {key!r}\n"
+
+
+def test_misspelt_field_exits_2(tmp_path, capsys):
+    # spelt right, a noisy abstraction (Fhat = 0.5) gives the trivial bound; misspelt, the
+    # key was ignored and the bound was that of a noiseless one, 0.09562, with exit 0
+    path = tmp_path / "net.json"
+    assert main(["paper-example", "--trials", "30", "--emit-project", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    bound = ["bound", "--project", str(path), "--epsilon", "1", "--horizon", "10"]
+    for spelling, code in (("Fhat", 0), ("FHat", 2)):
+        edited = json.loads(json.dumps(doc))
+        for cand in edited["candidates"]:
+            del cand["Fhat"]
+            cand[spelling] = [[0.5]]
+        path.write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert main(bound) == code
+        out, err = capsys.readouterr()
         if code:
-            assert err.startswith(f"error: {group}[2].{name}: ")
-            assert "subsystem 2 differs from the one derived" in err
+            assert err == "error: candidates[0]: unknown field 'FHat'\n" and out == ""
         else:
-            cands = list(load_project(path).candidates.values())
-            assert all(c is cands[0] for c in cands)
+            assert "<= 1.000" in out
+    # and a run block with `trails` ran the default 1,000 trials
+    doc["run"]["trails"] = doc["run"].pop("trials")
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--project", str(path)]) == 2
+    assert capsys.readouterr().err == "error: run: unknown field 'trails'\n"
 
 
 def test_certificate_without_candidate_exits_2(ref_project, tmp_path, capsys):
