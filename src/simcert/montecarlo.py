@@ -10,9 +10,9 @@ side has one key, and a trial's draws are the counter range that its index
 selects within that side's stream.  Each side caches one generator, one state
 record and one lock; a trial's call rewrites only the record's counter and
 assigns it, so the bits are those of a fresh generator there, and drawing is
-thread-safe.  Trials are stepped in blocks of a fixed width, so a
-trial's bits are a function of the run configuration and its trial index
-alone: the first ``t`` trials of a longer run equal a ``t``-trial run.  A
+thread-safe.  Trials are stepped in blocks of a fixed width, so a trial's bits
+are a function of the run configuration, its trial index, numpy's build and the
+BLAS kernel: the first ``t`` trials of a longer run equal a ``t``-trial run.  A
 run returns its per-trial supremum deviations, trial ``t`` in row ``t``;
 :func:`violation_probability` reduces them to the empirical violation frequency
 and its exact one-sided confidence bound.
@@ -186,6 +186,8 @@ class _PairSimulator:
         w_at = [self.w.start + j for j in _offsets(self.q_dims)]
         wh_at = [self.wh.start + j for j in _offsets(self.qhat_dims)]
         omega, omegahat = edge_at
+        # stepped in place: a block gathers its columns before it writes its state rows, which
+        # only it reads, but for xhat_i, also read by concrete block i, listed just before it
         self.step_blocks = []
         for i, (s, a, c) in enumerate(zip(subs, abs_subs, certs)):
             edges = [e for e, _ in net.in_edges[i]]
@@ -235,22 +237,19 @@ class _PairSimulator:
                 out[:, start : start + q, :cols] = draws.transpose(1, 2, 0)
 
     @np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
-    def run_block(self, trials: range, cfg: RunConfig, noise: np.ndarray, pair: np.ndarray,
+    def run_block(self, trials: range, cfg: RunConfig, noise: np.ndarray, z: np.ndarray,
                   sup: np.ndarray, outputs: tuple | None = None) -> None:
         """Step ``trials`` (at most :attr:`block`) together from zero states, one per column,
-        on ``noise`` shaped like :meth:`_noise` writes it and the two pair columns ``pair``,
-        ``(2, width, block)``, folding each step's deviations into ``sup``, the block's rows,
-        as it is taken, and its outputs into ``outputs = (y, yh)``, each ``(c, T+1, r)``.
-        The noise rows of the pair columns past ``noise``'s ``c`` columns stay zero."""
+        on ``noise`` shaped like :meth:`_noise` writes it and the pair column ``z``,
+        ``(width, block)``, stepped in place, folding each step's deviations into ``sup``,
+        the block's rows, as it is taken, and its outputs into ``outputs = (y, yh)``, each
+        ``(c, T+1, r)``. The noise rows of ``z`` past ``noise``'s ``c`` columns stay zero."""
         T, cols = cfg.horizon, len(trials)
-        # two pair columns in turn: a step reads one and writes the other's state
-        pair.fill(0.0)
-        z, nxt = pair
+        z.fill(0.0)
         for k in range(T + 1):
             if k:
                 z[self.w.start :, : noise.shape[2]] = noise[k - 1]
-                _apply(self.step_blocks, z, nxt)
-                z, nxt = nxt, z
+                _apply(self.step_blocks, z, z)
             _apply(self.output_blocks, z, z)
             # the whole width, so that a column's sum does not depend on the trial count
             y, yh = z[self.y], z[self.yh]
@@ -272,20 +271,20 @@ def simulate_pair(
     ``candidates`` and ``certificates`` are in subsystem order; the abstract
     network is the candidates wired by ``topology``.  Both networks start from
     zero states, and the abstract input is zero.  Concrete and abstract
-    noises are fully independent.  Results are bitwise-reproducible for a
-    fixed config: every trial consumes only its own substreams, and trials
-    are stepped in blocks of a fixed size.  ``each_block(trials, y, yh)``, if
-    given, gets each block's ``range`` of trials and their concrete and abstract
-    outputs, ``(len(trials), T+1, r)`` views of a buffer the next block reuses.
+    noises are fully independent.  For a fixed config, numpy build and BLAS kernel the
+    results are bitwise-reproducible: every trial consumes only its own substreams, and
+    trials are stepped in blocks of a fixed size.  ``each_block(trials, y, yh)``, if given,
+    gets each block's ``range`` of trials and their concrete and abstract outputs,
+    ``(len(trials), T+1, r)`` views of a buffer the next block reuses.
     """
     sim = _PairSimulator(subsystems, topology, candidates, certificates)
     n, T, b = cfg.trials, cfg.horizon, sim.block
     # every array is sized before the first step (numpy: ValueError past the address space)
     try:
         sup = np.zeros(n)  # run_block folds each step's deviations into it
-        # a block's noise, two pair columns and, for a consumer, outputs, reused by the next block
+        # a block's noise, pair column and, for a consumer, outputs, reused by the next block
         c = min(n, b)  # noise and output columns: a run of fewer trials than a block holds fewer
-        noise, pair = np.empty((T, sim.width - sim.w.start, c)), np.empty((2, sim.width, b))
+        noise, pair = np.empty((T, sim.width - sim.w.start, c)), np.empty((sim.width, b))
         outputs = None if each_block is None else (
             np.empty((c, T + 1, len(sim.y))), np.empty((c, T + 1, len(sim.yh))))
     except (MemoryError, ValueError) as exc:

@@ -470,10 +470,13 @@ def check_output(path) -> None:
 
 @contextmanager
 def open_output(path):
-    """``path`` opened for writing text; an ``OSError`` raises :class:`SchemaError`."""
+    """``path`` opened for writing text; an ``OSError`` raises :class:`SchemaError`, but for
+    a ``BrokenPipeError``: a reader that closed the pipe ends the console script with exit 1."""
     try:
         with open(path, "w", newline="") as fh:
             yield fh
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 

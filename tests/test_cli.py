@@ -547,7 +547,7 @@ def test_console_script_shows_each_warning_as_one_line(project_path, tmp_path):
     assert "warnings.warn(" not in done.stderr and "Warning:" not in done.stderr
 
 
-def test_console_script_exits_1_when_stdout_closes(tmp_path):
+def test_console_script_exits_1_when_stdout_closes(project_path, tmp_path):
     # a reader that left after the first line (`simcert check ... | head -1`) got a
     # BrokenPipeError traceback.  A ring of 2,048 copies prints about 1 MB of reports,
     # past a pipe's capacity, so the run is still writing when the read end closes
@@ -560,13 +560,19 @@ def test_console_script_exits_1_when_stdout_closes(tmp_path):
         doc[key] = [{**doc[key][0], "subsystem": i} for i in range(n)]
     path, err = tmp_path / "ring.json", tmp_path / "err.txt"
     path.write_text(json.dumps(doc))
-    with open(err, "w") as stderr:
-        argv = [sys.executable, "-m", "simcert.cli", "check", "--project", str(path)]
-        run = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=python_env())
-        assert run.stdout.readline() == b"subsystem 0:\n"
-        run.stdout.close()
-        assert run.wait(timeout=120) == 1
-    assert err.read_text() == ""
+    # and a CSV of 2,000 trials (about 4 MB) written to stdout exited 2 with
+    # "error: cannot write /dev/stdout: [Errno 32] Broken pipe"
+    csv_argv = ["simulate", "--project", str(project_path), "--trials", "2000",
+                "--csv", "/dev/stdout"]
+    for argv, first in ((["check", "--project", str(path)], b"subsystem 0:\n"),
+                        (csv_argv, b"trial,k,y0,y1,y2,y3,yhat0,yhat1,yhat2,yhat3,deviation\n")):
+        with open(err, "w") as stderr:
+            run = subprocess.Popen([sys.executable, "-m", "simcert.cli", *argv],
+                                   stdout=subprocess.PIPE, stderr=stderr, env=python_env())
+            assert run.stdout.readline() == first
+            run.stdout.close()
+            assert run.wait(timeout=120) == 1, argv
+        assert err.read_text() == "", argv
 
 
 def test_simulate_underpowered_is_inconclusive(project_path, capsys):

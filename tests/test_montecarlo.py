@@ -82,7 +82,7 @@ def _run_impulse(subs, topo, cands, certs, cfg, impulse):
     shape = (sim.block, cfg.horizon + 1)
     outputs = np.empty((*shape, len(sim.y))), np.empty((*shape, len(sim.yh)))
     sup = np.zeros(1)
-    sim.run_block(range(1), cfg, noise, np.empty((2, sim.width, sim.block)), sup, outputs)
+    sim.run_block(range(1), cfg, noise, np.empty((sim.width, sim.block)), sup, outputs)
     return sup[0], outputs[0][0], outputs[1][0]
 
 
@@ -559,6 +559,24 @@ def test_step_blocks_read_no_neighbour_state():
         assert len(hat_cols) <= c.nhat + c.Dhat.shape[1] + c.Fhat.shape[1]
 
 
+STEP_NETWORKS = {
+    "random": lambda: _random_pair_network(
+        np.random.default_rng(29), [1, 3, 2], {(0, 1): 2, (0, 2): 2, (1, 0): 2, (2, 1): 1}),
+    "certified-2104": lambda: certified_network(2104)[:4],
+    "ring-8": lambda: _reference_ring(8),
+}
+
+
+@pytest.mark.parametrize("network", STEP_NETWORKS.values(), ids=STEP_NETWORKS.keys())
+def test_no_step_block_reads_rows_an_earlier_block_wrote(network):
+    # run_block steps the pair column in place, so within a step no block may
+    # read a row that a block before it has already overwritten
+    sim = _PairSimulator(*network())
+    for i, (rows, _, _) in enumerate(sim.step_blocks):
+        for _, cols, _ in sim.step_blocks[i + 1 :]:
+            assert not np.any((rows.start <= cols) & (cols < rows.stop)), (i, rows, cols)
+
+
 def test_trials_are_a_prefix_of_a_longer_run(ref_parts):
     # every block is stepped at full width, so a trial's bits depend only on
     # the configuration and its index, not on how many trials the run has
@@ -633,6 +651,16 @@ def test_recording_leaves_sup_unchanged(ref_parts, network):
     assert plain.tobytes() == recorded.tobytes()
 
 
+def _traced_peak(fn) -> int:
+    """The ``tracemalloc`` peak, in bytes, of a call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _horizon_growth(ref_parts, trials: int) -> tuple[int, int]:
     """``(traced peak growth from T = 10 to 400, q_tot + qhat_tot)`` of a reference run."""
     subs, topo, cands, certs = ref_parts
@@ -640,12 +668,8 @@ def _horizon_growth(ref_parts, trials: int) -> tuple[int, int]:
     sim = _PairSimulator(subs, topo, cands, certs)
 
     def peak(T):
-        tracemalloc.start()
-        try:
-            simulate_pair(subs, topo, cands, certs, RunConfig(horizon=T, trials=trials, seed=1))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cfg = RunConfig(horizon=T, trials=trials, seed=1)
+        return _traced_peak(lambda: simulate_pair(subs, topo, cands, certs, cfg))
 
     long = peak(400)  # first, so one-time allocations count against the longer run
     return long - peak(10), sim.width - sim.w.start
@@ -680,16 +704,24 @@ def test_setup_memory_grows_with_edges():
     # columns, so set-up memory about doubles with the ring; keeping dense
     # (N n)^2 closed-loop or routing matrices would quadruple it
     def peak(N):
-        subs, topo, cands, certs = _reference_ring(N)
-        tracemalloc.start()
-        try:
-            _PairSimulator(subs, topo, cands, certs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        network = _reference_ring(N)
+        return _traced_peak(lambda: _PairSimulator(*network))
 
     large = peak(64)  # first, so one-time allocations count against the larger ring
     assert large <= 2.2 * peak(32)
+
+
+def test_a_block_holds_one_pair_column():
+    # a block steps one (width, 256) pair column in place beside its noise block,
+    # (T, q_tot + qhat_tot, 256); a second column would add width * 256 doubles,
+    # which on a 64-copy ring at T = 10 is 76% of the column and the noise together
+    network, T = _reference_ring(64), 10
+    sim = _PairSimulator(*network)
+    setup = _traced_peak(lambda: _PairSimulator(*network))
+    cfg = RunConfig(horizon=T, trials=256, seed=1)
+    run = _traced_peak(lambda: simulate_pair(*network, cfg))
+    held = 8 * 256 * (sim.width + T * (sim.width - sim.w.start))
+    assert run - setup <= 1.25 * held, (run - setup) / held
 
 
 def _deviation_run(network, ref_parts, trials, T):
