@@ -51,10 +51,14 @@ __all__ = [
 
 
 def _per_certificate(fn, project: ProjectFile, ids, *rest) -> dict:
-    """``fn(s, candidate, certificate, *rest)`` by id, once per distinct input: copies share."""
-    call = spsf._shared(fn)
-    return {sid: call(project.subsystems[sid], project.candidate_for(sid),
-                      project.certificate_for(sid), *rest) for sid in ids}
+    """``fn(s, candidate, certificate, *rest)`` by id, called once per kind, with the objects
+    of its first id among ``ids``: every id of a kind shares that result."""
+    kinds, results = project.kinds, {}  # a kind -> its result
+    for sid in ids:
+        if kinds[sid] not in results:
+            results[kinds[sid]] = fn(project.subsystems[sid], project.candidate_for(sid),
+                                     project.certificate_for(sid), *rest)
+    return {sid: results[kinds[sid]] for sid in ids}
 
 
 def _all_constants(
@@ -141,10 +145,12 @@ def cmd_check(args) -> int:
 
 def _print_reports(project: ProjectFile, reports: dict) -> int:
     """Print each certificate's condition report; 0 iff all pass."""
-    all_pass, texts = True, {}  # id of a report -> its text: copies share one report
+    kinds, all_pass = project.kinds, True
+    # reports cover every certificate, so the first id of each kind: one render per kind
+    texts = {sid: report.render() for sid, report in reports.items() if kinds[sid] == sid}
     for sid, report in reports.items():
         print(f"subsystem {sid}:")
-        print(texts.get(id(report)) or texts.setdefault(id(report), report.render()))
+        print(texts[kinds[sid]])
         if sid in project.notes:
             print(f"note: {project.notes[sid]}")
         print()
@@ -307,14 +313,15 @@ def _write_csv(path, run):
     """Return ``run(each_block)``, writing each block of trials it hands out to ``path``.
 
     A run that raises leaves no rows at ``path``, since a CSV cut off between chunks reads as
-    a complete shorter run: a file is removed, a symlink's file emptied, a device or FIFO kept.
+    a complete shorter run: a file is removed, a symlink's file emptied; a device, a FIFO or
+    the file stdout writes is kept.
     """
     fh = None
     try:
         with open_output(path) as fh:
             return run(functools.partial(_write_block, fh))
     except BaseException:
-        if fh is not None and os.path.isfile(path):  # follows a symlink
+        if fh not in (None, sys.stdout) and os.path.isfile(path):  # follows a symlink
             if os.path.islink(path):
                 os.truncate(path, 0)
             else:

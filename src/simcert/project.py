@@ -47,8 +47,9 @@ past the parser's recursion limit.
 A save writes each distinct matrix once, as an ``arrays`` entry keyed by shape
 and bits (``-0.0`` and ``0.0`` differ).  A load makes each entry, or inline
 matrix as in version 2 files, one read-only array shared by every field
-with its bits, and so by the derivations, checks and constants keyed by identity;
-candidate entries that name the same arrays, for equal ``(n, m, p)``, are one candidate.
+with its bits.  Subsystems whose analysis reads the same arrays and floats are
+one kind (:attr:`ProjectFile.kinds`), whose certificate the load derives once
+and whose check and constants each command computes once.
 
 A file stores only what cannot be derived.  The loader derives the rest: a
 candidate's output blocks are ``Chat_ext = C_ext P`` and ``Chat_int[j] =
@@ -62,10 +63,13 @@ objects or matrices, so a diff names the entry that changed; older files,
 indented a space per level, load unchanged.  A non-finite number is never written.
 """
 
+import functools
 import json
 import math
 import os
-from contextlib import contextmanager
+import struct
+import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
@@ -74,7 +78,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
 from .model import LinearSubsystem, Topology, validate_subsystem
-from .spsf import AbstractionCandidate, AbstractionCertificate, _shared, solve_structural
+from .spsf import AbstractionCandidate, AbstractionCertificate, solve_structural
 
 __all__ = ["SCHEMA_VERSION", "RunDefaults", "ProjectFile", "load_project", "save_project", "dumps"]
 
@@ -112,6 +116,27 @@ class ProjectFile:
         if sub_id not in self.certificates:
             raise SchemaError(f"no certificate for subsystem {sub_id}")
         return self.certificates[sub_id]
+
+    @functools.cached_property
+    def kinds(self) -> dict[int, int]:
+        """Each subsystem id -> the first id of its :func:`_kind`, computed on first use and
+        kept with this object: ``dataclasses.replace`` makes one that computes its own."""
+        first: dict = {}
+        return {s.id: first.setdefault(_kind(s, self.candidates.get(s.id),
+                                             self.certificates.get(s.id)), s.id)
+                for s in self.subsystems}
+
+
+def _kind(s: LinearSubsystem, cand: AbstractionCandidate | None, cert) -> tuple:
+    """The ids of the arrays and the bits of the floats that the analysis of ``s`` reads:
+    ``A``, ``B``, ``D``, ``F`` and the output blocks in stacked order, the candidate's fields,
+    and the certificate's or the ``(M, K, pi, kappa_hat)`` it is derived from.  Subsystems
+    of one kind share one derivation, check, constant set and report."""
+    blocks = {**s.C_int, s.id: s.C_ext}
+    rest = vars(cert).values() if isinstance(cert, AbstractionCertificate) else cert or ()
+    return (*map(id, (s.A, s.B, s.D, s.F, *map(blocks.get, sorted(blocks)))), None,
+            *map(id, () if cand is None else vars(cand).values()), None,  # None parts them
+            *[id(v) if isinstance(v, np.ndarray) else struct.pack("d", v) for v in rest])
 
 
 _JSON_TYPES = {str: "string", bool: "boolean", type(None): "null", dict: "object"}
@@ -272,7 +297,7 @@ def project_from_dict(doc: dict) -> ProjectFile:
     raw_subs = _require(doc, "subsystems", "project")
     if not isinstance(raw_subs, list) or not raw_subs:
         raise SchemaError("subsystems must be a nonempty list")
-    resolved: dict = {}  # an indexed entry's key, one length per kind -> the first one's result
+    resolved: dict = {}  # an indexed entry's key (4, 5 or 7 items) or a kind (more) -> its result
     subsystems = []
     for pos, entry in enumerate(raw_subs):
         where = f"subsystems[{pos}]"
@@ -319,38 +344,36 @@ def project_from_dict(doc: dict) -> ProjectFile:
             yield where, s, entry, {"n": s.n, "m": s.m, "p": s.p}
 
     candidates: dict[int, AbstractionCandidate] = {}
-    built: dict = {}  # (n, m, p) and the ids of a candidate's arrays -> the one candidate
     for where, s, entry, dims in entries("candidates"):
-        indexed = (_entry_key(entry, _CANDIDATE_MATRICES, (int,) * 5), *dims.values())
-        if indexed not in resolved:
+        key = (_entry_key(entry, _CANDIDATE_MATRICES, (int,) * 5), *dims.values())
+        if key not in resolved:
             mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where, table)
             dims.update(nhat=mats["Ahat"].shape[0], mhat=mats["Bhat"].shape[1])
             fhat = entry.get("Fhat")  # absent: noiseless, a zero column count (the least psi)
             mats["Fhat"] = _as_matrix(
                 np.zeros((dims["nhat"], 0)) if fhat is None else fhat, f"{where}.Fhat", table)
             dims["qhat"] = mats["Fhat"].shape[1]
-            key = (*dims.values(), *map(id, mats.values()))  # the table keeps every id in use
-            if key not in built:
-                _check_shapes(where, mats, dims)
-                built[key] = AbstractionCandidate(**mats)
-            resolved[indexed] = built[key]
-        candidates[s.id] = resolved[indexed]
+            _check_shapes(where, mats, dims)
+            resolved[key] = AbstractionCandidate(**mats)
+        candidates[s.id] = resolved[key]
 
     certificates: dict[int, AbstractionCertificate] = {}
     notes: dict[int, str] = {}
-    derive = _shared(solve_structural)  # copies hold one set of arrays: one derivation
     for where, s, entry, dims in entries("certificates"):
         if s.id not in candidates:
             raise SchemaError(f"{where}: subsystem {s.id} has no candidate to derive it from")
         # the certificate reads the entry, the candidate and the subsystem's arrays
         key = (_entry_key(entry, ("M", "K", "pi", "kappa_hat"), (int, int, float, float)),
-               id(candidates[s.id]), *map(id, (s.A, s.B, s.D, s.F, s.C_ext)))
+               id(candidates[s.id]), *map(id, (s.A, s.B, s.D, s.F, s.C_ext, *s.C_int.values())))
         if key not in resolved:
             mats = _matrices(entry, _CERTIFICATE_MATRICES, where, table)
             _check_shapes(where, mats, dims)
-            resolved[key] = derive(s, candidates[s.id], mats["M"], mats["K"],
-                _number(_require(entry, "pi", where), f"{where}.pi", float),
-                _number(_require(entry, "kappa_hat", where), f"{where}.kappa_hat", float))
+            stored = (*mats.values(), *[_number(_require(entry, k, where), f"{where}.{k}", float)
+                                        for k in ("pi", "kappa_hat")])
+            kind = _kind(s, candidates[s.id], stored)  # the table keeps every id in use
+            if kind not in resolved:  # one derivation per kind
+                resolved[kind] = solve_structural(s, candidates[s.id], *stored)
+            resolved[key] = resolved[kind]
         certificates[s.id] = resolved[key]
         if "note" in entry:
             if not isinstance(entry["note"], str):
@@ -470,15 +493,24 @@ def check_output(path) -> None:
 
 @contextmanager
 def open_output(path):
-    """``path`` opened for writing text; an ``OSError`` raises :class:`SchemaError`, but for
-    a ``BrokenPipeError``: a reader that closed the pipe ends the console script with exit 1."""
+    """``path`` opened for writing text, or ``sys.stdout`` if ``path`` is the file it writes
+    (``/dev/stdout`` under ``>`` or ``>>``), so the text follows what was printed; an
+    ``OSError`` raises :class:`SchemaError`, but for a ``BrokenPipeError``: a reader that
+    closed the pipe ends the console script with exit 1."""
     try:
-        with open(path, "w", newline="") as fh:
+        with nullcontext(sys.stdout) if _is_stdout(path) else open(path, "w", newline="") as fh:
             yield fh
     except BrokenPipeError:
         raise
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
+def _is_stdout(path) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError, AttributeError):  # no such file, or a stdout without one
+        return False
 
 
 def dumps(doc: dict) -> str:

@@ -25,10 +25,8 @@ function: with the concrete input refined by the interface function
 with the closed-form coefficients produced by :func:`derive_constants`.
 """
 
-import struct
 import warnings
-import weakref
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,40 +244,6 @@ def check_conditions(
     if cert.pi <= 0.0:
         violations.append(f"pi must be positive: {cert.pi}")
     return ConditionReport(tol=tol, checks=checks, violations=tuple(violations))
-
-
-def _named(items) -> tuple:
-    return tuple(id(v) if isinstance(v, np.ndarray) else struct.pack("d", v) for v in items)
-
-
-_key_parts = weakref.WeakKeyDictionary()  # a dataclass object -> its part of a key, while it lives
-
-
-def _input_key(s: LinearSubsystem, cand: AbstractionCandidate, *rest) -> tuple:
-    """Ids of the arrays of ``s`` (output blocks in stacked order) and of the rest; float bits.
-    A dataclass, like ``cand``, stands for its fields, and is named once: its part of the key
-    goes with it, and a copy, pickle or ``dataclasses.replace`` of it is named anew."""
-    key = ()
-    for x in (s, cand, *rest):
-        part = _key_parts.get(x) if is_dataclass(x) else _named([x])
-        if part is None:
-            blocks = (b for _, b in sorted({**s.C_int, s.id: s.C_ext}.items()))
-            items = [s.A, s.B, s.D, s.F, *blocks] if x is s else vars(x).values()
-            part = _key_parts[x] = _named(items)
-        key += part
-    return key
-
-
-def _shared(fn):
-    """``fn``, called once per distinct :func:`_input_key` among the calls through the returned
-    function; the memo keeps the arguments it keyed, so no keyed id is reused while it lives."""
-    memo = {}  # key -> (args, result)
-    def call(*args):
-        key = _input_key(*args)
-        if key not in memo:
-            memo[key] = args, fn(*args)
-        return memo[key][1]
-    return call
 
 
 _SWEEPS = 64  # doubling sweeps of either iteration: 2**64 terms of its series

@@ -8,7 +8,6 @@ import json
 import os
 import pickle
 import stat
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -575,6 +574,23 @@ def test_console_script_exits_1_when_stdout_closes(project_path, tmp_path):
         assert err.read_text() == "", argv
 
 
+@pytest.mark.parametrize("mode", ["w", "a"], ids=[">", ">>"])
+def test_csv_on_redirected_stdout_follows_what_was_printed(project_path, tmp_path, mode):
+    # `--csv /dev/stdout > out.txt` opened the file anew: with ">" the summary lines
+    # overwrote the header and first rows, and with ">>" the earlier lines were cut away
+    argv = [sys.executable, "-m", "simcert.cli", "simulate", "--project", str(project_path),
+            "--trials", "3", "--horizon", "2", "--csv"]
+    csv_path, out = tmp_path / "run.csv", tmp_path / "out.txt"
+    done = subprocess.run([*argv, str(csv_path)], capture_output=True, env=python_env())
+    assert done.returncode == 0
+    summary = done.stdout.replace(str(csv_path).encode(), b"/dev/stdout")
+    out.write_bytes(b"an earlier line\n")
+    with open(out, mode) as stdout:
+        assert subprocess.run([*argv, "/dev/stdout"], stdout=stdout, env=python_env()).returncode == 0
+    earlier = b"an earlier line\n" if mode == "a" else b""
+    assert out.read_bytes() == earlier + csv_path.read_bytes() + summary
+
+
 def test_simulate_underpowered_is_inconclusive(project_path, capsys):
     assert main(["simulate", "--project", str(project_path), "--trials", "5"]) == 0
     out = capsys.readouterr().out
@@ -969,10 +985,14 @@ def test_distinct_subsystems_are_never_merged(group, field, sid, at, up):
     for results in (project.certificates, reports, constants):
         assert all(results[sid] is not results[k] for k in others)
         assert results[others[0]] is results[others[1]] is results[others[2]]
-    # the copies hold one candidate object, unless the moved entry is the candidate's
-    cands = project.candidates
-    assert cands[others[0]] is cands[others[1]] is cands[others[2]]
-    assert (cands[sid] is not cands[others[0]]) == (group == "candidates")
+    # the copies are one kind, and the moved copy its own
+    assert [project.kinds[k] for k in others] == [others[0]] * 3
+    assert project.kinds[sid] == sid
+    # so too when saved: the load resolves a repeated certificate entry once per kind
+    indexed = project_from_dict(project_to_dict(project))
+    certs = indexed.certificates
+    assert indexed.kinds == project.kinds and certs[others[0]] is certs[others[2]]
+    assert all(certs[sid] is not certs[k] for k in others)
 
     # one certificate object held by every copy: still one result per distinct input
     cert = project.certificates[others[0]]
@@ -1016,34 +1036,37 @@ def test_each_distinct_subsystem_is_analysed_once_per_load_and_command(
 
 
 def test_every_call_is_keyed_by_identity(tmp_path, monkeypatch):
-    # the load and each command key every call, by the ids of its arrays and the bits
-    # of its floats, never by the bytes of a matrix
-    keys = []
-    key = spsf._input_key
-    monkeypatch.setattr(spsf, "_input_key", lambda *a: keys.append(key(*a)) or keys[-1])
+    # the load derives, and each command checks and bounds, once per kind: subsystems
+    # whose arrays or float bits differ are each analysed on their own
+    calls = collections.Counter()
+    for module, name in ((simcert.project, "solve_structural"), (spsf, "check_conditions"),
+                         (spsf, "derive_constants")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    each = dict.fromkeys(("solve_structural", "check_conditions", "derive_constants"), 4)
     subs, topo, cands, certs, _ = certified_network(7)
     path = tmp_path / "distinct.json"
     save_project(ProjectFile(2, tuple(subs), topo, dict(enumerate(cands)),
                              dict(enumerate(certs)), run=RunDefaults()), path)
     assert main(["compose", "--project", str(path)]) == 0
     # four distinct subsystems: a derivation at load, a check and a constant set each
-    assert len(keys) == len(set(keys)) == 3 * len(subs) == 12
-    assert all(type(x) is int or (type(x) is bytes and len(x) == 8) for k in keys for x in k)
+    assert calls == each and calls.total() == 3 * len(subs) == 12
 
-    # copies that differ in F keep one M array: each copy is keyed, and gets its own
-    # certificate, report and constants
+    # copies that differ in F keep one M array: each copy is its own kind, and gets its
+    # own certificate, report and constants
     doc = ring_document(4)
     for k, s in enumerate(doc["subsystems"]):
         s["F"] = [[(k + 1) * v for v in row] for row in s["F"]]
     path.write_text(json.dumps(doc))
-    keys.clear()
+    calls.clear()
     project = load_project(path)
-    assert len(keys) == len(set(keys)) == 4
+    assert calls == {"solve_structural": 4}
+    assert project.kinds == {k: k for k in range(4)}
     assert len({id(c.M) for c in project.certificates.values()}) == 1
     assert len({id(c) for c in project.certificates.values()}) == 4
-    keys.clear()
+    calls.clear()
     assert main(["compose", "--project", str(path)]) == 0  # its load, checks and constants
-    assert len(keys) == len(set(keys)) == 12
+    assert calls == each and calls.total() == 12
 
 
 def _indexed_ring(n: int) -> dict:
@@ -1137,32 +1160,53 @@ def test_indexed_ring_prints_and_saves_what_the_inline_ring_does(tmp_path, capsy
     assert doc == _indexed_ring(64)
 
 
-def test_key_parts_live_and_die_with_their_object():
-    # an object names its arrays and floats once; a copy, pickle or replacement of it is
-    # another object and names its own, and the names never keep an object alive
+def test_kinds_follow_the_arrays_and_floats_a_certificate_holds():
+    # a kind names arrays by id and floats by their bits, never a matrix by its bytes; a
+    # shallow copy of copy 1's certificate holds the same arrays and floats and keeps its
+    # kind, while a pickle round trip (new arrays) or another pi makes copy 1 its own kind
     project = project_from_dict(ring_document(2))
-    s, cand, cert = project.subsystems[0], project.candidates[0], project.certificates[0]
-    key = spsf._input_key(s, cand, cert, 1e-9)
-    assert spsf._input_key(s, cand, cert, 1e-9) == key
-    for twin in (copy.copy(cert), pickle.loads(pickle.dumps(cert)),
-                 dataclasses.replace(cert, pi=0.5)):
-        assert twin not in spsf._key_parts
-        named = tuple(id(v) if isinstance(v, np.ndarray) else struct.pack("d", v)
-                      for v in vars(twin).values())
-        assert spsf._input_key(s, cand, twin, 1e-9) == key[:11] + named + key[-1:]
+    assert project.kinds == {0: 0, 1: 0}
+    s, cand, cert = project.subsystems[1], project.candidates[1], project.certificates[1]
+    floats = (np.float64(cert.pi).tobytes(), np.float64(cert.kappa_hat).tobytes())
+    assert simcert.project._kind(s, cand, cert) == (
+        *map(id, (s.A, s.B, s.D, s.F, s.C_int[0], s.C_ext)), None,  # outputs in stacked order
+        *map(id, (cand.Ahat, cand.Bhat, cand.Dhat, cand.Fhat, cand.P)), None,
+        *map(id, (cert.M, cert.K, cert.P, cert.Q, cert.S, cert.Rtilde)), *floats)
+    for twin, kinds in ((copy.copy(cert), {0: 0, 1: 0}),
+                        (pickle.loads(pickle.dumps(cert)), {0: 0, 1: 1}),
+                        (dataclasses.replace(cert, pi=0.5), {0: 0, 1: 1})):
+        held = dataclasses.replace(project, certificates={0: cert, 1: twin})
+        assert "kinds" not in vars(held)  # a replaced project computes its own
+        assert held.kinds == kinds
+    assert project.kinds == {0: 0, 1: 0}
+    # the kinds hold ids, never an object: the certificate goes with its project
     ref = weakref.ref(cert)
-    del project, cert, twin
+    del project, s, cand, cert, twin, held
     gc.collect()
     assert ref() is None
 
 
+def test_sharing_never_shows():
+    # in memory, each reference subsystem has its own np.eye arrays, so four kinds; a save
+    # and load interns them, so one: every constant and the composition agree bit for bit
+    built = reference_project()
+    loaded = project_from_dict(project_to_dict(built))
+    assert (built.kinds, loaded.kinds) == ({k: k for k in range(4)}, dict.fromkeys(range(4), 0))
+    results = []
+    for project in (built, loaded):
+        constants = cli._all_constants(project, 1e-9)
+        radius, composed = cli._composition(constants, project.topology)
+        results.append((repr(constants), repr(radius), repr(composed), composed.mu.tobytes()))
+    assert results[0] == results[1]
+
+
 def test_copies_hold_one_array_per_matrix():
     project = project_from_dict(ring_document(4))
-    # identical candidate entries are one object, inline (version 2) or indexed (version 3)
-    inline_v2 = {**ring_document(4), "schema_version": 2}
-    for doc in (inline_v2, project_to_dict(project)):
-        cands = list(project_from_dict(doc).candidates.values())
-        assert all(c is cands[0] for c in cands)
+    # identical candidate entries are one kind, inline (version 2), and one object, indexed
+    inline_v2 = project_from_dict({**ring_document(4), "schema_version": 2})
+    assert inline_v2.kinds == dict.fromkeys(range(4), 0)
+    cands = list(project_from_dict(project_to_dict(project)).candidates.values())
+    assert all(c is cands[0] for c in cands)
     groups = [
         (project.subsystems, ("A", "B", "D", "F", "C_ext")),
         (list(project.candidates.values()), ("P", "Ahat", "Bhat", "Dhat", "Fhat")),
