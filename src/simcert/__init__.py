@@ -24,14 +24,12 @@ from .errors import (
 )
 from .model import (
     Edge,
-    InterconnectedSystem,
     LinearSubsystem,
     Topology,
     assemble_interconnection,
     validate_subsystem,
 )
 from .montecarlo import (
-    RunConfig,
     ViolationEstimate,
     noise_stream,
     simulate_pair,

@@ -274,7 +274,7 @@ def _simulate(project: ProjectFile, constants, run: RunDefaults, csv_path) -> in
     run_trials = functools.partial(
         montecarlo.simulate_pair, subs, project.topology,
         [project.candidate_for(s.id) for s in subs], [project.certificate_for(s.id) for s in subs],
-        montecarlo.RunConfig(horizon=horizon, trials=trials, seed=seed),
+        run,
     )
     if csv_path is None:
         sup = run_trials()
@@ -511,26 +511,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_settings(args, run: RunDefaults | None) -> RunDefaults:
-    """Simulation settings: flags override the project's ``run`` defaults.
-
-    A bad value is an input error whether a flag or the project gives it.
-    """
+    """Simulation settings: flags override the project's ``run`` defaults, and the merged
+    record checks its values as the project's did."""
     flags = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(RunDefaults)
         if getattr(args, f.name, None) is not None
     }
-    merged = dataclasses.replace(run or RunDefaults(), **flags)
-    if not (
-        merged.trials >= 1 and merged.horizon >= 0 and merged.seed >= 0
-        and math.isfinite(merged.epsilon) and merged.epsilon > 0
-    ):
-        raise SchemaError(
-            f"run needs seed >= 0, trials >= 1 and horizon >= 0, and a finite epsilon > 0, "
-            f"got trials={merged.trials} horizon={merged.horizon} seed={merged.seed} "
-            f"epsilon={merged.epsilon}"
-        )
-    return merged
+    return dataclasses.replace(run or RunDefaults(), **flags)
 
 
 def main(argv=None) -> int:

@@ -6,11 +6,11 @@ with external output ``y_ext = C_ext x`` and one internal output block
 ``(source, target)`` pairs, each wiring ``C_int[target]`` of ``source`` into
 the internal input of ``target``.  A target's omega rows are assigned from
 row 0 in ascending source order, each pair taking the row count of its
-source's block; rows past the last pair read as zero.  Assembly keeps the
-result as per-edge routing: for each subsystem, the in-edges that feed its
-internal input and the output block each one carries, so a consumer that
-eliminates the internal signals builds one subsystem's rows from that
-subsystem and its neighbours alone.
+source's block; rows past the last pair read as zero.  Assembly checks the
+network and returns its per-edge routing: for each subsystem, the in-edges
+that feed its internal input and the output block each one carries, so a
+consumer that eliminates the internal signals builds one subsystem's rows from
+that subsystem and its neighbours alone.
 
 Subsystem ids double as block positions: the i-th entry of a subsystem list
 must carry ``id == i``, and topology pairs and ``C_int`` keys refer to those
@@ -30,7 +30,6 @@ __all__ = [
     "LinearSubsystem",
     "Edge",
     "Topology",
-    "InterconnectedSystem",
     "validate_subsystem",
     "assemble_interconnection",
 ]
@@ -212,48 +211,25 @@ def _offsets(sizes) -> tuple[int, ...]:
     return (0, *accumulate(sizes))[:-1]
 
 
-@dataclass(frozen=True, eq=False)
-class InterconnectedSystem:
-    """Subsystems wired by per-edge routing, internal signals eliminated edge by edge.
-
-    ``in_edges[i]`` lists, in ascending source order, each edge that feeds
-    subsystem ``i``'s internal input with the source's output block that edge
-    carries: ``omega_i[e.start:e.stop] = block @ x_{e.source}``.  Input rows
-    that no edge feeds are the constant zero signal.  Storage grows with the
-    edges, not with the squared stacked state dimension.
-    """
-
-    subsystems: tuple[LinearSubsystem, ...]
-    topology: Topology
-    in_edges: tuple[tuple[tuple[Edge, np.ndarray], ...], ...]
-
-    @property
-    def n(self) -> int:
-        return sum(s.n for s in self.subsystems)
-
-    @property
-    def state_offsets(self) -> tuple[int, ...]:
-        return _offsets(s.n for s in self.subsystems)
-
-
 def assemble_interconnection(
     subsystems: Sequence[LinearSubsystem], topology: Topology
-) -> InterconnectedSystem:
-    """Close the loop ``omega_ij = y_ji`` and return its per-edge routing.
+) -> tuple[tuple[tuple[Edge, np.ndarray], ...], ...]:
+    """Close the loop ``omega_ij = y_ji``: check the network and return its per-edge routing.
 
-    Substituting each internal input by the peer output that feeds it turns
-    the coupled recursions into a single linear system over the stacked state;
-    its rows for subsystem ``i`` are ``A_i`` on ``x_i`` plus
-    ``D_i[:, e.start:e.stop] @ block`` on ``x_{e.source}`` for each in-edge.
-    The rows each edge feeds are assigned by :func:`_route`.
+    Entry ``i`` lists, in ascending source order, each edge that feeds subsystem
+    ``i``'s internal input with the source's output block that edge carries:
+    ``omega_i[e.start:e.stop] = block @ x_{e.source}``, rows assigned by :func:`_route`;
+    rows that no edge feeds are the zero signal.  Substituted, these make one linear
+    system over the stacked state: its rows for subsystem ``i`` are ``A_i`` on ``x_i``
+    plus ``D_i[:, e.start:e.stop] @ block`` on ``x_{e.source}`` per in-edge.
 
     Raises
     ------
     DimensionMismatch
-        If a subsystem is malformed, the subsystem count differs from the
-        topology's, or the edges do not fit the blocks they connect.
+        If a subsystem's id differs from its list position, a subsystem is
+        malformed, the subsystem count differs from the topology's, or the
+        edges do not fit the blocks they connect.
     """
-    subsystems = tuple(subsystems)
     if topology.n_subsystems != len(subsystems):
         raise DimensionMismatch(
             f"topology expects {topology.n_subsystems} subsystems, got {len(subsystems)}"
@@ -265,4 +241,4 @@ def assemble_interconnection(
         problems += [f"subsystem {s.id}: {v}" for v in validate_subsystem(s)]
     if problems:
         raise DimensionMismatch("; ".join(problems))
-    return InterconnectedSystem(subsystems, topology, _route(subsystems, topology))
+    return _route(subsystems, topology)

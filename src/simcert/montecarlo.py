@@ -30,33 +30,15 @@ import numpy as np
 from . import model
 from .errors import DimensionMismatch, SchemaError
 from .model import LinearSubsystem, Topology, _offsets
+from .project import RunDefaults
 from .spsf import AbstractionCandidate, AbstractionCertificate
 
 __all__ = [
-    "RunConfig",
     "ViolationEstimate",
     "noise_stream",
     "simulate_pair",
     "violation_probability",
 ]
-
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    """Horizon (>= 0), trial count (>= 1) and seed (>= 0) of a run, all integers."""
-
-    horizon: int
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        for name, low in (("horizon", 0), ("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                ok = operator.index(value) >= low
-            except TypeError:
-                raise TypeError(f"{name} must be an integer: {value!r}") from None
-            if not ok:
-                raise ValueError(f"{name} must be >= {low}: {value}")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -144,32 +126,33 @@ class _PairSimulator:
         candidates, certs = tuple(candidates), tuple(certs)
         if not (len(subsystems) == len(candidates) == len(certs)):
             raise DimensionMismatch("subsystem, candidate and certificate counts differ")
-        net = model.assemble_interconnection(subsystems, topo)
-        abs_net = model.assemble_interconnection(
-            [c.as_subsystem(s) for s, c in zip(subsystems, candidates)], topo
-        )
-        subs, abs_subs = net.subsystems, abs_net.subsystems
+        subs = tuple(subsystems)
+        abs_subs = tuple(c.as_subsystem(s) for s, c in zip(subs, candidates))
+        in_edges = model.assemble_interconnection(subs, topo)
+        abs_in_edges = model.assemble_interconnection(abs_subs, topo)
 
-        self.n_tot = net.n
+        self.n_tot = sum(s.n for s in subs)
         self.q_dims = [s.q for s in subs]
         self.qhat_dims = [a.q for a in abs_subs]
         self.ids = [s.id for s in subs]
         # column ranges of z
         self.x = slice(0, self.n_tot)
-        self.xh = slice(self.n_tot, self.n_tot + abs_net.n)
+        self.xh = slice(self.n_tot, self.n_tot + sum(a.n for a in abs_subs))
+        # first column of each subsystem's block in every part of z
+        x_at = _offsets(s.n for s in subs)
+        xh_at = [self.xh.start + j for j in _offsets(a.n for a in abs_subs)]
         # h, then hhat: per subsystem one block over its own state, and per
         # side the row of z where each edge's internal output starts
         self.output_blocks, edge_at, at = [], [], self.xh.stop
-        for side, x_start in ((net, self.x.start), (abs_net, self.xh.start)):
-            sent = [[] for _ in side.subsystems]
-            for edges in side.in_edges:
+        for side, routing, starts in ((subs, in_edges, x_at), (abs_subs, abs_in_edges, xh_at)):
+            sent = [[] for _ in side]
+            for edges in routing:
                 for e, C in edges:
                     sent[e.source].append((e, C))
             edge_at.append({})
-            for s, j, out in zip(side.subsystems, side.state_offsets, sent):
+            for s, j, out in zip(side, starts, sent):
                 H = np.vstack([s.C_ext, *(C for _, C in out)])
-                cols = slice(x_start + j, x_start + j + s.n)
-                self.output_blocks.append((slice(at, at + len(H)), cols, H))
+                self.output_blocks.append((slice(at, at + len(H)), slice(j, j + s.n), H))
                 at += s.r
                 for e, C in out:
                     edge_at[-1][e], at = at, at + len(C)
@@ -179,10 +162,6 @@ class _PairSimulator:
         self.w = slice(at, at + sum(self.q_dims))
         self.wh = slice(self.w.stop, self.w.stop + sum(self.qhat_dims))
         self.width = self.wh.stop
-
-        # first column of each subsystem's block in every part of z
-        x_at = net.state_offsets
-        xh_at = [self.xh.start + j for j in abs_net.state_offsets]
         w_at = [self.w.start + j for j in _offsets(self.q_dims)]
         wh_at = [self.wh.start + j for j in _offsets(self.qhat_dims)]
         omega, omegahat = edge_at
@@ -190,7 +169,7 @@ class _PairSimulator:
         # only it reads, but for xhat_i, also read by concrete block i, listed just before it
         self.step_blocks = []
         for i, (s, a, c) in enumerate(zip(subs, abs_subs, certs)):
-            edges = [e for e, _ in net.in_edges[i]]
+            edges = [e for e, _ in in_edges[i]]
             BS = s.B @ c.S
             # x_i+ = A_i x_i + D_i omega_i + B_i nu_i + F_i w_i with the refined input
             # nu_i = K_i (x_i - P_i xhat_i) + Q_i xhat_i + S_i omegahat_i
@@ -216,7 +195,7 @@ class _PairSimulator:
         # share its block.
         self.block = 256
 
-    def _noise(self, cfg: RunConfig, trials: range, out: np.ndarray) -> None:
+    def _noise(self, cfg: RunDefaults, trials: range, out: np.ndarray) -> None:
         """Write the draws of a block of trials into ``out``, ``(T, q_tot + qhat_tot, c)``
         with ``c >= len(trials)``, like the rows ``[w; what]`` of ``z``.
 
@@ -237,7 +216,7 @@ class _PairSimulator:
                 out[:, start : start + q, :cols] = draws.transpose(1, 2, 0)
 
     @np.errstate(over="ignore", invalid="ignore")  # a diverging run's deviation is non-finite
-    def run_block(self, trials: range, cfg: RunConfig, noise: np.ndarray, z: np.ndarray,
+    def run_block(self, trials: range, cfg: RunDefaults, noise: np.ndarray, z: np.ndarray,
                   sup: np.ndarray, outputs: tuple | None = None) -> None:
         """Step ``trials`` (at most :attr:`block`) together from zero states, one per column,
         on ``noise`` shaped like :meth:`_noise` writes it and the pair column ``z``,
@@ -263,15 +242,17 @@ def simulate_pair(
     topology: Topology,
     candidates: Sequence[AbstractionCandidate],
     certificates: Sequence[AbstractionCertificate],
-    cfg: RunConfig,
+    cfg: RunDefaults,
     each_block=None,
 ) -> np.ndarray:
     """Run all trials of the coupled pair; return their ``(trials,)`` supremum deviations.
 
     ``candidates`` and ``certificates`` are in subsystem order; the abstract
-    network is the candidates wired by ``topology``.  Both networks start from
-    zero states, and the abstract input is zero.  Concrete and abstract
-    noises are fully independent.  For a fixed config, numpy build and BLAS kernel the
+    network is the candidates wired by ``topology``.  The run reads ``horizon``,
+    ``trials`` and ``seed`` of ``cfg``, a checked :class:`~simcert.project.RunDefaults`;
+    its ``epsilon`` is for :func:`violation_probability`.  Both networks start from
+    zero states, and the abstract input is zero.  Concrete and abstract noises are
+    fully independent.  For a fixed config, numpy build and BLAS kernel the
     results are bitwise-reproducible: every trial consumes only its own substreams, and
     trials are stepped in blocks of a fixed size.  ``each_block(trials, y, yh)``, if given,
     gets each block's ``range`` of trials and their concrete and abstract outputs,

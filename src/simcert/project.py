@@ -66,6 +66,7 @@ indented a space per level, load unchanged.  A non-finite number is never writte
 import functools
 import json
 import math
+import operator
 import os
 import struct
 import sys
@@ -87,12 +88,30 @@ SCHEMA_VERSION = 3
 
 @dataclass(frozen=True)
 class RunDefaults:
-    """Simulation defaults stored with a project (flags override them)."""
+    """The settings of a run: horizon, trial count, seed and deviation threshold.
+
+    A project stores them in its ``run`` block, and ``simulate`` flags override them.
+    ``horizon >= 0``, ``trials >= 1`` and ``seed >= 0`` are integers (any type that
+    ``operator.index`` takes) and ``epsilon`` is finite and ``> 0``; any other value is a
+    :class:`SchemaError` that starts with the field, ``run.trials = 0: ...``.
+    """
 
     horizon: int = 10
     trials: int = 1000
     seed: int = 0
     epsilon: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                ok = (math.isfinite(value) and value > 0 if f.name == "epsilon"
+                      else operator.index(value) >= (1 if f.name == "trials" else 0))
+            except (TypeError, OverflowError):  # not a number, or an int past the float range
+                ok = False
+            if not ok:
+                raise SchemaError(f"run.{f.name} = {value!r}: a run needs seed >= 0, "
+                                  "trials >= 1 and horizon >= 0, and a finite epsilon > 0")
 
 
 @dataclass(frozen=True, eq=False)

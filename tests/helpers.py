@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 import simcert
-from simcert.model import InterconnectedSystem, LinearSubsystem, Topology
+from simcert.model import LinearSubsystem, Topology
 from simcert.montecarlo import simulate_pair
 from simcert.project import ProjectFile, open_output, project_to_dict
 from simcert.reference import reference_project
@@ -73,22 +73,23 @@ def condition_values(report: ConditionReport) -> dict[str, float]:
 class DenseMonolith:
     """Closed monolithic system over the stacked state, as dense matrices.
 
-    Built edge by edge from the per-edge routing of ``net``: ``R_int`` maps
-    the stacked state to the stacked internal inputs, and ``A_cl`` adds
+    Built edge by edge from ``in_edges``, the routing of ``subs`` that
+    ``assemble_interconnection`` returns: ``R_int`` maps the stacked state
+    to the stacked internal inputs, and ``A_cl`` adds
     ``D_i[:, e.start:e.stop] @ block`` per in-edge to ``blockdiag(A)``, so
     ``A_cl = blockdiag(A) + blockdiag(D) @ R_int``.  Its size is quadratic in
     the stacked state, so it serves as an oracle for small networks only.
     """
 
-    def __init__(self, net: InterconnectedSystem):
-        subs = net.subsystems
-        self.n, self.state_offsets = net.n, net.state_offsets
+    def __init__(self, subs, in_edges):
+        self.n = sum(s.n for s in subs)
+        self.state_offsets = np.cumsum([0] + [s.n for s in subs])[:-1]
         p_off = np.cumsum([0] + [s.p for s in subs])
         self.A_cl = block_diag(*(s.A for s in subs))
         self.R_int = np.zeros((p_off[-1], self.n))
         for i, s in enumerate(subs):
             ri = self.state_offsets[i]
-            for e, block in net.in_edges[i]:
+            for e, block in in_edges[i]:
                 rj = self.state_offsets[e.source]
                 cols = slice(rj, rj + block.shape[1])
                 self.A_cl[ri : ri + s.n, cols] += s.D[:, e.start : e.stop] @ block

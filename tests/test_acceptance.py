@@ -22,8 +22,8 @@ from simcert.bounds import BoundQuery, finite_horizon_bound
 from simcert.cli import main
 from simcert.errors import Infeasible
 from simcert.model import LinearSubsystem
-from simcert.montecarlo import RunConfig, simulate_pair, violation_probability
-from simcert.project import save_project
+from simcert.montecarlo import simulate_pair, violation_probability
+from simcert.project import RunDefaults, save_project
 from simcert.reference import reference_project
 from simcert.smallgain import GainDecomposition, find_mu
 from simcert.spsf import (
@@ -71,7 +71,7 @@ def test_criterion_3_monte_carlo_soundness(capsys):
     project = reference_project()
     cands = [project.candidates[i] for i in range(4)]
     certs = [project.certificates[i] for i in range(4)]
-    cfg = RunConfig(horizon=10, trials=10_000, seed=42)
+    cfg = RunDefaults(horizon=10, trials=10_000, seed=42)
     t0 = time.perf_counter()
     samples = simulate_pair(project.subsystems, project.topology, cands, certs, cfg)
     elapsed = time.perf_counter() - t0

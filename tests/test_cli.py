@@ -29,7 +29,7 @@ import simcert.project
 from simcert import cli, montecarlo, smallgain, spsf
 from simcert.cli import main
 from simcert.errors import RankDeficientWarning, SingularGramWarning
-from simcert.montecarlo import RunConfig, simulate_pair
+from simcert.montecarlo import simulate_pair
 from simcert.project import (
     ProjectFile, RunDefaults, load_project, project_from_dict, project_to_dict, save_project,
 )
@@ -444,6 +444,29 @@ def test_simulate_bad_project_epsilon_exits_2(project_path, capsys, epsilon):
     assert "finite epsilon > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["check"], ["compose"], ["bound", "--epsilon", "1", "--horizon", "10"],
+    ["abstract", "--subsystem", "0", "--output", "{out}"], ["simulate"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("field, value", [("trials", 0), ("horizon", -1), ("epsilon", -1.0)])
+def test_bad_run_block_is_refused_by_every_command(tmp_path, capsys, command, field, value):
+    # the run block is checked as the project loads, so a command that runs no
+    # simulation refuses it too, prints nothing and saves nothing
+    path, out = tmp_path / "net.json", tmp_path / "out.json"
+    assert main(["paper-example", "--trials", "30", "--emit-project", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["run"][field] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = [command[0], "--project", str(path), *(a.format(out=out) for a in command[1:])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: run.{field} = {value!r}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--trials", "1000000000000000"],
     ["--trials", "100000000000000000000"],
@@ -624,7 +647,7 @@ def test_csv_deviation_matches_sup_deviation(ref_project, tmp_path):
     cands = [ref_project.candidate_for(s.id) for s in subs]
     certs = [ref_project.certificate_for(s.id) for s in subs]
     run = functools.partial(simulate_pair, subs, ref_project.topology, cands, certs,
-                            RunConfig(horizon=10, trials=500, seed=0))
+                            RunDefaults(horizon=10, trials=500, seed=0))
     path = tmp_path / "traj.csv"
     sup = cli._write_csv(path, run)
     worst: dict[int, float] = {}
@@ -651,7 +674,7 @@ def _run(project, trials, horizon, seed=0):
     subs = project.subsystems
     return (subs, project.topology, [project.candidate_for(s.id) for s in subs],
             [project.certificate_for(s.id) for s in subs],
-            RunConfig(horizon=horizon, trials=trials, seed=seed))
+            RunDefaults(horizon=horizon, trials=trials, seed=seed))
 
 
 def _assert_csv_matches_oracle(run, outputs, abstract_outputs, tmp_path):

@@ -45,7 +45,7 @@ def test_validate_isolated_subsystem():
 
 def test_assemble_reference_ring(ref_parts):
     subs, topo, *_ = ref_parts
-    mono = DenseMonolith(assemble_interconnection(subs, topo))
+    mono = DenseMonolith(subs, assemble_interconnection(subs, topo))
     assert mono.A_cl.shape == (100, 100)
     expected = np.eye(100)
     coupling = 0.1 * np.ones((25, 1)) @ (0.1 * np.ones((1, 25)))
@@ -66,7 +66,7 @@ def test_assemble_single_subsystem_empty_topology():
         F=np.ones((3, 1)),
         C_ext=np.ones((1, 3)),
     )
-    mono = DenseMonolith(assemble_interconnection([s], Topology(1)))
+    mono = DenseMonolith([s], assemble_interconnection([s], Topology(1)))
     assert np.array_equal(mono.A_cl, s.A)
     assert np.array_equal(mono.B_cl, s.B)
 
@@ -88,7 +88,7 @@ def test_assemble_two_state_mutual_coupling():
         for i in range(2)
     ]
     topo = Topology.from_pairs(subs, [(0, 1), (1, 0)])
-    mono = DenseMonolith(assemble_interconnection(subs, topo))
+    mono = DenseMonolith(subs, assemble_interconnection(subs, topo))
     assert np.allclose(mono.A_cl, [[a, d * c], [d * c, a]], atol=1e-15)
 
 
@@ -133,21 +133,21 @@ def test_assemble_unfed_rows_read_zero():
         id=0, A=np.eye(2), B=np.eye(2), D=np.ones((2, 1)), F=np.zeros((2, 1)),
         C_ext=np.ones((1, 2)),
     )
-    net = assemble_interconnection([s], Topology(1))
-    assert net.in_edges == ((),)
-    assert np.array_equal(DenseMonolith(net).A_cl, np.eye(2))
+    in_edges = assemble_interconnection([s], Topology(1))
+    assert in_edges == ((),)
+    assert np.array_equal(DenseMonolith([s], in_edges).A_cl, np.eye(2))
 
 
 def test_from_pairs_leftover_rows_read_zero():
     subs, pairs = random_network(np.random.default_rng(3), n_subs=3)
-    mono = DenseMonolith(assemble_interconnection(subs, Topology.from_pairs(subs, pairs)))
+    mono = DenseMonolith(subs, assemble_interconnection(subs, Topology.from_pairs(subs, pairs)))
     # widen D of subsystem 0 by one column that no pair feeds
     s0 = subs[0]
     subs[0] = LinearSubsystem(
         id=0, A=s0.A, B=s0.B, D=np.hstack([s0.D, np.ones((s0.n, 1))]), F=s0.F,
         C_ext=s0.C_ext, C_int=dict(s0.C_int),
     )
-    wide = DenseMonolith(assemble_interconnection(subs, Topology.from_pairs(subs, pairs)))
+    wide = DenseMonolith(subs, assemble_interconnection(subs, Topology.from_pairs(subs, pairs)))
     assert np.array_equal(wide.A_cl, mono.A_cl)
     assert not wide.R_int[s0.p].any()  # the new row of omega_0 is the zero signal
 
@@ -173,7 +173,7 @@ def test_monolith_equivalence(seed):
     rng = np.random.default_rng(seed)
     subs, pairs = random_network(rng)
     topo = Topology.from_pairs(subs, pairs)
-    mono = DenseMonolith(assemble_interconnection(subs, topo))
+    mono = DenseMonolith(subs, assemble_interconnection(subs, topo))
     routed = block_diag(*[s.A for s in subs]) + block_diag(*[s.D for s in subs]) @ mono.R_int
     assert np.allclose(mono.A_cl, routed, rtol=0, atol=1e-14)
     steps = 6
@@ -195,7 +195,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(11)
     subs, pairs = random_network(rng, n_subs=4)
     topo = Topology.from_pairs(subs, pairs)
-    mono = DenseMonolith(assemble_interconnection(subs, topo))
+    mono = DenseMonolith(subs, assemble_interconnection(subs, topo))
 
     perm = [2, 0, 3, 1]  # new position of old index i is perm[i]
     inv = np.argsort(perm)
@@ -214,7 +214,7 @@ def test_permutation_equivariance():
             )
         )
     topo_p = Topology.from_pairs(relabeled, [(perm[src], perm[tgt]) for src, tgt in pairs])
-    mono_p = DenseMonolith(assemble_interconnection(relabeled, topo_p))
+    mono_p = DenseMonolith(relabeled, assemble_interconnection(relabeled, topo_p))
 
     offs = list(mono.state_offsets) + [mono.n]
     offs_p = list(mono_p.state_offsets) + [mono_p.n]

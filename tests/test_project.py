@@ -120,8 +120,8 @@ def test_routing_survives_save_and_load(tmp_path, seed):
     project = ProjectFile(2, tuple(subs), Topology.from_pairs(subs, pairs))
     save_project(project, tmp_path / "net.json")
     loaded = load_project(tmp_path / "net.json")
-    before = assemble_interconnection(project.subsystems, project.topology).in_edges
-    after = assemble_interconnection(loaded.subsystems, loaded.topology).in_edges
+    before = assemble_interconnection(project.subsystems, project.topology)
+    after = assemble_interconnection(loaded.subsystems, loaded.topology)
     assert [[e for e, _ in edges] for edges in after] == [[e for e, _ in edges] for edges in before]
     for edges, loaded_edges in zip(before, after):
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(edges, loaded_edges))
