@@ -27,7 +27,6 @@ from .model import (
     LinearSubsystem,
     Topology,
     assemble_interconnection,
-    validate_subsystem,
 )
 from .montecarlo import (
     ViolationEstimate,

@@ -30,7 +30,6 @@ __all__ = [
     "LinearSubsystem",
     "Edge",
     "Topology",
-    "validate_subsystem",
     "assemble_interconnection",
 ]
 
@@ -63,7 +62,9 @@ class LinearSubsystem:
 
     ``C_int`` maps peer index ``j`` to the output block feeding ``j``'s
     internal input; an absent key means that connecting output is identically
-    zero (no edge toward ``j`` is possible).
+    zero (no edge toward ``j`` is possible).  A subsystem whose blocks disagree
+    with ``A``'s state dimension, or whose ``C_int`` holds its own index, raises
+    :class:`DimensionMismatch` naming each violation when it is built.
     """
 
     id: int
@@ -79,6 +80,20 @@ class LinearSubsystem:
             object.__setattr__(self, name, _matrix(getattr(self, name), name))
         blocks = {int(j): _matrix(m, f"C_int[{j}]") for j, m in self.C_int.items()}
         object.__setattr__(self, "C_int", MappingProxyType(blocks))
+        n, out = self.A.shape[0], []  # every violation, so one message names them all
+        if self.A.shape[1] != n:
+            out.append(f"A not square ({n}x{self.A.shape[1]})")
+        out += [f"{k} rows != state dim ({getattr(self, k).shape[0]} != {n})"
+                for k in ("B", "D", "F") if getattr(self, k).shape[0] != n]
+        if self.C_ext.shape[1] != n:
+            out.append(f"C_ext cols != state dim ({self.C_ext.shape[1]} != {n})")
+        for j, m in blocks.items():
+            if j == self.id:
+                out.append(f"C_int contains self block {j}")
+            if m.shape[1] != n:
+                out.append(f"C_int[{j}] cols != state dim ({m.shape[1]} != {n})")
+        if out:
+            raise DimensionMismatch("; ".join(out))
 
     @property
     def n(self) -> int:
@@ -109,32 +124,6 @@ class LinearSubsystem:
         blocks = dict(self.C_int)
         blocks[self.id] = self.C_ext
         return np.vstack([blocks[j] for j in sorted(blocks)])
-
-
-def validate_subsystem(s: LinearSubsystem) -> list[str]:
-    """Return dimension-consistency violations (empty list when well formed).
-
-    Diagnostics are returned rather than raised so callers can report every
-    problem at once.
-    """
-    out: list[str] = []
-    n = s.A.shape[0]
-    if s.A.shape[0] != s.A.shape[1]:
-        out.append(f"A not square ({s.A.shape[0]}x{s.A.shape[1]})")
-    if s.B.shape[0] != n:
-        out.append(f"B rows != state dim ({s.B.shape[0]} != {n})")
-    if s.D.shape[0] != n:
-        out.append(f"D rows != state dim ({s.D.shape[0]} != {n})")
-    if s.F.shape[0] != n:
-        out.append(f"F rows != state dim ({s.F.shape[0]} != {n})")
-    if s.C_ext.shape[1] != n:
-        out.append(f"C_ext cols != state dim ({s.C_ext.shape[1]} != {n})")
-    for j, m in s.C_int.items():
-        if j == s.id:
-            out.append(f"C_int contains self block {j}")
-        if m.shape[1] != n:
-            out.append(f"C_int[{j}] cols != state dim ({m.shape[1]} != {n})")
-    return out
 
 
 @dataclass(frozen=True)
@@ -226,19 +215,16 @@ def assemble_interconnection(
     Raises
     ------
     DimensionMismatch
-        If a subsystem's id differs from its list position, a subsystem is
-        malformed, the subsystem count differs from the topology's, or the
-        edges do not fit the blocks they connect.
+        If a subsystem's id differs from its list position, the subsystem
+        count differs from the topology's, or the edges do not fit the blocks
+        they connect.
     """
     if topology.n_subsystems != len(subsystems):
         raise DimensionMismatch(
             f"topology expects {topology.n_subsystems} subsystems, got {len(subsystems)}"
         )
-    problems = []
-    for i, s in enumerate(subsystems):
-        if s.id != i:
-            problems.append(f"subsystem at position {i} has id {s.id}")
-        problems += [f"subsystem {s.id}: {v}" for v in validate_subsystem(s)]
-    if problems:
-        raise DimensionMismatch("; ".join(problems))
+    moved = [f"subsystem at position {i} has id {s.id}"
+             for i, s in enumerate(subsystems) if s.id != i]
+    if moved:
+        raise DimensionMismatch("; ".join(moved))
     return _route(subsystems, topology)

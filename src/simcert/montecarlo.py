@@ -31,7 +31,7 @@ from . import model
 from .errors import DimensionMismatch, SchemaError
 from .model import LinearSubsystem, Topology, _offsets
 from .project import RunDefaults
-from .spsf import AbstractionCandidate, AbstractionCertificate
+from .spsf import AbstractionCandidate, AbstractionCertificate, check_fit
 
 __all__ = [
     "ViolationEstimate",
@@ -127,9 +127,10 @@ class _PairSimulator:
         if not (len(subsystems) == len(candidates) == len(certs)):
             raise DimensionMismatch("subsystem, candidate and certificate counts differ")
         subs = tuple(subsystems)
+        for s, cand, cert in zip(subs, candidates, certs):
+            check_fit(s, cand, **vars(cert))
         abs_subs = tuple(c.as_subsystem(s) for s, c in zip(subs, candidates))
         in_edges = model.assemble_interconnection(subs, topo)
-        abs_in_edges = model.assemble_interconnection(abs_subs, topo)
 
         self.n_tot = sum(s.n for s in subs)
         self.q_dims = [s.q for s in subs]
@@ -143,19 +144,18 @@ class _PairSimulator:
         xh_at = [self.xh.start + j for j in _offsets(a.n for a in abs_subs)]
         # h, then hhat: per subsystem one block over its own state, and per
         # side the row of z where each edge's internal output starts
+        sent = [[] for _ in subs]  # per source, its out-edges, which both sides share
+        for e, _ in (edge for edges in in_edges for edge in edges):
+            sent[e.source].append(e)
         self.output_blocks, edge_at, at = [], [], self.xh.stop
-        for side, routing, starts in ((subs, in_edges, x_at), (abs_subs, abs_in_edges, xh_at)):
-            sent = [[] for _ in side]
-            for edges in routing:
-                for e, C in edges:
-                    sent[e.source].append((e, C))
+        for side, starts in ((subs, x_at), (abs_subs, xh_at)):
             edge_at.append({})
             for s, j, out in zip(side, starts, sent):
-                H = np.vstack([s.C_ext, *(C for _, C in out)])
+                H = np.vstack([s.C_ext, *(s.C_int[e.target] for e in out)])
                 self.output_blocks.append((slice(at, at + len(H)), slice(j, j + s.n), H))
                 at += s.r
-                for e, C in out:
-                    edge_at[-1][e], at = at, at + len(C)
+                for e in out:
+                    edge_at[-1][e], at = at, at + len(s.C_int[e.target])
         y = [np.arange(rows.start, rows.start + s.r)
              for (rows, _, _), s in zip(self.output_blocks, (*subs, *abs_subs))]
         self.y, self.yh = np.concatenate(y[: len(subs)]), np.concatenate(y[len(subs) :])
@@ -256,7 +256,8 @@ def simulate_pair(
     results are bitwise-reproducible: every trial consumes only its own substreams, and
     trials are stepped in blocks of a fixed size.  ``each_block(trials, y, yh)``, if given,
     gets each block's ``range`` of trials and their concrete and abstract outputs,
-    ``(len(trials), T+1, r)`` views of a buffer the next block reuses.
+    ``(len(trials), T+1, r)`` views of a buffer the next block reuses.  A candidate or
+    certificate that does not fit its subsystem raises first, by :func:`~simcert.spsf.check_fit`.
     """
     sim = _PairSimulator(subsystems, topology, candidates, certificates)
     n, T, b = cfg.trials, cfg.horizon, sim.block

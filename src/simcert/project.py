@@ -78,8 +78,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaError
-from .model import LinearSubsystem, Topology, validate_subsystem
-from .spsf import AbstractionCandidate, AbstractionCertificate, solve_structural
+from .model import LinearSubsystem, Topology
+from .spsf import AbstractionCandidate, AbstractionCertificate, check_fit, solve_structural
 
 __all__ = ["SCHEMA_VERSION", "RunDefaults", "ProjectFile", "load_project", "save_project", "dumps"]
 
@@ -92,8 +92,9 @@ class RunDefaults:
 
     A project stores them in its ``run`` block, and ``simulate`` flags override them.
     ``horizon >= 0``, ``trials >= 1`` and ``seed >= 0`` are integers (any type that
-    ``operator.index`` takes) and ``epsilon`` is finite and ``> 0``; any other value is a
-    :class:`SchemaError` that starts with the field, ``run.trials = 0: ...``.
+    ``operator.index`` takes, kept as its ``int``) and ``epsilon`` is finite and ``> 0``
+    (kept as its ``float``); a bool, which a save would write as ``true``, or any other
+    value is a :class:`SchemaError` that starts with the field, ``run.trials = 0: ...``.
     """
 
     horizon: int = 10
@@ -104,14 +105,17 @@ class RunDefaults:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            try:
-                ok = (math.isfinite(value) and value > 0 if f.name == "epsilon"
-                      else operator.index(value) >= (1 if f.name == "trials" else 0))
+            try:  # a non-finite epsilon is no index; math.isfinite refuses a string, float() not
+                kept = (float(value) if f.name == "epsilon" and math.isfinite(value)
+                        else operator.index(value))
+                ok = not isinstance(value, bool) and (  # a bool would save as true
+                    kept > 0 if f.name == "epsilon" else kept >= (1 if f.name == "trials" else 0))
             except (TypeError, OverflowError):  # not a number, or an int past the float range
                 ok = False
             if not ok:
                 raise SchemaError(f"run.{f.name} = {value!r}: a run needs seed >= 0, "
                                   "trials >= 1 and horizon >= 0, and a finite epsilon > 0")
+            object.__setattr__(self, f.name, kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,27 +281,13 @@ _FIELDS = {
 }
 _FIELDS["project"] = {"schema_version", "arrays", *_FIELDS}
 
-# Rows and columns of every stored candidate and certificate matrix, named by the
-# dimensions of its subsystem (n, m, p) and of its candidate (nhat, mhat, qhat).
-_SHAPES = {
-    "P": ("n", "nhat"),
-    "Ahat": ("nhat", "nhat"),
-    "Bhat": ("nhat", "mhat"),
-    "Dhat": ("nhat", "p"),
-    "Fhat": ("nhat", "qhat"),
-    "M": ("n", "n"),
-    "K": ("m", "n"),
-}
-
-
-def _check_shapes(where: str, mats: dict[str, np.ndarray], dims: dict[str, int]) -> None:
-    for name, arr in mats.items():
-        want = tuple(dims[d] for d in _SHAPES[name])
-        if arr.shape != want:
-            raise SchemaError(
-                f"{where}.{name} is {arr.shape[0]}x{arr.shape[1]}, expected "
-                f"{want[0]}x{want[1]} ({' x '.join(_SHAPES[name])})"
-            )
+def _at(where: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its :class:`DimensionMismatch` raised as a
+    :class:`SchemaError` whose message starts with ``where``."""
+    try:
+        return fn(*args, **kwargs)
+    except DimensionMismatch as exc:
+        raise SchemaError(f"{where}{exc}") from exc
 
 
 def project_from_dict(doc: dict) -> ProjectFile:
@@ -327,12 +317,8 @@ def project_from_dict(doc: dict) -> ProjectFile:
         key = _entry_key(entry, _SUBSYSTEM_MATRICES, (int,) * 5)
         if key not in resolved:
             resolved[key] = _matrices(entry, _SUBSYSTEM_MATRICES, where, table)
-        s = LinearSubsystem(id=sid, **resolved[key],
-                            C_int=_int_keyed(entry.get("C_int", {}), f"{where}.C_int", table))
-        problems = validate_subsystem(s)
-        if problems:
-            raise SchemaError(f"{where}: " + "; ".join(problems))
-        subsystems.append(s)
+        blocks = _int_keyed(entry.get("C_int", {}), f"{where}.C_int", table)
+        subsystems.append(_at(f"{where}: ", LinearSubsystem, id=sid, **resolved[key], C_int=blocks))
     subsystems = tuple(subsystems)
 
     edges = _object(_require(doc, "topology", "project"), "topology", "topology").get("edges", [])
@@ -340,15 +326,11 @@ def project_from_dict(doc: dict) -> ProjectFile:
     for e in pairs:
         if not (isinstance(e, list) and len(e) == 2):
             raise SchemaError(f"topology.edges entries must be [from, to] pairs, got {e!r}")
-    try:
-        topology = Topology.from_pairs(
-            subsystems, [[_number(v, "topology.edges", int) for v in e] for e in pairs]
-        )
-    except DimensionMismatch as exc:
-        raise SchemaError(f"topology: {exc}") from exc
+    topology = _at("topology: ", Topology.from_pairs, subsystems,
+                   [[_number(v, "topology.edges", int) for v in e] for e in pairs])
 
     def entries(key: str):
-        """``(where, subsystem, entry, its dimensions)`` per entry of an optional list."""
+        """``(where, subsystem, entry)`` per entry of an optional list."""
         seen: dict[int, int] = {}  # subsystem -> list position of its entry
         for pos, entry in enumerate(_list(doc.get(key, []), key)):
             where = f"{key}[{pos}]"
@@ -359,26 +341,23 @@ def project_from_dict(doc: dict) -> ProjectFile:
             if sid in seen:
                 raise SchemaError(f"{key}[{seen[sid]}] and {where} both name subsystem {sid}")
             seen[sid] = pos
-            s = subsystems[sid]
-            yield where, s, entry, {"n": s.n, "m": s.m, "p": s.p}
+            yield where, subsystems[sid], entry
 
     candidates: dict[int, AbstractionCandidate] = {}
-    for where, s, entry, dims in entries("candidates"):
-        key = (_entry_key(entry, _CANDIDATE_MATRICES, (int,) * 5), *dims.values())
+    for where, s, entry in entries("candidates"):
+        key = (_entry_key(entry, _CANDIDATE_MATRICES, (int,) * 5), s.n, s.m, s.p)
         if key not in resolved:
             mats = _matrices(entry, ("P", "Ahat", "Bhat", "Dhat"), where, table)
-            dims.update(nhat=mats["Ahat"].shape[0], mhat=mats["Bhat"].shape[1])
             fhat = entry.get("Fhat")  # absent: noiseless, a zero column count (the least psi)
-            mats["Fhat"] = _as_matrix(
-                np.zeros((dims["nhat"], 0)) if fhat is None else fhat, f"{where}.Fhat", table)
-            dims["qhat"] = mats["Fhat"].shape[1]
-            _check_shapes(where, mats, dims)
+            mats["Fhat"] = _as_matrix(np.zeros((mats["Ahat"].shape[0], 0)) if fhat is None
+                                      else fhat, f"{where}.Fhat", table)
             resolved[key] = AbstractionCandidate(**mats)
+            _at(f"{where}.", check_fit, s, resolved[key])
         candidates[s.id] = resolved[key]
 
     certificates: dict[int, AbstractionCertificate] = {}
     notes: dict[int, str] = {}
-    for where, s, entry, dims in entries("certificates"):
+    for where, s, entry in entries("certificates"):
         if s.id not in candidates:
             raise SchemaError(f"{where}: subsystem {s.id} has no candidate to derive it from")
         # the certificate reads the entry, the candidate and the subsystem's arrays
@@ -386,12 +365,11 @@ def project_from_dict(doc: dict) -> ProjectFile:
                id(candidates[s.id]), *map(id, (s.A, s.B, s.D, s.F, s.C_ext, *s.C_int.values())))
         if key not in resolved:
             mats = _matrices(entry, _CERTIFICATE_MATRICES, where, table)
-            _check_shapes(where, mats, dims)
             stored = (*mats.values(), *[_number(_require(entry, k, where), f"{where}.{k}", float)
                                         for k in ("pi", "kappa_hat")])
             kind = _kind(s, candidates[s.id], stored)  # the table keeps every id in use
-            if kind not in resolved:  # one derivation per kind
-                resolved[kind] = solve_structural(s, candidates[s.id], *stored)
+            if kind not in resolved:  # one derivation per kind, which checks M's and K's shapes
+                resolved[kind] = _at(f"{where}.", solve_structural, s, candidates[s.id], *stored)
             resolved[key] = resolved[kind]
         certificates[s.id] = resolved[key]
         if "note" in entry:

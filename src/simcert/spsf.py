@@ -45,6 +45,7 @@ __all__ = [
     "SpsfConstants",
     "ConditionCheck",
     "ConditionReport",
+    "check_fit",
     "check_conditions",
     "synthesize_MK",
     "solve_structural",
@@ -176,6 +177,27 @@ class ConditionReport:
         return "\n".join(lines)
 
 
+# Rows and columns of each matrix of a candidate and its certificate, named by the
+# dimensions of the subsystem (n, m, p) and of the candidate (nhat, mhat, qhat).
+_SHAPES = {"P": ("n", "nhat"), "Ahat": ("nhat", "nhat"), "Bhat": ("nhat", "mhat"),
+        "Dhat": ("nhat", "p"), "Fhat": ("nhat", "qhat"), "M": ("n", "n"), "K": ("m", "n"),
+        "Q": ("m", "nhat"), "S": ("m", "p"), "Rtilde": ("m", "mhat")}
+
+
+def check_fit(s: LinearSubsystem, cand: AbstractionCandidate, **matrices) -> None:
+    """Raise :class:`DimensionMismatch` at the first matrix, in ``_SHAPES``'s order, of ``cand``
+    or ``matrices`` (a certificate's, by field name; ``cand.P`` comes first) whose shape does
+    not fit ``s`` and ``cand``: ``Dhat is 1x0, expected 1x1 (nhat x p)``.  ``nhat`` is
+    ``Ahat``'s row count, ``mhat`` ``Bhat``'s column count and ``qhat`` ``Fhat``'s."""
+    dims = dict(n=s.n, m=s.m, p=s.p, nhat=cand.nhat, mhat=cand.mhat, qhat=cand.Fhat.shape[1])
+    for name, (rows, cols) in _SHAPES.items():
+        want = (dims[rows], dims[cols])
+        for arr in (getattr(cand, name, None), matrices.get(name)):
+            if arr is not None and arr.shape != want:
+                raise DimensionMismatch(f"{name} is {arr.shape[0]}x{arr.shape[1]}, expected "
+                                        f"{want[0]}x{want[1]} ({rows} x {cols})")
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
@@ -215,14 +237,10 @@ def check_conditions(
 
     Matrix-inequality margins (minimum eigenvalues) must be ``>= -tol`` scaled by
     ``max(1, ||M||)``, equality residuals (spectral norms) ``<= tol``, and ``cert.P``
-    must be ``cand.P`` bit for bit.  Nothing is raised: the report carries pass/fail.
+    must be ``cand.P`` bit for bit.  Only :func:`check_fit` raises: the report carries pass/fail.
     """
+    check_fit(s, cand, **vars(cert))
     M, K, P, C_full = cert.M, cert.K, cert.P, s.output_matrix()
-    n, nhat = s.n, cand.nhat
-    if P.shape != (n, nhat):
-        raise DimensionMismatch(f"P is {P.shape}, expected ({n}, {nhat})")
-    if K.shape != (s.m, n):
-        raise DimensionMismatch(f"K is {K.shape}, expected ({s.m}, {n})")
     out_margin, dec_margin, scale = _margins(M, C_full, s.A + s.B @ K, cert.pi, cert.kappa_hat)
     eig_tol = tol * scale
 
@@ -237,7 +255,7 @@ def check_conditions(
         ConditionCheck("drift match", drift_res, tol, drift_res <= tol),
         ConditionCheck("internal input match", internal_res, tol, internal_res <= tol),
     )
-    lift = P.shape == cand.P.shape and P.tobytes() == cand.P.tobytes()
+    lift = P.tobytes() == cand.P.tobytes()  # check_fit gave both one shape
     violations = [] if lift else ["the certificate's P is not the candidate's lift, bit for bit"]
     if not 0.0 < cert.kappa_hat < 1.0:
         violations.append(f"kappa_hat out of (0,1): {cert.kappa_hat}")
@@ -366,8 +384,9 @@ def solve_structural(
     "drift match" and "internal input match".
 
     Warns with :class:`RankDeficientWarning` when ``B`` lacks full column
-    rank (the solution is then non-unique).
+    rank (the solution is then non-unique), and raises :func:`check_fit`'s error first.
     """
+    check_fit(s, cand, M=_matrix(M, "M"), K=_matrix(K, "K"))
     P = cand.P
     Q, _, rank, _ = np.linalg.lstsq(s.B, P @ cand.Ahat - s.A @ P, rcond=None)
     if rank < s.m:
@@ -421,8 +440,9 @@ def derive_constants(
 
     The external coefficient splits the mixed cross term as
     ``2ab <= (pi/2) a^2 + (2/pi) b^2``, which is a valid bound for every
-    ``pi > 0``.  Raises :class:`DomainError` when a constant overflows.
+    ``pi > 0``.  Raises :func:`check_fit`'s error first, :class:`DomainError` on an overflow.
     """
+    check_fit(s, cand, **vars(cert))
     young_int = 1.0 + 2.0 / cert.pi + cert.pi / 2.0
     young_ext = 1.0 + 4.0 / cert.pi
     M, P = cert.M, cert.P

@@ -1117,17 +1117,21 @@ def test_per_copy_checks_name_the_copy(tmp_path, capsys, group, pos, field, valu
 
 
 def test_each_distinct_indexed_entry_is_resolved_once_per_load(monkeypatch):
-    # a repeated certificate entry skips its shape check and derivation; copies that
-    # differ in F are distinct subsystems, and each derives its own certificate
+    # a repeated certificate entry skips its fit check and derivation; copies that
+    # differ in F are distinct subsystems, and each derives its own certificate.  The
+    # load checks a candidate's fit itself, a certificate's through solve_structural
     doc = ring_document(64)
     copies = _indexed_ring(64)
     for k, s in enumerate(doc["subsystems"]):
         s["F"] = [[(k + 1) * v for v in row] for row in s["F"]]
     distinct = project_to_dict(project_from_dict(doc))
     calls = collections.Counter()
-    shapes, rtilde = simcert.project._check_shapes, spsf.compute_Rtilde
-    monkeypatch.setattr(simcert.project, "_check_shapes",
-                        lambda where, *a: calls.update([where.split("[")[0]]) or shapes(where, *a))
+    fit, rtilde = spsf.check_fit, spsf.compute_Rtilde
+    def counted_fit(s, cand, **matrices):
+        calls.update(["certificates" if matrices else "candidates"])
+        return fit(s, cand, **matrices)
+    for module in (simcert.project, spsf):
+        monkeypatch.setattr(module, "check_fit", counted_fit)
     monkeypatch.setattr(spsf, "compute_Rtilde",
                         lambda *a: calls.update(["compute_Rtilde"]) or rtilde(*a))
     project_from_dict(copies)

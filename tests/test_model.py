@@ -8,27 +8,26 @@ from simcert.model import (
     LinearSubsystem,
     Topology,
     assemble_interconnection,
-    validate_subsystem,
 )
 
 
 def test_validate_reference_subsystem_is_clean(ref_parts):
+    # a subsystem checks itself when built: rebuilding each from its blocks raises nothing
     subs, *_ = ref_parts
     for s in subs:
-        assert validate_subsystem(s) == []
+        LinearSubsystem(id=s.id, A=s.A, B=s.B, D=s.D, F=s.F, C_ext=s.C_ext, C_int=s.C_int)
 
 
 def test_validate_d_rows_mismatch():
-    s = LinearSubsystem(
-        id=0,
-        A=np.eye(2),
-        B=np.ones((2, 1)),
-        D=np.ones((3, 1)),
-        F=np.zeros((2, 1)),
-        C_ext=np.ones((1, 2)),
-    )
-    problems = validate_subsystem(s)
-    assert any(v.startswith("D rows") for v in problems)
+    with pytest.raises(DimensionMismatch, match=r"^D rows != state dim \(3 != 2\)$"):
+        LinearSubsystem(
+            id=0,
+            A=np.eye(2),
+            B=np.ones((2, 1)),
+            D=np.ones((3, 1)),
+            F=np.zeros((2, 1)),
+            C_ext=np.ones((1, 2)),
+        )
 
 
 def test_validate_isolated_subsystem():
@@ -40,7 +39,15 @@ def test_validate_isolated_subsystem():
         F=np.ones((25, 1)),
         C_ext=0.1 * np.ones((1, 25)),
     )
-    assert validate_subsystem(s) == []
+    assert (s.n, s.p, dict(s.C_int)) == (25, 0, {})
+
+
+def test_every_violation_is_named_in_one_message():
+    with pytest.raises(DimensionMismatch) as err:
+        LinearSubsystem(id=1, A=np.ones((2, 3)), B=np.ones((3, 1)), D=np.ones((2, 1)),
+                        F=np.ones((2, 1)), C_ext=np.ones((1, 3)), C_int={1: np.ones((1, 2))})
+    assert str(err.value) == ("A not square (2x3); B rows != state dim (3 != 2); "
+                              "C_ext cols != state dim (3 != 2); C_int contains self block 1")
 
 
 def test_assemble_reference_ring(ref_parts):

@@ -312,6 +312,7 @@ def test_side_keys_derived_once_per_side(ref_parts, monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("seed", -1), ("seed", 1.5), ("trials", 2.5), ("trials", 0), ("horizon", 3.0), ("horizon", -1),
+    ("horizon", True), ("trials", True),  # a bool would save as true, which no load takes
 ])
 def test_run_config_rejects_what_a_run_cannot_use(field, value):
     # unchecked, a negative seed fails only at the first noisy draw, inside numpy,

@@ -180,6 +180,7 @@ LOADER_DEFECTS = {
     "nan-string-entry": (("candidates", 0, "Bhat"), [["nan"]]),
     "huge-int-entry": (("subsystems", 0, "F", 0, 0), 10**400),
     "A-1x1-B-25-rows": (("subsystems", 0, "A"), [[0.5]]),
+    "Dhat-1x0": (("candidates", 1, "Dhat"), [[]]),
     "string-pi": (("certificates", 0, "pi"), "0.99"),
     "null-kappa_hat": (("certificates", 0, "kappa_hat"), None),
     "nan-pi": (("certificates", 0, "pi"), float("nan")),
@@ -208,7 +209,7 @@ LOADER_DEFECTS = {
 
 # these edit an entry of a matrix, so they edit the document's inline form
 _INLINE = ("nan-matrix-entry", "inf-matrix-entry", "huge-int-entry")
-# the message of each index defect, which names the field; the reference project
+# the message of each index or shape defect, which names the field; the reference project
 # saves 10 distinct matrices
 _INDEX_ERRORS = {
     "negative-index": "certificates[0].M: index -1 is not in arrays (10 entries)",
@@ -218,6 +219,7 @@ _INDEX_ERRORS = {
     "string-index": "certificates[0].K: expected a matrix or an integer index into arrays, "
                     "got '3'",
     "index-of-a-wrong-shape": "certificates[0].M is 1x1, expected 25x25 (n x n)",
+    "Dhat-1x0": "candidates[1].Dhat is 1x0, expected 1x1 (nhat x p)",
     "arrays-not-a-list": "arrays must be a list",
     "arrays-entry-not-a-matrix": "arrays[1]: expected a nested (2-D) array, got 0",
 }
@@ -249,6 +251,16 @@ def _ring_project(seed=3) -> ProjectFile:
         notes={0: "first"},
         run=RunDefaults(),
     )
+
+
+def test_run_of_numpy_numbers_saves_and_loads(ref_project, tmp_path):
+    # a run keeps its values as int and float, which JSON writes: kept as given, np.int64
+    # and np.float32 made the save raise a bare TypeError
+    run = RunDefaults(horizon=np.int64(10), trials=np.uint16(5), seed=np.int32(3),
+                      epsilon=np.float32(0.5))
+    assert [type(v) for v in dataclasses.astuple(run)] == [int, int, int, float]
+    save_project(dataclasses.replace(ref_project, run=run), tmp_path / "net.json")
+    assert load_project(tmp_path / "net.json").run == run == RunDefaults(10, 5, 3, 0.5)
 
 
 # float repr round-trips exactly, so equal JSON text means bitwise-equal numbers

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import qr, solve_discrete_are, solve_discrete_lyapunov
 from helpers import (
     condition_values,
@@ -17,8 +19,10 @@ from helpers import (
 )
 
 from simcert import spsf
-from simcert.errors import Infeasible, RankDeficientWarning, SingularGramWarning
-from simcert.model import LinearSubsystem
+from simcert.errors import DimensionMismatch, Infeasible, RankDeficientWarning, SingularGramWarning
+from simcert.model import LinearSubsystem, Topology
+from simcert.montecarlo import simulate_pair
+from simcert.project import RunDefaults
 from simcert.spsf import (
     _dare,
     _spec_norm,
@@ -92,6 +96,55 @@ def test_check_certificate_with_another_lift_fails(ref_parts):
     assert check_conditions(subs[0], cands[0], dataclasses.replace(certs[0], P=P)).passed
     P[3, 0] = np.nextafter(1.0, 2.0)
     assert not check_conditions(subs[0], cands[0], dataclasses.replace(certs[0], P=P)).passed
+
+
+def test_check_refuses_an_empty_dhat(ref_parts):
+    # numpy broadcast the internal input match residual D - P Dhat + B S to 25x0,
+    # whose norm is 0, so this candidate passed every condition
+    subs, _, cands, certs = ref_parts
+    cand = dataclasses.replace(cands[1], Dhat=np.zeros((1, 0)))
+    with pytest.raises(DimensionMismatch, match=r"^Dhat is 1x0, expected 1x1 \(nhat x p\)$"):
+        check_conditions(subs[1], cand, certs[1])
+
+
+_CANDIDATE_FIELDS = ("P", "Ahat", "Bhat", "Dhat", "Fhat")
+# the dimension each of these defines, which a wrong shape keeps: nhat is Ahat's row
+# count, mhat Bhat's column count and qhat Fhat's
+_DEFINES = {"Ahat": 0, "Bhat": 1, "Fhat": 1}
+
+
+@pytest.fixture(scope="module")
+def noisy_instance():
+    return random_certified_instance(np.random.default_rng(5), n_max=5, with_abstract_noise=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_matrix_that_does_not_fit_is_refused_by_name(noisy_instance, data):
+    # one field of the candidate or certificate takes a shape near its own; every entry
+    # point raises DimensionMismatch naming it, never a report, a number or a ValueError
+    s, cand, cert = noisy_instance
+    name = data.draw(st.sampled_from((*_CANDIDATE_FIELDS, "M", "K", "Q", "S", "Rtilde")))
+    on_cand = name in _CANDIDATE_FIELDS and (name != "P" or data.draw(st.booleans()))
+    want = getattr(cand if on_cand else cert, name).shape
+    near = [st.integers(max(0, w - 2), w + 2) for w in want]
+    if name in _DEFINES:
+        near[_DEFINES[name]] = st.just(want[_DEFINES[name]])
+    shape = data.draw(st.tuples(*near).filter(lambda sh: sh != want))
+    bad = {name: np.ones(shape)}
+    cand = dataclasses.replace(cand, **bad) if on_cand else cand
+    cert = cert if on_cand else dataclasses.replace(cert, **bad)
+    calls = [
+        lambda: check_conditions(s, cand, cert),
+        lambda: derive_constants(s, cand, cert),
+        lambda: simulate_pair([s], Topology(1), [cand], [cert], RunDefaults(horizon=2, trials=2)),
+    ]
+    if on_cand or name in ("M", "K"):  # the fields solve_structural reads
+        calls.append(lambda: solve_structural(s, cand, cert.M, cert.K, cert.pi, cert.kappa_hat))
+    message = rf"^{name} is {shape[0]}x{shape[1]}, expected {want[0]}x{want[1]} \("
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match=message):
+            call()
 
 
 def test_check_kappa_domain_violation(ref_parts):
